@@ -5,7 +5,7 @@
 //! retrains every model. Interactive drill-down sessions and batch serving
 //! (see the `reptile-session` crate) instead pass an [`EngineCache`] to
 //! [`crate::Reptile::recommend_with_cache`]: computed views are keyed by a
-//! *canonical* [`ViewKey`] and trained models — bundled with their per-group
+//! *canonical* [`ViewKey`] and trained models — bundled with their per-row
 //! predictions as a reusable [`TrainedModel`] handle — by a [`ModelKey`], so
 //! repeated complaints over the same view skip both the group-by scans and
 //! the EM training entirely.
@@ -16,10 +16,10 @@
 //! the implementations in `reptile-session`.
 
 use crate::engine::{RepairModelKind, ReptileConfig};
-use reptile_model::{FeaturePlan, LinearModel, MultilevelModel};
+use reptile_model::{DesignRows, FeaturePlan, LinearModel, MultilevelModel};
 use reptile_relational::{AggregateKind, AttrId, GroupKey, Predicate, Relation, Value, View};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -163,14 +163,28 @@ pub enum FittedRepairModel {
 }
 
 /// A reusable trained-model handle: the fitted model plus its expected
-/// statistic for every parallel group of the training view. Serving a warm
-/// complaint needs only the predictions — no design rebuild, no retraining.
+/// statistic for every row of the training design, and the design's
+/// key → row resolver (its path tables, not the design). Serving a warm
+/// complaint needs only these — no design rebuild, no retraining.
 #[derive(Debug, Clone)]
 pub struct TrainedModel {
     /// The fitted model.
     pub model: FittedRepairModel,
-    /// Model-estimated expected statistic per training-view group.
-    pub predictions: BTreeMap<GroupKey, f64>,
+    /// Model-estimated expected statistic per design row.
+    pub predictions: Vec<f64>,
+    /// Resolves a drill-down group's key to its design row.
+    pub rows: Arc<DesignRows>,
+}
+
+impl TrainedModel {
+    /// The expected statistic of each drill-down group of `view`, in group
+    /// order (`None` where the training design has no row for the group).
+    pub fn expected(&self, view: &View) -> Vec<Option<f64>> {
+        let rows = self.rows.rows_of_keys(view.groups().map(|(key, _)| key));
+        rows.into_iter()
+            .map(|row| row.map(|row| self.predictions[row]))
+            .collect()
+    }
 }
 
 /// A cache the engine consults during [`crate::Reptile::recommend_with_cache`].

@@ -20,7 +20,7 @@ use crate::complaint::Complaint;
 use crate::{ReptileError, Result};
 use reptile_factor::{
     AggregateSource, DecomposedAggregates, DrilldownMode, DrilldownSession, EncodedAggregates,
-    EncodedFactorization, Exec, FactorBackend, Factorization, PathCountIndex,
+    EncodedFactor, EncodedFactorization, Exec, FactorBackend, Factorization, PathCountIndex,
 };
 use reptile_model::{
     DesignBuilder, EmptyGroupPolicy, FeaturePlan, LinearModel, MultilevelConfig, MultilevelModel,
@@ -164,9 +164,9 @@ impl AggregateSource for SharedSession<'_> {
 
     fn encoded_aggregates(
         &mut self,
-        fact: &Factorization,
+        factors: Vec<Arc<EncodedFactor>>,
     ) -> (EncodedFactorization, EncodedAggregates) {
-        self.0.lock().unwrap().encoded(fact)
+        self.0.lock().unwrap().encoded(factors)
     }
 }
 
@@ -600,7 +600,9 @@ impl Reptile {
         let mut all: Vec<ScoredGroup> = Vec::new();
         for result in results {
             let rec = result?;
-            all.extend(rec.ranked.iter().cloned());
+            // Each list is stably sorted by penalty, so the overall top-k
+            // lies within the per-hierarchy top-k prefixes.
+            all.extend(rec.ranked.iter().take(self.config.top_k).cloned());
             hierarchies.push(rec);
         }
         all.sort_by(|a, b| a.penalty.total_cmp(&b.penalty));
@@ -622,13 +624,13 @@ impl Reptile {
     ) -> Result<BTreeMap<GroupKey, f64>> {
         let dd = view.drill_down(&complaint.key, hierarchy, &self.config.exec)?;
         let trained = self.fit_and_predict(view, complaint, hierarchy, &NoCache)?;
-        let mut out = BTreeMap::new();
-        for (key, _) in dd.view.groups() {
-            if let Some(value) = trained.predictions.get(key) {
-                out.insert(key.clone(), *value);
-            }
-        }
-        Ok(out)
+        let expected = trained.expected(&dd.view);
+        Ok(dd
+            .view
+            .groups()
+            .zip(expected)
+            .filter_map(|((key, _), expected)| Some((key.clone(), expected?)))
+            .collect())
     }
 
     /// The signature of the model [`Reptile::recommend_with_cache`] would fit
@@ -771,7 +773,7 @@ impl Reptile {
                 .with_aggregate_source(&mut source)
                 .build()?;
             drop(design_span);
-            let (model, predictions_by_row) = match self.config.model {
+            let (model, predictions) = match self.config.model {
                 RepairModelKind::MultiLevel => {
                     let model = MultilevelModel::fit_exec(
                         &design,
@@ -789,13 +791,11 @@ impl Reptile {
                     (FittedRepairModel::Linear(model), predictions)
                 }
             };
-            let mut predictions = BTreeMap::new();
-            for (key, _) in parallel.groups() {
-                if let Some(row) = design.row_of_key(key) {
-                    predictions.insert(key.clone(), predictions_by_row[row]);
-                }
-            }
-            Ok(Arc::new(TrainedModel { model, predictions }))
+            Ok(Arc::new(TrainedModel {
+                model,
+                predictions,
+                rows: design.rows().clone(),
+            }))
         })();
         match result {
             Ok(model) => {
@@ -819,7 +819,6 @@ impl Reptile {
     ) -> Result<HierarchyRecommendation> {
         let (dd_view, added) = self.drill_down_cached(view, &complaint.key, hierarchy, cache)?;
         let trained = self.fit_and_predict(view, complaint, hierarchy, cache)?;
-        let predictions = &trained.predictions;
         // For complaints over composed statistics (STD/VAR), the repair must
         // fix the group's *constituent* statistics too: a group whose mean is
         // far from its expectation inflates the parent's spread even if its
@@ -839,18 +838,23 @@ impl Reptile {
             None
         };
         let added_attribute = self.schema.name(added).to_string();
+        // Only the drilled view's groups are resolved to design rows, and
+        // every repair is scored against the view's once-folded total.
+        let expected = trained.expected(&dd_view);
+        let expected_means = mean_predictions.map(|means| means.expected(&dd_view));
+        let total = dd_view.total();
         let mut ranked = Vec::with_capacity(dd_view.len());
-        for (key, agg) in dd_view.groups() {
+        for (i, (key, agg)) in dd_view.groups().enumerate() {
             let observed = agg.value(complaint.statistic);
-            let expected = predictions.get(key).copied().unwrap_or(observed);
+            let expected = expected[i].unwrap_or(observed);
             let mut repaired: AggState = agg.repaired_to(complaint.statistic, expected);
-            if let Some(means) = &mean_predictions {
-                if let Some(expected_mean) = means.predictions.get(key) {
-                    repaired = repaired.with_mean(*expected_mean);
-                }
+            if let Some(expected_mean) = expected_means.as_ref().and_then(|means| means[i]) {
+                repaired = repaired.with_mean(expected_mean);
             }
-            let repaired_total = dd_view.total_with_replacement(key, &repaired)?;
-            let repaired_value = repaired_total.value(complaint.statistic);
+            let repaired_value = total
+                .unmerge(agg)
+                .merge(&repaired)
+                .value(complaint.statistic);
             let penalty = complaint.penalty(repaired_value);
             ranked.push(ScoredGroup {
                 hierarchy: hierarchy.name.clone(),
@@ -1060,6 +1064,252 @@ mod tests {
                 assert_eq!(a.key, b.key);
                 assert_eq!(a.penalty, b.penalty);
                 assert_eq!(a.improvement, b.improvement);
+            }
+        }
+    }
+
+    /// The recommendation by the `Value`-keyed route this engine replaced,
+    /// kept as the exactness oracle: predictions keyed by cloned group keys,
+    /// each resolved through one `Vec<Value>` and the legacy
+    /// `Factorization::row_index_of`; the drilled view's total re-folded for
+    /// every scored group; every group of every hierarchy merged before the
+    /// top-k cut.
+    fn oracle_recommend(engine: &Reptile, view: &View, complaint: &Complaint) -> Recommendation {
+        let exec = &engine.config.exec;
+        let predictions = |parallel: &View, statistic: AggregateKind| {
+            let design = DesignBuilder::new(parallel, &engine.schema, statistic)
+                .with_plan(engine.plan.clone())
+                .empty_groups(engine.config.empty_groups)
+                .with_exec(exec.clone())
+                .build()
+                .unwrap();
+            let model =
+                MultilevelModel::fit_exec(&design, engine.config.em, engine.config.backend, exec)
+                    .unwrap();
+            let by_row = model.predict_all_with(&design, &exec.parallelism());
+            let fact = design.factorization();
+            let gb_of_column: Vec<usize> = fact
+                .attr_order()
+                .iter()
+                .map(|a| parallel.group_by().iter().position(|g| g == a).unwrap())
+                .collect();
+            let mut predictions = BTreeMap::new();
+            for (key, _) in parallel.groups() {
+                let values: Vec<Value> =
+                    gb_of_column.iter().map(|&g| key.value(g).clone()).collect();
+                if let Some(row) = fact.row_index_of(&values) {
+                    predictions.insert(key.clone(), by_row[row]);
+                }
+            }
+            predictions
+        };
+        let original_value = view
+            .group(&complaint.key)
+            .unwrap()
+            .value(complaint.statistic);
+        let mut hierarchies = Vec::new();
+        let mut all: Vec<ScoredGroup> = Vec::new();
+        for hierarchy in engine.schema.hierarchies() {
+            if hierarchy.next_level(view.group_by()).is_none() {
+                continue;
+            }
+            let dd = view.drill_down(&complaint.key, hierarchy, exec).unwrap();
+            let parallel = view.drill_down_parallel(hierarchy, exec).unwrap().view;
+            let expected_by_key = predictions(&parallel, complaint.statistic);
+            let means = matches!(complaint.statistic, AggregateKind::Std | AggregateKind::Var)
+                .then(|| predictions(&parallel, AggregateKind::Mean));
+            let added_attribute = engine.schema.name(dd.added_attribute).to_string();
+            let mut ranked = Vec::new();
+            for (key, agg) in dd.view.groups() {
+                let observed = agg.value(complaint.statistic);
+                let expected = expected_by_key.get(key).copied().unwrap_or(observed);
+                let mut repaired = agg.repaired_to(complaint.statistic, expected);
+                if let Some(mean) = means.as_ref().and_then(|means| means.get(key)) {
+                    repaired = repaired.with_mean(*mean);
+                }
+                let refolded = dd
+                    .view
+                    .groups()
+                    .fold(AggState::empty(), |acc, (_, g)| acc.merge(g));
+                let repaired_value = refolded
+                    .unmerge(agg)
+                    .merge(&repaired)
+                    .value(complaint.statistic);
+                ranked.push(ScoredGroup {
+                    hierarchy: hierarchy.name.clone(),
+                    added_attribute: added_attribute.clone(),
+                    key: key.clone(),
+                    observed,
+                    expected,
+                    repaired_complaint_value: repaired_value,
+                    penalty: complaint.penalty(repaired_value),
+                    improvement: complaint.improvement(original_value, repaired_value),
+                });
+            }
+            ranked.sort_by(|a, b| a.penalty.total_cmp(&b.penalty));
+            all.extend(ranked.iter().cloned());
+            hierarchies.push(HierarchyRecommendation {
+                hierarchy: hierarchy.name.clone(),
+                added_attribute,
+                view: Arc::new(dd.view),
+                ranked,
+            });
+        }
+        all.sort_by(|a, b| a.penalty.total_cmp(&b.penalty));
+        all.truncate(engine.config.top_k);
+        Recommendation {
+            hierarchies,
+            ranked: all,
+            original_value,
+        }
+    }
+
+    /// Every field of every scored group, floats by their bits.
+    fn assert_bit_identical(a: &Recommendation, b: &Recommendation, what: &str) {
+        let fields = |g: &ScoredGroup| {
+            (
+                g.hierarchy.clone(),
+                g.added_attribute.clone(),
+                g.key.clone(),
+                [
+                    g.observed.to_bits(),
+                    g.expected.to_bits(),
+                    g.repaired_complaint_value.to_bits(),
+                    g.penalty.to_bits(),
+                    g.improvement.to_bits(),
+                ],
+            )
+        };
+        let all = |groups: &[ScoredGroup]| groups.iter().map(fields).collect::<Vec<_>>();
+        assert_eq!(
+            a.original_value.to_bits(),
+            b.original_value.to_bits(),
+            "{what}"
+        );
+        assert_eq!(all(&a.ranked), all(&b.ranked), "{what}: overall ranking");
+        assert_eq!(a.hierarchies.len(), b.hierarchies.len(), "{what}");
+        for (x, y) in a.hierarchies.iter().zip(&b.hierarchies) {
+            assert_eq!(x.hierarchy, y.hierarchy, "{what}");
+            assert_eq!(x.added_attribute, y.added_attribute, "{what}");
+            assert_eq!(x.view, y.view, "{what}: drilled view of {}", x.hierarchy);
+            assert_eq!(all(&x.ranked), all(&y.ranked), "{what}: {}", x.hierarchy);
+        }
+    }
+
+    /// The code-native recommendation is `==` the `Value`-keyed oracle, field
+    /// by field and bit by bit, on every execution context.
+    #[test]
+    fn code_native_recommendation_equals_the_value_keyed_oracle() {
+        let (full, schema) = dataset("D1-V2", -4.0);
+        let village = schema.attr("village").unwrap();
+        let year = schema.attr("year").unwrap();
+        // Dropping one village's 1987 rows leaves empty parallel groups.
+        let holes = Arc::new(full.take(&full.filter_indices(|r| {
+            !(full.value(r, village) == &Value::str("D2-V1")
+                && full.value(r, year) == &Value::int(1987))
+        })));
+        let rainfall = FeaturePlan::none()
+            .with_extra(reptile_model::ExtraFeature::new(
+                "rainfall",
+                village,
+                (0..3)
+                    .flat_map(|d| (0..3).map(move |v| (d, v)))
+                    .map(|(d, v)| {
+                        (
+                            Value::str(format!("D{d}-V{v}")),
+                            100.0 + 7.0 * (d * 4 + v) as f64,
+                        )
+                    })
+                    .collect(),
+            ))
+            .exclude_from_z("rainfall");
+        let mean = AggregateKind::Mean;
+        let fill = EmptyGroupPolicy::GlobalMean;
+        // (name, relation, statistic, fill policy, plan, view group-by): a
+        // district-only view leaves both hierarchies drillable; a
+        // (district, year) view drills geo only, which crosses the two
+        // hierarchies in the design (so the dropped rows are an empty
+        // parallel group) and groups by the village the extra is keyed on.
+        let cases = [
+            ("mean", &full, mean, fill, None, &["district"][..]),
+            ("std", &full, AggregateKind::Std, fill, None, &["district"]),
+            (
+                "holes, mean fill",
+                &holes,
+                mean,
+                fill,
+                None,
+                &["district", "year"],
+            ),
+            (
+                "holes, zero fill",
+                &holes,
+                mean,
+                EmptyGroupPolicy::Zero,
+                None,
+                &["district", "year"],
+            ),
+            (
+                "extra outside Z",
+                &full,
+                mean,
+                fill,
+                Some(&rainfall),
+                &["district", "year"],
+            ),
+        ];
+        for (name, rel, statistic, empty_groups, plan, group_by) in cases {
+            let view = View::compute(
+                rel.clone(),
+                Predicate::all(),
+                group_by.iter().map(|a| schema.attr(a).unwrap()).collect(),
+                schema.attr("severity").unwrap(),
+                &Exec::Serial,
+            )
+            .unwrap();
+            let complaint = Complaint::new(
+                GroupKey([Value::str("D1"), Value::int(1986)][..group_by.len()].to_vec()),
+                statistic,
+                if statistic == mean {
+                    Direction::TooLow
+                } else {
+                    Direction::TooHigh
+                },
+            );
+            let engine_on = |exec: Exec| {
+                let config = ReptileConfig {
+                    exec,
+                    empty_groups,
+                    top_k: 7,
+                    ..Default::default()
+                };
+                let engine = Reptile::new(rel.clone(), schema.clone()).with_config(config);
+                match plan {
+                    Some(plan) => engine.with_plan(plan.clone()),
+                    None => engine,
+                }
+            };
+            let oracle = oracle_recommend(&engine_on(Exec::Serial), &view, &complaint);
+            assert_eq!(oracle.hierarchies.len(), 3 - group_by.len(), "{name}");
+            if Arc::ptr_eq(rel, &holes) {
+                let geo = schema.hierarchy("geo").unwrap();
+                let parallel = view.drill_down_parallel(geo, &Exec::Serial).unwrap().view;
+                let design = DesignBuilder::new(&parallel, &schema, statistic)
+                    .build()
+                    .unwrap();
+                assert!(design.observed().contains(&false), "{name}: no empty group");
+            }
+            let fleet = Arc::new(reptile_wire::testing::LoopbackWorkers::undelayed(2));
+            for (context, exec) in [
+                ("serial", Exec::Serial),
+                ("3 shards", Exec::Shards(3)),
+                (
+                    "remote",
+                    Exec::Remote(reptile_relational::Remote::new(fleet)),
+                ),
+            ] {
+                let got = engine_on(exec).recommend(&view, &complaint).unwrap();
+                assert_bit_identical(&got, &oracle, &format!("{name}, {context}"));
             }
         }
     }

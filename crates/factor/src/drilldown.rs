@@ -20,7 +20,7 @@ use crate::encoded::{
     EncodedAggregates, EncodedFactor, EncodedFactorization, EncodedHierarchyAggregates,
     FactorizationDelta, PathDelta,
 };
-use crate::factorization::{Factorization, HierarchyFactor};
+use crate::factorization::Factorization;
 use reptile_relational::Exec;
 use reptile_relational::{Hierarchy, IngestBatch, Relation, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -55,8 +55,9 @@ pub struct SessionStats {
     /// earlier snapshot instead of recomputed (see
     /// [`EncodedAggregates::apply_delta`]).
     pub delta_patched: usize,
-    /// Nanoseconds the last call spent cold-encoding factors and computing
-    /// their aggregates. Always 0 while stage timing is off (the counters
+    /// Nanoseconds the last call spent computing aggregates from scratch
+    /// (the legacy path's are `Value`-keyed, the encoded path's run on
+    /// codes). Always 0 while stage timing is off (the counters
     /// above stay exact either way) — durations are integer nanoseconds so
     /// the struct stays `Copy + Eq`.
     pub encode_ns: u64,
@@ -102,11 +103,14 @@ type EncodedEntry = (Arc<EncodedFactor>, Arc<EncodedHierarchyAggregates>);
 pub trait AggregateSource {
     /// Serve (or compute) the legacy `Value`-keyed aggregates of `fact`.
     fn legacy_aggregates(&mut self, fact: &Factorization) -> DecomposedAggregates;
-    /// Serve (or compute) the dictionary-encoded factorisation and
-    /// aggregates of `fact`.
+    /// Serve (or compute) the aggregates of already dictionary-encoded
+    /// hierarchy factors (drill-down hierarchy last). The returned
+    /// factorisation holds the same path tables, possibly as an earlier
+    /// snapshot's delta-maintained factors (same paths in the same order,
+    /// other code numbering).
     fn encoded_aggregates(
         &mut self,
-        fact: &Factorization,
+        factors: Vec<Arc<EncodedFactor>>,
     ) -> (EncodedFactorization, EncodedAggregates);
 }
 
@@ -370,13 +374,15 @@ impl DrilldownSession {
         *epoch
     }
 
-    fn key_of(&self, factor: &HierarchyFactor) -> FactorKey {
+    /// The cache key of a factor of `hierarchy` with the given shape and
+    /// content fingerprint, at the hierarchy's current ingest epoch.
+    fn key(&self, hierarchy: &str, depth: usize, leaves: usize, fingerprint: u64) -> FactorKey {
         (
-            factor.name.clone(),
-            factor.depth(),
-            factor.leaf_count(),
-            factor.content_fingerprint(),
-            self.epoch(&factor.name),
+            hierarchy.to_string(),
+            depth,
+            leaves,
+            fingerprint,
+            self.epoch(hierarchy),
         )
     }
 
@@ -416,7 +422,7 @@ impl DrilldownSession {
     /// Try to serve `factor`'s encoded state by delta-maintaining the most
     /// recently cached snapshot of the same hierarchy (same name, depth and
     /// level attributes). The candidate's actual paths are diffed against
-    /// `factor.paths` — correctness never rests on fingerprints or epochs
+    /// `factor`'s — correctness never rests on fingerprints or epochs
     /// here, only on the diff — and the patch is taken when the diff is
     /// small (at most half the base's paths); larger diffs fall back to a
     /// cold re-encode, which touches every path anyway.
@@ -426,7 +432,7 @@ impl DrilldownSession {
     /// key only changed because an ingest bumped the hierarchy's epoch
     /// without actually changing this factor's paths (e.g. a depth-1 prefix
     /// untouched by a new leaf under an existing parent).
-    fn try_delta_patch(&self, factor: &HierarchyFactor) -> Option<EncodedEntry> {
+    fn try_delta_patch(&self, factor: &EncodedFactor) -> Option<EncodedEntry> {
         let base_key = self
             .delta_bases
             .get(&(factor.name.clone(), factor.depth()))?;
@@ -434,7 +440,7 @@ impl DrilldownSession {
         if base_factor.attrs != factor.attrs {
             return None;
         }
-        let delta = PathDelta::between(base_factor, &factor.paths);
+        let delta = PathDelta::between(base_factor, factor);
         if delta.is_empty() {
             return Some((base_factor.clone(), base_aggs.clone()));
         }
@@ -454,7 +460,12 @@ impl DrilldownSession {
         let mut parts = Vec::with_capacity(fact.hierarchies().len());
         let mut current_keys = Vec::with_capacity(fact.hierarchies().len());
         for factor in fact.hierarchies() {
-            let key = self.key_of(factor);
+            let key = self.key(
+                &factor.name,
+                factor.depth(),
+                factor.leaf_count(),
+                factor.content_fingerprint(),
+            );
             let reusable = match self.mode {
                 DrilldownMode::Static => false,
                 DrilldownMode::Dynamic => {
@@ -495,19 +506,27 @@ impl DrilldownSession {
         DecomposedAggregates::from_parts(fact, parts)
     }
 
-    /// Compute (or reuse) the dictionary-encoded factorisation and decomposed
-    /// aggregates for `fact`. The cached per-hierarchy state is the encoded
-    /// factor *plus* its aggregates, both behind `Arc`s: a hit skips the
-    /// encoding pass as well as the aggregate batch, and costs two pointer
-    /// clones instead of the legacy path's deep table copy.
-    pub fn encoded(&mut self, fact: &Factorization) -> (EncodedFactorization, EncodedAggregates) {
+    /// Compute (or reuse) the decomposed aggregates of already encoded
+    /// hierarchy factors (drill-down hierarchy last). The cached
+    /// per-hierarchy state is the encoded factor *plus* its aggregates, both
+    /// behind `Arc`s: a hit costs two pointer clones and a miss keeps the
+    /// caller's factor as is — no path is encoded a second time.
+    pub fn encoded(
+        &mut self,
+        incoming: Vec<Arc<EncodedFactor>>,
+    ) -> (EncodedFactorization, EncodedAggregates) {
         let timing = self.timing_on();
         let mut stats = SessionStats::default();
-        let mut factors = Vec::with_capacity(fact.hierarchies().len());
-        let mut parts = Vec::with_capacity(fact.hierarchies().len());
-        let mut current_keys = Vec::with_capacity(fact.hierarchies().len());
-        for factor in fact.hierarchies() {
-            let key = self.key_of(factor);
+        let mut factors = Vec::with_capacity(incoming.len());
+        let mut parts = Vec::with_capacity(incoming.len());
+        let mut current_keys = Vec::with_capacity(incoming.len());
+        for factor in incoming {
+            let key = self.key(
+                &factor.name,
+                factor.depth(),
+                factor.leaf_count(),
+                factor.fingerprint(),
+            );
             let reusable = match self.mode {
                 DrilldownMode::Static => false,
                 DrilldownMode::Dynamic => {
@@ -522,14 +541,15 @@ impl DrilldownSession {
                 entry.1 = self.clock;
                 entry.0.clone()
             } else {
-                // Miss: before paying a cold re-encode, try to *maintain* the
-                // latest cached snapshot of this hierarchy forward by a path
-                // delta (possibly across an epoch bump after an ingest).
+                // Miss: before paying a cold aggregate batch, try to
+                // *maintain* the latest cached snapshot of this hierarchy
+                // forward by a path delta (possibly across an epoch bump
+                // after an ingest).
                 let patched = if self.mode == DrilldownMode::Static {
                     None
                 } else {
                     let t0 = timing.then(Instant::now);
-                    let patched = self.try_delta_patch(factor);
+                    let patched = self.try_delta_patch(&factor);
                     if let Some(t0) = t0 {
                         stats.delta_patch_ns += elapsed_ns(t0);
                     }
@@ -543,12 +563,12 @@ impl DrilldownSession {
                     None => {
                         stats.recomputed += 1;
                         let t0 = timing.then(Instant::now);
-                        let enc = Arc::new(EncodedFactor::encode(factor, &self.exec));
-                        let aggs = Arc::new(EncodedHierarchyAggregates::compute(&enc, &self.exec));
+                        let aggs =
+                            Arc::new(EncodedHierarchyAggregates::compute(&factor, &self.exec));
                         if let Some(t0) = t0 {
                             stats.encode_ns += elapsed_ns(t0);
                         }
-                        (enc, aggs)
+                        (factor.clone(), aggs)
                     }
                 };
                 if !self.encoded_cache.contains_key(&key) {
@@ -583,9 +603,9 @@ impl AggregateSource for DrilldownSession {
 
     fn encoded_aggregates(
         &mut self,
-        fact: &Factorization,
+        factors: Vec<Arc<EncodedFactor>>,
     ) -> (EncodedFactorization, EncodedAggregates) {
-        self.encoded(fact)
+        self.encoded(factors)
     }
 }
 
@@ -595,7 +615,7 @@ impl AggregateSource for DrilldownSession {
 /// encoded computation out (bit-identically; serial by default).
 #[derive(Debug, Clone, Default)]
 pub struct FreshAggregates {
-    /// Execution context for the encoded factor build and aggregate batch.
+    /// Execution context for the encoded aggregate batch.
     pub exec: Exec,
 }
 
@@ -613,13 +633,8 @@ impl AggregateSource for FreshAggregates {
 
     fn encoded_aggregates(
         &mut self,
-        fact: &Factorization,
+        factors: Vec<Arc<EncodedFactor>>,
     ) -> (EncodedFactorization, EncodedAggregates) {
-        let factors = fact
-            .hierarchies()
-            .iter()
-            .map(|h| Arc::new(EncodedFactor::encode(h, &self.exec)))
-            .collect();
         let enc = EncodedFactorization::new(factors);
         let aggs = EncodedAggregates::compute(&enc, &self.exec);
         (enc, aggs)
@@ -659,6 +674,11 @@ mod tests {
         }
         let attrs = (0..depth).map(|i| AttrId(attr + i)).collect();
         HierarchyFactor::from_paths(name, attrs, paths)
+    }
+
+    /// Cold-encode every hierarchy, as a design build does from its codes.
+    fn cold(fact: &Factorization) -> Vec<Arc<EncodedFactor>> {
+        EncodedFactorization::encode(fact).factors().to_vec()
     }
 
     fn fact(depth_a: usize, depth_b: usize) -> Factorization {
@@ -855,7 +875,7 @@ mod tests {
     #[test]
     fn encoded_mode_reuses_like_legacy_mode() {
         let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
-        s.encoded(&fact(1, 1));
+        s.encoded(cold(&fact(1, 1)));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -866,7 +886,7 @@ mod tests {
                 ..SessionStats::default()
             }
         );
-        s.encoded(&fact(1, 2));
+        s.encoded(cold(&fact(1, 2)));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -878,7 +898,7 @@ mod tests {
             }
         );
         // Revisit the first configuration: everything served from cache.
-        s.encoded(&fact(1, 1));
+        s.encoded(cold(&fact(1, 1)));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -908,9 +928,9 @@ mod tests {
     fn capacity_bounds_both_backends_together() {
         let mut s = DrilldownSession::with_capacity(DrilldownMode::CachedDynamic, 3);
         s.aggregates(&fact(1, 1)); // 2 legacy states
-        s.encoded(&fact(1, 1)); // +2 encoded states -> one eviction
+        s.encoded(cold(&fact(1, 1))); // +2 encoded states -> one eviction
         assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
-        s.encoded(&fact(2, 2));
+        s.encoded(cold(&fact(2, 2)));
         s.aggregates(&fact(2, 1));
         assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
     }
@@ -920,8 +940,8 @@ mod tests {
         use crate::encoded::{EncodedAggregates, EncodedFactorization};
         let f = fact(2, 2);
         let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
-        s.encoded(&fact(2, 1));
-        let (enc, aggs) = s.encoded(&f);
+        s.encoded(cold(&fact(2, 1)));
+        let (enc, aggs) = s.encoded(cold(&f));
         let fresh_fact = EncodedFactorization::encode(&f);
         let fresh = EncodedAggregates::compute(&fresh_fact, &Exec::Serial);
         assert_eq!(enc.n_rows(), fresh_fact.n_rows());
@@ -937,8 +957,8 @@ mod tests {
     fn epoch_bump_unreaches_cached_state_and_verifies_by_diff() {
         let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
         let f = fact(2, 2);
-        s.encoded(&f);
-        s.encoded(&f);
+        s.encoded(cold(&f));
+        s.encoded(cold(&f));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -954,7 +974,7 @@ mod tests {
         // of trusted via fingerprint.
         assert_eq!(s.epoch("A"), 0);
         assert_eq!(s.bump_epoch("A"), 1);
-        s.encoded(&f);
+        s.encoded(cold(&f));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -966,7 +986,7 @@ mod tests {
             }
         );
         // ... and the re-validated entry hits directly on the next call.
-        s.encoded(&f);
+        s.encoded(cold(&f));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -984,7 +1004,7 @@ mod tests {
         let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
         let a = hierarchy("A", 0, 2, 2);
         let b = hierarchy("B", 10, 1, 2);
-        s.encoded(&Factorization::new(vec![a.clone(), b.clone()]));
+        s.encoded(cold(&Factorization::new(vec![a.clone(), b.clone()])));
         // A streaming ingest adds one new leaf path (with unseen values) and
         // removes one existing path from A, then bumps A's epoch.
         let mut paths = a.paths.clone();
@@ -992,7 +1012,7 @@ mod tests {
         paths.remove(0);
         let a2 = HierarchyFactor::from_paths("A", a.attrs.clone(), paths);
         s.bump_epoch("A");
-        let (enc, aggs) = s.encoded(&Factorization::new(vec![a2.clone(), b.clone()]));
+        let (enc, aggs) = s.encoded(cold(&Factorization::new(vec![a2.clone(), b.clone()])));
         assert_eq!(
             s.stats(),
             SessionStats {

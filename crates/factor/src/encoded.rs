@@ -64,6 +64,19 @@ pub struct EncodedLevel {
     pub codes: Arc<Vec<u32>>,
 }
 
+impl EncodedLevel {
+    /// Per code, whether some path carries it. Every code of a freshly
+    /// built level is carried; a delta-maintained dictionary also keeps the
+    /// codes of values whose last path vanished.
+    pub fn carried_codes(&self) -> Vec<bool> {
+        let mut carried = vec![false; self.dict.len()];
+        for &code in self.codes.iter() {
+            carried[code as usize] = true;
+        }
+        carried
+    }
+}
+
 /// A dictionary-encoded hierarchy factor (columnar layout).
 #[derive(Debug)]
 pub struct EncodedFactor {
@@ -277,28 +290,65 @@ impl EncodedFactor {
         runs
     }
 
-    /// Decode path `path_idx` back to its values, root level first.
-    pub fn decode_path(&self, path_idx: usize) -> Vec<Value> {
+    /// The values of path `path_idx`, root level first, borrowed from the
+    /// level dictionaries.
+    pub fn path_values(&self, path_idx: usize) -> impl Iterator<Item = &Value> + Clone + '_ {
         self.levels
             .iter()
-            .map(|l| l.dict.value(l.codes[path_idx]).clone())
-            .collect()
+            .map(move |l| l.dict.value(l.codes[path_idx]))
+    }
+
+    /// Decode path `path_idx` back to its values, root level first.
+    pub fn decode_path(&self, path_idx: usize) -> Vec<Value> {
+        self.path_values(path_idx).cloned().collect()
+    }
+
+    /// Decode the whole factor back to its `Value`-keyed form (the legacy
+    /// backends' representation).
+    pub fn decode(&self) -> HierarchyFactor {
+        HierarchyFactor::from_paths(
+            self.name.clone(),
+            self.attrs.clone(),
+            (0..self.leaf_count).map(|p| self.decode_path(p)).collect(),
+        )
     }
 
     /// Compare path `path_idx` against a value path, level by level (the
     /// lexicographic order the path table is kept sorted in).
-    pub fn cmp_path(&self, path_idx: usize, path: &[Value]) -> Ordering {
-        for (level, value) in path.iter().enumerate() {
-            match self.levels[level]
-                .dict
-                .value(self.levels[level].codes[path_idx])
-                .cmp(value)
-            {
-                Ordering::Equal => continue,
-                other => return other,
+    pub fn cmp_path<'a>(
+        &self,
+        path_idx: usize,
+        path: impl IntoIterator<Item = &'a Value>,
+    ) -> Ordering {
+        let mut path = path.into_iter();
+        for mine in self.path_values(path_idx) {
+            match path.next().map(|theirs| mine.cmp(theirs)) {
+                Some(Ordering::Equal) => continue,
+                Some(other) => return other,
+                None => return Ordering::Greater,
             }
         }
-        Ordering::Equal
+        match path.next() {
+            Some(_) => Ordering::Less,
+            None => Ordering::Equal,
+        }
+    }
+
+    /// Index of a value path in the (value-sorted) path table.
+    pub fn path_index_of<'a>(
+        &self,
+        path: impl IntoIterator<Item = &'a Value> + Clone,
+    ) -> Option<usize> {
+        let (mut lo, mut hi) = (0usize, self.leaf_count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.cmp_path(mid, path.clone()) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     /// Apply a path delta, producing the next snapshot of this factor.
@@ -337,7 +387,7 @@ impl EncodedFactor {
         let mut rem = delta.removed.iter().peekable();
         for idx in 0..self.leaf_count {
             while let Some(a) = add.peek() {
-                match self.cmp_path(idx, a) {
+                match self.cmp_path(idx, a.iter()) {
                     Ordering::Greater => {
                         push_value_path(&mut columns, a);
                         add.next();
@@ -349,7 +399,7 @@ impl EncodedFactor {
                 }
             }
             if let Some(r) = rem.peek() {
-                if self.cmp_path(idx, r) == Ordering::Equal {
+                if self.cmp_path(idx, r.iter()) == Ordering::Equal {
                     rem.next();
                     continue;
                 }
@@ -402,21 +452,21 @@ pub struct PathDelta {
 }
 
 impl PathDelta {
-    /// Diff an encoded factor against the sorted distinct path table of the
-    /// next snapshot (e.g. `HierarchyFactor::paths`, which
-    /// [`HierarchyFactor::from_paths`] keeps sorted). One merge pass; the
-    /// old side is decoded lazily through the level dictionaries.
-    pub fn between(factor: &EncodedFactor, new_paths: &[Vec<Value>]) -> PathDelta {
+    /// Diff an encoded factor against the next snapshot of the same
+    /// hierarchy (both path tables are value-sorted). One merge pass; both
+    /// sides compare through their level dictionaries and only the paths
+    /// of the delta are decoded.
+    pub fn between(factor: &EncodedFactor, next: &EncodedFactor) -> PathDelta {
         let mut delta = PathDelta::default();
         let (mut i, mut j) = (0usize, 0usize);
-        while i < factor.leaf_count() && j < new_paths.len() {
-            match factor.cmp_path(i, &new_paths[j]) {
+        while i < factor.leaf_count() && j < next.leaf_count() {
+            match factor.cmp_path(i, next.path_values(j)) {
                 Ordering::Less => {
                     delta.removed.push(factor.decode_path(i));
                     i += 1;
                 }
                 Ordering::Greater => {
-                    delta.added.push(new_paths[j].clone());
+                    delta.added.push(next.decode_path(j));
                     j += 1;
                 }
                 Ordering::Equal => {
@@ -425,11 +475,12 @@ impl PathDelta {
                 }
             }
         }
-        while i < factor.leaf_count() {
-            delta.removed.push(factor.decode_path(i));
-            i += 1;
-        }
-        delta.added.extend(new_paths[j..].iter().cloned());
+        delta
+            .removed
+            .extend((i..factor.leaf_count()).map(|i| factor.decode_path(i)));
+        delta
+            .added
+            .extend((j..next.leaf_count()).map(|j| next.decode_path(j)));
         delta
     }
 
@@ -1380,6 +1431,24 @@ impl EncodedFeatureMap {
         EncodedFeatureMap { columns }
     }
 
+    /// The `Value`-keyed feature map of these columns over `fact`'s
+    /// dictionaries (the legacy backends' representation): one entry per
+    /// value some path carries — codes a delta-maintained dictionary keeps
+    /// for vanished values are left to the map's default.
+    pub fn decode(&self, fact: &EncodedFactorization) -> FeatureMap {
+        let mut features = FeatureMap::zeros(self.columns.len());
+        for (c, column) in self.columns.iter().enumerate() {
+            let pos = fact.position(c);
+            let level = &fact.factors()[pos.hierarchy].levels[pos.level];
+            for (code, carried) in level.carried_codes().into_iter().enumerate() {
+                if carried {
+                    features.set(c, level.dict.value(code as u32).clone(), column[code]);
+                }
+            }
+        }
+        features
+    }
+
     /// Number of columns.
     pub fn n_cols(&self) -> usize {
         self.columns.len()
@@ -1422,21 +1491,7 @@ pub struct EncodedDesign {
 }
 
 impl EncodedDesign {
-    /// Encode a `Value`-keyed factorisation + feature map and compute the
-    /// aggregates from scratch (callers with a drill-down session use its
-    /// cache instead).
-    pub fn build(fact: &Factorization, features: &FeatureMap) -> Self {
-        let factorization = EncodedFactorization::encode(fact);
-        let features = EncodedFeatureMap::encode(features, &factorization);
-        let aggregates = EncodedAggregates::compute(&factorization, &Exec::Serial);
-        EncodedDesign {
-            factorization,
-            features,
-            aggregates,
-        }
-    }
-
-    /// Assemble from pre-encoded parts (the drill-down session path).
+    /// Assemble from pre-encoded parts, baking a `Value`-keyed feature map.
     pub fn from_parts(
         factorization: EncodedFactorization,
         aggregates: EncodedAggregates,
@@ -1958,7 +2013,11 @@ mod tests {
             vec![Value::str("d2"), Value::str("v3")],
             vec![Value::str("d2"), Value::str("v4")],
         ];
-        let delta = PathDelta::between(&geo, &new_paths);
+        let new_geo = EncodedFactor::encode(
+            &HierarchyFactor::from_paths("geo", geo.attrs.clone(), new_paths.clone()),
+            &Exec::Serial,
+        );
+        let delta = PathDelta::between(&geo, &new_geo);
         assert_eq!(delta.added, vec![vec![Value::str("d2"), Value::str("v4")]]);
         assert_eq!(
             delta.removed,
@@ -1974,7 +2033,7 @@ mod tests {
             assert_eq!(&next.decode_path(i), path);
         }
         // empty diff shares the code columns
-        let noop = PathDelta::between(&next, &new_paths);
+        let noop = PathDelta::between(&next, &new_geo);
         assert!(noop.is_empty());
     }
 

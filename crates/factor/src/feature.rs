@@ -43,11 +43,6 @@ impl FeatureMap {
         self.columns[column].insert(value, feature);
     }
 
-    /// Bulk-register a whole column.
-    pub fn set_column(&mut self, column: usize, mapping: BTreeMap<Value, f64>) {
-        self.columns[column] = mapping;
-    }
-
     /// Look up the feature value of `value` in `column`.
     pub fn value(&self, column: usize, value: &Value) -> f64 {
         self.columns[column]
@@ -108,16 +103,5 @@ mod tests {
         assert_eq!(m.value(0, &Value::int(20)), 20.0);
         assert_eq!(m.value(1, &Value::str("a")), 1.0);
         assert_eq!(m.value(1, &Value::str("c")), 3.0);
-    }
-
-    #[test]
-    fn set_column_replaces_mapping() {
-        let mut m = FeatureMap::zeros(1);
-        m.set(0, Value::str("a"), 1.0);
-        let mut new_map = BTreeMap::new();
-        new_map.insert(Value::str("b"), 5.0);
-        m.set_column(0, new_map);
-        assert_eq!(m.value(0, &Value::str("a")), 0.0);
-        assert_eq!(m.value(0, &Value::str("b")), 5.0);
     }
 }

@@ -1,15 +1,23 @@
 //! Training-design construction: from a parallel-groups drill-down view to a
 //! factorised feature matrix, response vector and cluster partition.
+//!
+//! The build runs on the view's *codes*: every group's code tuple is
+//! translated once per attribute to the value-rank of its code, the
+//! per-hierarchy path tables are `u32` sorts, and features, response and
+//! clusters are integer-indexed. `Value`s are produced for the distinct
+//! values of each path-table level only; the `Value`-keyed factorisation and
+//! feature map the legacy backends read are derived on first use.
 
 use crate::features::{main_effects, normalize, FeaturePlan};
 use crate::{ModelError, Result};
+use reptile_factor::encoded::EncodedLevel;
 use reptile_factor::{
-    AggregateSource, ClusterPartition, DecomposedAggregates, EncodedDesign, Exec, FactorBackend,
-    Factorization, FeatureMap, FreshAggregates, HierarchyFactor,
+    AggregateSource, ClusterPartition, DecomposedAggregates, EncodedAggregates, EncodedDesign,
+    EncodedFactor, EncodedFactorization, EncodedFeatureMap, Exec, FactorBackend, Factorization,
+    FeatureMap, FreshAggregates,
 };
-use reptile_relational::{AggregateKind, AttrId, GroupKey, Schema, Value, View};
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use reptile_relational::{AggregateKind, AttrId, GroupKey, Schema, ValueDict, View};
+use std::sync::{Arc, OnceLock};
 
 /// What response value to assign to drill-down groups that have no data
 /// (the "empty groups" of the worst-case analysis in Section 5.1.4).
@@ -40,6 +48,48 @@ struct ColumnSpec {
     kind: ColumnKind,
 }
 
+/// Resolves group keys of a drill-down view shaped like the training view
+/// to design rows: the design's path tables plus, per path-table level, the
+/// group-by position that feeds it. Small and `Arc`-shared — the path tables
+/// are the ones the drill-down session caches — so a trained model can keep
+/// it without keeping the design.
+#[derive(Debug)]
+pub struct DesignRows {
+    factors: Vec<Arc<EncodedFactor>>,
+    /// Per hierarchy, the group-by index of each level.
+    level_gb: Vec<Vec<usize>>,
+}
+
+impl DesignRows {
+    /// Design-row index of `key`, if each hierarchy has its path.
+    pub fn row_of_key(&self, key: &GroupKey) -> Option<usize> {
+        self.rows_of_keys(std::iter::once(key)).pop().flatten()
+    }
+
+    /// [`DesignRows::row_of_key`] for every key of a sequence. Keys of a
+    /// view arrive sorted like the path tables, so per hierarchy a key
+    /// mostly has the previous key's path or the one after it; only the
+    /// others pay a binary search.
+    pub fn rows_of_keys<'a>(&self, keys: impl Iterator<Item = &'a GroupKey>) -> Vec<Option<usize>> {
+        let mut previous = vec![0usize; self.factors.len()];
+        keys.map(|key| {
+            let mut row = 0usize;
+            for ((factor, gbs), previous) in
+                self.factors.iter().zip(&self.level_gb).zip(&mut previous)
+            {
+                let path = || gbs.iter().map(|&g| key.value(g));
+                let near = [*previous, *previous + 1]
+                    .into_iter()
+                    .find(|&p| p < factor.leaf_count() && factor.cmp_path(p, path()).is_eq());
+                *previous = near.or_else(|| factor.path_index_of(path()))?;
+                row = row * factor.leaf_count() + *previous;
+            }
+            Some(row)
+        })
+        .collect()
+    }
+}
+
 /// A complete training design: factorised feature matrix, response, clusters.
 ///
 /// The design carries the factor data for *both* execution backends: the one
@@ -49,9 +99,10 @@ struct ColumnSpec {
 /// design.
 #[derive(Debug, Clone)]
 pub struct TrainingDesign {
-    factorization: Factorization,
-    features: FeatureMap,
+    rows: Arc<DesignRows>,
     backend: FactorBackend,
+    factorization: OnceLock<Factorization>,
+    features: OnceLock<FeatureMap>,
     aggregates: OnceLock<DecomposedAggregates>,
     encoded: OnceLock<EncodedDesign>,
     clusters: ClusterPartition,
@@ -59,7 +110,6 @@ pub struct TrainingDesign {
     observed: Vec<bool>,
     column_names: Vec<String>,
     z_columns: Vec<usize>,
-    col_gb_index: Vec<usize>,
     statistic: AggregateKind,
 }
 
@@ -71,17 +121,25 @@ impl TrainingDesign {
 
     /// Number of feature columns.
     pub fn n_cols(&self) -> usize {
-        self.factorization.n_cols()
+        self.column_names.len()
     }
 
-    /// The factorised feature matrix structure.
+    /// The `Value`-keyed factorised feature matrix structure (decoded from
+    /// the path tables on first use when the design was built for the
+    /// encoded backend).
     pub fn factorization(&self) -> &Factorization {
-        &self.factorization
+        self.factorization.get_or_init(|| {
+            Factorization::new(self.rows.factors.iter().map(|f| f.decode()).collect())
+        })
     }
 
-    /// The per-column feature mappings.
+    /// The `Value`-keyed per-column feature mappings (decoded on first use
+    /// when the design was built for the encoded backend).
     pub fn features(&self) -> &FeatureMap {
-        &self.features
+        self.features.get_or_init(|| {
+            let encoded = self.encoded();
+            encoded.features.decode(&encoded.factorization)
+        })
     }
 
     /// The backend this design was built for.
@@ -93,14 +151,17 @@ impl TrainingDesign {
     /// (computed lazily when the design was built for the encoded backend).
     pub fn aggregates(&self) -> &DecomposedAggregates {
         self.aggregates
-            .get_or_init(|| DecomposedAggregates::compute(&self.factorization))
+            .get_or_init(|| DecomposedAggregates::compute(self.factorization()))
     }
 
     /// The dictionary-encoded factorisation, features and aggregates
     /// (computed lazily when the design was built for the legacy backend).
     pub fn encoded(&self) -> &EncodedDesign {
-        self.encoded
-            .get_or_init(|| EncodedDesign::build(&self.factorization, &self.features))
+        self.encoded.get_or_init(|| {
+            let factorization = EncodedFactorization::new(self.rows.factors.clone());
+            let aggregates = EncodedAggregates::compute(&factorization, &Exec::Serial);
+            EncodedDesign::from_parts(factorization, aggregates, self.features())
+        })
     }
 
     /// The cluster partition used for the random effects.
@@ -133,28 +194,81 @@ impl TrainingDesign {
         self.statistic
     }
 
+    /// The key → design-row resolver, shareable beyond the design's life.
+    pub fn rows(&self) -> &Arc<DesignRows> {
+        &self.rows
+    }
+
     /// Design-row index of a group key of the (same-shaped) drill-down view.
     pub fn row_of_key(&self, key: &GroupKey) -> Option<usize> {
-        let values: Vec<Value> = self
-            .col_gb_index
-            .iter()
-            .map(|&i| key.value(i).clone())
-            .collect();
-        self.factorization.row_index_of(&values)
+        self.rows.row_of_key(key)
     }
 
     /// Cluster index of a design row.
     pub fn cluster_of_row(&self, row: usize) -> Option<usize> {
-        self.clusters
-            .clusters()
-            .iter()
-            .position(|c| row >= c.start_row && row < c.start_row + c.len)
+        let clusters = self.clusters.clusters();
+        // Clusters are contiguous and sorted by start row.
+        let next = clusters.partition_point(|c| c.start_row <= row);
+        next.checked_sub(1)
+            .filter(|&i| row < clusters[i].start_row + clusters[i].len)
     }
 
     /// Materialise the dense feature matrix (used by the Matlab-style
     /// baseline and by tests). Exponential in the number of hierarchies.
     pub fn materialize_x(&self) -> reptile_linalg::Matrix {
-        self.factorization.materialize(&self.features)
+        self.factorization().materialize(self.features())
+    }
+}
+
+/// The distinct rows of the `n`-row table whose columns are `cols`, sorted,
+/// as one flat row-major vector — and, per input row, its index among them.
+fn distinct_rows(cols: &[&[u32]], n: usize) -> (Vec<u32>, Vec<u32>) {
+    let depth = cols.len();
+    // Collapse runs of equal consecutive rows first: the view is in key
+    // order, so a hierarchy's projection repeats over long runs.
+    let mut runs: Vec<u32> = Vec::new();
+    let mut run_of: Vec<u32> = Vec::with_capacity(n);
+    for i in 0..n {
+        if i == 0 || cols.iter().any(|col| col[i] != col[i - 1]) {
+            runs.extend(cols.iter().map(|col| col[i]));
+        }
+        run_of.push((runs.len() / depth - 1) as u32);
+    }
+    let run = |r: u32| &runs[r as usize * depth..][..depth];
+    let mut order: Vec<u32> = (0..(runs.len() / depth) as u32).collect();
+    order.sort_unstable_by(|&a, &b| run(a).cmp(run(b)));
+    let mut table: Vec<u32> = Vec::new();
+    let mut index_of_run = vec![0u32; order.len()];
+    for &r in &order {
+        if table.len() < depth || &table[table.len() - depth..] != run(r) {
+            table.extend_from_slice(run(r));
+        }
+        index_of_run[r as usize] = (table.len() / depth - 1) as u32;
+    }
+    let index_of_row = run_of
+        .into_iter()
+        .map(|r| index_of_run[r as usize])
+        .collect();
+    (table, index_of_row)
+}
+
+/// One level of a path table from the value-ranks of its paths: the level's
+/// dictionary holds the values present, in value order (so a level code is
+/// the value's rank among them), decoded once each through `dict`.
+fn encoded_level(path_ranks: impl Iterator<Item = u32> + Clone, dict: &ValueDict) -> EncodedLevel {
+    let mut present = vec![false; dict.len()];
+    for rank in path_ranks.clone() {
+        present[rank as usize] = true;
+    }
+    let mut code_of_rank = vec![0u32; dict.len()];
+    let mut values = Vec::new();
+    for (rank, _) in present.iter().enumerate().filter(|(_, present)| **present) {
+        code_of_rank[rank] = values.len() as u32;
+        values.push(dict.value(dict.codes_by_value()[rank]).clone());
+    }
+    EncodedLevel {
+        dict: ValueDict::from_sorted_values(values),
+        codes: Arc::new(path_ranks.map(|r| code_of_rank[r as usize]).collect()),
     }
 }
 
@@ -187,14 +301,14 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
         }
     }
 
-    /// Run the heavy build phases (encoded factor construction when no
-    /// aggregate source is threaded in, and the cluster partition) on an
-    /// execution context. Every context is bit-identical to serial, so this
-    /// only changes *where* the work runs, never the design. A threaded-in
-    /// [`reptile_factor::DrilldownSession`] carries its *own* context for
-    /// the aggregate step; build phases whose operands live on the
-    /// coordinator (feature baking, the cluster partition) use the
-    /// context's local thread budget.
+    /// Run the heavy build phases (the aggregate batch when no aggregate
+    /// source is threaded in, the path tables and the cluster partition) on
+    /// an execution context. Every context is bit-identical to serial, so
+    /// this only changes *where* the work runs, never the design. A
+    /// threaded-in [`reptile_factor::DrilldownSession`] carries its *own*
+    /// context for the aggregate step; build phases whose operands live on
+    /// the coordinator (path tables, feature baking, the cluster partition)
+    /// use the context's local thread budget.
     pub fn with_exec(mut self, exec: Exec) -> Self {
         self.exec = exec;
         self
@@ -224,40 +338,10 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
     /// Obtain the decomposed aggregates from `source` instead of computing
     /// them from scratch. Engines use this to thread a
     /// [`reptile_factor::DrilldownSession`] through successive invocations so
-    /// that unchanged hierarchies are served from its cache — on the encoded
-    /// backend a cache hit also skips the dictionary-encoding pass.
+    /// that unchanged hierarchies are served from its cache.
     pub fn with_aggregate_source(mut self, source: &'g mut dyn AggregateSource) -> Self {
         self.aggregate_source = Some(source);
         self
-    }
-
-    /// Convenience wrapper around [`DesignBuilder::with_aggregate_source`]
-    /// for a [`reptile_factor::DrilldownSession`] held by the caller.
-    pub fn build_with_session(
-        self,
-        session: &mut reptile_factor::DrilldownSession,
-    ) -> Result<TrainingDesign> {
-        let DesignBuilder {
-            view,
-            schema,
-            statistic,
-            plan,
-            empty_policy,
-            backend,
-            exec,
-            aggregate_source: _,
-        } = self;
-        DesignBuilder {
-            view,
-            schema,
-            statistic,
-            plan,
-            empty_policy,
-            backend,
-            exec,
-            aggregate_source: Some(session),
-        }
-        .build()
     }
 
     /// Build the design.
@@ -292,12 +376,7 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
         }
 
         // Per hierarchy: the level specs (base levels in hierarchy order,
-        // then extras keyed by one of those levels). Spec construction is
-        // cheap and stays serial; the expensive part — projecting every
-        // group key onto the hierarchy's levels, sorting and de-duplicating
-        // into the distinct path table — is independent per hierarchy, so
-        // it fans out over the builder's thread budget (hierarchies are
-        // gathered in order; bit-identical to the serial loop).
+        // then extras keyed by one of those levels).
         let gb_index_of = |attr: AttrId| group_by.iter().position(|a| *a == attr);
         let mut per_hierarchy_specs: Vec<Vec<ColumnSpec>> = Vec::new();
         let mut per_hierarchy_attrs: Vec<Vec<AttrId>> = Vec::new();
@@ -332,172 +411,81 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
             per_hierarchy_specs.push(specs);
             per_hierarchy_attrs.push(attrs);
         }
-        // Build paths from the distinct group-key projections. Sort and
-        // de-duplicate *borrowed* projections first so only the distinct
-        // paths are cloned (the view iterates groups in sorted key order,
-        // so the sort is nearly linear).
-        let factors: Vec<HierarchyFactor> =
-            self.exec.parallelism().map_items(ordered.len(), |h_idx| {
-                let specs = &per_hierarchy_specs[h_idx];
-                let mut proj: Vec<Vec<&Value>> = view
-                    .groups()
-                    .map(|(key, _)| specs.iter().map(|s| key.value(s.gb_index)).collect())
-                    .collect();
-                proj.sort();
-                proj.dedup();
-                let paths: Vec<Vec<Value>> = proj
-                    .into_iter()
-                    .map(|p| p.into_iter().cloned().collect())
-                    .collect();
-                HierarchyFactor::from_paths(
-                    ordered[h_idx].name.clone(),
-                    per_hierarchy_attrs[h_idx].clone(),
-                    paths,
-                )
-            });
+
+        // The view's code table as one value-rank column per group-by
+        // attribute: integer order == `Value` order, also where a
+        // post-ingest dictionary appended values out of order.
+        let arity = group_by.len();
+        let n_groups = view.len();
+        let key_cols = view.key_columns();
+        let rank_cols: Vec<Vec<u32>> = (0..arity)
+            .map(|g| {
+                let ranks = key_cols[g].dict().ranks();
+                let codes = view.group_codes().iter().skip(g).step_by(arity);
+                codes.map(|code| ranks[*code as usize]).collect()
+            })
+            .collect();
+
+        // Per hierarchy: the sorted distinct path table of the groups'
+        // projections onto its levels (independent per hierarchy, so it
+        // fans out over the builder's thread budget and is gathered in
+        // order), each group's path in it, and the table as an encoded
+        // factor — only the distinct values of each level are decoded.
+        let local = self.exec.parallelism();
+        let tables: Vec<(Arc<EncodedFactor>, Vec<u32>)> = local.map_items(ordered.len(), |h_idx| {
+            let specs = &per_hierarchy_specs[h_idx];
+            let cols: Vec<&[u32]> = specs
+                .iter()
+                .map(|s| rank_cols[s.gb_index].as_slice())
+                .collect();
+            let (table, path_of_group) = distinct_rows(&cols, n_groups);
+            let levels = specs
+                .iter()
+                .enumerate()
+                .map(|(level, spec)| {
+                    let path_ranks = table.iter().skip(level).step_by(specs.len()).copied();
+                    encoded_level(path_ranks, key_cols[spec.gb_index].dict())
+                })
+                .collect();
+            let factor = EncodedFactor::from_levels(
+                ordered[h_idx].name.clone(),
+                per_hierarchy_attrs[h_idx].clone(),
+                levels,
+            );
+            (Arc::new(factor), path_of_group)
+        });
+        let (built, path_of_group): (Vec<Arc<EncodedFactor>>, Vec<Vec<u32>>) =
+            tables.into_iter().unzip();
+        let level_gb: Vec<Vec<usize>> = per_hierarchy_specs
+            .iter()
+            .map(|specs| specs.iter().map(|s| s.gb_index).collect())
+            .collect();
         let columns: Vec<ColumnSpec> = per_hierarchy_specs.into_iter().flatten().collect();
+        let m = columns.len();
+        let n: usize = built.iter().map(|f| f.leaf_count()).product();
 
-        let factorization = Factorization::new(factors);
-        let n = factorization.n_rows();
-        let m = factorization.n_cols();
-        debug_assert_eq!(m, columns.len());
-
-        // Feature map: main effects for base columns, normalised auxiliary
-        // values for extra columns. The drilled attribute itself is given a
-        // constant (intercept-like) feature: its main effect would be the
-        // group's own statistic, which would leak the anomaly into the model
-        // and make every group look "expected".
-        let drilled_gb_index = group_by.len() - 1;
-        // Per-column feature mappings are independent group scans, so they
-        // fan out over the thread budget and are gathered in column order
-        // (bit-identical to the serial loop).
-        let plan = &self.plan;
-        let statistic = self.statistic;
-        let column_maps: Vec<BTreeMap<Value, f64>> =
-            self.exec.parallelism().map_items(columns.len(), |c| {
-                let spec = &columns[c];
-                match &spec.kind {
-                    ColumnKind::Base if spec.gb_index == drilled_gb_index => {
-                        // The drilled attribute's domain is already
-                        // materialised as a level of the last hierarchy
-                        // factor — walk the distinct paths instead of every
-                        // view group.
-                        let last = factorization
-                            .hierarchies()
-                            .last()
-                            .expect("drilled hierarchy present");
-                        let mut constant = BTreeMap::new();
-                        for path in &last.paths {
-                            constant.insert(path[drilled_level_in_last].clone(), 1.0);
-                        }
-                        constant
-                    }
-                    ColumnKind::Base => main_effects(view, spec.gb_index, statistic),
-                    ColumnKind::Extra(e_idx) => {
-                        let extra = &plan.extras[*e_idx];
-                        let fallback = extra.fallback();
-                        let mut mapping: BTreeMap<Value, f64> = BTreeMap::new();
-                        for (key, _) in view.groups() {
-                            let v = key.value(spec.gb_index).clone();
-                            let fv = extra.values.get(&v).copied().unwrap_or(fallback);
-                            mapping.entry(v).or_insert(fv);
-                        }
-                        normalize(&mut mapping);
-                        mapping
-                    }
-                }
-            });
-        let mut features = FeatureMap::zeros(m);
-        for (c, mapping) in column_maps.into_iter().enumerate() {
-            features.set_column(c, mapping);
-        }
-
-        // Response vector aligned with the factorisation's row order. The
-        // view iterates groups in sorted key order, so per-hierarchy path
-        // indices are memoized across consecutive groups and re-resolved with
-        // *borrowed* comparisons — no per-group `Vec<Value>` clone, and a
-        // hierarchy whose projection did not change costs one equality check
-        // instead of a binary search.
+        // Response vector aligned with the factorisation's row order (last
+        // hierarchy fastest). The fill-mean sum folds the observed values in
+        // group order.
+        let values: Vec<f64> = view
+            .groups()
+            .map(|(_, agg)| agg.value(self.statistic))
+            .collect();
         let mut y = vec![f64::NAN; n];
         let mut observed = vec![false; n];
-        let col_gb_index: Vec<usize> = columns.iter().map(|c| c.gb_index).collect();
-        // group-by indices feeding each hierarchy's levels, in level order
-        // (columns were pushed hierarchy by hierarchy, so this is a split of
-        // `col_gb_index` at the hierarchy offsets)
-        let hier_gb: Vec<Vec<usize>> = {
-            let mut it = col_gb_index.iter().copied();
-            factorization
-                .hierarchies()
-                .iter()
-                .map(|f| {
-                    (0..f.depth())
-                        .map(|_| it.next().expect("column per level"))
-                        .collect()
-                })
-                .collect()
-        };
         let mut sum = 0.0;
         let mut seen = 0.0;
-        {
-            let hierarchies = factorization.hierarchies();
-            // Contiguous group chunks resolve their rows independently (the
-            // per-hierarchy memo is just a cache — a chunk restarts it cold
-            // and resolves the same rows), so the scan fans out over the
-            // thread budget. The observed `(row, value)` pairs come back in
-            // group order, and the fill-mean accumulation below folds them
-            // serially in that order — the identical floating-point
-            // sequence the serial scan performs.
-            let groups: Vec<(&GroupKey, f64)> = view
-                .groups()
-                .map(|(key, agg)| (key, agg.value(self.statistic)))
-                .collect();
-            let chunks: Vec<Vec<(usize, f64)>> =
-                self.exec
-                    .parallelism()
-                    .map_ranges(groups.len(), |start, len| {
-                        let mut resolved = Vec::with_capacity(len);
-                        let mut last_idx: Vec<Option<usize>> = vec![None; hierarchies.len()];
-                        let mut prev_key: Option<&GroupKey> = None;
-                        for &(key, value) in &groups[start..start + len] {
-                            let mut row = Some(0usize);
-                            for (h, factor) in hierarchies.iter().enumerate() {
-                                let gbs = &hier_gb[h];
-                                let changed = match prev_key {
-                                    Some(pk) => gbs.iter().any(|&g| pk.value(g) != key.value(g)),
-                                    None => true,
-                                };
-                                if changed {
-                                    last_idx[h] = factor
-                                        .paths
-                                        .binary_search_by(|p| {
-                                            for (level, &g) in gbs.iter().enumerate() {
-                                                match p[level].cmp(key.value(g)) {
-                                                    std::cmp::Ordering::Equal => continue,
-                                                    other => return other,
-                                                }
-                                            }
-                                            std::cmp::Ordering::Equal
-                                        })
-                                        .ok();
-                                }
-                                row = match (row, last_idx[h]) {
-                                    (Some(r), Some(idx)) => Some(r * factor.leaf_count() + idx),
-                                    _ => None,
-                                };
-                            }
-                            prev_key = Some(key);
-                            if let Some(row) = row {
-                                resolved.push((row, value));
-                            }
-                        }
-                        resolved
-                    });
-            for (row, value) in chunks.into_iter().flatten() {
-                y[row] = value;
-                observed[row] = true;
-                sum += value;
-                seen += 1.0;
-            }
+        for (i, &value) in values.iter().enumerate() {
+            let row = built
+                .iter()
+                .zip(&path_of_group)
+                .fold(0usize, |row, (f, paths)| {
+                    row * f.leaf_count() + paths[i] as usize
+                });
+            y[row] = value;
+            observed[row] = true;
+            sum += value;
+            seen += 1.0;
         }
         let fill = match self.empty_policy {
             EmptyGroupPolicy::Zero => 0.0,
@@ -523,54 +511,126 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
             .map(|(i, _)| i)
             .collect();
 
-        // Cluster partition: the drilled attribute and everything after it in
-        // the last hierarchy vary within a cluster. The partition and the
-        // decomposed aggregates are built on the configured factor backend;
-        // both backends produce bit-identical numbers.
-        let last_depth = factorization
-            .hierarchies()
-            .last()
-            .map(|h| h.depth())
-            .unwrap_or(1);
-        let intra_levels = last_depth - drilled_level_in_last;
+        // The decomposed aggregates come from the aggregate source, which
+        // on the encoded backend may also swap a path table for an earlier
+        // snapshot's delta-maintained one (same paths, same order, other
+        // code numbering) — features are baked against what it returns.
         let mut fresh = FreshAggregates::with_exec(self.exec.clone());
         let source: &mut dyn AggregateSource = match self.aggregate_source.as_mut() {
             Some(source) => *source,
             None => &mut fresh,
         };
+        let (enc_fact, enc_aggs) = match self.backend {
+            FactorBackend::Encoded => {
+                let (fact, aggs) = source.encoded_aggregates(built);
+                (fact, Some(aggs))
+            }
+            FactorBackend::Legacy => (EncodedFactorization::new(built), None),
+        };
+
+        // Feature columns by code: main effects for base columns,
+        // normalised auxiliary values for extra columns. The drilled
+        // attribute itself is given a constant (intercept-like) feature: its
+        // main effect would be the group's own statistic, which would leak
+        // the anomaly into the model and make every group look "expected".
+        // Codes no path carries keep feature 0. Columns are independent, so
+        // they fan out over the thread budget and are gathered in order.
+        let drilled_gb_index = arity - 1;
+        let plan = &self.plan;
+        let baked = EncodedFeatureMap::from_columns(local.map_items(m, |c| {
+            let spec = &columns[c];
+            let pos = enc_fact.position(c);
+            let level = &enc_fact.factors()[pos.hierarchy].levels[pos.level];
+            match &spec.kind {
+                ColumnKind::Base if spec.gb_index == drilled_gb_index => level
+                    .carried_codes()
+                    .into_iter()
+                    .map(|carried| if carried { 1.0 } else { 0.0 })
+                    .collect(),
+                ColumnKind::Base => {
+                    let paths = &path_of_group[pos.hierarchy];
+                    let codes = paths.iter().map(|&p| level.codes[p as usize]);
+                    main_effects(codes, level.dict.len(), &values)
+                }
+                ColumnKind::Extra(e_idx) => {
+                    let extra = &plan.extras[*e_idx];
+                    let fallback = extra.fallback();
+                    // carried codes in value order, the order the
+                    // normalisation sums run in
+                    let carried = level.carried_codes();
+                    let codes: Vec<u32> = level
+                        .dict
+                        .codes_by_value()
+                        .iter()
+                        .copied()
+                        .filter(|&code| carried[code as usize])
+                        .collect();
+                    let mut normalized: Vec<f64> = codes
+                        .iter()
+                        .map(|&code| {
+                            let value = level.dict.value(code);
+                            extra.values.get(value).copied().unwrap_or(fallback)
+                        })
+                        .collect();
+                    normalize(&mut normalized);
+                    let mut column = vec![0.0; level.dict.len()];
+                    for (code, feature) in codes.into_iter().zip(normalized) {
+                        column[code as usize] = feature;
+                    }
+                    column
+                }
+            }
+        }));
+
+        // Cluster partition: the drilled attribute and everything after it in
+        // the last hierarchy vary within a cluster. The partition and the
+        // decomposed aggregates are built on the configured factor backend;
+        // both backends produce bit-identical numbers.
+        let last_depth = level_gb.last().map_or(1, Vec::len);
+        let intra_levels = last_depth - drilled_level_in_last;
+        let rows = Arc::new(DesignRows {
+            factors: enc_fact.factors().to_vec(),
+            level_gb,
+        });
+        let factorization = OnceLock::new();
+        let features = OnceLock::new();
         let aggregates = OnceLock::new();
         let encoded = OnceLock::new();
-        let clusters = match self.backend {
-            FactorBackend::Encoded => {
-                let (enc_fact, enc_aggs) = source.encoded_aggregates(&factorization);
-                let design = EncodedDesign::from_parts(enc_fact, enc_aggs, &features);
-                let clusters = ClusterPartition::from_encoded(
-                    &design.factorization,
-                    &design.features,
-                    intra_levels,
-                    &self.exec.parallelism(),
-                );
-                let _ = encoded.set(design);
+        let clusters = match enc_aggs {
+            Some(enc_aggs) => {
+                let clusters =
+                    ClusterPartition::from_encoded(&enc_fact, &baked, intra_levels, &local);
+                let _ = encoded.set(EncodedDesign {
+                    factorization: enc_fact,
+                    features: baked,
+                    aggregates: enc_aggs,
+                });
                 clusters
             }
-            FactorBackend::Legacy => {
-                let _ = aggregates.set(source.legacy_aggregates(&factorization));
-                ClusterPartition::with_intra_levels(&factorization, &features, intra_levels)
+            None => {
+                let fact = Factorization::new(rows.factors.iter().map(|f| f.decode()).collect());
+                let value_features = baked.decode(&enc_fact);
+                let _ = aggregates.set(source.legacy_aggregates(&fact));
+                let clusters =
+                    ClusterPartition::with_intra_levels(&fact, &value_features, intra_levels);
+                let _ = factorization.set(fact);
+                let _ = features.set(value_features);
+                clusters
             }
         };
 
         Ok(TrainingDesign {
+            rows,
+            backend: self.backend,
             factorization,
             features,
-            backend: self.backend,
             aggregates,
             encoded,
             clusters,
             y,
             observed,
-            column_names: columns.iter().map(|c| c.name.clone()).collect(),
+            column_names: columns.into_iter().map(|c| c.name).collect(),
             z_columns,
-            col_gb_index,
             statistic: self.statistic,
         })
     }
@@ -580,8 +640,8 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
 mod tests {
     use super::*;
     use crate::features::ExtraFeature;
-    use reptile_relational::{Predicate, Relation};
-    use std::sync::Arc;
+    use reptile_relational::{Predicate, Relation, Value};
+    use std::collections::BTreeMap;
 
     fn fist_relation() -> Arc<Relation> {
         let schema = Arc::new(

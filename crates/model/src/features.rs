@@ -15,7 +15,7 @@
 //! attribute they are keyed on, so the factorised representation (and all of
 //! its operators) applies unchanged.
 
-use reptile_relational::{AggregateKind, AttrId, Value, View};
+use reptile_relational::{AttrId, Value};
 use std::collections::BTreeMap;
 
 /// An extra (auxiliary or custom) feature keyed by an attribute's values.
@@ -94,41 +94,29 @@ pub fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// The main-effect featurisation of one group-by attribute: value → median of
-/// the target statistic over the training groups with that value.
-pub fn main_effects(
-    view: &View,
-    group_by_index: usize,
-    statistic: AggregateKind,
-) -> BTreeMap<Value, f64> {
-    let mut buckets: BTreeMap<Value, Vec<f64>> = BTreeMap::new();
-    for (key, agg) in view.groups() {
-        buckets
-            .entry(key.value(group_by_index).clone())
-            .or_default()
-            .push(agg.value(statistic));
+/// The main-effect featurisation of one attribute, by code: `codes[i]` is
+/// training group `i`'s code (below `n_codes`) and `values[i]` its target
+/// statistic; entry `c` of the result is the median over the groups with
+/// code `c` (0 for a code no group carries).
+pub fn main_effects(codes: impl Iterator<Item = u32>, n_codes: usize, values: &[f64]) -> Vec<f64> {
+    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); n_codes];
+    for (code, value) in codes.zip(values) {
+        buckets[code as usize].push(*value);
     }
-    buckets
-        .into_iter()
-        .map(|(v, mut ys)| (v, median(&mut ys)))
-        .collect()
+    buckets.iter_mut().map(|ys| median(ys)).collect()
 }
 
 /// Center and rescale a feature column to zero mean / unit scale (used for
 /// numeric features). Constant columns are left untouched except centering.
-pub fn normalize(values: &mut BTreeMap<Value, f64>) {
+pub fn normalize(values: &mut [f64]) {
     if values.is_empty() {
         return;
     }
     let n = values.len() as f64;
-    let mean: f64 = values.values().sum::<f64>() / n;
-    let var: f64 = values
-        .values()
-        .map(|v| (v - mean) * (v - mean))
-        .sum::<f64>()
-        / n;
+    let mean: f64 = values.iter().sum::<f64>() / n;
+    let var: f64 = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
     let std = var.sqrt();
-    for v in values.values_mut() {
+    for v in values.iter_mut() {
         *v -= mean;
         if std > 1e-12 {
             *v /= std;
@@ -139,7 +127,7 @@ pub fn normalize(values: &mut BTreeMap<Value, f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reptile_relational::{Predicate, Relation, Schema};
+    use reptile_relational::{AggregateKind, Predicate, Relation, Schema, View};
     use std::sync::Arc;
 
     fn training_view() -> View {
@@ -192,38 +180,47 @@ mod tests {
     #[test]
     fn main_effects_use_group_statistics() {
         let view = training_view();
+        // The main effects of group-by attribute `gb`, keyed back by value.
+        let by_value = |gb: usize, statistic: AggregateKind| -> BTreeMap<Value, f64> {
+            let dict = view.key_columns()[gb].dict();
+            let codes = view.group_codes().iter().skip(gb).step_by(3).copied();
+            let values: Vec<f64> = view.groups().map(|(_, a)| a.value(statistic)).collect();
+            main_effects(codes, dict.len(), &values)
+                .into_iter()
+                .enumerate()
+                .map(|(code, effect)| (dict.value(code as u32).clone(), effect))
+                .collect()
+        };
         // group_by = [year, district, village]; statistic MEAN
-        let by_year = main_effects(&view, 0, AggregateKind::Mean);
+        let by_year = by_value(0, AggregateKind::Mean);
         // 1986: groups are (Ofla Adishim)=7, (Ofla Darube)=2, (Raya Zata)=9 -> median 7
         assert_eq!(by_year[&Value::int(1986)], 7.0);
         // 1987: groups (Ofla Adishim)=5, (Raya Zata)=3 -> median 4
         assert_eq!(by_year[&Value::int(1987)], 4.0);
-        let by_district = main_effects(&view, 1, AggregateKind::Count);
+        let by_district = by_value(1, AggregateKind::Count);
         // Ofla groups have counts 2,1,1 -> median 1; Raya groups 1,1 -> 1
         assert_eq!(by_district[&Value::str("Ofla")], 1.0);
         assert_eq!(by_district[&Value::str("Raya")], 1.0);
+        // a code no group carries gets the empty median
+        assert_eq!(
+            main_effects([0u32, 2].into_iter(), 3, &[4.0, 6.0]),
+            [4.0, 0.0, 6.0]
+        );
     }
 
     #[test]
     fn normalization_centers_and_scales() {
-        let mut m: BTreeMap<Value, f64> = BTreeMap::new();
-        m.insert(Value::int(1), 10.0);
-        m.insert(Value::int(2), 20.0);
-        m.insert(Value::int(3), 30.0);
+        let mut m = [10.0, 20.0, 30.0];
         normalize(&mut m);
-        let sum: f64 = m.values().sum();
+        let sum: f64 = m.iter().sum();
         assert!(sum.abs() < 1e-9);
-        assert!(m[&Value::int(3)] > 0.0);
+        assert!(m[2] > 0.0);
         // constant column: centered, not divided by zero
-        let mut c: BTreeMap<Value, f64> = BTreeMap::new();
-        c.insert(Value::int(1), 5.0);
-        c.insert(Value::int(2), 5.0);
+        let mut c = [5.0, 5.0];
         normalize(&mut c);
-        assert_eq!(c[&Value::int(1)], 0.0);
-        // empty map is a no-op
-        let mut e: BTreeMap<Value, f64> = BTreeMap::new();
-        normalize(&mut e);
-        assert!(e.is_empty());
+        assert_eq!(c[0], 0.0);
+        // empty column is a no-op
+        normalize(&mut []);
     }
 
     #[test]

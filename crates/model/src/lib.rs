@@ -28,7 +28,7 @@ pub mod linear;
 pub mod multilevel;
 pub mod remote;
 
-pub use design::{DesignBuilder, EmptyGroupPolicy, TrainingDesign};
+pub use design::{DesignBuilder, DesignRows, EmptyGroupPolicy, TrainingDesign};
 pub use features::{ExtraFeature, FeaturePlan};
 pub use linear::LinearModel;
 pub use multilevel::{MultilevelConfig, MultilevelModel, TrainingBackend};

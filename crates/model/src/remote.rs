@@ -817,7 +817,7 @@ pub fn remote_e_step(
 mod tests {
     use super::*;
     use reptile_factor::encoded::EncodedDesign;
-    use reptile_factor::{Factorization, FeatureMap, HierarchyFactor};
+    use reptile_factor::{EncodedFactorization, Exec, Factorization, FeatureMap, HierarchyFactor};
     use reptile_relational::codec::MAX_WIRE_PAYLOAD;
     use reptile_relational::{AttrId, Value};
 
@@ -847,7 +847,9 @@ mod tests {
         features.set(2, Value::str("v1"), 1.25);
         features.set(2, Value::str("v2"), 0.25);
         features.set(2, Value::str("v3"), 5.0);
-        let enc = EncodedDesign::build(&fact, &features);
+        let factorization = EncodedFactorization::encode(&fact);
+        let aggregates = EncodedAggregates::compute(&factorization, &Exec::Serial);
+        let enc = EncodedDesign::from_parts(factorization, aggregates, &features);
         let clusters = ClusterPartition::from_encoded(
             &enc.factorization,
             &enc.features,

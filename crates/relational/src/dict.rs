@@ -151,6 +151,24 @@ impl ValueDict {
         &self.values
     }
 
+    /// The codes ordered by their value: `codes_by_value()[r]` is the code
+    /// of the domain's `r`-th smallest value.
+    pub fn codes_by_value(&self) -> &[u32] {
+        &self.by_value
+    }
+
+    /// The value-rank of every code (the inverse of
+    /// [`ValueDict::codes_by_value`]): comparing `ranks()[a]` with
+    /// `ranks()[b]` orders like comparing the values of codes `a` and `b`,
+    /// also after extensions appended codes out of sorted order.
+    pub fn ranks(&self) -> Vec<u32> {
+        let mut ranks = vec![0u32; self.by_value.len()];
+        for (rank, &code) in self.by_value.iter().enumerate() {
+            ranks[code as usize] = rank as u32;
+        }
+        ranks
+    }
+
     /// Iterate `(code, value)` pairs in code order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Value)> {
         self.values.iter().enumerate().map(|(i, v)| (i as u32, v))

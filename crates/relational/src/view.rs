@@ -18,7 +18,9 @@
 //! short-circuits the whole view to empty without touching a row), matching
 //! runs are skipped or bulk-accepted, group keys are per-row code tuples
 //! read straight off the cached columns (decoded back to [`Value`]s once per
-//! *group* at the boundary, never per row), and the measure column's
+//! *group* at the boundary, never per row, and kept beside the decoded keys
+//! — [`View::group_codes`] — so the training-design build works on
+//! integers), and the measure column's
 //! numeric-ness is resolved **once per scan** up front
 //! ([`MeasureColumn`]) — a non-numeric, non-null measure anywhere in the
 //! column errors immediately instead of per-row `Result` plumbing.
@@ -114,29 +116,6 @@ struct ShardGroup {
     rows: Vec<usize>,
 }
 
-/// Decode code-keyed group tables into value-keyed ones, once per group at
-/// the boundary. Re-inserting under [`GroupKey`]'s `Value` order restores
-/// the canonical group order even when the code order diverges from the
-/// value order (post-ingest dictionaries append new values unsorted).
-fn decode_groups(
-    coded: BTreeMap<Vec<u32>, GroupData>,
-    key_cols: &[Arc<CodeColumn>],
-) -> BTreeMap<GroupKey, GroupData> {
-    coded
-        .into_iter()
-        .map(|(codes, data)| {
-            let key = GroupKey(
-                codes
-                    .iter()
-                    .zip(key_cols)
-                    .map(|(code, col)| col.dict().value(*code).clone())
-                    .collect(),
-            );
-            (key, data)
-        })
-        .collect()
-}
-
 /// An aggregation view over a relation.
 #[derive(Debug, Clone)]
 pub struct View {
@@ -144,7 +123,14 @@ pub struct View {
     predicate: Predicate,
     group_by: Vec<AttrId>,
     measure: AttrId,
-    groups: BTreeMap<GroupKey, GroupData>,
+    /// The groups, sorted by key.
+    groups: Vec<(GroupKey, GroupData)>,
+    /// The cached code column (dictionary) of each group-by attribute.
+    key_cols: Vec<Arc<CodeColumn>>,
+    /// Every group's code tuple, row-major in `groups` order.
+    codes: Vec<u32>,
+    /// All groups merged in key order.
+    total: AggState,
 }
 
 impl PartialEq for View {
@@ -228,14 +214,14 @@ impl View {
         let compiled = CompiledPredicate::compile(&predicate, &relation);
         if compiled.is_unsatisfiable() {
             // A term's value is absent from its column: nothing can match.
-            // Short-circuit before resolving the measure or touching a row.
-            return Ok(View {
+            // Short-circuit before resolving the measure or testing a row.
+            return Ok(View::assemble(
                 relation,
                 predicate,
                 group_by,
                 measure,
-                groups: BTreeMap::new(),
-            });
+                BTreeMap::new(),
+            ));
         }
         let measure_col = MeasureColumn::resolve(&relation, measure)?;
         let key_cols: Vec<Arc<CodeColumn>> =
@@ -249,14 +235,9 @@ impl View {
                 data.rows.push(row);
             }
         });
-        let groups = decode_groups(coded, &key_cols);
-        Ok(View {
-            relation,
-            predicate,
-            group_by,
-            measure,
-            groups,
-        })
+        Ok(View::assemble(
+            relation, predicate, group_by, measure, coded,
+        ))
     }
 
     /// The distributed scan: ship-once partitions (idempotent per snapshot
@@ -275,19 +256,17 @@ impl View {
         let compiled = CompiledPredicate::compile(&predicate, &relation);
         if compiled.is_unsatisfiable() {
             // Nothing can match: short-circuit with zero RPCs.
-            return Ok(View {
+            return Ok(View::assemble(
                 relation,
                 predicate,
                 group_by,
                 measure,
-                groups: BTreeMap::new(),
-            });
+                BTreeMap::new(),
+            ));
         }
         // Resolve the measure coordinator-side first so a non-numeric
         // column fails with the same typed error as every other context.
         MeasureColumn::resolve(&relation, measure)?;
-        let key_cols: Vec<Arc<CodeColumn>> =
-            group_by.iter().map(|a| relation.code_column(*a)).collect();
         let ranges = remote
             .transport()
             .ensure_relation(&relation)
@@ -346,14 +325,9 @@ impl View {
             },
         )
         .map_err(remote_err)?;
-        let groups = decode_groups(merged, &key_cols);
-        Ok(View {
-            relation,
-            predicate,
-            group_by,
-            measure,
-            groups,
-        })
+        Ok(View::assemble(
+            relation, predicate, group_by, measure, merged,
+        ))
     }
 
     /// The sharded scan: cached code columns, zone-pruned scatter, compiled
@@ -369,13 +343,13 @@ impl View {
     ) -> Result<View> {
         let compiled = CompiledPredicate::compile(&predicate, &relation);
         if compiled.is_unsatisfiable() {
-            return Ok(View {
+            return Ok(View::assemble(
                 relation,
                 predicate,
                 group_by,
                 measure,
-                groups: BTreeMap::new(),
-            });
+                BTreeMap::new(),
+            ));
         }
         // Measure numeric-ness and group-by code columns resolve ONCE, up
         // front — shard closures are infallible and do per-row array reads
@@ -436,14 +410,61 @@ impl View {
                 data.rows.extend(shard_group.rows);
             }
         }
-        let groups = decode_groups(merged, &key_cols);
-        Ok(View {
+        Ok(View::assemble(
+            relation, predicate, group_by, measure, merged,
+        ))
+    }
+
+    /// Decode a code-keyed group table into the view, once per group at the
+    /// boundary: groups are put in [`GroupKey`] order by comparing the
+    /// *value-ranks* of their codes (code order diverges from value order
+    /// once a post-ingest dictionary has appended values), every key is
+    /// decoded once, the code tuples are kept beside the keys, and the
+    /// total is folded once in key order.
+    fn assemble(
+        relation: Arc<Relation>,
+        predicate: Predicate,
+        group_by: Vec<AttrId>,
+        measure: AttrId,
+        coded: BTreeMap<Vec<u32>, GroupData>,
+    ) -> View {
+        let key_cols: Vec<Arc<CodeColumn>> =
+            group_by.iter().map(|a| relation.code_column(*a)).collect();
+        let ranks: Vec<Vec<u32>> = key_cols.iter().map(|c| c.dict().ranks()).collect();
+        fn rank_key<'a>(codes: &'a [u32], ranks: &'a [Vec<u32>]) -> impl Iterator<Item = u32> + 'a {
+            codes.iter().zip(ranks).map(|(c, rank)| rank[*c as usize])
+        }
+        let mut coded: Vec<(Vec<u32>, GroupData)> = coded.into_iter().collect();
+        // Already in order unless a dictionary was appended to out of value
+        // order, so the adaptive sort is one linear pass.
+        coded.sort_by(|(a, _), (b, _)| rank_key(a, &ranks).cmp(rank_key(b, &ranks)));
+        let mut codes = Vec::with_capacity(coded.len() * key_cols.len());
+        let mut total = AggState::empty();
+        let groups = coded
+            .into_iter()
+            .map(|(tuple, data)| {
+                let key = GroupKey(
+                    tuple
+                        .iter()
+                        .zip(&key_cols)
+                        .map(|(code, col)| col.dict().value(*code).clone())
+                        .collect(),
+                );
+                codes.extend_from_slice(&tuple);
+                total = total.merge(&data.agg);
+                (key, data)
+            })
+            .collect();
+        View {
             relation,
             predicate,
             group_by,
             measure,
             groups,
-        })
+            key_cols,
+            codes,
+            total,
+        }
     }
 
     /// The underlying relation.
@@ -481,17 +502,35 @@ impl View {
         self.groups.iter().map(|(key, data)| (key, &data.agg))
     }
 
+    /// The cached code column of each group-by attribute: the dictionaries
+    /// [`View::group_codes`] decode through.
+    pub fn key_columns(&self) -> &[Arc<CodeColumn>] {
+        &self.key_cols
+    }
+
+    /// Every group's code tuple, row-major (`group_by().len()` codes per
+    /// group) in [`View::groups`] order. Codes are those of this view's
+    /// relation snapshot; they order like their values only through
+    /// [`ValueDict::ranks`](crate::dict::ValueDict::ranks).
+    pub fn group_codes(&self) -> &[u32] {
+        &self.codes
+    }
+
     /// All group keys in order.
     pub fn keys(&self) -> Vec<GroupKey> {
-        self.groups.keys().cloned().collect()
+        self.groups.iter().map(|(key, _)| key.clone()).collect()
+    }
+
+    fn data(&self, key: &GroupKey) -> Result<&GroupData> {
+        self.groups
+            .binary_search_by(|(k, _)| k.cmp(key))
+            .map(|i| &self.groups[i].1)
+            .map_err(|_| RelationalError::UnknownGroup(key.to_string()))
     }
 
     /// The aggregate state of one group.
     pub fn group(&self, key: &GroupKey) -> Result<&AggState> {
-        self.groups
-            .get(key)
-            .map(|data| &data.agg)
-            .ok_or_else(|| RelationalError::UnknownGroup(key.to_string()))
+        self.data(key).map(|data| &data.agg)
     }
 
     /// The value of aggregate `kind` for one group.
@@ -502,9 +541,7 @@ impl View {
     /// Merge every group's aggregate into a single parent aggregate
     /// (the `G` combination of Appendix A over the whole view).
     pub fn total(&self) -> AggState {
-        self.groups
-            .values()
-            .fold(AggState::empty(), |acc, g| acc.merge(&g.agg))
+        self.total
     }
 
     /// The parent aggregate after replacing group `key`'s state with
@@ -515,22 +552,19 @@ impl View {
         replacement: &AggState,
     ) -> Result<AggState> {
         let current = self.group(key)?;
-        Ok(self.total().unmerge(current).merge(replacement))
+        Ok(self.total.unmerge(current).merge(replacement))
     }
 
     /// The parent aggregate after deleting group `key` entirely
     /// (Scorpion-style interventions).
     pub fn total_without(&self, key: &GroupKey) -> Result<AggState> {
         let current = self.group(key)?;
-        Ok(self.total().unmerge(current))
+        Ok(self.total.unmerge(current))
     }
 
     /// Input row indices that contributed to group `key`.
     pub fn provenance(&self, key: &GroupKey) -> Result<&[usize]> {
-        self.groups
-            .get(key)
-            .map(|data| data.rows.as_slice())
-            .ok_or_else(|| RelationalError::UnknownGroup(key.to_string()))
+        self.data(key).map(|data| data.rows.as_slice())
     }
 
     /// Raw measure values of one group (used by record-level baselines).

@@ -148,6 +148,165 @@ fn session_recommendation_after_ingest_matches_cold_engine() {
 
 /// Versioned invalidation: an ingest touching only 1986 evicts the 1986
 /// signatures and leaves every 1985 model warm.
+/// Every field of every scored group and the drilled views, floats by bits.
+fn assert_bit_identical(a: &Recommendation, b: &Recommendation, what: &str) {
+    let all = |groups: &[ScoredGroup]| -> Vec<String> {
+        groups
+            .iter()
+            .map(|g| {
+                let bits = [
+                    g.observed,
+                    g.expected,
+                    g.repaired_complaint_value,
+                    g.penalty,
+                    g.improvement,
+                ]
+                .map(f64::to_bits);
+                format!("{} {} {} {bits:x?}", g.hierarchy, g.added_attribute, g.key)
+            })
+            .collect()
+    };
+    assert_eq!(
+        a.original_value.to_bits(),
+        b.original_value.to_bits(),
+        "{what}"
+    );
+    assert_eq!(all(&a.ranked), all(&b.ranked), "{what}");
+    assert_eq!(a.hierarchies.len(), b.hierarchies.len(), "{what}");
+    for (x, y) in a.hierarchies.iter().zip(&b.hierarchies) {
+        assert_eq!(all(&x.ranked), all(&y.ranked), "{what}: {}", x.hierarchy);
+    }
+}
+
+/// Code order is not value order: an ingest of dimension values that sort
+/// *before* the existing ones appends their codes at the end of the cached
+/// dictionaries. Everything built on the codes — the view, the training
+/// design, the recommendation, a session hit — must still equal what a
+/// fresh engine computes over the final snapshot, whose dictionaries are
+/// sorted.
+#[test]
+fn values_sorting_before_existing_ones_keep_design_and_answers_exact() {
+    use reptile_model::DesignBuilder;
+    let (rel, schema) = dataset();
+    let engine = Arc::new(Reptile::new(rel.clone(), schema.clone()));
+    let mut session = Session::new(engine.clone(), region_year_view(&rel, &schema));
+    let c = complaint("R0", 1986);
+    session.recommend(&c).unwrap(); // caches (and code columns) are warm
+
+    // Region "A0" < "R0", its districts and villages, and year 1984 < 1985
+    // (A0 skips 1985, so the training designs have empty groups).
+    let mut batch = IngestBatch::new();
+    for year in [1984i64, 1986] {
+        for (d, v, severity) in [(0, 0, 5.5), (0, 1, 5.7), (1, 0, 6.1), (1, 1, 6.2)] {
+            batch.push_insert(vec![
+                Value::str("A0"),
+                Value::str(format!("A0-D{d}")),
+                Value::str(format!("A0-D{d}-V{v}")),
+                Value::int(year),
+                Value::float(severity + 0.1 * (year - 1984) as f64),
+            ]);
+        }
+    }
+    // ... and the existing regions report for 1984 too.
+    for r in 0..rel.len() {
+        if rel.value(r, schema.attr("year").unwrap()) == &Value::int(1985) {
+            let mut row = rel.row(r);
+            row[3] = Value::int(1984);
+            batch.push_insert(row);
+        }
+    }
+    let ingested = session.ingest(&batch).unwrap().relation;
+    // (`village` was never scanned before the ingest, so its column is
+    // built fresh and sorted: both kinds of dictionary meet in one design.)
+    for attr in ["region", "district", "year"] {
+        let column = ingested.code_column(schema.attr(attr).unwrap());
+        let values = column.dict().values();
+        assert!(
+            values.windows(2).any(|w| w[0] > w[1]),
+            "{attr}: the ingest should have appended codes out of value order"
+        );
+    }
+
+    // The final snapshot rebuilt from its rows: fresh, sorted dictionaries.
+    let mut fresh = Relation::builder(schema.clone());
+    for r in 0..ingested.len() {
+        fresh = fresh.row(ingested.row(r)).unwrap();
+    }
+    let fresh = Arc::new(fresh.build());
+    let fresh_engine = Reptile::new(fresh.clone(), schema.clone());
+    let fresh_view = region_year_view(&fresh, &schema);
+
+    // The training designs agree in everything the model reads.
+    {
+        let hierarchy = schema.hierarchy("geo").unwrap();
+        let exec = reptile_relational::Exec::Serial;
+        let over = |view: &View| view.drill_down_parallel(hierarchy, &exec).unwrap().view;
+        let (ours, theirs) = (over(session.view()), over(&fresh_view));
+        let design = |view: &View| {
+            DesignBuilder::new(view, &schema, AggregateKind::Mean)
+                .build()
+                .unwrap()
+        };
+        let (ours, theirs) = (design(&ours), design(&theirs));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ours.y()), bits(theirs.y()));
+        assert_eq!(ours.observed(), theirs.observed());
+        assert!(
+            ours.observed().contains(&false),
+            "A0 did not report in 1985"
+        );
+        for (a, b) in ours
+            .factorization()
+            .hierarchies()
+            .iter()
+            .zip(theirs.factorization().hierarchies())
+        {
+            assert_eq!(a.paths, b.paths, "path table of {}", a.name);
+        }
+        for c in 0..ours.n_cols() {
+            let column = |d: &reptile_model::TrainingDesign| -> Vec<(Value, u64)> {
+                let column = d.features().column(c);
+                column
+                    .iter()
+                    .map(|(v, f)| (v.clone(), f.to_bits()))
+                    .collect()
+            };
+            assert_eq!(
+                column(&ours),
+                column(&theirs),
+                "baked features of column {c}"
+            );
+        }
+        assert_eq!(ours.clusters().len(), theirs.clusters().len());
+        for (a, b) in ours
+            .clusters()
+            .clusters()
+            .iter()
+            .zip(theirs.clusters().clusters())
+        {
+            assert_eq!((a.start_row, a.len), (b.start_row, b.len));
+            assert_eq!(bits(&a.const_features), bits(&b.const_features));
+            assert_eq!(a.intra_features, b.intra_features);
+        }
+    }
+
+    // The answers agree: first the post-ingest miss, then the hit, for a
+    // tuple that existed before and for one the ingest brought.
+    for c in [c, complaint("A0", 1984)] {
+        let cold = fresh_engine.recommend(&fresh_view, &c).unwrap();
+        let miss = session.recommend(&c).unwrap();
+        let trained = session.model_stats().misses;
+        let hit = session.recommend(&c).unwrap();
+        assert_eq!(
+            session.model_stats().misses,
+            trained,
+            "second pass is a hit"
+        );
+        assert_bit_identical(&miss, &cold, "post-ingest recommend vs fresh engine");
+        assert_bit_identical(&hit, &cold, "session hit vs fresh engine");
+    }
+}
+
 #[test]
 fn ingest_keeps_untouched_subtree_models_warm() {
     let (rel, schema) = dataset();

@@ -11,7 +11,7 @@
 
 use reptile::{Complaint, Direction};
 use reptile_factor::{
-    encoded, lmfao, ops, ClusterPartition, DecomposedAggregates, EncodedAggregates,
+    encoded, lmfao, ops, ClusterPartition, DecomposedAggregates, EncodedAggregates, EncodedFactor,
     EncodedFactorization, EncodedFeatureMap, Exec, Factorization, FactorizationDelta, FeatureMap,
     HierarchyFactor, Parallelism, PathDelta,
 };
@@ -415,7 +415,12 @@ fn apply_delta_then_queries_equal_cold_rebuild_exactly() {
                 }
                 next.sort();
                 next.dedup();
-                let path_delta = PathDelta::between(&enc_fact.factors()[h], &next);
+                let base = &enc_fact.factors()[h];
+                let next_factor = EncodedFactor::encode(
+                    &HierarchyFactor::from_paths(names[h], base.attrs.clone(), next.clone()),
+                    &Exec::Serial,
+                );
+                let path_delta = PathDelta::between(base, &next_factor);
                 current[h] = next;
                 delta = delta.with(h, path_delta);
             }
@@ -527,7 +532,6 @@ fn replacement_totals_equal_recomputation() {
 #[test]
 fn shard_merge_equals_unsharded_encoded_state_exactly() {
     use reptile_factor::encoded::EncodedHierarchyAggregates;
-    use reptile_factor::EncodedFactor;
     let mut rng = Rng(131);
     for round in 0..24 {
         let fa: Vec<usize> = (0..rng.range_usize(1, 4))
