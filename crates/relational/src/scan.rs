@@ -1,4 +1,5 @@
-//! Code-native predicate compilation and run-skipping scan kernels.
+//! Code-native predicate compilation, run-skipping scans and the segment
+//! group-by kernel.
 //!
 //! The serving-path scans ([`View::compute`](crate::View), provenance
 //! selection, drill-downs) evaluate conjunctive equality predicates. Doing
@@ -36,6 +37,39 @@
 //!   shard provably contains no matching row, and an empty partial merges
 //!   as the identity.
 //!
+//! * **One group-by kernel** — `group_matching_rows` is the loop behind
+//!   every view scan: the serial scan, each shard of the pooled /
+//!   `Shards(n)` scan and the worker's partial all call it, and nothing else
+//!   groups rows. Hierarchy-ordered rows repeat their predecessor's key (a
+//!   coarse key holds for hundreds of consecutive rows), so the kernel walks
+//!   the matching ranges as *segments* — maximal stretches of consecutive
+//!   matching rows with one code in every key column — and hands each to the
+//!   caller's `fold(group, first_row, n_rows)`, which pushes measures in a
+//!   tight loop and extends provenance by range. A row that continues a
+//!   segment costs one `u32` comparison per key column: no allocation, no
+//!   table access. A key change costs one lookup of the code tuple, packed
+//!   mixed-radix into a `u64` (radices = the key columns' dictionary
+//!   sizes); when the product of the radices overflows `u64` — a property
+//!   of the input, not a setting — the one table indexes by the tuple
+//!   itself instead (`SlotIndex`). The packed key is measured, not assumed:
+//!   where every other row changes key, a tuple-keyed index costs 2–3× the
+//!   scan. The hash index is transient: a scan returns plain vectors and
+//!   drops it.
+//! * **Where order is fixed, and why bits hold** — per group, measure values
+//!   are folded in ascending row order, exactly as a row-at-a-time scan
+//!   would: segments are visited in row order, the serial fold pushes
+//!   straight into the group's `AggState`, and shards / workers keep
+//!   per-group value and row lists that the merge replays in fixed shard /
+//!   worker order (contiguous ordered ranges, so the concatenation *is* row
+//!   order). Hash order reaches no output: groups leave the kernel in
+//!   first-appearance order — a function of the rows alone — are addressed
+//!   by slot, and are only ever emitted after a sort: by the value-ranks of
+//!   their codes when a [`View`](crate::View) is assembled (code order
+//!   diverges from value order after out-of-order dictionary appends), by
+//!   code tuple when a worker encodes its partial (first appearance depends
+//!   on where the partition was cut; code order does not, so reply bytes are
+//!   a function of partition and plan).
+//!
 //! Cached code columns are built lazily per relation snapshot through the
 //! stable-code dictionary machinery ([`ValueDict`]), invalidated by in-place
 //! mutation, and **patched across streaming ingest**
@@ -52,7 +86,8 @@ use crate::schema::AttrId;
 use crate::value::Value;
 use crate::Result;
 use reptile_obs::{add_counter, Counter};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Rows per zone-map block of a [`CodeColumn`]: small enough to prune
 /// meaningfully inside a single shard, large enough that the table stays
@@ -79,6 +114,10 @@ pub struct CodeColumn {
     run_starts: Vec<usize>,
     /// Per-block `(min, max)` code over [`ZONE_BLOCK_ROWS`]-row blocks.
     zones: Vec<(u32, u32)>,
+    /// The column read as a measure: the `f64` of every dictionary code, or
+    /// the first row carrying a non-numeric, non-null value. Derived on the
+    /// first [`MeasureColumn::resolve`] and kept for the column's lifetime.
+    measure: OnceLock<std::result::Result<Arc<[f64]>, usize>>,
 }
 
 impl CodeColumn {
@@ -119,6 +158,7 @@ impl CodeColumn {
             codes,
             run_starts,
             zones,
+            measure: OnceLock::new(),
         }
     }
 
@@ -171,6 +211,31 @@ impl CodeColumn {
         self.zones[first..=last]
             .iter()
             .any(|&(lo, hi)| lo <= code && code <= hi)
+    }
+
+    /// The `f64` of every dictionary code (`Null` and values no row carries
+    /// read `0.0`), or the first row whose value is neither numeric nor
+    /// null. A dictionary patched across ingest keeps the values of deleted
+    /// rows, so only codes still present in the column can be an error.
+    fn measure_table(&self) -> std::result::Result<Arc<[f64]>, usize> {
+        let mut non_numeric: Option<Vec<bool>> = None;
+        let by_code: Arc<[f64]> = self
+            .dict
+            .iter()
+            .map(|(code, value)| {
+                value.as_f64().unwrap_or_else(|| {
+                    if !value.is_null() {
+                        non_numeric.get_or_insert_with(|| vec![false; self.dict.len()])
+                            [code as usize] = true;
+                    }
+                    0.0
+                })
+            })
+            .collect();
+        match non_numeric.and_then(|bad| self.codes.iter().position(|&code| bad[code as usize])) {
+            Some(row) => Err(row),
+            None => Ok(by_code),
+        }
     }
 }
 
@@ -343,43 +408,36 @@ fn emit_tested_ranges<F: FnMut(usize, usize)>(
     }
 }
 
-/// A measure column resolved for aggregation **once per scan**: numeric-ness
-/// is validated per *distinct value* up front (erroring immediately on a
-/// non-numeric, non-null measure anywhere in the column — no silent per-row
-/// `unwrap_or`), and each row's `f64` is a pair of array reads. `Null`
-/// contributes `0.0`, matching the serial scan's historical behaviour.
+/// A measure column resolved for aggregation: numeric-ness is validated per
+/// *distinct value* — once per [`CodeColumn`], not once per scan — and each
+/// row's `f64` is a pair of array reads. A non-numeric, non-null value that
+/// some row carries errors up front (no silent per-row `unwrap_or`); one that
+/// only lingers in a patched dictionary after its rows were deleted is never
+/// read and is not an error. `Null` contributes `0.0`, matching the serial
+/// scan's historical behaviour.
 #[derive(Debug, Clone)]
 pub struct MeasureColumn {
     column: Arc<CodeColumn>,
-    /// `f64` per dictionary code.
-    by_code: Vec<f64>,
+    /// `f64` per dictionary code, shared with the column's cache.
+    by_code: Arc<[f64]>,
 }
 
 impl MeasureColumn {
-    /// Resolve `measure` of `relation`, erroring up front if any value of
-    /// the column is non-numeric and non-null (the error names the first
+    /// Resolve `measure` of `relation`, erroring up front if any row of the
+    /// column is non-numeric and non-null (the error names the first
     /// offending row, like the per-row path did).
     pub fn resolve(relation: &Relation, measure: AttrId) -> Result<Self> {
         let column = relation.code_column(measure);
-        let mut by_code = Vec::with_capacity(column.dict().len());
-        for (code, value) in column.dict().iter() {
-            by_code.push(match value.as_f64() {
-                Some(v) => v,
-                None if value.is_null() => 0.0,
-                None => {
-                    let row = column
-                        .codes()
-                        .iter()
-                        .position(|&c| c == code)
-                        .expect("dictionary value occurs in the column");
-                    return Err(RelationalError::NonNumericMeasure {
-                        attribute: relation.schema().name(measure).to_string(),
-                        row,
-                    });
-                }
-            });
+        match column.measure.get_or_init(|| column.measure_table()) {
+            Ok(by_code) => Ok(MeasureColumn {
+                by_code: by_code.clone(),
+                column,
+            }),
+            Err(row) => Err(RelationalError::NonNumericMeasure {
+                attribute: relation.schema().name(measure).to_string(),
+                row: *row,
+            }),
         }
-        Ok(MeasureColumn { column, by_code })
     }
 
     /// The measure value of `row`.
@@ -387,6 +445,261 @@ impl MeasureColumn {
     pub fn value(&self, row: usize) -> f64 {
         self.by_code[self.column.codes[row] as usize]
     }
+
+    /// The measure values of rows `[start, start + len)`, in row order.
+    #[inline]
+    pub(crate) fn values(&self, start: usize, len: usize) -> impl Iterator<Item = f64> + '_ {
+        self.column.codes[start..start + len]
+            .iter()
+            .map(|&code| self.by_code[code as usize])
+    }
+}
+
+/// Groups in **first-appearance order**, each with its code tuple: what the
+/// kernel and the merges hand to [`View`](crate::View) assembly and to the
+/// worker's encoder. Plain vectors — the hash index that built them is gone.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Grouped<G> {
+    key_len: usize,
+    /// Every group's code tuple, slot-major.
+    codes: Vec<u32>,
+    groups: Vec<G>,
+}
+
+impl<G> Grouped<G> {
+    /// No groups over `key_len` key columns.
+    pub(crate) fn empty(key_len: usize) -> Self {
+        Grouped {
+            key_len,
+            codes: Vec::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The code tuple of the group in `slot`.
+    pub(crate) fn codes(&self, slot: usize) -> &[u32] {
+        &self.codes[slot * self.key_len..(slot + 1) * self.key_len]
+    }
+
+    /// The group in `slot`.
+    pub(crate) fn group(&self, slot: usize) -> &G {
+        &self.groups[slot]
+    }
+
+    /// Move the group in `slot` out, leaving an empty one.
+    pub(crate) fn take(&mut self, slot: usize) -> G
+    where
+        G: Default,
+    {
+        std::mem::take(&mut self.groups[slot])
+    }
+
+    /// Visit every group by value with its code tuple, in slot order.
+    pub(crate) fn for_each(self, mut visit: impl FnMut(&[u32], G)) {
+        let key_len = self.key_len;
+        for (slot, group) in self.groups.into_iter().enumerate() {
+            visit(&self.codes[slot * key_len..(slot + 1) * key_len], group);
+        }
+    }
+}
+
+/// How a [`GroupTable`] finds a code tuple's slot. Which one is a property of
+/// the key columns, never a setting; nothing iterates either map, so hash
+/// order reaches no output.
+enum SlotIndex {
+    /// The tuple packed mixed-radix into a `u64` (Horner, first column most
+    /// significant, radices = the key columns' dictionary sizes): an 8-byte
+    /// key held in the bucket, where a tuple key is a heap pointer to chase.
+    /// Where every other row changes key that is the cost of the scan
+    /// (`wide_deep`, CHANGES PR 20).
+    Packed {
+        radices: Vec<u64>,
+        slots: HashMap<u64, usize>,
+    },
+    /// The product of the radices overflows `u64`: keyed by the tuple itself.
+    Tuple(HashMap<Vec<u32>, usize>),
+}
+
+impl SlotIndex {
+    /// The index for key columns with these dictionary sizes.
+    fn for_domain(sizes: impl IntoIterator<Item = usize>) -> Self {
+        let mut domain = 1u64;
+        let radices: Option<Vec<u64>> = sizes
+            .into_iter()
+            .map(|size| {
+                let radix = size as u64;
+                domain = domain.checked_mul(radix.max(1))?;
+                Some(radix)
+            })
+            .collect();
+        match radices {
+            Some(radices) => SlotIndex::Packed {
+                radices,
+                slots: HashMap::new(),
+            },
+            None => SlotIndex::Tuple(HashMap::new()),
+        }
+    }
+
+    /// The slot recorded for `codes` (each below its column's radix), or
+    /// `next` — now recorded — on first appearance.
+    fn slot_or(&mut self, codes: &[u32], next: usize) -> usize {
+        match self {
+            SlotIndex::Packed { radices, slots } => {
+                let packed = codes
+                    .iter()
+                    .zip(radices.iter())
+                    .fold(0, |acc, (&code, &radix)| acc * radix + u64::from(code));
+                *slots.entry(packed).or_insert(next)
+            }
+            SlotIndex::Tuple(slots) => match slots.get(codes) {
+                Some(&slot) => slot,
+                None => {
+                    slots.insert(codes.to_vec(), next);
+                    next
+                }
+            },
+        }
+    }
+}
+
+/// The code-tuple → slot table behind a [`Grouped`]: one hash lookup per
+/// *key change*, a fresh slot on first appearance.
+pub(crate) struct GroupTable<G> {
+    index: SlotIndex,
+    grouped: Grouped<G>,
+}
+
+impl<G: Default> GroupTable<G> {
+    /// An empty table over `key_cols`' code space.
+    pub(crate) fn new(key_cols: &[Arc<CodeColumn>]) -> Self {
+        GroupTable {
+            index: SlotIndex::for_domain(key_cols.iter().map(|c| c.dict().len())),
+            grouped: Grouped::empty(key_cols.len()),
+        }
+    }
+
+    /// The slot of the group keyed `codes`, opened on first appearance.
+    fn slot(&mut self, codes: &[u32]) -> usize {
+        let next = self.grouped.groups.len();
+        let slot = self.index.slot_or(codes, next);
+        if slot == next {
+            self.grouped.codes.extend_from_slice(codes);
+            self.grouped.groups.push(G::default());
+        }
+        slot
+    }
+
+    /// The group keyed `codes` (each below its column's dictionary size),
+    /// opened empty on first appearance: the merges' addressing step.
+    pub(crate) fn group(&mut self, codes: &[u32]) -> &mut G {
+        let slot = self.slot(codes);
+        &mut self.grouped.groups[slot]
+    }
+
+    /// Drop the index, keep the groups.
+    pub(crate) fn finish(self) -> Grouped<G> {
+        self.grouped
+    }
+
+    /// The group-by kernel proper: walk the rows of `[start, start + len)`
+    /// that `compiled` accepts as *segments* — maximal stretches of
+    /// consecutive matching rows carrying one code in every key column — and
+    /// hand each to `fold(group, first_row, n_rows)`. A row that continues
+    /// its predecessor's key costs one code comparison per key column and
+    /// nothing else; a key change costs one [`GroupTable::slot`] lookup. No
+    /// step allocates per row.
+    fn scan(
+        &mut self,
+        compiled: &CompiledPredicate,
+        key_cols: &[Arc<CodeColumn>],
+        start: usize,
+        len: usize,
+        mut fold: impl FnMut(&mut G, usize, usize),
+    ) {
+        let cols: Vec<&[u32]> = key_cols.iter().map(|c| c.codes()).collect();
+        let same_key =
+            |key: &[u32], row: usize| cols.iter().zip(key).all(|(col, &code)| col[row] == code);
+        // The group the previous segment fed, and its code tuple.
+        let mut slot: Option<usize> = None;
+        let mut key: Vec<u32> = Vec::with_capacity(cols.len());
+        compiled.for_each_matching_range(start, len, |lo, n| {
+            let hi = lo + n;
+            let mut row = lo;
+            while row < hi {
+                // Inside a range a new segment is a new key by construction;
+                // across a gap of rejected rows the key may carry over.
+                let current = match slot {
+                    Some(current) if row == lo && same_key(&key, row) => current,
+                    _ => {
+                        key.clear();
+                        key.extend(cols.iter().map(|col| col[row]));
+                        *slot.insert(self.slot(&key))
+                    }
+                };
+                let mut end = row + 1;
+                while end < hi && same_key(&key, end) {
+                    end += 1;
+                }
+                fold(&mut self.grouped.groups[current], row, end - row);
+                row = end;
+            }
+        });
+    }
+}
+
+/// Group the rows of `[start, start + len)` that `compiled` accepts by their
+/// code tuple over `key_cols` — **the** group-by loop behind every view scan
+/// (serial, each pool / `Shards(n)` shard, the worker's partial). See
+/// [`GroupTable::scan`] for the per-row cost and the [module docs](self) for
+/// why no output depends on hash order.
+pub(crate) fn group_matching_rows<G: Default>(
+    compiled: &CompiledPredicate,
+    key_cols: &[Arc<CodeColumn>],
+    start: usize,
+    len: usize,
+    fold: impl FnMut(&mut G, usize, usize),
+) -> Grouped<G> {
+    let mut table = GroupTable::new(key_cols);
+    table.scan(compiled, key_cols, start, len, fold);
+    table.finish()
+}
+
+/// What a shard or a worker keeps per group: the measure values and row
+/// indices of its matching rows, in row order, so the merge can *replay* the
+/// serial accumulation exactly.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct RowLists {
+    pub(crate) values: Vec<f64>,
+    pub(crate) rows: Vec<usize>,
+}
+
+/// One shard's (or worker's) partial group table over `[start, start + len)`,
+/// provenance rows shifted by `row_offset` (a worker's partition offset).
+pub(crate) fn scan_partial(
+    compiled: &CompiledPredicate,
+    key_cols: &[Arc<CodeColumn>],
+    measure: &MeasureColumn,
+    (start, len): (usize, usize),
+    row_offset: usize,
+) -> Grouped<RowLists> {
+    group_matching_rows(
+        compiled,
+        key_cols,
+        start,
+        len,
+        |group: &mut RowLists, first, n| {
+            group.values.extend(measure.values(first, n));
+            group
+                .rows
+                .extend(first + row_offset..first + n + row_offset);
+        },
+    )
 }
 
 /// The lazily built per-attribute [`CodeColumn`] cache of one relation
@@ -641,6 +954,193 @@ mod tests {
                 assert_eq!(row, 13);
             }
             other => panic!("expected NonNumericMeasure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn vanished_non_numeric_measure_is_not_an_error() {
+        use crate::ingest::IngestBatch;
+        let r = sample(40);
+        let m = AttrId(3);
+        let _ = r.code_column(m); // warm, so `apply` patches the dictionary
+        let stray = [
+            Value::str("d0"),
+            Value::str("v0"),
+            Value::int(1980),
+            Value::str("oops"),
+        ];
+        let dirty = r.apply(&IngestBatch::new().insert(stray.clone())).unwrap();
+        assert!(matches!(
+            MeasureColumn::resolve(&dirty, m),
+            Err(RelationalError::NonNumericMeasure { row: 40, .. })
+        ));
+        // Deleting the row leaves "oops" in the patched dictionary with no
+        // row carrying it: resolving must succeed (it used to panic) and
+        // read exactly what a cold rebuild of the same snapshot reads.
+        let clean = dirty.apply(&IngestBatch::new().delete(stray)).unwrap();
+        assert!(clean
+            .code_column(m)
+            .dict()
+            .code_of(&Value::str("oops"))
+            .is_some());
+        let patched = MeasureColumn::resolve(&clean, m).unwrap();
+        let cold = MeasureColumn::resolve(&clean.clone(), m).unwrap();
+        assert_eq!(clean.len(), 40);
+        for row in 0..clean.len() {
+            assert_eq!(patched.value(row).to_bits(), cold.value(row).to_bits());
+        }
+    }
+
+    /// Row-at-a-time `Value`-keyed oracle of the kernel: per group (in
+    /// first-appearance order) the key values and the matching rows in row
+    /// order.
+    fn oracle(
+        r: &Relation,
+        p: &Predicate,
+        group_by: &[AttrId],
+        (start, len): (usize, usize),
+    ) -> Vec<(Vec<Value>, Vec<usize>)> {
+        let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+        for row in (start..start + len).filter(|&row| p.matches(r, row)) {
+            let key: Vec<Value> = group_by.iter().map(|a| r.value(row, *a).clone()).collect();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, rows)) => rows.push(row),
+                None => groups.push((key, vec![row])),
+            }
+        }
+        groups
+    }
+
+    fn kernel_cases(r: &Relation) -> Vec<(Predicate, Vec<AttrId>, (usize, usize))> {
+        let preds = [
+            Predicate::all(),
+            Predicate::eq(AttrId(0), Value::str("d3")),
+            Predicate::eq(AttrId(2), Value::int(1981)),
+            Predicate::eq(AttrId(0), Value::str("d2")).and_eq(AttrId(2), Value::int(1980)),
+            Predicate::eq(AttrId(0), Value::str("d0")).and_eq(AttrId(1), Value::str("v40")),
+        ];
+        let group_bys: [&[AttrId]; 5] = [
+            &[AttrId(0)],
+            &[AttrId(0), AttrId(1)],
+            &[AttrId(2)],
+            &[AttrId(1), AttrId(2), AttrId(0)],
+            &[],
+        ];
+        let ranges = [(0, r.len()), (5, 100), (77, 0), (r.len() - 9, 9)];
+        let mut cases = Vec::new();
+        for p in &preds {
+            for gb in group_bys {
+                for range in ranges {
+                    cases.push((p.clone(), gb.to_vec(), range));
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn kernel_groups_equal_the_row_at_a_time_oracle() {
+        let r = sample(230);
+        for (p, group_by, (start, len)) in kernel_cases(&r) {
+            let compiled = CompiledPredicate::compile(&p, &r);
+            let key_cols: Vec<Arc<CodeColumn>> =
+                group_by.iter().map(|a| r.code_column(*a)).collect();
+            let mut segments = 0usize;
+            let got = group_matching_rows(
+                &compiled,
+                &key_cols,
+                start,
+                len,
+                |rows: &mut Vec<usize>, first, n| {
+                    assert!(n > 0);
+                    segments += 1;
+                    rows.extend(first..first + n);
+                },
+            );
+            let want = oracle(&r, &p, &group_by, (start, len));
+            let label = format!("{p:?} by {group_by:?} over {start}+{len}");
+            assert_eq!(got.len(), want.len(), "{label}");
+            for (slot, (key, rows)) in want.iter().enumerate() {
+                let decoded: Vec<Value> = got
+                    .codes(slot)
+                    .iter()
+                    .zip(&key_cols)
+                    .map(|(code, col)| col.dict().value(*code).clone())
+                    .collect();
+                assert_eq!(&decoded, key, "{label}: first-appearance order");
+                assert_eq!(got.group(slot), rows, "{label}: rows of {key:?}");
+            }
+            // A segment is a maximal stretch of consecutive matching rows
+            // with one key: the oracle's rows, cut where a row is skipped or
+            // the key changes.
+            let mut all: Vec<(usize, usize)> = want
+                .iter()
+                .enumerate()
+                .flat_map(|(slot, (_, rows))| rows.iter().map(move |&row| (row, slot)))
+                .collect();
+            all.sort_unstable();
+            let expect_segments = all
+                .iter()
+                .enumerate()
+                .filter(|&(i, &(row, slot))| i == 0 || all[i - 1] != (row - 1, slot))
+                .count();
+            assert_eq!(segments, expect_segments, "{label}: segment count");
+        }
+    }
+
+    #[test]
+    fn tuple_indexed_kernel_equals_packed_kernel() {
+        // The index a `u64`-overflowing key domain selects, forced on an
+        // input that also packs: both must build the same table.
+        let r = sample(230);
+        for (p, group_by, (start, len)) in kernel_cases(&r) {
+            let compiled = CompiledPredicate::compile(&p, &r);
+            let key_cols: Vec<Arc<CodeColumn>> =
+                group_by.iter().map(|a| r.code_column(*a)).collect();
+            let measure = MeasureColumn::resolve(&r, AttrId(3)).unwrap();
+            let mut packed = GroupTable::<RowLists>::new(&key_cols);
+            assert!(matches!(packed.index, SlotIndex::Packed { .. }));
+            let mut tuple = GroupTable::<RowLists>::new(&key_cols);
+            tuple.index = SlotIndex::Tuple(HashMap::new());
+            for table in [&mut packed, &mut tuple] {
+                table.scan(&compiled, &key_cols, start, len, |group, first, n| {
+                    group.values.extend(measure.values(first, n));
+                    group.rows.extend(first..first + n);
+                });
+            }
+            assert_eq!(packed.grouped, tuple.grouped, "{p:?} by {group_by:?}");
+            assert_eq!(
+                packed.grouped,
+                scan_partial(&compiled, &key_cols, &measure, (start, len), 0)
+            );
+        }
+    }
+
+    #[test]
+    fn slot_index_is_chosen_by_the_key_domain() {
+        let packs = |sizes: &[usize]| {
+            matches!(
+                SlotIndex::for_domain(sizes.iter().copied()),
+                SlotIndex::Packed { .. }
+            )
+        };
+        assert!(packs(&[]));
+        assert!(packs(&[6, 12, 3]));
+        // An empty dictionary (no rows) neither overflows nor divides.
+        assert!(packs(&[0, 7]));
+        let big = u32::MAX as usize;
+        assert!(packs(&[big, big]));
+        assert!(!packs(&[big, big, 2]), "2^65 - 2^34 + 2");
+        assert!(!packs(&[big, big, big]));
+        // Packing is injective: every tuple of the domain opens its own
+        // slot, and finds it again.
+        let mut index = SlotIndex::for_domain([3, 5, 2]);
+        let tuples: Vec<[u32; 3]> = (0..30).map(|i| [i / 10, i / 2 % 5, i % 2]).collect();
+        for (next, tuple) in tuples.iter().enumerate() {
+            assert_eq!(index.slot_or(tuple, next), next);
+        }
+        for (slot, tuple) in tuples.iter().enumerate() {
+            assert_eq!(index.slot_or(tuple, usize::MAX), slot);
         }
     }
 

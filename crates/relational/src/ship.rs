@@ -24,9 +24,8 @@ use crate::codec::{put_str, put_u32, put_u64, put_value, CodecError, Reader};
 use crate::dict::ValueDict;
 use crate::predicate::Predicate;
 use crate::relation::Relation;
-use crate::scan::{CodeColumn, CompiledPredicate, MeasureColumn};
+use crate::scan::{scan_partial, CodeColumn, CompiledPredicate, Grouped, MeasureColumn, RowLists};
 use crate::schema::{AttrId, Schema};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A relation partition decoded off the wire: the reassembled relation
@@ -248,36 +247,41 @@ pub fn answer_view_scan(partition: &ShippedPartition, plan: &[u8]) -> Result<Vec
         }
     }
     let compiled = CompiledPredicate::compile(&plan.predicate, relation);
-    let mut groups: BTreeMap<Vec<u32>, (Vec<f64>, Vec<usize>)> = BTreeMap::new();
-    if !compiled.is_unsatisfiable() {
+    let key_cols: Vec<Arc<CodeColumn>> = plan
+        .group_by
+        .iter()
+        .map(|a| relation.code_column(*a))
+        .collect();
+    let groups = if compiled.is_unsatisfiable() {
+        Grouped::empty(key_cols.len())
+    } else {
         let measure_col = MeasureColumn::resolve(relation, plan.measure)
             .map_err(|e| CodecError::Invalid(e.to_string()))?;
-        let key_cols: Vec<Arc<CodeColumn>> = plan
-            .group_by
-            .iter()
-            .map(|a| relation.code_column(*a))
-            .collect();
-        compiled.for_each_matching_range(0, relation.len(), |start, len| {
-            for row in start..start + len {
-                let key: Vec<u32> = key_cols.iter().map(|c| c.code(row)).collect();
-                let group = groups.entry(key).or_default();
-                group.0.push(measure_col.value(row));
-                group.1.push(row + partition.row_offset);
-            }
-        });
-    }
+        scan_partial(
+            &compiled,
+            &key_cols,
+            &measure_col,
+            (0, relation.len()),
+            partition.row_offset,
+        )
+    };
+    // The kernel's first-appearance order depends on where the partition
+    // was cut; the reply is emitted in code order, which does not.
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_unstable_by(|&a, &b| groups.codes(a).cmp(groups.codes(b)));
     let mut buf = Vec::new();
     put_u32(&mut buf, plan.group_by.len() as u32);
     put_u32(&mut buf, groups.len() as u32);
-    for (key, (values, rows)) in groups {
-        for code in key {
+    for slot in order {
+        for &code in groups.codes(slot) {
             put_u32(&mut buf, code);
         }
+        let RowLists { values, rows } = groups.group(slot);
         put_u32(&mut buf, values.len() as u32);
-        for v in &values {
+        for v in values {
             crate::codec::put_f64(&mut buf, *v);
         }
-        for &row in &rows {
+        for &row in rows {
             put_u64(&mut buf, row as u64);
         }
     }
@@ -423,6 +427,105 @@ mod tests {
                 (vec![raya], vec![9.0], vec![3]),
             ]
         );
+    }
+
+    /// The worker's group-by loop before the shared kernel, kept as the
+    /// byte oracle: one `BTreeMap<Vec<u32>, _>` update per matching row,
+    /// emitted in map (code) order.
+    fn row_at_a_time_reply(partition: &ShippedPartition, plan: &ViewPlan) -> Vec<u8> {
+        use std::collections::BTreeMap;
+        let relation = &partition.relation;
+        let key_cols: Vec<Arc<CodeColumn>> = plan
+            .group_by
+            .iter()
+            .map(|a| relation.code_column(*a))
+            .collect();
+        let mut groups: BTreeMap<Vec<u32>, (Vec<f64>, Vec<usize>)> = BTreeMap::new();
+        for row in 0..relation.len() {
+            if !plan.predicate.matches(relation, row) {
+                continue;
+            }
+            let key: Vec<u32> = key_cols.iter().map(|c| c.code(row)).collect();
+            let group = groups.entry(key).or_default();
+            let value = relation.numeric(row, plan.measure).unwrap();
+            group.0.push(value.unwrap_or(0.0));
+            group.1.push(row + partition.row_offset);
+        }
+        let mut buf = Vec::new();
+        put_u32(&mut buf, plan.group_by.len() as u32);
+        put_u32(&mut buf, groups.len() as u32);
+        for (key, (values, rows)) in groups {
+            for code in key {
+                put_u32(&mut buf, code);
+            }
+            put_u32(&mut buf, values.len() as u32);
+            for v in values {
+                crate::codec::put_f64(&mut buf, v);
+            }
+            for row in rows {
+                put_u64(&mut buf, row as u64);
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn worker_reply_bytes_equal_the_row_at_a_time_loop() {
+        // Keys recur out of code order and after gaps, a dictionary value is
+        // appended out of value order, and the partition starts mid-relation:
+        // first-appearance order differs from code order on every count.
+        let schema = sample().schema().clone();
+        let mut b = Relation::builder(schema.clone());
+        for i in 0..120usize {
+            b = b
+                .row([
+                    Value::str(format!("D{}", (i / 7) % 4)),
+                    Value::str(format!("V{}", (i * 5) % 9)),
+                    Value::int(1990 - (i % 3) as i64),
+                    if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::float(i as f64 * 0.37 - 9.0)
+                    },
+                ])
+                .unwrap();
+        }
+        let rel = Arc::new(b.build());
+        for attr in 0..schema.arity() {
+            let _ = rel.code_column(AttrId(attr));
+        }
+        let batch = IngestBatch::new().insert([
+            Value::str("Aaa"), // sorts first, coded last
+            Value::str("V3"),
+            Value::int(1989),
+            Value::float(2.5),
+        ]);
+        let rel = Arc::new(rel.apply(&batch).unwrap());
+        let [district, village, year, measure] =
+            ["district", "village", "year", "severity"].map(|n| schema.attr(n).unwrap());
+        let part = decode_partition(&encode_partition(&rel, 13, rel.len() - 13)).unwrap();
+        for predicate in [
+            Predicate::all(),
+            Predicate::eq(year, Value::int(1989)),
+            Predicate::eq(district, Value::str("D2")).and_eq(year, Value::int(1990)),
+            Predicate::eq(district, Value::str("nowhere")),
+        ] {
+            for group_by in [
+                vec![district],
+                vec![year, district],
+                vec![village, district, year],
+                vec![],
+            ] {
+                let bytes =
+                    encode_view_plan(rel.ident(), rel.version(), &predicate, &group_by, measure);
+                let plan = decode_view_plan(&bytes).unwrap();
+                assert_eq!(
+                    answer_view_scan(&part, &bytes).unwrap(),
+                    row_at_a_time_reply(&part, &plan),
+                    "{predicate:?} by {group_by:?}"
+                );
+            }
+        }
     }
 
     #[test]

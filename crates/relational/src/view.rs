@@ -16,14 +16,20 @@
 //! the predicate compiles to dense `u32` tests against the relation's cached
 //! [`CodeColumn`]s (a term on a value absent from the dictionary
 //! short-circuits the whole view to empty without touching a row), matching
-//! runs are skipped or bulk-accepted, group keys are per-row code tuples
-//! read straight off the cached columns (decoded back to [`Value`]s once per
-//! *group* at the boundary, never per row, and kept beside the decoded keys
-//! — [`View::group_codes`] — so the training-design build works on
-//! integers), and the measure column's
-//! numeric-ness is resolved **once per scan** up front
-//! ([`MeasureColumn`]) — a non-numeric, non-null measure anywhere in the
-//! column errors immediately instead of per-row `Result` plumbing.
+//! runs are skipped or bulk-accepted, and **one kernel**
+//! (`scan::group_matching_rows`) groups the surviving rows wherever the scan
+//! runs: it walks them as segments of consecutive rows sharing a key, so a
+//! row that repeats its predecessor's key — the common case on
+//! hierarchy-ordered data — costs a code comparison per key column, and
+//! only a key change looks the packed code tuple up in a transient slot
+//! table. Groups are decoded back to [`Value`]s once per *group* at the
+//! boundary, never per row, put in key order by the value-ranks of their
+//! codes, and their code tuples are kept beside the decoded keys
+//! ([`View::group_codes`]) so the training-design build works on integers.
+//! The measure column's numeric-ness is resolved up front
+//! ([`MeasureColumn`], cached per code column) — a non-numeric, non-null
+//! measure on any row errors immediately instead of per-row `Result`
+//! plumbing.
 //!
 //! # One surface, every execution site
 //!
@@ -55,13 +61,15 @@ use crate::exec::{self, Exec, Remote, RemoteError, OP_VIEW_SCAN};
 use crate::parallel::Parallelism;
 use crate::predicate::Predicate;
 use crate::relation::Relation;
-use crate::scan::{CodeColumn, CompiledPredicate, MeasureColumn};
+use crate::scan::{
+    group_matching_rows, scan_partial, CodeColumn, CompiledPredicate, GroupTable, Grouped,
+    MeasureColumn,
+};
 use crate::schema::{AttrId, Hierarchy};
 use crate::ship;
 use crate::value::Value;
 use crate::Result;
 use reptile_obs::{add_counter, Counter, Stage, StageTimer};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -99,21 +107,23 @@ pub struct DrillDownResult {
 }
 
 /// Per-group state of a view: the distributive aggregate plus the input
-/// rows that produced it, held in one map so the per-row accumulation does
-/// a single lookup with a single key allocation.
+/// rows that produced it.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct GroupData {
     agg: AggState,
     rows: Vec<usize>,
 }
 
-/// Per-shard partial of one group during a sharded compute: the measure
-/// values and row indices of the shard's matching rows, in row order, so
-/// the merge can *replay* the serial accumulation exactly.
-#[derive(Default)]
-struct ShardGroup {
-    values: Vec<f64>,
-    rows: Vec<usize>,
+impl GroupData {
+    /// Fold a shard's (or worker's) share of this group: [`AggState::push`]
+    /// over its values in row order, provenance appended. Called in fixed
+    /// shard / worker order, this *is* the serial accumulation.
+    fn replay(&mut self, values: &[f64], rows: &[usize]) {
+        for &value in values {
+            self.agg.push(value);
+        }
+        self.rows.extend_from_slice(rows);
+    }
 }
 
 /// An aggregation view over a relation.
@@ -131,6 +141,162 @@ pub struct View {
     codes: Vec<u32>,
     /// All groups merged in key order.
     total: AggState,
+}
+
+/// Where a view scan runs, decided before anything is resolved: an inline
+/// scan is timed from predicate compilation on.
+enum Site<'a> {
+    Inline,
+    Shards(Vec<(usize, usize)>, Parallelism),
+    Remote(&'a Remote),
+}
+
+/// What one view scan resolved up front, and the three places it can run.
+/// Each returns the group table in first-appearance order (a deterministic
+/// function of the rows — never of hash order); the scatters also return the
+/// merge span, which stays open through assembly.
+struct Scan<'a> {
+    compiled: &'a CompiledPredicate,
+    key_cols: &'a [Arc<CodeColumn>],
+    measure: &'a MeasureColumn,
+}
+
+impl Scan<'_> {
+    /// The single serial scan: the kernel folds every segment straight into
+    /// the group's [`AggState`], in row order.
+    fn serial(&self, rows: usize) -> Grouped<GroupData> {
+        group_matching_rows(
+            self.compiled,
+            self.key_cols,
+            0,
+            rows,
+            |data: &mut GroupData, first, n| {
+                for value in self.measure.values(first, n) {
+                    data.agg.push(value);
+                }
+                data.rows.extend(first..first + n);
+            },
+        )
+    }
+
+    /// The sharded scan: zone-pruned scatter, the kernel per shard into
+    /// per-group value/row lists, fixed-shard-order replay merge.
+    fn sharded(
+        &self,
+        ranges: &[(usize, usize)],
+        parallelism: &Parallelism,
+    ) -> (Grouped<GroupData>, Option<StageTimer>) {
+        // Zone pruning sizes the scatter: shards the zone maps prove
+        // predicate-free are dropped before dispatch. Exactness-safe — a
+        // pruned shard's partial table would have been empty, and empty
+        // partials merge as identities.
+        let mut live: Vec<(usize, usize)> = Vec::with_capacity(ranges.len());
+        let mut pruned = 0u64;
+        for &(start, len) in ranges {
+            if len == 0 {
+                continue;
+            }
+            if self.compiled.zone_may_match(start, len) {
+                live.push((start, len));
+            } else {
+                pruned += 1;
+            }
+        }
+        if pruned > 0 {
+            add_counter(Counter::ShardsPruned, pruned);
+        }
+        let partials = parallelism.run_shards(&live, |start, len| {
+            // Per-shard scan span: the histogram's count equals the shard
+            // count, so a profile shows both the fan-out width and the
+            // per-shard balance.
+            let _span = StageTimer::start(Stage::Scan);
+            scan_partial(self.compiled, self.key_cols, self.measure, (start, len), 0)
+        });
+        // Merge in fixed shard order. Shards are contiguous and ordered, so
+        // per group this replays AggState::push over the measure values in
+        // exactly the serial row order — the FP sequence is identical, and
+        // provenance concatenates back to row order.
+        let span = StageTimer::start(Stage::Merge);
+        let mut merged: GroupTable<GroupData> = GroupTable::new(self.key_cols);
+        for partial in partials {
+            partial.for_each(|codes, lists| merged.group(codes).replay(&lists.values, &lists.rows));
+        }
+        (merged.finish(), Some(span))
+    }
+
+    /// The distributed scan: ship-once partitions (idempotent per snapshot
+    /// epoch), one plan RPC per un-pruned worker, partials decoded off the
+    /// wire and replay-merged in worker order — bit-identical to the
+    /// in-process sharded scan over the same ranges, which is bit-identical
+    /// to serial.
+    fn remote(
+        &self,
+        relation: &Arc<Relation>,
+        plan: Vec<u8>,
+        remote: &Remote,
+    ) -> Result<(Grouped<GroupData>, Option<StageTimer>)> {
+        let remote_err = |e: RemoteError| RelationalError::Remote(e.to_string());
+        let ranges = remote
+            .transport()
+            .ensure_relation(relation)
+            .map_err(remote_err)?;
+        // Zone-prune workers with the coordinator's zone maps before any
+        // RPC: a pruned worker's partial would have been empty.
+        let mut pruned = 0u64;
+        let requests: Vec<Option<Vec<u8>>> = ranges
+            .iter()
+            .map(|&(start, len)| {
+                if len == 0 {
+                    None
+                } else if self.compiled.zone_may_match(start, len) {
+                    Some(plan.clone())
+                } else {
+                    pruned += 1;
+                    None
+                }
+            })
+            .collect();
+        if pruned > 0 {
+            add_counter(Counter::ShardsPruned, pruned);
+        }
+        // Streamed scatter, merged in fixed worker order — worker ranges
+        // are contiguous, ordered, and disjoint, so this is the same replay
+        // merge as the in-process sharded scan (provenance rows arrive
+        // pre-globalised). Each partial decodes and folds the moment it
+        // lands while later replies are still in flight; out-of-order
+        // arrivals buffer inside `scatter_fold_in_order`, so the fold order
+        // (and hence every group's value sequence) never changes. The
+        // overlap span covers the whole scatter+fold window.
+        let span = StageTimer::start(Stage::RemoteMerge);
+        let mut merged: GroupTable<GroupData> = GroupTable::new(self.key_cols);
+        exec::scatter_fold_in_order(
+            remote.transport().as_ref(),
+            OP_VIEW_SCAN,
+            requests,
+            &mut |_, reply| {
+                let partial = ship::decode_view_partial(&reply, self.key_cols.len())
+                    .map_err(|e| RemoteError::Protocol(e.to_string()))?;
+                for (key, values, rows) in partial {
+                    // The table addresses slots by codes below each column's
+                    // dictionary size; a worker answering outside the shared
+                    // code space is lying, not merely late.
+                    if let Some((code, _)) = key
+                        .iter()
+                        .zip(self.key_cols)
+                        .find(|(code, col)| **code as usize >= col.dict().len())
+                    {
+                        return Err(RemoteError::Protocol(format!(
+                            "partial group code {code} outside the shipped dictionary"
+                        )));
+                    }
+                    merged.group(&key).replay(&values, &rows);
+                }
+                Ok(())
+            },
+        )
+        .map_err(remote_err)?;
+        Ok((merged.finish(), Some(span)))
+    }
 }
 
 impl PartialEq for View {
@@ -164,11 +330,10 @@ impl View {
         measure: AttrId,
         exec: &Exec,
     ) -> Result<View> {
-        match exec {
-            Exec::Serial => View::compute_serial(relation, predicate, group_by, measure),
+        let site = match exec {
+            Exec::Serial => Site::Inline,
             Exec::Pool(parallelism) => {
-                // The shard/merge structure (shared dictionaries, partial
-                // tables, replay merge) only pays off when the scatter
+                // The shard/merge structure only pays off when the scatter
                 // genuinely overlaps threads; a single adaptive range means
                 // this context would inline anyway (serial budget,
                 // single-core host, nested on a pool worker, or a scan too
@@ -176,285 +341,107 @@ impl View {
                 // strictly faster and bit-identical.
                 let ranges = parallelism.adaptive_ranges(relation.len());
                 if ranges.len() == 1 {
-                    return View::compute_serial(relation, predicate, group_by, measure);
+                    Site::Inline
+                } else {
+                    Site::Shards(ranges, *parallelism)
                 }
-                View::compute_ranges(relation, predicate, group_by, measure, &ranges, parallelism)
             }
-            Exec::Shards(shards) => {
-                // Exactly `shards` contiguous row shards, no size threshold —
-                // shard counts past the row or group count are valid, their
-                // partials are empty and merge as identities. The exactness
-                // property tests drive this arm.
-                let ranges = Parallelism::shard_ranges(relation.len(), (*shards).max(1));
-                let parallelism = Parallelism::new(*shards);
-                View::compute_ranges(
-                    relation,
-                    predicate,
-                    group_by,
-                    measure,
-                    &ranges,
-                    &parallelism,
-                )
-            }
-            Exec::Remote(remote) => {
-                View::compute_remote(relation, predicate, group_by, measure, remote)
-            }
-        }
-    }
-
-    /// The single serial scan over the compiled kernel (see the module
-    /// docs) — identical output to a row-at-a-time `Value` scan.
-    fn compute_serial(
-        relation: Arc<Relation>,
-        predicate: Predicate,
-        group_by: Vec<AttrId>,
-        measure: AttrId,
-    ) -> Result<View> {
-        let _span = StageTimer::start(Stage::Scan);
+            // Exactly `shards` contiguous row shards, no size threshold —
+            // shard counts past the row or group count are valid, their
+            // partials are empty and merge as identities. The exactness
+            // property tests drive this arm.
+            Exec::Shards(shards) => Site::Shards(
+                Parallelism::shard_ranges(relation.len(), (*shards).max(1)),
+                Parallelism::new(*shards),
+            ),
+            Exec::Remote(remote) => Site::Remote(remote),
+        };
+        // An inline scan is ONE Scan span, from predicate compilation through
+        // assembly; a scatter opens one per shard and ends in its Merge /
+        // RemoteMerge span, open through assembly likewise.
+        let _scan_span = matches!(site, Site::Inline).then(|| StageTimer::start(Stage::Scan));
+        // Compiled predicate, group-by code columns and measure table resolve
+        // ONCE, up front, wherever the scan runs: shard closures are
+        // infallible array reads, and the cached columns are the stable-code
+        // contract — a code means the same value in every shard and on every
+        // worker, so partial tables keyed by code tuples merge code-wise.
         let compiled = CompiledPredicate::compile(&predicate, &relation);
+        let key_cols: Vec<Arc<CodeColumn>> =
+            group_by.iter().map(|a| relation.code_column(*a)).collect();
         if compiled.is_unsatisfiable() {
             // A term's value is absent from its column: nothing can match.
-            // Short-circuit before resolving the measure or testing a row.
+            // Short-circuit before resolving the measure, testing a row or
+            // sending an RPC.
+            let none = Grouped::empty(key_cols.len());
             return Ok(View::assemble(
-                relation,
-                predicate,
-                group_by,
-                measure,
-                BTreeMap::new(),
+                relation, predicate, group_by, measure, key_cols, none,
             ));
         }
-        let measure_col = MeasureColumn::resolve(&relation, measure)?;
-        let key_cols: Vec<Arc<CodeColumn>> =
-            group_by.iter().map(|a| relation.code_column(*a)).collect();
-        let mut coded: BTreeMap<Vec<u32>, GroupData> = BTreeMap::new();
-        compiled.for_each_matching_range(0, relation.len(), |start, len| {
-            for row in start..start + len {
-                let key: Vec<u32> = key_cols.iter().map(|c| c.code(row)).collect();
-                let data = coded.entry(key).or_default();
-                data.agg.push(measure_col.value(row));
-                data.rows.push(row);
+        // A non-numeric measure fails with the same typed error in every
+        // context (for `Exec::Remote`, before any byte is shipped).
+        let scan = Scan {
+            compiled: &compiled,
+            key_cols: &key_cols,
+            measure: &MeasureColumn::resolve(&relation, measure)?,
+        };
+        let (groups, _merge_span) = match site {
+            Site::Inline => (scan.serial(relation.len()), None),
+            Site::Shards(ranges, parallelism) => scan.sharded(&ranges, &parallelism),
+            Site::Remote(remote) => {
+                let plan = ship::encode_view_plan(
+                    relation.ident(),
+                    relation.version(),
+                    &predicate,
+                    &group_by,
+                    measure,
+                );
+                scan.remote(&relation, plan, remote)?
             }
-        });
+        };
         Ok(View::assemble(
-            relation, predicate, group_by, measure, coded,
+            relation, predicate, group_by, measure, key_cols, groups,
         ))
     }
 
-    /// The distributed scan: ship-once partitions (idempotent per snapshot
-    /// epoch), one plan RPC per un-pruned worker, partials decoded off the
-    /// wire and replay-merged in worker order — bit-identical to the
-    /// in-process sharded scan over the same ranges, which is bit-identical
-    /// to serial.
-    fn compute_remote(
-        relation: Arc<Relation>,
-        predicate: Predicate,
-        group_by: Vec<AttrId>,
-        measure: AttrId,
-        remote: &Remote,
-    ) -> Result<View> {
-        let remote_err = |e: RemoteError| RelationalError::Remote(e.to_string());
-        let compiled = CompiledPredicate::compile(&predicate, &relation);
-        if compiled.is_unsatisfiable() {
-            // Nothing can match: short-circuit with zero RPCs.
-            return Ok(View::assemble(
-                relation,
-                predicate,
-                group_by,
-                measure,
-                BTreeMap::new(),
-            ));
-        }
-        // Resolve the measure coordinator-side first so a non-numeric
-        // column fails with the same typed error as every other context.
-        MeasureColumn::resolve(&relation, measure)?;
-        let ranges = remote
-            .transport()
-            .ensure_relation(&relation)
-            .map_err(remote_err)?;
-        // Zone-prune workers with the coordinator's zone maps before any
-        // RPC: a pruned worker's partial would have been empty.
-        let plan = ship::encode_view_plan(
-            relation.ident(),
-            relation.version(),
-            &predicate,
-            &group_by,
-            measure,
-        );
-        let mut pruned = 0u64;
-        let requests: Vec<Option<Vec<u8>>> = ranges
-            .iter()
-            .map(|&(start, len)| {
-                if len == 0 {
-                    None
-                } else if compiled.zone_may_match(start, len) {
-                    Some(plan.clone())
-                } else {
-                    pruned += 1;
-                    None
-                }
-            })
-            .collect();
-        if pruned > 0 {
-            add_counter(Counter::ShardsPruned, pruned);
-        }
-        // Streamed scatter, merged in fixed worker order — worker ranges
-        // are contiguous, ordered, and disjoint, so this is the same replay
-        // merge as the in-process sharded scan (provenance rows arrive
-        // pre-globalised). Each partial decodes and folds the moment it
-        // lands while later replies are still in flight; out-of-order
-        // arrivals buffer inside `scatter_fold_in_order`, so the fold order
-        // (and hence every group's value sequence) never changes. The
-        // overlap span covers the whole scatter+fold window.
-        let _merge_span = StageTimer::start(Stage::RemoteMerge);
-        let mut merged: BTreeMap<Vec<u32>, GroupData> = BTreeMap::new();
-        exec::scatter_fold_in_order(
-            remote.transport().as_ref(),
-            OP_VIEW_SCAN,
-            requests,
-            &mut |_, reply| {
-                let partial = ship::decode_view_partial(&reply, group_by.len())
-                    .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-                for (key, values, rows) in partial {
-                    let data = merged.entry(key).or_default();
-                    for value in values {
-                        data.agg.push(value);
-                    }
-                    data.rows.extend(rows);
-                }
-                Ok(())
-            },
-        )
-        .map_err(remote_err)?;
-        Ok(View::assemble(
-            relation, predicate, group_by, measure, merged,
-        ))
-    }
-
-    /// The sharded scan: cached code columns, zone-pruned scatter, compiled
-    /// per-shard kernels into code-keyed partial tables, fixed-shard-order
-    /// replay merge, one decode per group.
-    fn compute_ranges(
-        relation: Arc<Relation>,
-        predicate: Predicate,
-        group_by: Vec<AttrId>,
-        measure: AttrId,
-        ranges: &[(usize, usize)],
-        parallelism: &Parallelism,
-    ) -> Result<View> {
-        let compiled = CompiledPredicate::compile(&predicate, &relation);
-        if compiled.is_unsatisfiable() {
-            return Ok(View::assemble(
-                relation,
-                predicate,
-                group_by,
-                measure,
-                BTreeMap::new(),
-            ));
-        }
-        // Measure numeric-ness and group-by code columns resolve ONCE, up
-        // front — shard closures are infallible and do per-row array reads
-        // only. The cached columns are the stable-code contract: a code
-        // means the same value in every shard, so per-shard partial tables
-        // keyed by code tuples merge code-wise.
-        let measure_col = MeasureColumn::resolve(&relation, measure)?;
-        let key_cols: Vec<Arc<CodeColumn>> =
-            group_by.iter().map(|a| relation.code_column(*a)).collect();
-        // Zone pruning sizes the scatter: shards the zone maps prove
-        // predicate-free are dropped before dispatch. Exactness-safe — a
-        // pruned shard's partial table would have been empty, and empty
-        // partials merge as identities.
-        let mut live: Vec<(usize, usize)> = Vec::with_capacity(ranges.len());
-        let mut pruned = 0u64;
-        for &(start, len) in ranges {
-            if len == 0 {
-                continue;
-            }
-            if compiled.zone_may_match(start, len) {
-                live.push((start, len));
-            } else {
-                pruned += 1;
-            }
-        }
-        if pruned > 0 {
-            add_counter(Counter::ShardsPruned, pruned);
-        }
-        let partials: Vec<BTreeMap<Vec<u32>, ShardGroup>> =
-            parallelism.run_shards(&live, |start, len| {
-                // Per-shard scan span: the histogram's count equals the
-                // shard count, so a profile shows both the fan-out width
-                // and the per-shard balance.
-                let _span = StageTimer::start(Stage::Scan);
-                let mut groups: BTreeMap<Vec<u32>, ShardGroup> = BTreeMap::new();
-                compiled.for_each_matching_range(start, len, |s, l| {
-                    for row in s..s + l {
-                        let key: Vec<u32> = key_cols.iter().map(|c| c.code(row)).collect();
-                        let group = groups.entry(key).or_default();
-                        group.values.push(measure_col.value(row));
-                        group.rows.push(row);
-                    }
-                });
-                groups
-            });
-        // Merge in fixed shard order. Shards are contiguous and ordered, so
-        // per group this replays AggState::push over the measure values in
-        // exactly the serial row order — the FP sequence is identical, and
-        // provenance concatenates back to row order.
-        let _merge_span = StageTimer::start(Stage::Merge);
-        let mut merged: BTreeMap<Vec<u32>, GroupData> = BTreeMap::new();
-        for partial in partials {
-            for (key, shard_group) in partial {
-                let data = merged.entry(key).or_default();
-                for value in shard_group.values {
-                    data.agg.push(value);
-                }
-                data.rows.extend(shard_group.rows);
-            }
-        }
-        Ok(View::assemble(
-            relation, predicate, group_by, measure, merged,
-        ))
-    }
-
-    /// Decode a code-keyed group table into the view, once per group at the
-    /// boundary: groups are put in [`GroupKey`] order by comparing the
-    /// *value-ranks* of their codes (code order diverges from value order
-    /// once a post-ingest dictionary has appended values), every key is
-    /// decoded once, the code tuples are kept beside the keys, and the
-    /// total is folded once in key order.
+    /// Put a group table into the view, once per group at the boundary:
+    /// groups arrive in first-appearance order and are put in [`GroupKey`]
+    /// order by comparing the *value-ranks* of their codes (code order
+    /// diverges from value order once a post-ingest dictionary has appended
+    /// values), every key is decoded once, the code tuples are kept beside
+    /// the keys, and the total is folded once in key order.
     fn assemble(
         relation: Arc<Relation>,
         predicate: Predicate,
         group_by: Vec<AttrId>,
         measure: AttrId,
-        coded: BTreeMap<Vec<u32>, GroupData>,
+        key_cols: Vec<Arc<CodeColumn>>,
+        mut grouped: Grouped<GroupData>,
     ) -> View {
-        let key_cols: Vec<Arc<CodeColumn>> =
-            group_by.iter().map(|a| relation.code_column(*a)).collect();
         let ranks: Vec<Vec<u32>> = key_cols.iter().map(|c| c.dict().ranks()).collect();
-        fn rank_key<'a>(codes: &'a [u32], ranks: &'a [Vec<u32>]) -> impl Iterator<Item = u32> + 'a {
-            codes.iter().zip(ranks).map(|(c, rank)| rank[*c as usize])
-        }
-        let mut coded: Vec<(Vec<u32>, GroupData)> = coded.into_iter().collect();
-        // Already in order unless a dictionary was appended to out of value
-        // order, so the adaptive sort is one linear pass.
-        coded.sort_by(|(a, _), (b, _)| rank_key(a, &ranks).cmp(rank_key(b, &ranks)));
-        let mut codes = Vec::with_capacity(coded.len() * key_cols.len());
+        let rank_key = |slot: usize| {
+            let tuple = grouped.codes(slot).iter().zip(&ranks);
+            tuple.map(|(code, rank)| rank[*code as usize])
+        };
+        let mut order: Vec<usize> = (0..grouped.len()).collect();
+        // Keys are distinct, so the unstable sort has one possible outcome.
+        order.sort_unstable_by(|&a, &b| rank_key(a).cmp(rank_key(b)));
+        let mut codes = Vec::with_capacity(order.len() * key_cols.len());
         let mut total = AggState::empty();
-        let groups = coded
-            .into_iter()
-            .map(|(tuple, data)| {
-                let key = GroupKey(
-                    tuple
-                        .iter()
-                        .zip(&key_cols)
-                        .map(|(code, col)| col.dict().value(*code).clone())
-                        .collect(),
-                );
-                codes.extend_from_slice(&tuple);
-                total = total.merge(&data.agg);
-                (key, data)
-            })
-            .collect();
+        let mut groups = Vec::with_capacity(order.len());
+        for slot in order {
+            let tuple = grouped.codes(slot);
+            let key = GroupKey(
+                tuple
+                    .iter()
+                    .zip(&key_cols)
+                    .map(|(code, col)| col.dict().value(*code).clone())
+                    .collect(),
+            );
+            codes.extend_from_slice(tuple);
+            let data = grouped.take(slot);
+            total = total.merge(&data.agg);
+            groups.push((key, data));
+        }
         View {
             relation,
             predicate,

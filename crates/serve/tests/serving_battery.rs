@@ -175,10 +175,9 @@ fn pool_backed_serving_matches_serial_reference() {
     );
     assert!(ledger.conserved(), "{ledger:?}");
     assert_eq!(ledger.protocol_errors, 0);
-    assert!(
-        ledger.dedup_joined > 0,
-        "concurrent identical requests should have joined in flight at least once: {ledger:?}"
-    );
+    // No assertion on `dedup_joined`: whether four free-running clients ever
+    // collide on an in-flight key is a race. In-flight joining is asserted
+    // deterministically below, with `sleep:` faults holding the leader.
 }
 
 /// Satellite: serving under concurrent ingest with tight deadlines. Every

@@ -146,6 +146,44 @@ fn session_recommendation_after_ingest_matches_cold_engine() {
     assert!(after.original_value > before.original_value);
 }
 
+/// Regression: a non-numeric measure value that came and went. While a row
+/// carries it every scan fails typed; once the row is deleted the value
+/// only lingers in the patched measure dictionary, and the next scan used
+/// to panic looking for a row that no longer exists.
+#[test]
+fn vanished_non_numeric_measure_neither_panics_nor_lingers() {
+    let (rel, schema) = dataset();
+    let view = region_year_view(&rel, &schema);
+    let engine = Arc::new(Reptile::new(rel.clone(), schema.clone()));
+    let mut session = Session::new(engine.clone(), view);
+    let c = complaint("R0", 1986);
+    let before = session.recommend(&c).unwrap();
+
+    let stray = [
+        Value::str("R0"),
+        Value::str("R0-D1"),
+        Value::str("R0-D1-V2"),
+        Value::int(1986),
+        Value::str("n/a"),
+    ];
+    let err = session
+        .ingest(&IngestBatch::new().insert(stray.clone()))
+        .unwrap_err();
+    assert!(err.to_string().contains("severity"), "typed, got: {err}");
+
+    session.ingest(&IngestBatch::new().delete(stray)).unwrap();
+    let after = session.recommend(&c).unwrap();
+    // Same rows as before the detour, so the same answer — from the session
+    // and from a cold engine over the final snapshot alike.
+    assert_bit_identical(&before, &after, "session after the value vanished");
+    let relation = engine.relation();
+    let cold = Reptile::new(relation.clone(), schema.clone());
+    let expected = cold
+        .recommend(&region_year_view(&relation, &schema), &c)
+        .unwrap();
+    assert_bit_identical(&expected, &after, "cold engine over the final snapshot");
+}
+
 /// Versioned invalidation: an ingest touching only 1986 evicts the 1986
 /// signatures and leaves every 1985 model warm.
 /// Every field of every scored group and the drilled views, floats by bits.

@@ -845,6 +845,49 @@ fn sharded_recommendation_equals_serial_exactly() {
     }
 }
 
+/// The row-at-a-time oracle of every view scan: `Value`-compared predicate,
+/// per-row numeric measure, `Value`-keyed groups. `view` must hold exactly
+/// its groups, each with the bit pattern [`AggState::push`] reaches over the
+/// group's values in row order and with its provenance in row order.
+fn assert_view_equals_value_scan(view: &reptile_relational::View, label: &str) {
+    let rel = view.relation();
+    let mut expect: std::collections::BTreeMap<GroupKey, (Vec<f64>, Vec<usize>)> =
+        std::collections::BTreeMap::new();
+    for row in 0..rel.len() {
+        if !view.predicate().matches(rel, row) {
+            continue;
+        }
+        let key = GroupKey(
+            view.group_by()
+                .iter()
+                .map(|a| rel.value(row, *a).clone())
+                .collect(),
+        );
+        let value = rel.numeric(row, view.measure()).unwrap().unwrap_or(0.0);
+        let entry = expect.entry(key).or_default();
+        entry.0.push(value);
+        entry.1.push(row);
+    }
+    // Same keys in the same (value) order, not merely the same count.
+    assert_eq!(
+        view.keys(),
+        expect.keys().cloned().collect::<Vec<_>>(),
+        "{label}: group keys and their order"
+    );
+    for (key, (values, rows)) in &expect {
+        assert_eq!(
+            view.group(key).unwrap(),
+            &aggregate_values(values),
+            "{label}: aggregate at {key}"
+        );
+        assert_eq!(
+            view.provenance(key).unwrap(),
+            rows.as_slice(),
+            "{label}: provenance order at {key}"
+        );
+    }
+}
+
 /// The compiled scan kernel contract: `View::compute` (and every sharded
 /// shard count) over the code-native kernel — predicate compilation, run
 /// skipping, zone pruning — is *bit-identical* (`==`, not tolerance) to a
@@ -858,54 +901,7 @@ fn sharded_recommendation_equals_serial_exactly() {
 #[test]
 fn compiled_scan_equals_reference_value_scan_exactly() {
     use reptile_relational::{IngestBatch, Predicate, Relation, Schema, View};
-    use std::collections::BTreeMap;
     use std::sync::Arc;
-
-    /// Row-at-a-time reference: `Value`-compared predicate, per-row numeric
-    /// measure, `Value`-keyed groups — the semantics the kernel compiles.
-    fn reference(
-        rel: &Arc<Relation>,
-        predicate: &Predicate,
-        group_by: &[AttrId],
-        measure: AttrId,
-    ) -> BTreeMap<GroupKey, (Vec<f64>, Vec<usize>)> {
-        let mut groups: BTreeMap<GroupKey, (Vec<f64>, Vec<usize>)> = BTreeMap::new();
-        for row in 0..rel.len() {
-            if !predicate.matches(rel, row) {
-                continue;
-            }
-            let key = GroupKey(
-                group_by
-                    .iter()
-                    .map(|a| rel.value(row, *a).clone())
-                    .collect(),
-            );
-            let value = rel.numeric(row, measure).unwrap().unwrap_or(0.0);
-            let entry = groups.entry(key).or_default();
-            entry.0.push(value);
-            entry.1.push(row);
-        }
-        groups
-    }
-
-    fn assert_matches_reference(view: &View, rel: &Arc<Relation>, label: &str) {
-        let expect = reference(rel, view.predicate(), view.group_by(), view.measure());
-        assert_eq!(view.len(), expect.len(), "{label}: group count");
-        for (key, (values, rows)) in &expect {
-            // AggState equality is bit-level; the reference replays the
-            // serial push sequence.
-            assert_eq!(
-                view.group(key).unwrap(),
-                &aggregate_values(values),
-                "{label}: aggregate at {key}"
-            );
-            assert_eq!(
-                view.provenance(key).unwrap(),
-                rows.as_slice(),
-                "{label}: provenance order at {key}"
-            );
-        }
-    }
 
     let mut rng = Rng(311);
     let rows_tested_start = reptile_obs::counter_value(reptile_obs::Counter::RowsTested);
@@ -965,7 +961,7 @@ fn compiled_scan_equals_reference_value_scan_exactly() {
                     &reptile_relational::Exec::Serial,
                 )
                 .unwrap();
-                assert_matches_reference(&serial, &rel, &format!("case {case}"));
+                assert_view_equals_value_scan(&serial, &format!("case {case}"));
                 for n in [2usize, 5, rows + 3] {
                     let sharded = View::compute(
                         rel.clone(),
@@ -1004,7 +1000,7 @@ fn compiled_scan_equals_reference_value_scan_exactly() {
                 &reptile_relational::Exec::Serial,
             )
             .unwrap();
-            assert_matches_reference(&serial, &next, &format!("case {case} post-ingest"));
+            assert_view_equals_value_scan(&serial, &format!("case {case} post-ingest"));
             let sharded = View::compute(
                 next.clone(),
                 predicate,
@@ -1066,6 +1062,158 @@ fn compiled_scan_equals_reference_value_scan_exactly() {
         &reptile_relational::Exec::Serial
     )
     .is_err());
+}
+
+/// The group-by kernel contract, in every execution context: one kernel
+/// (`reptile_relational::scan`) sits behind the serial scan, every shard of
+/// `Exec::Shards(n)` and the worker's partial, and each must produce the
+/// oracle's view bit for bit — keys in value order, `AggState` bits,
+/// provenance order — whatever the row order does to the kernel's segments
+/// and slot table: hierarchy-ordered rows (long segments), shuffled rows
+/// (every row a key change), multi-term predicates (keys carried across
+/// gaps of rejected rows), zero group-by attributes, and post-ingest
+/// snapshots whose dictionaries were appended to out of value order (code
+/// order ≠ value order ≠ first-appearance order).
+#[test]
+fn group_kernel_equals_value_keyed_oracle_in_every_context() {
+    use reptile_relational::{IngestBatch, Predicate, Relation, Remote, Schema, View};
+    use reptile_wire::testing::LoopbackWorkers;
+    use std::sync::Arc;
+
+    let schema = Arc::new(
+        Schema::builder()
+            .hierarchy("site", ["lang", "access", "page"])
+            .hierarchy("time", ["week", "day"])
+            .measure("views")
+            .build()
+            .unwrap(),
+    );
+    let [lang, access, page, week, day, views] =
+        ["lang", "access", "page", "week", "day", "views"].map(|n| schema.attr(n).unwrap());
+    let mut rng = Rng(2020);
+    let mut checked = 0usize;
+    for case in 0..4 {
+        // Time-major like a feed, a tenth of the cells missing, measures a
+        // mix of floats, integers and nulls.
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for w in 0..3i64 {
+            for d in 0..2i64 {
+                for l in 0..3 {
+                    for a in 0..2 {
+                        for p in 0..4 {
+                            if rng.range_usize(0, 10) == 0 {
+                                continue;
+                            }
+                            rows.push(vec![
+                                Value::str(format!("L{l}")),
+                                Value::str(format!("L{l}-A{a}")),
+                                Value::str(format!("L{l}-A{a}-P{p}")),
+                                Value::int(10 + w),
+                                Value::int(d),
+                                match rng.range_usize(0, 12) {
+                                    0 => Value::Null,
+                                    1 => Value::int(rng.range_usize(0, 500) as i64),
+                                    _ => Value::float(rng.range_f64(-1000.0, 1000.0)),
+                                },
+                            ]);
+                        }
+                    }
+                }
+            }
+        }
+        if case % 2 == 1 {
+            // Fisher-Yates: no two neighbours share a key any more.
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, rng.range_usize(0, i + 1));
+            }
+        }
+        let mut b = Relation::builder(schema.clone());
+        for row in &rows {
+            b = b.row(row.clone()).unwrap();
+        }
+        let mut rel = Arc::new(b.build());
+        if case >= 2 {
+            // Warm every column so `apply` patches the dictionaries: "K0"
+            // and week 5 sort before everything present but are coded last.
+            for attr in 0..schema.arity() {
+                let _ = rel.code_column(AttrId(attr));
+            }
+            let mut batch = IngestBatch::new();
+            for p in 0..3 {
+                batch = batch.insert([
+                    Value::str("K0"),
+                    Value::str("K0-A0"),
+                    Value::str(format!("K0-A0-P{p}")),
+                    Value::int(5 + p % 2),
+                    Value::int(1),
+                    Value::float(rng.range_f64(0.0, 50.0)),
+                ]);
+            }
+            for _ in 0..5 {
+                let victim = rows.swap_remove(rng.range_usize(0, rows.len()));
+                batch = batch.delete(victim);
+            }
+            rel = Arc::new(rel.apply(&batch).unwrap());
+            let dict = rel.code_column(lang);
+            let appended = dict.dict().code_of(&Value::str("K0")).unwrap();
+            assert_eq!(
+                appended as usize,
+                dict.dict().len() - 1,
+                "case {case}: the patched dictionary is out of value order"
+            );
+        }
+        let predicates = [
+            Predicate::all(),
+            Predicate::eq(lang, Value::str("L1")),
+            Predicate::eq(lang, Value::str("L1")).and_eq(week, Value::int(11)),
+            Predicate::eq(access, Value::str("L2-A0"))
+                .and_eq(day, Value::int(1))
+                .and_eq(lang, Value::str("L2")),
+            Predicate::eq(lang, Value::str("K0")),
+        ];
+        let group_bys = [
+            vec![lang, week],
+            vec![lang, week, access],
+            vec![page],
+            vec![week, day, lang, access, page],
+            vec![],
+        ];
+        let fleets: Vec<Exec> = (1..=3)
+            .map(|n| Exec::Remote(Remote::new(Arc::new(LoopbackWorkers::undelayed(n)))))
+            .collect();
+        for predicate in &predicates {
+            for group_by in &group_bys {
+                let compute = |exec: &Exec| {
+                    View::compute(
+                        rel.clone(),
+                        predicate.clone(),
+                        group_by.clone(),
+                        views,
+                        exec,
+                    )
+                    .unwrap()
+                };
+                let label = format!("case {case}: {predicate:?} by {group_by:?}");
+                let serial = compute(&Exec::Serial);
+                assert_view_equals_value_scan(&serial, &label);
+                for shards in 1..=7 {
+                    assert_eq!(
+                        serial,
+                        compute(&Exec::Shards(shards)),
+                        "{label}: {shards} shards"
+                    );
+                }
+                for (n, fleet) in fleets.iter().enumerate() {
+                    assert_eq!(serial, compute(fleet), "{label}: {} workers", n + 1);
+                }
+                checked += serial.len();
+            }
+        }
+    }
+    assert!(
+        checked > 1000,
+        "the cases must not be vacuous: {checked} groups"
+    );
 }
 
 /// Observability has no observable effect on results: with the stage timers
