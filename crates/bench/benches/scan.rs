@@ -26,15 +26,16 @@
 //!   without touching a row, while the baseline pays a full relation scan.
 //!
 //! Before timing anything the harness asserts the kernel exactness
-//! contract on every shape: compiled groups, aggregates and provenance
-//! `==` the reference scan's (bit-identical, not tolerance), serial and
-//! sharded alike.
+//! contract on every shape: compiled groups and aggregates `==` the
+//! reference scan's (bit-identical, not tolerance), serial and sharded
+//! alike.
 //!
 //! Full mode writes `BENCH_scan.json` (cases, compiled-over-baseline
 //! speedups, `threads_available`). `--smoke` runs a scaled-down version as
 //! the CI gate: the compiled restricted drill-down must not lose to the
-//! row-at-a-time scan (10% noise margin on a single-core runner), and the
-//! compiled shallow full scan must run at least 3x faster than it.
+//! row-at-a-time scan (10% noise margin on a single-core runner), the
+//! compiled shallow full scan must run at least 3x faster than it, and the
+//! compiled full-depth scan at least 2x.
 
 use std::collections::BTreeMap;
 
@@ -63,8 +64,8 @@ fn row_at_a_time(
     predicate: &Predicate,
     group_by: &[AttrId],
     measure: AttrId,
-) -> BTreeMap<Vec<Value>, (AggState, Vec<usize>)> {
-    let mut groups: BTreeMap<Vec<Value>, (AggState, Vec<usize>)> = BTreeMap::new();
+) -> BTreeMap<Vec<Value>, AggState> {
+    let mut groups: BTreeMap<Vec<Value>, AggState> = BTreeMap::new();
     for row in 0..relation.len() {
         if !predicate.matches(relation, row) {
             continue;
@@ -77,18 +78,14 @@ fn row_at_a_time(
             .numeric(row, measure)
             .expect("numeric measure")
             .unwrap_or(0.0);
-        let entry = groups
-            .entry(key)
-            .or_insert_with(|| (AggState::empty(), Vec::new()));
-        entry.0.push(value);
-        entry.1.push(row);
+        groups.entry(key).or_default().push(value);
     }
     groups
 }
 
 /// Assert the compiled kernel's exactness on one shape: serial compiled
-/// output `==` the reference scan (groups, bit-level aggregates, provenance
-/// row order), and every sharded compute `==` the serial one.
+/// output `==` the reference scan (groups, bit-level aggregates), and every
+/// sharded compute `==` the serial one.
 fn assert_exactness(
     label: &str,
     relation: &Arc<Relation>,
@@ -106,17 +103,12 @@ fn assert_exactness(
     .expect("compiled view");
     let reference = row_at_a_time(relation, predicate, group_by, measure);
     assert_eq!(compiled.len(), reference.len(), "{label}: group count");
-    for (values, (agg, rows)) in &reference {
+    for (values, agg) in &reference {
         let key = reptile_relational::GroupKey(values.clone());
         assert_eq!(
             compiled.group(&key).expect("group present"),
             agg,
             "{label}: aggregate deviated at {key}"
-        );
-        assert_eq!(
-            compiled.provenance(&key).expect("group present"),
-            rows.as_slice(),
-            "{label}: provenance order deviated at {key}"
         );
     }
     for shards in [2usize, 7, 64] {
@@ -212,16 +204,23 @@ fn main() {
     }
 
     if smoke {
-        // Two gates, both serial against serial, so they hold on any core
+        // Three gates, all serial against serial, so they hold on any core
         // count. The restricted drill-down — where run skipping and short
         // predicate terms must pay for the compilation — must not lose (a
         // single-core runner gets a small noise margin). The shallow full
         // scan — where the group-by kernel folds whole segments instead of
-        // updating a table per row — must win by 3x.
+        // updating a table per row — must win by 3x. The full-depth scan —
+        // every row a key change, one output group per few rows, so view
+        // assembly is as much of it as the kernel — must win by 2x: work
+        // per group creeping back in (a decoded key, a row list, a
+        // comparator sort) shows here first. With all three the smoke ratio
+        // read 2.3x, without them 3.1–10.7x over repeated runs on a shared
+        // host: the gate sits under what that noise can reach.
         let drill_gate = if threads_available >= 2 { 1.0 } else { 0.9 };
         for (shape, gate) in [
             ("restricted_drilldown", drill_gate),
             ("shallow_full_scan", 3.0),
+            ("full_scan", 2.0),
         ] {
             let ratio = speedups
                 .iter()

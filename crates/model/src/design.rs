@@ -468,8 +468,9 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
         // hierarchy fastest). The fill-mean sum folds the observed values in
         // group order.
         let values: Vec<f64> = view
-            .groups()
-            .map(|(_, agg)| agg.value(self.statistic))
+            .aggregates()
+            .iter()
+            .map(|agg| agg.value(self.statistic))
             .collect();
         let mut y = vec![f64::NAN; n];
         let mut observed = vec![false; n];
@@ -766,7 +767,7 @@ mod tests {
             .empty_groups(EmptyGroupPolicy::GlobalMean)
             .build()
             .unwrap();
-        let mean: f64 = view.groups().map(|(_, a)| a.mean()).sum::<f64>() / view.len() as f64;
+        let mean: f64 = view.aggregates().iter().map(|a| a.mean()).sum::<f64>() / view.len() as f64;
         for (i, o) in design.observed().iter().enumerate() {
             if !o {
                 assert!((design.y()[i] - mean).abs() < 1e-9);

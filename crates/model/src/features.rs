@@ -184,7 +184,11 @@ mod tests {
         let by_value = |gb: usize, statistic: AggregateKind| -> BTreeMap<Value, f64> {
             let dict = view.key_columns()[gb].dict();
             let codes = view.group_codes().iter().skip(gb).step_by(3).copied();
-            let values: Vec<f64> = view.groups().map(|(_, a)| a.value(statistic)).collect();
+            let values: Vec<f64> = view
+                .aggregates()
+                .iter()
+                .map(|a| a.value(statistic))
+                .collect();
             main_effects(codes, dict.len(), &values)
                 .into_iter()
                 .enumerate()

@@ -211,10 +211,13 @@ pub enum Counter {
     /// E-step partials (per-cluster posterior moments) computed worker-side
     /// instead of on the coordinator.
     RemoteEStepPartials,
+    /// Bytes of reply frames read back from remote workers (acks, view
+    /// partials, gram / E-step partials — reply side of the wire).
+    RemoteBytesReceived,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 24;
+pub const COUNTER_COUNT: usize = 25;
 
 impl Counter {
     /// All counters, in registry order.
@@ -243,6 +246,7 @@ impl Counter {
         Counter::RemoteOverlappedMerges,
         Counter::RemoteGramPartials,
         Counter::RemoteEStepPartials,
+        Counter::RemoteBytesReceived,
     ];
 
     /// Stable snake_case name used as the JSON key.
@@ -272,6 +276,7 @@ impl Counter {
             Counter::RemoteOverlappedMerges => "remote_overlapped_merges",
             Counter::RemoteGramPartials => "remote_gram_partials",
             Counter::RemoteEStepPartials => "remote_e_step_partials",
+            Counter::RemoteBytesReceived => "remote_bytes_received",
         }
     }
 
@@ -301,6 +306,7 @@ impl Counter {
             Counter::RemoteOverlappedMerges => 21,
             Counter::RemoteGramPartials => 22,
             Counter::RemoteEStepPartials => 23,
+            Counter::RemoteBytesReceived => 24,
         }
     }
 }

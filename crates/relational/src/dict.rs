@@ -41,7 +41,9 @@ impl ValueDict {
     /// sorted and de-duplicated; the resulting code of a value is its rank in
     /// the distinct sorted domain.
     pub fn from_values(mut values: Vec<Value>) -> Self {
-        values.sort();
+        // Equal values are indistinguishable and collapse in `dedup`, so the
+        // unstable sort gives the same dictionary.
+        values.sort_unstable();
         values.dedup();
         let by_value = (0..values.len() as u32).collect();
         ValueDict { values, by_value }

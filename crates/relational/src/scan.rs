@@ -45,22 +45,21 @@
 //!   the matching ranges as *segments* — maximal stretches of consecutive
 //!   matching rows with one code in every key column — and hands each to the
 //!   caller's `fold(group, first_row, n_rows)`, which pushes measures in a
-//!   tight loop and extends provenance by range. A row that continues a
-//!   segment costs one `u32` comparison per key column: no allocation, no
-//!   table access. A key change costs one lookup of the code tuple, packed
-//!   mixed-radix into a `u64` (radices = the key columns' dictionary
-//!   sizes); when the product of the radices overflows `u64` — a property
-//!   of the input, not a setting — the one table indexes by the tuple
-//!   itself instead (`SlotIndex`). The packed key is measured, not assumed:
-//!   where every other row changes key, a tuple-keyed index costs 2–3× the
-//!   scan. The hash index is transient: a scan returns plain vectors and
-//!   drops it.
+//!   tight loop. A row that continues a segment costs one `u32` comparison
+//!   per key column: no allocation, no table access. A key change costs one
+//!   lookup of the code tuple, packed mixed-radix into a `u64` (radices =
+//!   the key columns' dictionary sizes); when the product of the radices
+//!   overflows `u64` — a property of the input, not a setting — the one
+//!   table indexes by the tuple itself instead (`SlotIndex`). The packed key
+//!   is measured, not assumed: where every other row changes key, a
+//!   tuple-keyed index costs 2–3× the scan. The hash index is transient: a
+//!   scan returns plain vectors and drops it.
 //! * **Where order is fixed, and why bits hold** — per group, measure values
 //!   are folded in ascending row order, exactly as a row-at-a-time scan
 //!   would: segments are visited in row order, the serial fold pushes
 //!   straight into the group's `AggState`, and shards / workers keep
-//!   per-group value and row lists that the merge replays in fixed shard /
-//!   worker order (contiguous ordered ranges, so the concatenation *is* row
+//!   per-group value lists that the merge replays in fixed shard / worker
+//!   order (contiguous ordered ranges, so the concatenation *is* row
 //!   order). Hash order reaches no output: groups leave the kernel in
 //!   first-appearance order — a function of the rows alone — are addressed
 //!   by slot, and are only ever emitted after a sort: by the value-ranks of
@@ -491,12 +490,9 @@ impl<G> Grouped<G> {
         &self.groups[slot]
     }
 
-    /// Move the group in `slot` out, leaving an empty one.
-    pub(crate) fn take(&mut self, slot: usize) -> G
-    where
-        G: Default,
-    {
-        std::mem::take(&mut self.groups[slot])
+    /// The slot-major code tuples and the groups, by value.
+    pub(crate) fn into_parts(self) -> (Vec<u32>, Vec<G>) {
+        (self.codes, self.groups)
     }
 
     /// Visit every group by value with its code tuple, in slot order.
@@ -525,19 +521,35 @@ enum SlotIndex {
     Tuple(HashMap<Vec<u32>, usize>),
 }
 
+/// The mixed-radix base that packs a tuple of digits below `sizes` into one
+/// `u64` — Horner, first column most significant, so packed order is tuple
+/// order — or `None` when the product of the sizes overflows `u64`. Both
+/// users (the slot index over codes, view assembly over value-ranks) fall
+/// back to the tuple itself then.
+pub(crate) fn packing_radices(sizes: impl IntoIterator<Item = usize>) -> Option<Vec<u64>> {
+    let mut domain = 1u64;
+    sizes
+        .into_iter()
+        .map(|size| {
+            let radix = size as u64;
+            domain = domain.checked_mul(radix.max(1))?;
+            Some(radix)
+        })
+        .collect()
+}
+
+/// `digits` (each below its radix) packed by [`packing_radices`]' rule.
+#[inline]
+pub(crate) fn pack(digits: impl Iterator<Item = u32>, radices: &[u64]) -> u64 {
+    digits
+        .zip(radices)
+        .fold(0, |acc, (digit, &radix)| acc * radix + u64::from(digit))
+}
+
 impl SlotIndex {
     /// The index for key columns with these dictionary sizes.
     fn for_domain(sizes: impl IntoIterator<Item = usize>) -> Self {
-        let mut domain = 1u64;
-        let radices: Option<Vec<u64>> = sizes
-            .into_iter()
-            .map(|size| {
-                let radix = size as u64;
-                domain = domain.checked_mul(radix.max(1))?;
-                Some(radix)
-            })
-            .collect();
-        match radices {
+        match packing_radices(sizes) {
             Some(radices) => SlotIndex::Packed {
                 radices,
                 slots: HashMap::new(),
@@ -550,13 +562,9 @@ impl SlotIndex {
     /// `next` — now recorded — on first appearance.
     fn slot_or(&mut self, codes: &[u32], next: usize) -> usize {
         match self {
-            SlotIndex::Packed { radices, slots } => {
-                let packed = codes
-                    .iter()
-                    .zip(radices.iter())
-                    .fold(0, |acc, (&code, &radix)| acc * radix + u64::from(code));
-                *slots.entry(packed).or_insert(next)
-            }
+            SlotIndex::Packed { radices, slots } => *slots
+                .entry(pack(codes.iter().copied(), radices))
+                .or_insert(next),
             SlotIndex::Tuple(slots) => match slots.get(codes) {
                 Some(&slot) => slot,
                 None => {
@@ -670,35 +678,21 @@ pub(crate) fn group_matching_rows<G: Default>(
     table.finish()
 }
 
-/// What a shard or a worker keeps per group: the measure values and row
-/// indices of its matching rows, in row order, so the merge can *replay* the
-/// serial accumulation exactly.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct RowLists {
-    pub(crate) values: Vec<f64>,
-    pub(crate) rows: Vec<usize>,
-}
-
-/// One shard's (or worker's) partial group table over `[start, start + len)`,
-/// provenance rows shifted by `row_offset` (a worker's partition offset).
+/// One shard's (or worker's) partial group table over `[start, start + len)`:
+/// per group, the measure values of its matching rows in row order, so the
+/// merge can *replay* the serial accumulation exactly.
 pub(crate) fn scan_partial(
     compiled: &CompiledPredicate,
     key_cols: &[Arc<CodeColumn>],
     measure: &MeasureColumn,
     (start, len): (usize, usize),
-    row_offset: usize,
-) -> Grouped<RowLists> {
+) -> Grouped<Vec<f64>> {
     group_matching_rows(
         compiled,
         key_cols,
         start,
         len,
-        |group: &mut RowLists, first, n| {
-            group.values.extend(measure.values(first, n));
-            group
-                .rows
-                .extend(first + row_offset..first + n + row_offset);
-        },
+        |values: &mut Vec<f64>, first, n| values.extend(measure.values(first, n)),
     )
 }
 
@@ -1098,20 +1092,19 @@ mod tests {
             let key_cols: Vec<Arc<CodeColumn>> =
                 group_by.iter().map(|a| r.code_column(*a)).collect();
             let measure = MeasureColumn::resolve(&r, AttrId(3)).unwrap();
-            let mut packed = GroupTable::<RowLists>::new(&key_cols);
+            let mut packed = GroupTable::<Vec<f64>>::new(&key_cols);
             assert!(matches!(packed.index, SlotIndex::Packed { .. }));
-            let mut tuple = GroupTable::<RowLists>::new(&key_cols);
+            let mut tuple = GroupTable::<Vec<f64>>::new(&key_cols);
             tuple.index = SlotIndex::Tuple(HashMap::new());
             for table in [&mut packed, &mut tuple] {
-                table.scan(&compiled, &key_cols, start, len, |group, first, n| {
-                    group.values.extend(measure.values(first, n));
-                    group.rows.extend(first..first + n);
+                table.scan(&compiled, &key_cols, start, len, |values, first, n| {
+                    values.extend(measure.values(first, n));
                 });
             }
             assert_eq!(packed.grouped, tuple.grouped, "{p:?} by {group_by:?}");
             assert_eq!(
                 packed.grouped,
-                scan_partial(&compiled, &key_cols, &measure, (start, len), 0)
+                scan_partial(&compiled, &key_cols, &measure, (start, len))
             );
         }
     }

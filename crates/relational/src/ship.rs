@@ -16,15 +16,16 @@
 //!   with a typed error instead of a wrong-but-plausible partial.
 //! * **View partials** ([`answer_view_scan`]/[`decode_view_partial`]): the
 //!   code-tuple keyed group table a worker scanned out of its partition —
-//!   per group, the measure values and provenance rows *in row order* (rows
-//!   globalised by the partition's offset), so the coordinator can replay
-//!   the serial accumulation bit-exactly in worker order.
+//!   per group, the measure values *in row order*, so the coordinator can
+//!   replay the serial accumulation bit-exactly in worker order. A reply is
+//!   `8 + Σ_groups (4·arity + 4 + 8·n_values)` bytes: it carries no row
+//!   indices (provenance is a scan the coordinator runs on demand).
 
 use crate::codec::{put_str, put_u32, put_u64, put_value, CodecError, Reader};
 use crate::dict::ValueDict;
 use crate::predicate::Predicate;
 use crate::relation::Relation;
-use crate::scan::{scan_partial, CodeColumn, CompiledPredicate, Grouped, MeasureColumn, RowLists};
+use crate::scan::{scan_partial, CodeColumn, CompiledPredicate, Grouped, MeasureColumn};
 use crate::schema::{AttrId, Schema};
 use std::sync::Arc;
 
@@ -217,9 +218,9 @@ pub fn decode_view_plan(bytes: &[u8]) -> Result<ViewPlan, CodecError> {
     })
 }
 
-/// One group of a decoded view partial: the code tuple, the group's measure
-/// values in row order, and its (already global) provenance rows.
-pub type PartialGroup = (Vec<u32>, Vec<f64>, Vec<usize>);
+/// One group of a decoded view partial: the code tuple and the group's
+/// measure values in row order.
+pub type PartialGroup = (Vec<u32>, Vec<f64>);
 
 /// Worker side of [`OP_VIEW_SCAN`](crate::exec::OP_VIEW_SCAN): run `plan`
 /// against the local partition and encode the code-keyed partial table.
@@ -257,13 +258,7 @@ pub fn answer_view_scan(partition: &ShippedPartition, plan: &[u8]) -> Result<Vec
     } else {
         let measure_col = MeasureColumn::resolve(relation, plan.measure)
             .map_err(|e| CodecError::Invalid(e.to_string()))?;
-        scan_partial(
-            &compiled,
-            &key_cols,
-            &measure_col,
-            (0, relation.len()),
-            partition.row_offset,
-        )
+        scan_partial(&compiled, &key_cols, &measure_col, (0, relation.len()))
     };
     // The kernel's first-appearance order depends on where the partition
     // was cut; the reply is emitted in code order, which does not.
@@ -276,13 +271,10 @@ pub fn answer_view_scan(partition: &ShippedPartition, plan: &[u8]) -> Result<Vec
         for &code in groups.codes(slot) {
             put_u32(&mut buf, code);
         }
-        let RowLists { values, rows } = groups.group(slot);
+        let values = groups.group(slot);
         put_u32(&mut buf, values.len() as u32);
         for v in values {
             crate::codec::put_f64(&mut buf, *v);
-        }
-        for &row in rows {
-            put_u64(&mut buf, row as u64);
         }
     }
     Ok(buf)
@@ -302,8 +294,8 @@ pub fn decode_view_partial(
             "partial key arity {key_len} != plan arity {expect_key_len}"
         )));
     }
-    // Each group carries at least its key codes plus two counts' worth of
-    // payload; 4 bytes per key code is the tight floor.
+    // Each group carries its key codes (4 bytes each) and its value count
+    // (4 bytes): the tight floor of a group with no values.
     let group_count = r.count(key_len * 4 + 4)?;
     let mut out = Vec::with_capacity(group_count);
     for _ in 0..group_count {
@@ -311,16 +303,12 @@ pub fn decode_view_partial(
         for _ in 0..key_len {
             key.push(r.u32()?);
         }
-        let n = r.count(16)?; // 8 bytes of value + 8 bytes of row each
+        let n = r.count(8)?; // one f64 each
         let mut values = Vec::with_capacity(n);
         for _ in 0..n {
             values.push(r.f64()?);
         }
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            rows.push(r.u64()? as usize);
-        }
-        out.push((key, values, rows));
+        out.push((key, values));
     }
     r.finish()?;
     Ok(out)
@@ -416,22 +404,19 @@ mod tests {
         let part = decode_partition(&encode_partition(&rel, 1, 3)).unwrap();
         let partial_bytes = answer_view_scan(&part, &plan).unwrap();
         let partial = decode_view_partial(&partial_bytes, 1).unwrap();
-        // Rows 1..4: Ofla(8.2), Ofla(2.0), Raya(9.0) — rows globalised.
+        // Rows 1..4: Ofla(8.2), Ofla(2.0), Raya(9.0).
         let district = rel.code_column(gb[0]);
         let ofla = district.dict().code_of(&Value::str("Ofla")).unwrap();
         let raya = district.dict().code_of(&Value::str("Raya")).unwrap();
         assert_eq!(
             partial,
-            vec![
-                (vec![ofla], vec![8.2, 2.0], vec![1, 2]),
-                (vec![raya], vec![9.0], vec![3]),
-            ]
+            vec![(vec![ofla], vec![8.2, 2.0]), (vec![raya], vec![9.0])]
         );
     }
 
-    /// The worker's group-by loop before the shared kernel, kept as the
-    /// byte oracle: one `BTreeMap<Vec<u32>, _>` update per matching row,
-    /// emitted in map (code) order.
+    /// The byte oracle of a worker's reply: a row-at-a-time group-by (one
+    /// `BTreeMap<Vec<u32>, _>` update per matching row), emitted in map
+    /// (code) order in the reply layout — codes, value count, values.
     fn row_at_a_time_reply(partition: &ShippedPartition, plan: &ViewPlan) -> Vec<u8> {
         use std::collections::BTreeMap;
         let relation = &partition.relation;
@@ -440,30 +425,25 @@ mod tests {
             .iter()
             .map(|a| relation.code_column(*a))
             .collect();
-        let mut groups: BTreeMap<Vec<u32>, (Vec<f64>, Vec<usize>)> = BTreeMap::new();
+        let mut groups: BTreeMap<Vec<u32>, Vec<f64>> = BTreeMap::new();
         for row in 0..relation.len() {
             if !plan.predicate.matches(relation, row) {
                 continue;
             }
             let key: Vec<u32> = key_cols.iter().map(|c| c.code(row)).collect();
-            let group = groups.entry(key).or_default();
             let value = relation.numeric(row, plan.measure).unwrap();
-            group.0.push(value.unwrap_or(0.0));
-            group.1.push(row + partition.row_offset);
+            groups.entry(key).or_default().push(value.unwrap_or(0.0));
         }
         let mut buf = Vec::new();
         put_u32(&mut buf, plan.group_by.len() as u32);
         put_u32(&mut buf, groups.len() as u32);
-        for (key, (values, rows)) in groups {
+        for (key, values) in groups {
             for code in key {
                 put_u32(&mut buf, code);
             }
             put_u32(&mut buf, values.len() as u32);
             for v in values {
                 crate::codec::put_f64(&mut buf, v);
-            }
-            for row in rows {
-                put_u64(&mut buf, row as u64);
             }
         }
         buf

@@ -22,14 +22,22 @@
 //! row that repeats its predecessor's key — the common case on
 //! hierarchy-ordered data — costs a code comparison per key column, and
 //! only a key change looks the packed code tuple up in a transient slot
-//! table. Groups are decoded back to [`Value`]s once per *group* at the
-//! boundary, never per row, put in key order by the value-ranks of their
-//! codes, and their code tuples are kept beside the decoded keys
-//! ([`View::group_codes`]) so the training-design build works on integers.
-//! The measure column's numeric-ness is resolved up front
+//! table. The measure column's numeric-ness is resolved up front
 //! ([`MeasureColumn`], cached per code column) — a non-numeric, non-null
 //! measure on any row errors immediately instead of per-row `Result`
 //! plumbing.
+//!
+//! # O(groups) flat state
+//!
+//! A view holds nothing per group on the heap: the groups' code tuples
+//! (row-major, [`View::group_codes`]) and a parallel array of [`AggState`]s
+//! ([`View::aggregates`]), put in key order by one packed value-rank per
+//! group. That is all the recommend path reads — the training-design build
+//! works on the integers. [`GroupKey`]s are decoded through the dictionaries
+//! on the first call of [`View::groups`] / [`View::keys`] and kept; a lookup
+//! by key ([`View::group`]) compares through the dictionaries and never
+//! decodes. Provenance is not stored at all: [`View::provenance`] runs the
+//! restricted scan of [`View::provenance_predicate`] when asked.
 //!
 //! # One surface, every execution site
 //!
@@ -50,10 +58,8 @@
 //! holds for arbitrary shard counts (the workspace property tests assert
 //! `==`, including across process boundaries), and pruning is
 //! exactness-safe because a pruned shard's partial would have been empty.
-//! Provenance vectors concatenate in shard order, reproducing the serial
-//! row order too. Remote partials arrive as bytes (see [`crate::ship`])
-//! with provenance rows already globalised, and merge by the same replay
-//! rule under the [`Stage::RemoteMerge`] span.
+//! Remote partials arrive as bytes (see [`crate::ship`]) and merge by the
+//! same replay rule under the [`Stage::RemoteMerge`] span.
 
 use crate::aggregate::{AggState, AggregateKind};
 use crate::error::RelationalError;
@@ -62,16 +68,17 @@ use crate::parallel::Parallelism;
 use crate::predicate::Predicate;
 use crate::relation::Relation;
 use crate::scan::{
-    group_matching_rows, scan_partial, CodeColumn, CompiledPredicate, GroupTable, Grouped,
-    MeasureColumn,
+    group_matching_rows, pack, packing_radices, scan_partial, CodeColumn, CompiledPredicate,
+    GroupTable, Grouped, MeasureColumn,
 };
 use crate::schema::{AttrId, Hierarchy};
 use crate::ship;
 use crate::value::Value;
 use crate::Result;
 use reptile_obs::{add_counter, Counter, Stage, StageTimer};
+use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The group-by key of one output tuple, ordered like the view's group-by
 /// attribute list.
@@ -106,23 +113,12 @@ pub struct DrillDownResult {
     pub added_attribute: AttrId,
 }
 
-/// Per-group state of a view: the distributive aggregate plus the input
-/// rows that produced it.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct GroupData {
-    agg: AggState,
-    rows: Vec<usize>,
-}
-
-impl GroupData {
-    /// Fold a shard's (or worker's) share of this group: [`AggState::push`]
-    /// over its values in row order, provenance appended. Called in fixed
-    /// shard / worker order, this *is* the serial accumulation.
-    fn replay(&mut self, values: &[f64], rows: &[usize]) {
-        for &value in values {
-            self.agg.push(value);
-        }
-        self.rows.extend_from_slice(rows);
+/// Fold a shard's (or worker's) share of a group: [`AggState::push`] over its
+/// values in row order. Called in fixed shard / worker order, this *is* the
+/// serial accumulation.
+fn replay(agg: &mut AggState, values: &[f64]) {
+    for &value in values {
+        agg.push(value);
     }
 }
 
@@ -133,12 +129,15 @@ pub struct View {
     predicate: Predicate,
     group_by: Vec<AttrId>,
     measure: AttrId,
-    /// The groups, sorted by key.
-    groups: Vec<(GroupKey, GroupData)>,
     /// The cached code column (dictionary) of each group-by attribute.
     key_cols: Vec<Arc<CodeColumn>>,
-    /// Every group's code tuple, row-major in `groups` order.
+    /// Every group's code tuple, row-major, groups in key order.
     codes: Vec<u32>,
+    /// Every group's aggregate, parallel to `codes`.
+    aggs: Vec<AggState>,
+    /// Every group's decoded key, parallel to `codes`; filled by the first
+    /// [`View::groups`] / [`View::keys`].
+    keys: OnceLock<Vec<GroupKey>>,
     /// All groups merged in key order.
     total: AggState,
 }
@@ -164,28 +163,27 @@ struct Scan<'a> {
 impl Scan<'_> {
     /// The single serial scan: the kernel folds every segment straight into
     /// the group's [`AggState`], in row order.
-    fn serial(&self, rows: usize) -> Grouped<GroupData> {
+    fn serial(&self, rows: usize) -> Grouped<AggState> {
         group_matching_rows(
             self.compiled,
             self.key_cols,
             0,
             rows,
-            |data: &mut GroupData, first, n| {
+            |agg: &mut AggState, first, n| {
                 for value in self.measure.values(first, n) {
-                    data.agg.push(value);
+                    agg.push(value);
                 }
-                data.rows.extend(first..first + n);
             },
         )
     }
 
     /// The sharded scan: zone-pruned scatter, the kernel per shard into
-    /// per-group value/row lists, fixed-shard-order replay merge.
+    /// per-group value lists, fixed-shard-order replay merge.
     fn sharded(
         &self,
         ranges: &[(usize, usize)],
         parallelism: &Parallelism,
-    ) -> (Grouped<GroupData>, Option<StageTimer>) {
+    ) -> (Grouped<AggState>, Option<StageTimer>) {
         // Zone pruning sizes the scatter: shards the zone maps prove
         // predicate-free are dropped before dispatch. Exactness-safe — a
         // pruned shard's partial table would have been empty, and empty
@@ -210,16 +208,15 @@ impl Scan<'_> {
             // count, so a profile shows both the fan-out width and the
             // per-shard balance.
             let _span = StageTimer::start(Stage::Scan);
-            scan_partial(self.compiled, self.key_cols, self.measure, (start, len), 0)
+            scan_partial(self.compiled, self.key_cols, self.measure, (start, len))
         });
         // Merge in fixed shard order. Shards are contiguous and ordered, so
         // per group this replays AggState::push over the measure values in
-        // exactly the serial row order — the FP sequence is identical, and
-        // provenance concatenates back to row order.
+        // exactly the serial row order — the FP sequence is identical.
         let span = StageTimer::start(Stage::Merge);
-        let mut merged: GroupTable<GroupData> = GroupTable::new(self.key_cols);
+        let mut merged: GroupTable<AggState> = GroupTable::new(self.key_cols);
         for partial in partials {
-            partial.for_each(|codes, lists| merged.group(codes).replay(&lists.values, &lists.rows));
+            partial.for_each(|codes, values| replay(merged.group(codes), &values));
         }
         (merged.finish(), Some(span))
     }
@@ -234,7 +231,7 @@ impl Scan<'_> {
         relation: &Arc<Relation>,
         plan: Vec<u8>,
         remote: &Remote,
-    ) -> Result<(Grouped<GroupData>, Option<StageTimer>)> {
+    ) -> Result<(Grouped<AggState>, Option<StageTimer>)> {
         let remote_err = |e: RemoteError| RelationalError::Remote(e.to_string());
         let ranges = remote
             .transport()
@@ -261,14 +258,14 @@ impl Scan<'_> {
         }
         // Streamed scatter, merged in fixed worker order — worker ranges
         // are contiguous, ordered, and disjoint, so this is the same replay
-        // merge as the in-process sharded scan (provenance rows arrive
-        // pre-globalised). Each partial decodes and folds the moment it
-        // lands while later replies are still in flight; out-of-order
-        // arrivals buffer inside `scatter_fold_in_order`, so the fold order
-        // (and hence every group's value sequence) never changes. The
-        // overlap span covers the whole scatter+fold window.
+        // merge as the in-process sharded scan. Each partial decodes and
+        // folds the moment it lands while later replies are still in
+        // flight; out-of-order arrivals buffer inside
+        // `scatter_fold_in_order`, so the fold order (and hence every
+        // group's value sequence) never changes. The overlap span covers
+        // the whole scatter+fold window.
         let span = StageTimer::start(Stage::RemoteMerge);
-        let mut merged: GroupTable<GroupData> = GroupTable::new(self.key_cols);
+        let mut merged: GroupTable<AggState> = GroupTable::new(self.key_cols);
         exec::scatter_fold_in_order(
             remote.transport().as_ref(),
             OP_VIEW_SCAN,
@@ -276,7 +273,7 @@ impl Scan<'_> {
             &mut |_, reply| {
                 let partial = ship::decode_view_partial(&reply, self.key_cols.len())
                     .map_err(|e| RemoteError::Protocol(e.to_string()))?;
-                for (key, values, rows) in partial {
+                for (key, values) in partial {
                     // The table addresses slots by codes below each column's
                     // dictionary size; a worker answering outside the shared
                     // code space is lying, not merely late.
@@ -289,7 +286,7 @@ impl Scan<'_> {
                             "partial group code {code} outside the shipped dictionary"
                         )));
                     }
-                    merged.group(&key).replay(&values, &rows);
+                    replay(merged.group(&key), &values);
                 }
                 Ok(())
             },
@@ -299,18 +296,63 @@ impl Scan<'_> {
     }
 }
 
+/// The slots of a first-appearance-ordered group table (`groups` code tuples,
+/// slot-major in `codes`) in ascending [`GroupKey`] order, or `None` when
+/// first-appearance order already is ascending. Each slot is ranked once, by
+/// its value-ranks packed mixed-radix into a `u64` (packed order is tuple
+/// order); a key domain too wide to pack — the rule, and so the choice, is
+/// the slot index's, a property of the key columns — compares rank tuples.
+/// Keys are distinct, so the unstable sorts have one possible outcome.
+fn rank_order(key_cols: &[Arc<CodeColumn>], codes: &[u32], groups: usize) -> Option<Vec<usize>> {
+    let arity = key_cols.len();
+    let ranks: Vec<Vec<u32>> = key_cols.iter().map(|c| c.dict().ranks()).collect();
+    let rank_tuple = |slot: usize| {
+        let tuple = codes[slot * arity..(slot + 1) * arity].iter().zip(&ranks);
+        tuple.map(|(code, rank)| rank[*code as usize])
+    };
+    match packing_radices(key_cols.iter().map(|c| c.dict().len())) {
+        Some(radices) => {
+            let mut packed: Vec<(u64, usize)> = (0..groups)
+                .map(|slot| (pack(rank_tuple(slot), &radices), slot))
+                .collect();
+            if packed.windows(2).all(|w| w[0].0 < w[1].0) {
+                return None;
+            }
+            packed.sort_unstable();
+            Some(packed.into_iter().map(|(_, slot)| slot).collect())
+        }
+        None => {
+            let mut order: Vec<usize> = (0..groups).collect();
+            if order
+                .windows(2)
+                .all(|w| rank_tuple(w[0]).lt(rank_tuple(w[1])))
+            {
+                return None;
+            }
+            order.sort_unstable_by(|&a, &b| rank_tuple(a).cmp(rank_tuple(b)));
+            Some(order)
+        }
+    }
+}
+
 impl PartialEq for View {
     /// Two views are equal when they aggregate the same relation snapshot
-    /// (lineage ident and version) under the same definition into
-    /// bit-identical groups — aggregates *and* provenance row order. This
-    /// is the exactness relation the sharded compute path is held to.
+    /// (lineage ident and version) under the same definition into the same
+    /// groups with bit-identical aggregates. This is the exactness relation
+    /// the sharded compute path is held to. Whether either side has decoded
+    /// its keys yet is not part of it.
     fn eq(&self, other: &Self) -> bool {
         self.relation.ident() == other.relation.ident()
             && self.relation.version() == other.relation.version()
             && self.predicate == other.predicate
             && self.group_by == other.group_by
             && self.measure == other.measure
-            && self.groups == other.groups
+            && self.aggs == other.aggs
+            && if self.shares_dictionaries_with(other) {
+                self.codes == other.codes
+            } else {
+                self.decoded_keys() == other.decoded_keys()
+            }
     }
 }
 
@@ -403,53 +445,41 @@ impl View {
         ))
     }
 
-    /// Put a group table into the view, once per group at the boundary:
-    /// groups arrive in first-appearance order and are put in [`GroupKey`]
-    /// order by comparing the *value-ranks* of their codes (code order
-    /// diverges from value order once a post-ingest dictionary has appended
-    /// values), every key is decoded once, the code tuples are kept beside
-    /// the keys, and the total is folded once in key order.
+    /// Put a group table into the view: groups arrive in first-appearance
+    /// order and are put in [`GroupKey`] order by the *value-ranks* of their
+    /// codes (code order diverges from value order once a post-ingest
+    /// dictionary has appended values), and the total is folded once in key
+    /// order. No key is decoded.
     fn assemble(
         relation: Arc<Relation>,
         predicate: Predicate,
         group_by: Vec<AttrId>,
         measure: AttrId,
         key_cols: Vec<Arc<CodeColumn>>,
-        mut grouped: Grouped<GroupData>,
+        grouped: Grouped<AggState>,
     ) -> View {
-        let ranks: Vec<Vec<u32>> = key_cols.iter().map(|c| c.dict().ranks()).collect();
-        let rank_key = |slot: usize| {
-            let tuple = grouped.codes(slot).iter().zip(&ranks);
-            tuple.map(|(code, rank)| rank[*code as usize])
-        };
-        let mut order: Vec<usize> = (0..grouped.len()).collect();
-        // Keys are distinct, so the unstable sort has one possible outcome.
-        order.sort_unstable_by(|&a, &b| rank_key(a).cmp(rank_key(b)));
-        let mut codes = Vec::with_capacity(order.len() * key_cols.len());
-        let mut total = AggState::empty();
-        let mut groups = Vec::with_capacity(order.len());
-        for slot in order {
-            let tuple = grouped.codes(slot);
-            let key = GroupKey(
-                tuple
-                    .iter()
-                    .zip(&key_cols)
-                    .map(|(code, col)| col.dict().value(*code).clone())
-                    .collect(),
-            );
-            codes.extend_from_slice(tuple);
-            let data = grouped.take(slot);
-            total = total.merge(&data.agg);
-            groups.push((key, data));
+        let arity = key_cols.len();
+        let (mut codes, mut aggs) = grouped.into_parts();
+        if let Some(order) = rank_order(&key_cols, &codes, aggs.len()) {
+            codes = order
+                .iter()
+                .flat_map(|&slot| &codes[slot * arity..(slot + 1) * arity])
+                .copied()
+                .collect();
+            aggs = order.iter().map(|&slot| aggs[slot]).collect();
         }
+        let total = aggs
+            .iter()
+            .fold(AggState::empty(), |total, agg| total.merge(agg));
         View {
             relation,
             predicate,
             group_by,
             measure,
-            groups,
             key_cols,
             codes,
+            aggs,
+            keys: OnceLock::new(),
             total,
         }
     }
@@ -476,17 +506,24 @@ impl View {
 
     /// Number of output groups.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.aggs.len()
     }
 
     /// Whether the view has no groups.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.aggs.is_empty()
     }
 
-    /// Iterate over `(key, aggregate)` pairs in key order.
+    /// Iterate over `(key, aggregate)` pairs in key order. The first call
+    /// (of this or [`View::keys`]) decodes every key; callers that ignore
+    /// the keys read [`View::aggregates`] instead.
     pub fn groups(&self) -> impl Iterator<Item = (&GroupKey, &AggState)> {
-        self.groups.iter().map(|(key, data)| (key, &data.agg))
+        self.decoded_keys().iter().zip(&self.aggs)
+    }
+
+    /// Every group's aggregate, in key order ([`View::group_codes`] order).
+    pub fn aggregates(&self) -> &[AggState] {
+        &self.aggs
     }
 
     /// The cached code column of each group-by attribute: the dictionaries
@@ -505,19 +542,63 @@ impl View {
 
     /// All group keys in order.
     pub fn keys(&self) -> Vec<GroupKey> {
-        self.groups.iter().map(|(key, _)| key.clone()).collect()
+        self.decoded_keys().to_vec()
     }
 
-    fn data(&self, key: &GroupKey) -> Result<&GroupData> {
-        self.groups
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .map(|i| &self.groups[i].1)
-            .map_err(|_| RelationalError::UnknownGroup(key.to_string()))
+    /// The code tuple of group `i`.
+    fn codes_of(&self, i: usize) -> &[u32] {
+        let arity = self.key_cols.len();
+        &self.codes[i * arity..(i + 1) * arity]
     }
 
-    /// The aggregate state of one group.
+    /// Every group's key, decoded through the dictionaries on first use.
+    fn decoded_keys(&self) -> &[GroupKey] {
+        self.keys.get_or_init(|| {
+            (0..self.len())
+                .map(|i| {
+                    let tuple = self.codes_of(i).iter().zip(&self.key_cols);
+                    GroupKey(
+                        tuple
+                            .map(|(code, col)| col.dict().value(*code).clone())
+                            .collect(),
+                    )
+                })
+                .collect()
+        })
+    }
+
+    /// Whether both views read their codes through the very same cached
+    /// columns, so equal code tuples are equal keys.
+    fn shares_dictionaries_with(&self, other: &View) -> bool {
+        self.key_cols.len() == other.key_cols.len()
+            && self
+                .key_cols
+                .iter()
+                .zip(&other.key_cols)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
+    /// The aggregate state of one group. Groups are in key order, so the
+    /// key is found by a binary search that compares each probed group's
+    /// values *through the dictionaries* — nothing is decoded or allocated,
+    /// whether or not [`View::groups`] was ever called.
     pub fn group(&self, key: &GroupKey) -> Result<&AggState> {
-        self.data(key).map(|data| &data.agg)
+        let unknown = || RelationalError::UnknownGroup(key.to_string());
+        if key.values().len() != self.key_cols.len() {
+            return Err(unknown());
+        }
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let group = self.codes_of(mid).iter().zip(&self.key_cols);
+            let probe = group.map(|(code, col)| col.dict().value(*code));
+            match probe.cmp(key.values()) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(&self.aggs[mid]),
+            }
+        }
+        Err(unknown())
     }
 
     /// The value of aggregate `kind` for one group.
@@ -549,19 +630,22 @@ impl View {
         Ok(self.total.unmerge(current))
     }
 
-    /// Input row indices that contributed to group `key`.
-    pub fn provenance(&self, key: &GroupKey) -> Result<&[usize]> {
-        self.data(key).map(|data| data.rows.as_slice())
+    /// Input row indices that contributed to group `key`, ascending:
+    /// computed on demand by the restricted scan of
+    /// [`View::provenance_predicate`] — the rows the view's own scan fed the
+    /// group, by construction.
+    pub fn provenance(&self, key: &GroupKey) -> Result<Vec<usize>> {
+        self.group(key)?;
+        let compiled = CompiledPredicate::compile(&self.provenance_predicate(key), &self.relation);
+        Ok(compiled.select_rows(self.relation.len()))
     }
 
-    /// Raw measure values of one group (used by record-level baselines).
+    /// Raw measure values of one group, in row order (used by record-level
+    /// baselines).
     pub fn measure_values(&self, key: &GroupKey) -> Result<Vec<f64>> {
         let rows = self.provenance(key)?;
-        let mut out = Vec::with_capacity(rows.len());
-        for &r in rows {
-            out.push(self.relation.numeric(r, self.measure)?.unwrap_or(0.0));
-        }
-        Ok(out)
+        let measure = MeasureColumn::resolve(&self.relation, self.measure)?;
+        Ok(rows.into_iter().map(|row| measure.value(row)).collect())
     }
 
     /// Build the predicate that selects exactly the provenance of tuple
@@ -692,6 +776,31 @@ mod tests {
         assert_eq!(v.measure_values(&key).unwrap().len(), 5);
         // totals merge all groups
         assert_eq!(v.total().count(), 8.0);
+    }
+
+    #[test]
+    fn only_reading_keys_decodes_them() {
+        let r = fist_relation();
+        let s = schema_of(&r);
+        let geo = s.hierarchy("geo").unwrap().clone();
+        let gb = vec![s.attr("district").unwrap(), s.attr("year").unwrap()];
+        let measure = s.attr("severity").unwrap();
+        let v = View::compute(r.clone(), Predicate::all(), gb, measure, &Exec::Serial).unwrap();
+        let key = GroupKey(vec![Value::str("Raya"), Value::int(1986)]);
+        let agg = *v.group(&key).unwrap();
+        assert_eq!(v.aggregate_of(&key, AggregateKind::Count).unwrap(), 1.0);
+        assert_eq!(v.total_without(&key).unwrap().count(), 7.0);
+        assert_eq!(v.total_with_replacement(&key, &agg).unwrap().count(), 8.0);
+        assert_eq!(v.provenance(&key).unwrap(), vec![6]);
+        assert_eq!(v.measure_values(&key).unwrap(), vec![9.0]);
+        assert_eq!(
+            v.drill_down(&key, &geo, &Exec::Serial).unwrap().view.len(),
+            1
+        );
+        assert_eq!(v, v.clone());
+        assert!(v.keys.get().is_none(), "nothing above reads a key");
+        assert_eq!(v.groups().count(), 4);
+        assert!(v.keys.get().is_some());
     }
 
     #[test]
@@ -847,10 +956,6 @@ mod tests {
             .unwrap();
             assert_eq!(serial, sharded, "{shards} shards");
             for key in serial.keys() {
-                assert_eq!(
-                    serial.provenance(&key).unwrap(),
-                    sharded.provenance(&key).unwrap()
-                );
                 assert_eq!(serial.group(&key).unwrap(), sharded.group(&key).unwrap());
             }
         }
@@ -1089,12 +1194,6 @@ mod tests {
                     View::compute(r.clone(), predicate, gb.clone(), measure, &remote).unwrap();
                 assert_eq!(serial, sharded, "{workers} workers");
                 assert_eq!(serial, distributed, "{workers} workers");
-                for key in serial.keys() {
-                    assert_eq!(
-                        serial.provenance(&key).unwrap(),
-                        distributed.provenance(&key).unwrap()
-                    );
-                }
             }
         }
     }

@@ -28,7 +28,8 @@
 //!   [`RemoteTransport::scatter`] is a thin gather over the same path.
 //!
 //! Every frame written bumps [`Counter::RemoteRpcs`] and adds its bytes to
-//! [`Counter::RemoteBytesShipped`].
+//! [`Counter::RemoteBytesShipped`]; every reply frame read adds its bytes to
+//! [`Counter::RemoteBytesReceived`].
 
 use crate::frame::{read_frame, write_frame, Frame, WireError, KIND_ERROR, KIND_OK, KIND_RESULT};
 use crate::frame::{
@@ -62,6 +63,7 @@ impl WorkerConn {
         let frame = read_frame(&mut self.stream)
             .map_err(wire_err)?
             .ok_or_else(|| RemoteError::Transport("worker closed the connection".to_string()))?;
+        add_counter(Counter::RemoteBytesReceived, frame.wire_len() as u64);
         if frame.id != expect_id {
             return Err(RemoteError::Protocol(format!(
                 "reply id {} does not match request id {expect_id}",

@@ -118,6 +118,11 @@ impl Frame {
         Frame { kind, id, body }
     }
 
+    /// Bytes the frame occupies on a stream: length prefix, header, body.
+    pub fn wire_len(&self) -> usize {
+        4 + HEADER_LEN + self.body.len()
+    }
+
     /// Encode the frame's payload (everything after the length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.body.len());
@@ -210,7 +215,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError
     w.write_all(&(payload.len() as u32).to_be_bytes())?;
     w.write_all(&payload)?;
     w.flush()?;
-    Ok(4 + payload.len())
+    Ok(frame.wire_len())
 }
 
 /// Read one frame from `r`. Returns `Ok(None)` on a clean EOF at a frame

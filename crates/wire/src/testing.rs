@@ -69,15 +69,17 @@ impl LoopbackWorkers {
     }
 
     /// Run one frame against worker `i` (the real handler), counting the
-    /// RPC and shipped bytes like the TCP transport does.
+    /// RPC and the bytes of both frames like the TCP transport does.
     fn call(&self, i: usize, frame: Frame) -> Frame {
         add_counter(Counter::RemoteRpcs, 1);
-        add_counter(Counter::RemoteBytesShipped, (frame.body.len() + 15) as u64);
+        add_counter(Counter::RemoteBytesShipped, frame.wire_len() as u64);
         let mut shutdown = false;
-        self.workers[i]
+        let reply = self.workers[i]
             .lock()
             .expect("loopback worker lock")
-            .handle(&frame, &mut shutdown)
+            .handle(&frame, &mut shutdown);
+        add_counter(Counter::RemoteBytesReceived, reply.wire_len() as u64);
+        reply
     }
 }
 

@@ -7,11 +7,16 @@
 //! invariant everywhere: malformed input is a typed error, never a panic
 //! and never a giant allocation.
 
-use reptile_relational::{ship, Exec, Predicate, Relation, Schema, Value, View};
+use reptile_relational::codec::{put_f64, put_u32, put_u64};
+use reptile_relational::{
+    ship, Exec, Predicate, Relation, RelationalError, Remote, RemoteError, RemoteTransport, Schema,
+    Value, View,
+};
 use reptile_wire::frame::{
     read_frame, write_frame, Frame, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING,
     KIND_RESULT, KIND_SCATTER,
 };
+use reptile_wire::testing::LoopbackWorkers;
 use reptile_wire::WorkerState;
 use std::sync::Arc;
 
@@ -124,6 +129,114 @@ fn view_plan_and_partial_round_trip() {
     }
     // Wrong expected key width is a typed shape error.
     assert!(ship::decode_view_partial(&partial_bytes, 2).is_err());
+}
+
+/// A transport that hands every request to honest loopback workers and
+/// then rewrites the reply bytes: a lying (or out-of-date) worker.
+struct LyingWorkers {
+    honest: LoopbackWorkers,
+    mangle: fn(Vec<u8>) -> Vec<u8>,
+}
+
+impl RemoteTransport for LyingWorkers {
+    fn workers(&self) -> usize {
+        self.honest.workers()
+    }
+
+    fn ensure_relation(
+        &self,
+        relation: &Arc<Relation>,
+    ) -> Result<Vec<(usize, usize)>, RemoteError> {
+        self.honest.ensure_relation(relation)
+    }
+
+    fn ensure_state(
+        &self,
+        domain: u8,
+        key: u64,
+        encode: &dyn Fn() -> Vec<u8>,
+    ) -> Result<(), RemoteError> {
+        self.honest.ensure_state(domain, key, encode)
+    }
+
+    fn scatter(
+        &self,
+        op: u8,
+        requests: Vec<Option<Vec<u8>>>,
+    ) -> Result<Vec<Option<Vec<u8>>>, RemoteError> {
+        let replies = self.honest.scatter(op, requests)?;
+        Ok(replies
+            .into_iter()
+            .map(|reply| reply.map(self.mangle))
+            .collect())
+    }
+}
+
+/// A view reply re-encoded the way workers answered before row lists left
+/// the wire: every group's values followed by as many `u64` row indices.
+fn with_row_sections(reply: Vec<u8>) -> Vec<u8> {
+    let mut old = reply[..8].to_vec();
+    for (codes, values) in ship::decode_view_partial(&reply, 1).unwrap() {
+        put_u32(&mut old, codes[0]);
+        put_u32(&mut old, values.len() as u32);
+        for value in &values {
+            put_f64(&mut old, *value);
+        }
+        for row in 0..values.len() {
+            put_u64(&mut old, u64::MAX - row as u64);
+        }
+    }
+    old
+}
+
+/// Cut inside the first group's value list: header, one code, the value
+/// count, and half of the first `f64`.
+fn cut_inside_values(mut reply: Vec<u8>) -> Vec<u8> {
+    reply.truncate(8 + 4 + 4 + 4);
+    reply
+}
+
+#[test]
+fn lying_view_replies_are_typed_errors() {
+    let rel = sample_relation();
+    let schema = rel.schema();
+    let region = schema.attr("region").unwrap();
+    let kwh = schema.attr("kwh").unwrap();
+    let plan = ship::encode_view_plan(
+        rel.ident(),
+        rel.version(),
+        &Predicate::all(),
+        &[region],
+        kwh,
+    );
+    let part = ship::decode_partition(&ship::encode_partition(&rel, 0, rel.len())).unwrap();
+    let honest = ship::answer_view_scan(&part, &plan).unwrap();
+    assert_eq!(ship::decode_view_partial(&honest, 1).unwrap().len(), 2);
+    for (what, mangle) in [
+        ("old layout", with_row_sections as fn(Vec<u8>) -> Vec<u8>),
+        ("cut inside a value list", cut_inside_values),
+    ] {
+        // At the codec: a typed error, whatever the row indices claim.
+        let lie = mangle(honest.clone());
+        assert!(
+            ship::decode_view_partial(&lie, 1).is_err(),
+            "{what}: decoded"
+        );
+        // Through a whole view scan (and the baseline that used to index
+        // the relation by those rows): a protocol error, never a panic.
+        for workers in 1..=2 {
+            let remote = Exec::Remote(Remote::new(Arc::new(LyingWorkers {
+                honest: LoopbackWorkers::undelayed(workers),
+                mangle,
+            })));
+            let err = View::compute(rel.clone(), Predicate::all(), vec![region], kwh, &remote)
+                .unwrap_err();
+            assert!(
+                matches!(&err, RelationalError::Remote(msg) if msg.starts_with("protocol:")),
+                "{what}, {workers} workers: {err}"
+            );
+        }
+    }
 }
 
 #[test]

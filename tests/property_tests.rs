@@ -748,11 +748,6 @@ fn view_compute_sharded_equals_serial_exactly() {
                         predicate.len()
                     );
                     for key in serial.keys() {
-                        assert_eq!(
-                            serial.provenance(&key).unwrap(),
-                            sharded.provenance(&key).unwrap(),
-                            "case {case}: provenance order at {n} shards"
-                        );
                         // AggState equality is bit-level (PartialEq over
                         // the raw f64 sufficient statistics).
                         assert_eq!(serial.group(&key).unwrap(), sharded.group(&key).unwrap());
@@ -845,13 +840,290 @@ fn sharded_recommendation_equals_serial_exactly() {
     }
 }
 
+/// Provenance is a question a view can always answer from its definition:
+/// for every group of random views — with and without a predicate, over a
+/// post-ingest snapshot whose dictionaries carry values appended out of
+/// value order, and over `Null` key values — `provenance(key)` is exactly
+/// the rows a row-at-a-time `Value` filter keeps (the view's predicate plus
+/// the key's group-by values), ascending, and `measure_values(key)` is the
+/// per-row numeric read of those rows, bit for bit.
+#[test]
+fn provenance_on_demand_equals_the_value_filter() {
+    use reptile_relational::{IngestBatch, Predicate, Relation, Schema, View};
+    use std::sync::Arc;
+
+    let mut rng = Rng(523);
+    let mut checked = 0usize;
+    for case in 0..12 {
+        let schema = Arc::new(
+            Schema::builder()
+                .hierarchy("geo", ["district", "village"])
+                .hierarchy("time", ["year"])
+                .measure("m")
+                .build()
+                .unwrap(),
+        );
+        let [district, village, year, m] =
+            ["district", "village", "year", "m"].map(|n| schema.attr(n).unwrap());
+        let rows = rng.range_usize(20, 160);
+        let mut b = Relation::builder(schema.clone());
+        for _ in 0..rows {
+            let d = rng.range_usize(0, 4);
+            // Odd cases carry `Null` key values in two group-by columns.
+            let null_key = case % 2 == 1 && rng.range_usize(0, 6) == 0;
+            b = b
+                .row([
+                    Value::str(format!("D{d}")),
+                    if null_key {
+                        Value::Null
+                    } else {
+                        Value::str(format!("D{d}-V{}", rng.range_usize(0, 3)))
+                    },
+                    if null_key && rng.range_usize(0, 2) == 0 {
+                        Value::Null
+                    } else {
+                        Value::int(2000 + rng.range_usize(0, 3) as i64)
+                    },
+                    match rng.range_usize(0, 9) {
+                        0 => Value::Null,
+                        1 => Value::int(rng.range_usize(0, 90) as i64),
+                        _ => Value::float(rng.range_f64(-1000.0, 1000.0)),
+                    },
+                ])
+                .unwrap();
+        }
+        let mut rel = Arc::new(b.build());
+        if case >= 4 {
+            // Warm every column so `apply` patches the dictionaries: "A0"
+            // and 1990 sort first but are coded last.
+            for attr in 0..schema.arity() {
+                let _ = rel.code_column(AttrId(attr));
+            }
+            let mut batch = IngestBatch::new();
+            for v in 0..3 {
+                batch = batch.insert([
+                    Value::str("A0"),
+                    Value::str(format!("A0-V{}", v % 2)),
+                    Value::int(1990 + v),
+                    Value::float(rng.range_f64(0.0, 9.0)),
+                ]);
+            }
+            batch = batch.delete(rel.row(rng.range_usize(0, rows)));
+            rel = Arc::new(rel.apply(&batch).unwrap());
+            let dict = rel.code_column(district);
+            assert_eq!(
+                dict.dict().code_of(&Value::str("A0")),
+                Some(dict.dict().len() as u32 - 1),
+                "case {case}: the patched dictionary is out of value order"
+            );
+        }
+        let predicates = [
+            Predicate::all(),
+            Predicate::eq(district, Value::str("D1")),
+            Predicate::eq(year, Value::int(2001)).and_eq(district, Value::str("D2")),
+            Predicate::eq(village, Value::Null),
+            Predicate::eq(district, Value::str("A0")),
+        ];
+        let group_bys = [
+            vec![district, year],
+            vec![village],
+            vec![year, village, district],
+            vec![],
+        ];
+        for predicate in &predicates {
+            for group_by in &group_bys {
+                let view = View::compute(
+                    rel.clone(),
+                    predicate.clone(),
+                    group_by.clone(),
+                    m,
+                    &reptile_relational::Exec::Serial,
+                )
+                .unwrap();
+                for key in view.keys() {
+                    let label = format!("case {case}: {predicate:?} by {group_by:?} at {key}");
+                    let want: Vec<usize> = (0..rel.len())
+                        .filter(|&row| {
+                            predicate.matches(&rel, row)
+                                && group_by
+                                    .iter()
+                                    .zip(key.values())
+                                    .all(|(attr, value)| rel.value(row, *attr) == value)
+                        })
+                        .collect();
+                    assert!(!want.is_empty(), "{label}: a group has rows");
+                    assert_eq!(view.provenance(&key).unwrap(), want, "{label}");
+                    let values: Vec<u64> = want
+                        .iter()
+                        .map(|&row| rel.numeric(row, m).unwrap().unwrap_or(0.0).to_bits())
+                        .collect();
+                    let got: Vec<u64> = view
+                        .measure_values(&key)
+                        .unwrap()
+                        .into_iter()
+                        .map(f64::to_bits)
+                        .collect();
+                    assert_eq!(got, values, "{label}: measure values");
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 1000,
+        "the cases must not be vacuous: {checked} groups"
+    );
+}
+
+/// A view decodes its keys on first read, and nobody can tell: for a key
+/// domain that packs into a `u64` and for one that overflows it (both with
+/// dictionary values appended out of value order), under `Serial`,
+/// `Shards(1..=7)` and loopback workers — (a) `keys()` / `groups()` come in
+/// `GroupKey` order with the oracle's aggregates, (b) `group` /
+/// `aggregate_of` / `total_without` answer every key, a value absent from
+/// the dictionary and a present value with no such group on a view whose
+/// keys were never read, and (c) `==` and `clone()` do not care which side
+/// has read its keys.
+#[test]
+fn lazy_keys_are_invisible() {
+    use reptile_relational::{
+        IngestBatch, Predicate, Relation, RelationalError, Remote, Schema, View,
+    };
+    use reptile_wire::testing::LoopbackWorkers;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    let mut rng = Rng(8089);
+    // Seven key columns. `wide`: 601 distinct values each, 601^7 > 2^64, so
+    // the key domain overflows the packed rank; otherwise a handful each.
+    let relation = |rng: &mut Rng, wide: bool| {
+        let schema = Arc::new(
+            Schema::builder()
+                .hierarchy("a", ["a0", "a1", "a2", "a3"])
+                .hierarchy("b", ["b0", "b1", "b2"])
+                .measure("m")
+                .build()
+                .unwrap(),
+        );
+        let distinct = if wide { 601 } else { 5 };
+        let mut b = Relation::builder(schema.clone());
+        for i in 0..distinct + 240 {
+            let mut row: Vec<Value> = (0..7usize)
+                .map(|c| {
+                    // The first `distinct` rows fill the dictionaries; the
+                    // rest repeat a few values so keys share prefixes.
+                    let v = if i < distinct {
+                        (i * (2 * c + 1) + c) % distinct
+                    } else {
+                        rng.range_usize(0, 3)
+                    };
+                    Value::str(format!("c{c}-{v:03}"))
+                })
+                .collect();
+            row.push(Value::float(rng.range_f64(-50.0, 50.0)));
+            b = b.row(row).unwrap();
+        }
+        let rel = Arc::new(b.build());
+        for attr in 0..schema.arity() {
+            let _ = rel.code_column(AttrId(attr));
+        }
+        // "b…" sorts before every "c…" value and is coded last.
+        let mut batch = IngestBatch::new();
+        for j in 0..4usize {
+            let mut row: Vec<Value> = (0..7usize)
+                .map(|c| Value::str(format!("b{c}-{}", (j + c) % 2)))
+                .collect();
+            row.push(Value::float(j as f64));
+            batch = batch.insert(row);
+        }
+        (schema, Arc::new(rel.apply(&batch).unwrap()))
+    };
+    for wide in [false, true] {
+        let (schema, rel) = relation(&mut rng, wide);
+        let attrs: Vec<AttrId> = (0..7).map(AttrId).collect();
+        let m = schema.attr("m").unwrap();
+        let domain = attrs.iter().try_fold(1u64, |domain, a| {
+            domain.checked_mul(rel.code_column(*a).dict().len() as u64)
+        });
+        assert_eq!(domain.is_none(), wide, "the key domain overflows u64");
+        let execs: Vec<Exec> = std::iter::once(Exec::Serial)
+            .chain((1..=7).map(Exec::Shards))
+            .chain(
+                (1..=3).map(|n| Exec::Remote(Remote::new(Arc::new(LoopbackWorkers::undelayed(n))))),
+            )
+            .collect();
+        for predicate in [
+            Predicate::all(),
+            Predicate::eq(attrs[6], Value::str("c6-001")),
+        ] {
+            let mut oracle: BTreeMap<GroupKey, Vec<f64>> = BTreeMap::new();
+            for row in (0..rel.len()).filter(|&row| predicate.matches(&rel, row)) {
+                let key = GroupKey(attrs.iter().map(|a| rel.value(row, *a).clone()).collect());
+                let value = rel.numeric(row, m).unwrap().unwrap();
+                oracle.entry(key).or_default().push(value);
+            }
+            assert!(oracle.len() > 20, "non-vacuous: {} groups", oracle.len());
+            let keys: Vec<GroupKey> = oracle.keys().cloned().collect();
+            let compute = |exec: &Exec| {
+                View::compute(rel.clone(), predicate.clone(), attrs.clone(), m, exec).unwrap()
+            };
+            let serial = compute(&Exec::Serial);
+            assert_eq!(serial.keys(), keys, "wide {wide}: serial key order");
+            for exec in &execs {
+                let label = format!("wide {wide}, {exec:?}");
+                let unread = compute(exec);
+                let read = compute(exec);
+                // (a) key order, and the aggregates beside the keys.
+                assert_eq!(read.keys(), keys, "{label}: key order");
+                for ((key, agg), (want_key, values)) in read.groups().zip(&oracle) {
+                    assert_eq!(key, want_key, "{label}");
+                    assert_eq!(agg, &aggregate_values(values), "{label}: at {key}");
+                }
+                // (b) lookups on the view whose keys were never read.
+                let total = unread.total();
+                for (key, values) in &oracle {
+                    let want = aggregate_values(values);
+                    assert_eq!(unread.group(key).unwrap(), &want, "{label}: {key}");
+                    assert_eq!(
+                        unread.aggregate_of(key, AggregateKind::Sum).unwrap(),
+                        want.sum()
+                    );
+                    assert_eq!(unread.total_without(key).unwrap(), total.unmerge(&want));
+                }
+                let mut absent = keys[0].clone();
+                absent.0[3] = Value::str("never-seen");
+                // The last group's first value before the first group's rest.
+                let mut no_such = keys[0].clone();
+                no_such.0[0] = keys[keys.len() - 1].0[0].clone();
+                assert!(!oracle.contains_key(&no_such));
+                let short = GroupKey(keys[0].0[..6].to_vec());
+                for bogus in [&absent, &no_such, &short] {
+                    assert!(
+                        matches!(unread.group(bogus), Err(RelationalError::UnknownGroup(_))),
+                        "{label}: {bogus}"
+                    );
+                    assert!(unread.total_without(bogus).is_err());
+                }
+                // (c) equality and clones across the read / unread divide.
+                assert_eq!(unread, read, "{label}");
+                assert_eq!(read, unread, "{label}");
+                assert_eq!(unread.clone(), read, "{label}");
+                assert_eq!(read.clone(), unread, "{label}");
+                assert_eq!(serial, unread, "{label}: against the serial view");
+                assert_eq!(unread.clone().keys(), keys, "{label}: a clone decodes too");
+            }
+        }
+    }
+}
+
 /// The row-at-a-time oracle of every view scan: `Value`-compared predicate,
 /// per-row numeric measure, `Value`-keyed groups. `view` must hold exactly
 /// its groups, each with the bit pattern [`AggState::push`] reaches over the
-/// group's values in row order and with its provenance in row order.
+/// group's values in row order (provenance has its own oracle test,
+/// `provenance_on_demand_equals_the_value_filter`).
 fn assert_view_equals_value_scan(view: &reptile_relational::View, label: &str) {
     let rel = view.relation();
-    let mut expect: std::collections::BTreeMap<GroupKey, (Vec<f64>, Vec<usize>)> =
+    let mut expect: std::collections::BTreeMap<GroupKey, Vec<f64>> =
         std::collections::BTreeMap::new();
     for row in 0..rel.len() {
         if !view.predicate().matches(rel, row) {
@@ -864,9 +1136,7 @@ fn assert_view_equals_value_scan(view: &reptile_relational::View, label: &str) {
                 .collect(),
         );
         let value = rel.numeric(row, view.measure()).unwrap().unwrap_or(0.0);
-        let entry = expect.entry(key).or_default();
-        entry.0.push(value);
-        entry.1.push(row);
+        expect.entry(key).or_default().push(value);
     }
     // Same keys in the same (value) order, not merely the same count.
     assert_eq!(
@@ -874,16 +1144,11 @@ fn assert_view_equals_value_scan(view: &reptile_relational::View, label: &str) {
         expect.keys().cloned().collect::<Vec<_>>(),
         "{label}: group keys and their order"
     );
-    for (key, (values, rows)) in &expect {
+    for (key, values) in &expect {
         assert_eq!(
             view.group(key).unwrap(),
             &aggregate_values(values),
             "{label}: aggregate at {key}"
-        );
-        assert_eq!(
-            view.provenance(key).unwrap(),
-            rows.as_slice(),
-            "{label}: provenance order at {key}"
         );
     }
 }
@@ -1067,8 +1332,8 @@ fn compiled_scan_equals_reference_value_scan_exactly() {
 /// The group-by kernel contract, in every execution context: one kernel
 /// (`reptile_relational::scan`) sits behind the serial scan, every shard of
 /// `Exec::Shards(n)` and the worker's partial, and each must produce the
-/// oracle's view bit for bit — keys in value order, `AggState` bits,
-/// provenance order — whatever the row order does to the kernel's segments
+/// oracle's view bit for bit — keys in value order, `AggState` bits —
+/// whatever the row order does to the kernel's segments
 /// and slot table: hierarchy-ordered rows (long segments), shuffled rows
 /// (every row a key change), multi-term predicates (keys carried across
 /// gaps of rejected rows), zero group-by attributes, and post-ingest
