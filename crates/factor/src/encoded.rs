@@ -1578,7 +1578,7 @@ pub fn gram_pairs(m: usize) -> Vec<(usize, usize)> {
 
 /// Gram cells `[start, start + len)` of the [`gram_pairs`] enumeration —
 /// the worker-side gram partial. Each cell runs the identical serial
-/// accumulation ([`gram_entry`]), so partials computed on any host drop
+/// accumulation (`gram_entry`), so partials computed on any host drop
 /// bit-exactly into the coordinator's matrix.
 ///
 /// Returns `None` when the range falls outside the enumeration (hostile or

@@ -9,7 +9,7 @@
 //! **The ship-the-state rule.** A worker computes gram/E-step partials from
 //! the coordinator's *actual* encoded state — the aggregate tables, baked
 //! feature columns, and cluster partition ship once (content-addressed
-//! under [`DOMAIN_EM`]) and are reused every iteration. Workers never
+//! under `DOMAIN_EM`) and are reused every iteration. Workers never
 //! recompute that state from factors: a delta-maintained aggregate table
 //! can order its entries differently from a cold rebuild, and the gram's
 //! per-cell floating-point sequence follows entry order. Shipping the

@@ -16,9 +16,26 @@
 //! * **Total decoders with typed errors** ([`CodecError`]): truncated,
 //!   garbage, or oversized input returns an error — never a panic, never a
 //!   partially decoded value.
+//!
+//! It also holds the one framing layer both binary protocols run on — the
+//! serving front door's "RP" and the worker wire's "RW" are two
+//! [`FrameSpec`] constants over [`read_frame`] / [`write_frame`]:
+//!
+//! ```text
+//! [payload_len: u32 BE]  length of everything after these 4 bytes
+//! [magic: 2 bytes]       FrameSpec::magic
+//! [version: u8]          FrameSpec::version; others are rejected typed
+//! [kind: u8]             one of FrameSpec::kinds
+//! [request_id: u64 BE]   echoed verbatim in the response
+//! [body]                 kind-specific; decoded with [`Reader`]
+//! ```
+//!
+//! A length prefix or header that breaks the protocol is a [`FrameError`];
+//! body bytes that do not decode are a [`CodecError`].
 
 use crate::value::Value;
 use std::fmt;
+use std::io::{Read, Write};
 
 /// Hard cap on any single encoded payload shipped over a worker wire —
 /// `reptile-wire`'s 64 MiB frame cap is defined from this constant, so
@@ -281,6 +298,241 @@ impl<'a> Reader<'a> {
             tag => Err(CodecError::BadTag(tag)),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Framing
+// ---------------------------------------------------------------------------
+
+/// Header bytes after the length prefix: magic, version, kind, request id.
+pub const FRAME_HEADER_LEN: usize = 2 + 1 + 1 + 8;
+
+/// One framed protocol: the header it stamps and checks, its payload cap,
+/// and its kind table (both directions).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameSpec {
+    /// The first two payload bytes of every frame.
+    pub magic: [u8; 2],
+    /// The version this build speaks; frames carrying another are rejected.
+    pub version: u8,
+    /// Cap on a payload (everything after the length prefix), checked
+    /// before a prefix's payload is allocated and before a payload is
+    /// written.
+    pub max_len: u32,
+    /// Every kind the protocol defines; any other is
+    /// [`FrameError::UnknownKind`].
+    pub kinds: &'static [u8],
+}
+
+impl FrameSpec {
+    /// Start a frame payload: the header, ready for the body to be appended
+    /// and the result handed to [`write_frame`].
+    pub fn header(&self, kind: u8, id: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64);
+        self.put_header(&mut out, kind, id);
+        out
+    }
+
+    /// Encode a whole frame's payload (header + body).
+    pub fn encode(&self, frame: &Frame) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + frame.body.len());
+        self.put_header(&mut out, frame.kind, frame.id);
+        out.extend_from_slice(&frame.body);
+        out
+    }
+
+    fn put_header(&self, out: &mut Vec<u8>, kind: u8, id: u64) {
+        out.extend_from_slice(&self.magic);
+        put_u8(out, self.version);
+        put_u8(out, kind);
+        put_u64(out, id);
+    }
+
+    /// Check a header against this protocol: magic, then version, then kind.
+    fn check_header(&self, header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, u64), FrameError> {
+        let magic = [header[0], header[1]];
+        if magic != self.magic {
+            return Err(FrameError::BadMagic(magic));
+        }
+        if header[2] != self.version {
+            return Err(FrameError::UnsupportedVersion(header[2]));
+        }
+        let kind = header[3];
+        if !self.kinds.contains(&kind) {
+            return Err(FrameError::UnknownKind(kind));
+        }
+        let mut id = [0u8; 8];
+        id.copy_from_slice(&header[4..]);
+        Ok((kind, u64::from_be_bytes(id)))
+    }
+}
+
+/// A frame whose header checked out: kind, correlation id and body bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// Frame kind, one of the protocol's [`FrameSpec::kinds`].
+    pub kind: u8,
+    /// Caller-chosen correlation id, echoed verbatim in replies.
+    pub id: u64,
+    /// Kind-specific body bytes, uninterpreted at this layer.
+    pub body: Vec<u8>,
+}
+
+impl Frame {
+    /// Build a frame.
+    pub fn new(kind: u8, id: u64, body: Vec<u8>) -> Self {
+        Frame { kind, id, body }
+    }
+
+    /// Bytes the frame occupies on a stream: length prefix, header, body.
+    pub fn wire_len(&self) -> usize {
+        4 + FRAME_HEADER_LEN + self.body.len()
+    }
+}
+
+/// A length prefix or header that breaks the protocol. Body bytes never
+/// produce one of these; they fail as [`CodecError`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// The stream ended inside a frame, or a payload was shorter than the
+    /// header.
+    Truncated,
+    /// A payload longer than the protocol's cap: a length prefix (rejected
+    /// before the payload is read) or a payload handed to [`write_frame`]
+    /// (rejected before anything is written).
+    Oversized {
+        /// The payload length.
+        len: u64,
+        /// The protocol's [`FrameSpec::max_len`].
+        cap: u32,
+    },
+    /// The first two payload bytes were not the protocol's magic.
+    BadMagic([u8; 2]),
+    /// The frame speaks a version this build does not.
+    UnsupportedVersion(u8),
+    /// A kind outside the protocol's kind table.
+    UnknownKind(u8),
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Truncated => write!(f, "frame truncated"),
+            FrameError::Oversized { len, cap } => {
+                write!(f, "frame payload of {len} bytes exceeds the {cap}-byte cap")
+            }
+            FrameError::BadMagic(m) => write!(f, "bad frame magic {m:?}"),
+            FrameError::UnsupportedVersion(v) => write!(f, "unsupported protocol version {v}"),
+            FrameError::UnknownKind(k) => write!(f, "unknown frame kind {k:#04x}"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// A failure while moving frames over a stream.
+#[derive(Debug)]
+pub enum StreamError {
+    /// The length prefix or header broke the protocol.
+    Frame(FrameError),
+    /// The underlying stream failed.
+    Io(std::io::Error),
+}
+
+impl fmt::Display for StreamError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamError::Frame(e) => write!(f, "frame error: {e}"),
+            StreamError::Io(e) => write!(f, "io error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for StreamError {}
+
+impl From<FrameError> for StreamError {
+    fn from(e: FrameError) -> Self {
+        StreamError::Frame(e)
+    }
+}
+
+impl From<std::io::Error> for StreamError {
+    fn from(e: std::io::Error) -> Self {
+        StreamError::Io(e)
+    }
+}
+
+/// Write one frame payload (see [`FrameSpec::header`] and
+/// [`FrameSpec::encode`]) behind its length prefix. `w` sees exactly
+/// `write_all(prefix)`, `write_all(payload)`, `flush()`. A payload above
+/// `spec.max_len` fails typed before anything is written. Returns the bytes
+/// written.
+pub fn write_frame(
+    w: &mut impl Write,
+    spec: &FrameSpec,
+    payload: &[u8],
+) -> Result<usize, StreamError> {
+    if payload.len() > spec.max_len as usize {
+        return Err(FrameError::Oversized {
+            len: payload.len() as u64,
+            cap: spec.max_len,
+        }
+        .into());
+    }
+    w.write_all(&(payload.len() as u32).to_be_bytes())?;
+    w.write_all(payload)?;
+    w.flush()?;
+    Ok(4 + payload.len())
+}
+
+/// Read one frame. Returns `Ok(None)` on a clean EOF at a frame boundary.
+/// EOF mid-frame is [`FrameError::Truncated`]; a length prefix above
+/// `spec.max_len` is [`FrameError::Oversized`] and nothing after it is
+/// read. Every other frame is read to its end before its header is
+/// checked, so after a [`FrameError::UnknownKind`] the stream is still at a
+/// frame boundary.
+pub fn read_frame(r: &mut impl Read, spec: &FrameSpec) -> Result<Option<Frame>, StreamError> {
+    let mut prefix = [0u8; 4];
+    match fill(r, &mut prefix)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(FrameError::Truncated.into()),
+    }
+    let len = u32::from_be_bytes(prefix);
+    if len > spec.max_len {
+        return Err(FrameError::Oversized {
+            len: u64::from(len),
+            cap: spec.max_len,
+        }
+        .into());
+    }
+    let len = len as usize;
+    let head = len.min(FRAME_HEADER_LEN);
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    let mut body = vec![0u8; len - head];
+    if fill(r, &mut header[..head])? < head
+        || fill(r, &mut body)? < body.len()
+        || head < FRAME_HEADER_LEN
+    {
+        return Err(FrameError::Truncated.into());
+    }
+    let (kind, id) = spec.check_header(&header)?;
+    Ok(Some(Frame { kind, id, body }))
+}
+
+/// Read into `buf` until it is full or the stream ends; returns the bytes
+/// read.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
 }
 
 #[cfg(test)]

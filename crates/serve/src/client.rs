@@ -6,17 +6,20 @@
 //! refusal as a typed [`ClientError::Server`].
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, Request, RequestFrame, Response,
-    ResponseFrame, ServeErrorKind, WireError, WireIngestReport, WireRecommendation,
+    decode_response, encode_request, Request, RequestFrame, Response, ResponseFrame,
+    ServeErrorKind, WireIngestReport, WireRecommendation, RP,
 };
+use reptile_relational::codec::{read_frame, write_frame, CodecError, StreamError};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side failure modes.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Transport or codec failure.
-    Wire(WireError),
+    /// Transport or framing failure.
+    Wire(StreamError),
+    /// The response body did not decode.
+    Decode(CodecError),
     /// The server closed the connection before answering.
     Closed,
     /// The response id or variant did not match the request.
@@ -34,6 +37,7 @@ impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientError::Wire(err) => write!(f, "wire failure: {err}"),
+            ClientError::Decode(err) => write!(f, "response decode failure: {err}"),
             ClientError::Closed => write!(f, "server closed the connection"),
             ClientError::UnexpectedResponse(detail) => {
                 write!(f, "unexpected response: {detail}")
@@ -45,21 +49,21 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-impl From<WireError> for ClientError {
-    fn from(err: WireError) -> Self {
+impl From<StreamError> for ClientError {
+    fn from(err: StreamError) -> Self {
         ClientError::Wire(err)
     }
 }
 
-impl From<crate::protocol::ProtocolError> for ClientError {
-    fn from(err: crate::protocol::ProtocolError) -> Self {
-        ClientError::Wire(WireError::Protocol(err))
+impl From<CodecError> for ClientError {
+    fn from(err: CodecError) -> Self {
+        ClientError::Decode(err)
     }
 }
 
 impl From<io::Error> for ClientError {
     fn from(err: io::Error) -> Self {
-        ClientError::Wire(WireError::Io(err))
+        ClientError::Wire(StreamError::Io(err))
     }
 }
 
@@ -81,8 +85,8 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         let payload = encode_request(&RequestFrame { id, request });
-        write_frame(&mut self.stream, &payload)?;
-        let Some(reply) = read_frame(&mut self.stream)? else {
+        write_frame(&mut self.stream, &RP, &payload)?;
+        let Some(reply) = read_frame(&mut self.stream, &RP)? else {
             return Err(ClientError::Closed);
         };
         let ResponseFrame {

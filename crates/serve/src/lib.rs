@@ -3,11 +3,14 @@
 //! One process, one scheduler, one front door. This crate puts a TCP
 //! server in front of a [`reptile::Reptile`] engine:
 //!
-//! - **Protocol** ([`protocol`]): a versioned, length-prefixed binary
-//!   codec over `std::net` — no external dependencies. Frames are bounded
-//!   ([`protocol::MAX_FRAME_LEN`]), every decode failure is a typed
-//!   [`protocol::ProtocolError`], and `f64`s travel as raw bits so a
-//!   round-tripped request compares equal bit-for-bit.
+//! - **Protocol** ([`protocol`]): the "RP" kind table and body codecs over
+//!   the shared framing in [`reptile_relational::codec`] — no external
+//!   dependencies. Frames are bounded ([`protocol::RP`]'s 1 MiB
+//!   `max_len`); a bad length prefix or header is a typed
+//!   [`FrameError`](reptile_relational::codec::FrameError), a bad body a
+//!   typed [`CodecError`](reptile_relational::codec::CodecError); `f64`s
+//!   travel as raw bits so a round-tripped request compares equal
+//!   bit-for-bit.
 //! - **Scheduling** ([`server`]): admitted requests run as may-block jobs
 //!   on the process-wide shard pool — the same workers that execute shard
 //!   scatters — so the process has exactly one scheduler and serving
@@ -41,9 +44,8 @@ pub mod server;
 
 pub use client::{Client, ClientError};
 pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    IngestRequest, ProtocolError, RecommendRequest, Request, RequestFrame, Response, ResponseFrame,
-    ServeErrorKind, WireError, WireIngestReport, WireRecommendation, WireScoredGroup,
-    MAX_FRAME_LEN, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, IngestRequest,
+    RecommendRequest, Request, RequestFrame, Response, ResponseFrame, ServeErrorKind,
+    WireIngestReport, WireRecommendation, WireScoredGroup, RP,
 };
 pub use server::{ServeConfig, ServeLedger, Server};

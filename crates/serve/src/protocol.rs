@@ -1,48 +1,24 @@
-//! The length-prefixed binary wire protocol (version 1).
+//! The front door's "RP" protocol: its frame constant, kind table and
+//! request/response body codecs.
 //!
-//! Everything is hand-rolled over `std` — no serde, no external codecs —
-//! per the workspace rule. The framing is:
+//! Framing — length prefix, header, cap, stream reads and writes — is
+//! [`reptile_relational::codec`]'s, shared with the worker wire; this
+//! module writes bodies with `codec::put_*` and reads them with
+//! [`Reader`]. `f64`s travel as [`f64::to_bits`] so a recommendation's
+//! scores arrive **bit-identical** (the serving exactness tests compare
+//! with `==`, never tolerance); sequences are a `u32` count + elements.
 //!
-//! ```text
-//! [payload_len: u32 BE]  length of everything after these 4 bytes
-//! [magic: 2 bytes "RP"]
-//! [version: u8]          PROTOCOL_VERSION; others are rejected typed
-//! [kind: u8]             frame kind (request or response discriminant)
-//! [request_id: u64 BE]   echoed verbatim in the response
-//! [body]                 kind-specific
-//! ```
-//!
-//! Body primitives: integers are big-endian; `f64`s travel as
-//! [`f64::to_bits`] so a recommendation's scores arrive **bit-identical**
-//! (the serving exactness tests compare with `==`, never tolerance);
-//! strings are `u32` length + UTF-8 bytes; sequences are `u32` count +
-//! elements; [`Value`]s are a tag byte (0 null / 1 int / 2 float / 3 str)
-//! plus the variant payload.
-//!
-//! **Decode safety.** Every decoder is total: truncated, oversized,
-//! garbage, wrong-version and trailing-byte inputs all return a typed
-//! [`ProtocolError`] — never a panic, never a partial read (a sequence
-//! count is validated against the bytes actually remaining before any
-//! allocation). The codec round-trip (`decode(encode(x)) == x`) and the
-//! rejection behaviour are property-tested in `tests/protocol_roundtrip.rs`.
+//! **Decode safety.** Every body decoder is total: truncated, garbage,
+//! hostile-count and trailing-byte bodies all return a typed
+//! [`CodecError`] — never a panic, never a partial read. The round trip
+//! (`decode(encode(x)) == x`) and the rejections are property-tested in
+//! `tests/protocol_roundtrip.rs`.
 
 use reptile::{Complaint, Direction, Recommendation, ScoredGroup};
+use reptile_relational::codec::{
+    put_f64, put_str, put_u32, put_u64, put_u8, put_value, CodecError, Frame, FrameSpec, Reader,
+};
 use reptile_relational::{AggregateKind, GroupKey, Value};
-use std::io::{Read, Write};
-
-/// Protocol version this build speaks. Frames carrying any other version
-/// are rejected with [`ProtocolError::UnsupportedVersion`].
-pub const PROTOCOL_VERSION: u8 = 1;
-
-/// Frame magic: the first two payload bytes of every valid frame.
-pub const MAGIC: [u8; 2] = *b"RP";
-
-/// Hard cap on a frame's payload length. A length prefix above this is
-/// rejected before any allocation ([`ProtocolError::Oversized`]).
-pub const MAX_FRAME_LEN: u32 = 1 << 20;
-
-/// Frame header length: magic + version + kind + request id.
-const HEADER_LEN: usize = 2 + 1 + 1 + 8;
 
 /// Frame kind discriminants (requests low, responses high bit set).
 const KIND_PING: u8 = 0;
@@ -53,90 +29,21 @@ const KIND_RECOMMENDATION: u8 = 0x81;
 const KIND_ERROR: u8 = 0x82;
 const KIND_INGEST_REPORT: u8 = 0x83;
 
-/// Typed decode/framing failure. Every malformed input maps to exactly one
-/// of these; decoding never panics and never partially succeeds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// The input ended before the structure it promised (also covers
-    /// sequence counts larger than the bytes remaining).
-    Truncated,
-    /// The first two payload bytes were not [`MAGIC`].
-    BadMagic([u8; 2]),
-    /// The frame speaks a protocol version this build does not.
-    UnsupportedVersion(u8),
-    /// Unknown frame kind, or a kind from the wrong direction (a response
-    /// kind where a request was required, or vice versa).
-    UnknownKind(u8),
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
-    Oversized(u32),
-    /// Bytes remained after the body was fully decoded.
-    TrailingBytes(usize),
-    /// A string field was not valid UTF-8.
-    BadUtf8,
-    /// An enum tag byte ([`Value`] tag, statistic, direction, error kind)
-    /// was out of range.
-    BadTag(u8),
-}
-
-impl std::fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtocolError::Truncated => write!(f, "frame truncated"),
-            ProtocolError::BadMagic(m) => write!(f, "bad frame magic {m:?}"),
-            ProtocolError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (this build speaks {PROTOCOL_VERSION})"
-                )
-            }
-            ProtocolError::UnknownKind(k) => write!(f, "unknown frame kind {k:#04x}"),
-            ProtocolError::Oversized(n) => {
-                write!(
-                    f,
-                    "frame payload of {n} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
-                )
-            }
-            ProtocolError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the frame body"),
-            ProtocolError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
-            ProtocolError::BadTag(t) => write!(f, "tag byte {t} out of range"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
-/// A failure while moving frames over a stream: either the bytes were
-/// malformed (typed) or the transport itself failed.
-#[derive(Debug)]
-pub enum WireError {
-    /// The bytes violated the protocol.
-    Protocol(ProtocolError),
-    /// The underlying stream failed.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Protocol(e) => write!(f, "protocol error: {e}"),
-            WireError::Io(e) => write!(f, "io error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<ProtocolError> for WireError {
-    fn from(e: ProtocolError) -> Self {
-        WireError::Protocol(e)
-    }
-}
-
-impl From<std::io::Error> for WireError {
-    fn from(e: std::io::Error) -> Self {
-        WireError::Io(e)
-    }
-}
+/// The front door's frames: magic `"RP"`, version 1, payloads up to 1 MiB.
+pub const RP: FrameSpec = FrameSpec {
+    magic: *b"RP",
+    version: 1,
+    max_len: 1 << 20,
+    kinds: &[
+        KIND_PING,
+        KIND_RECOMMEND,
+        KIND_INGEST,
+        KIND_PONG,
+        KIND_RECOMMENDATION,
+        KIND_ERROR,
+        KIND_INGEST_REPORT,
+    ],
+};
 
 // ---------------------------------------------------------------------------
 // Wire types
@@ -235,14 +142,14 @@ impl ServeErrorKind {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, ProtocolError> {
+    fn from_tag(tag: u8) -> Result<Self, CodecError> {
         Ok(match tag {
             0 => ServeErrorKind::Overloaded,
             1 => ServeErrorKind::DeadlineExceeded,
             2 => ServeErrorKind::BadRequest,
             3 => ServeErrorKind::Engine,
             4 => ServeErrorKind::Internal,
-            t => return Err(ProtocolError::BadTag(t)),
+            t => return Err(CodecError::BadTag(t)),
         })
     }
 }
@@ -373,11 +280,11 @@ pub enum Response {
     IngestReport(WireIngestReport),
 }
 
-/// A response frame: `id` echoes the request's (0 for protocol errors
-/// detected before an id could be decoded).
+/// A response frame: `id` echoes the request's (0 for a malformed frame,
+/// whose id is not trusted).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseFrame {
-    /// The request id this answers (0 if the request id never decoded).
+    /// The request id this answers (0 for a malformed frame).
     pub id: u64,
     /// The response body.
     pub response: Response,
@@ -426,7 +333,7 @@ fn statistic_tag(kind: AggregateKind) -> u8 {
     }
 }
 
-fn statistic_from_tag(tag: u8) -> Result<AggregateKind, ProtocolError> {
+fn statistic_from_tag(tag: u8) -> Result<AggregateKind, CodecError> {
     Ok(match tag {
         0 => AggregateKind::Count,
         1 => AggregateKind::Sum,
@@ -435,48 +342,13 @@ fn statistic_from_tag(tag: u8) -> Result<AggregateKind, ProtocolError> {
         4 => AggregateKind::Var,
         5 => AggregateKind::Min,
         6 => AggregateKind::Max,
-        t => return Err(ProtocolError::BadTag(t)),
+        t => return Err(CodecError::BadTag(t)),
     })
 }
 
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_be_bytes());
-        }
-        Value::Float(f) => {
-            out.push(2);
-            put_f64(out, *f);
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-    }
-}
 
 fn put_values(out: &mut Vec<u8>, values: &[Value]) {
     put_u32(out, values.len() as u32);
@@ -485,21 +357,14 @@ fn put_values(out: &mut Vec<u8>, values: &[Value]) {
     }
 }
 
-fn header(kind: u8, id: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&MAGIC);
-    out.push(PROTOCOL_VERSION);
-    out.push(kind);
-    put_u64(&mut out, id);
-    out
-}
-
-/// Encode a request frame's payload (everything after the length prefix).
+/// Encode a request frame's payload (everything after the length prefix),
+/// ready for [`write_frame`](reptile_relational::codec::write_frame) with
+/// [`RP`].
 pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
     match &frame.request {
-        Request::Ping => header(KIND_PING, frame.id),
+        Request::Ping => RP.header(KIND_PING, frame.id),
         Request::Recommend(req) => {
-            let mut out = header(KIND_RECOMMEND, frame.id);
+            let mut out = RP.header(KIND_RECOMMEND, frame.id);
             put_u32(&mut out, req.predicate.len() as u32);
             for (attr, value) in &req.predicate {
                 put_str(&mut out, attr);
@@ -511,46 +376,39 @@ pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
             }
             put_str(&mut out, &req.measure);
             put_values(&mut out, &req.complaint_key);
-            out.push(statistic_tag(req.statistic));
-            match req.direction {
-                Direction::TooHigh => {
-                    out.push(0);
-                    put_u64(&mut out, 0);
-                }
-                Direction::TooLow => {
-                    out.push(1);
-                    put_u64(&mut out, 0);
-                }
-                Direction::ShouldBe(target) => {
-                    out.push(2);
-                    put_f64(&mut out, target);
-                }
-            }
+            put_u8(&mut out, statistic_tag(req.statistic));
+            let (tag, target) = match req.direction {
+                Direction::TooHigh => (0, 0.0),
+                Direction::TooLow => (1, 0.0),
+                Direction::ShouldBe(target) => (2, target),
+            };
+            put_u8(&mut out, tag);
+            put_f64(&mut out, target);
             put_u32(&mut out, req.deadline_ms);
             put_str(&mut out, &req.fault);
             out
         }
         Request::Ingest(req) => {
-            let mut out = header(KIND_INGEST, frame.id);
-            put_u32(&mut out, req.inserts.len() as u32);
-            for row in &req.inserts {
-                put_values(&mut out, row);
-            }
-            put_u32(&mut out, req.deletes.len() as u32);
-            for row in &req.deletes {
-                put_values(&mut out, row);
+            let mut out = RP.header(KIND_INGEST, frame.id);
+            for rows in [&req.inserts, &req.deletes] {
+                put_u32(&mut out, rows.len() as u32);
+                for row in rows {
+                    put_values(&mut out, row);
+                }
             }
             out
         }
     }
 }
 
-/// Encode a response frame's payload (everything after the length prefix).
+/// Encode a response frame's payload (everything after the length prefix),
+/// ready for [`write_frame`](reptile_relational::codec::write_frame) with
+/// [`RP`].
 pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
     match &frame.response {
-        Response::Pong => header(KIND_PONG, frame.id),
+        Response::Pong => RP.header(KIND_PONG, frame.id),
         Response::Recommendation(rec) => {
-            let mut out = header(KIND_RECOMMENDATION, frame.id);
+            let mut out = RP.header(KIND_RECOMMENDATION, frame.id);
             put_f64(&mut out, rec.original_value);
             put_u64(&mut out, rec.relation_version);
             put_u32(&mut out, rec.ranked.len() as u32);
@@ -567,13 +425,13 @@ pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
             out
         }
         Response::Error { kind, message } => {
-            let mut out = header(KIND_ERROR, frame.id);
-            out.push(kind.to_tag());
+            let mut out = RP.header(KIND_ERROR, frame.id);
+            put_u8(&mut out, kind.to_tag());
             put_str(&mut out, message);
             out
         }
         Response::IngestReport(report) => {
-            let mut out = header(KIND_INGEST_REPORT, frame.id);
+            let mut out = RP.header(KIND_INGEST_REPORT, frame.id);
             put_u64(&mut out, report.inserted);
             put_u64(&mut out, report.deleted);
             put_u64(&mut out, report.relation_version);
@@ -590,144 +448,45 @@ pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked cursor over a frame payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn read_string(r: &mut Reader<'_>) -> Result<String, CodecError> {
+    r.str().map(str::to_owned)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.remaining() < n {
-            return Err(ProtocolError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_be_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_be_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self) -> Result<i64, ProtocolError> {
-        Ok(i64::from_be_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A sequence count, validated against the bytes remaining (each
-    /// element needs at least `min_element_len` bytes) so a hostile count
-    /// can never trigger a huge allocation.
-    fn count(&mut self, min_element_len: usize) -> Result<usize, ProtocolError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_element_len.max(1)) > self.remaining() {
-            return Err(ProtocolError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, ProtocolError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
-    }
-
-    fn value(&mut self) -> Result<Value, ProtocolError> {
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.i64()?)),
-            2 => Ok(Value::Float(self.f64()?)),
-            3 => Ok(Value::str(self.str()?)),
-            t => Err(ProtocolError::BadTag(t)),
-        }
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>, ProtocolError> {
-        let n = self.count(1)?;
-        (0..n).map(|_| self.value()).collect()
-    }
-
-    fn finish(self) -> Result<(), ProtocolError> {
-        if self.remaining() != 0 {
-            return Err(ProtocolError::TrailingBytes(self.remaining()));
-        }
-        Ok(())
-    }
+fn read_values(r: &mut Reader<'_>) -> Result<Vec<Value>, CodecError> {
+    let n = r.count(1)?;
+    (0..n).map(|_| r.value()).collect()
 }
 
-/// Validate the frame header, returning `(kind, id, body reader)`.
-fn read_header(payload: &[u8]) -> Result<(u8, u64, Reader<'_>), ProtocolError> {
-    if payload.len() < HEADER_LEN {
-        return Err(ProtocolError::Truncated);
-    }
-    let mut r = Reader::new(payload);
-    let magic: [u8; 2] = r.take(2)?.try_into().expect("2 bytes");
-    if magic != MAGIC {
-        return Err(ProtocolError::BadMagic(magic));
-    }
-    let version = r.u8()?;
-    if version != PROTOCOL_VERSION {
-        return Err(ProtocolError::UnsupportedVersion(version));
-    }
-    let kind = r.u8()?;
-    let id = r.u64()?;
-    Ok((kind, id, r))
+/// `n` elements read by `read`, after a count validated against the bytes
+/// left (each element takes at least `min_len` bytes).
+fn read_seq<T>(
+    r: &mut Reader<'_>,
+    min_len: usize,
+    mut read: impl FnMut(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.count(min_len)?;
+    (0..n).map(|_| read(r)).collect()
 }
 
-/// Decode a request frame payload (everything after the length prefix).
-pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, ProtocolError> {
-    let (kind, id, mut r) = read_header(payload)?;
-    let request = match kind {
+/// Decode a request from an [`RP`] frame. A response kind is rejected as
+/// [`CodecError::Invalid`].
+pub fn decode_request(frame: &Frame) -> Result<RequestFrame, CodecError> {
+    let mut r = Reader::new(&frame.body);
+    let request = match frame.kind {
         KIND_PING => Request::Ping,
         KIND_RECOMMEND => {
-            let n_pred = r.count(5)?; // attr (≥4) + value tag (1)
-            let mut predicate = Vec::with_capacity(n_pred);
-            for _ in 0..n_pred {
-                let attr = r.str()?;
-                let value = r.value()?;
-                predicate.push((attr, value));
-            }
-            let n_group = r.count(4)?;
-            let mut group_by = Vec::with_capacity(n_group);
-            for _ in 0..n_group {
-                group_by.push(r.str()?);
-            }
-            let measure = r.str()?;
-            let complaint_key = r.values()?;
+            // attr (≥4) + value tag (1)
+            let predicate = read_seq(&mut r, 5, |r| Ok((read_string(r)?, r.value()?)))?;
+            let group_by = read_seq(&mut r, 4, read_string)?;
+            let measure = read_string(&mut r)?;
+            let complaint_key = read_values(&mut r)?;
             let statistic = statistic_from_tag(r.u8()?)?;
-            let direction = match (r.u8()?, r.u64()?) {
+            let direction = match (r.u8()?, r.f64()?) {
                 (0, _) => Direction::TooHigh,
                 (1, _) => Direction::TooLow,
-                (2, bits) => Direction::ShouldBe(f64::from_bits(bits)),
-                (t, _) => return Err(ProtocolError::BadTag(t)),
+                (2, target) => Direction::ShouldBe(target),
+                (t, _) => return Err(CodecError::BadTag(t)),
             };
-            let deadline_ms = r.u32()?;
-            let fault = r.str()?;
             Request::Recommend(RecommendRequest {
                 predicate,
                 group_by,
@@ -735,145 +494,68 @@ pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, ProtocolError> {
                 complaint_key,
                 statistic,
                 direction,
-                deadline_ms,
-                fault,
+                deadline_ms: r.u32()?,
+                fault: read_string(&mut r)?,
             })
         }
-        KIND_INGEST => {
-            let n_ins = r.count(4)?;
-            let mut inserts = Vec::with_capacity(n_ins);
-            for _ in 0..n_ins {
-                inserts.push(r.values()?);
-            }
-            let n_del = r.count(4)?;
-            let mut deletes = Vec::with_capacity(n_del);
-            for _ in 0..n_del {
-                deletes.push(r.values()?);
-            }
-            Request::Ingest(IngestRequest { inserts, deletes })
+        KIND_INGEST => Request::Ingest(IngestRequest {
+            inserts: read_seq(&mut r, 4, read_values)?,
+            deletes: read_seq(&mut r, 4, read_values)?,
+        }),
+        k => {
+            return Err(CodecError::Invalid(format!(
+                "kind {k:#04x} is not a request"
+            )))
         }
-        k => return Err(ProtocolError::UnknownKind(k)),
     };
     r.finish()?;
-    Ok(RequestFrame { id, request })
+    Ok(RequestFrame {
+        id: frame.id,
+        request,
+    })
 }
 
-/// Decode a response frame payload (everything after the length prefix).
-pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, ProtocolError> {
-    let (kind, id, mut r) = read_header(payload)?;
-    let response = match kind {
+/// Decode a response from an [`RP`] frame. A request kind is rejected as
+/// [`CodecError::Invalid`].
+pub fn decode_response(frame: &Frame) -> Result<ResponseFrame, CodecError> {
+    let mut r = Reader::new(&frame.body);
+    let response = match frame.kind {
         KIND_PONG => Response::Pong,
-        KIND_RECOMMENDATION => {
-            let original_value = r.f64()?;
-            let relation_version = r.u64()?;
-            let n = r.count(8)?;
-            let mut ranked = Vec::with_capacity(n);
-            for _ in 0..n {
-                ranked.push(WireScoredGroup {
-                    hierarchy: r.str()?,
-                    added_attribute: r.str()?,
-                    key: r.values()?,
+        KIND_RECOMMENDATION => Response::Recommendation(WireRecommendation {
+            original_value: r.f64()?,
+            relation_version: r.u64()?,
+            ranked: read_seq(&mut r, 8, |r| {
+                Ok(WireScoredGroup {
+                    hierarchy: read_string(r)?,
+                    added_attribute: read_string(r)?,
+                    key: read_values(r)?,
                     observed: r.f64()?,
                     expected: r.f64()?,
                     repaired_complaint_value: r.f64()?,
                     penalty: r.f64()?,
                     improvement: r.f64()?,
-                });
-            }
-            Response::Recommendation(WireRecommendation {
-                original_value,
-                relation_version,
-                ranked,
-            })
+                })
+            })?,
+        }),
+        KIND_ERROR => Response::Error {
+            kind: ServeErrorKind::from_tag(r.u8()?)?,
+            message: read_string(&mut r)?,
+        },
+        KIND_INGEST_REPORT => Response::IngestReport(WireIngestReport {
+            inserted: r.u64()?,
+            deleted: r.u64()?,
+            relation_version: r.u64()?,
+            touched_hierarchies: read_seq(&mut r, 4, read_string)?,
+        }),
+        k => {
+            return Err(CodecError::Invalid(format!(
+                "kind {k:#04x} is not a response"
+            )))
         }
-        KIND_ERROR => {
-            let kind = ServeErrorKind::from_tag(r.u8()?)?;
-            let message = r.str()?;
-            Response::Error { kind, message }
-        }
-        KIND_INGEST_REPORT => {
-            let inserted = r.u64()?;
-            let deleted = r.u64()?;
-            let relation_version = r.u64()?;
-            let n = r.count(4)?;
-            let mut touched_hierarchies = Vec::with_capacity(n);
-            for _ in 0..n {
-                touched_hierarchies.push(r.str()?);
-            }
-            Response::IngestReport(WireIngestReport {
-                inserted,
-                deleted,
-                relation_version,
-                touched_hierarchies,
-            })
-        }
-        k => return Err(ProtocolError::UnknownKind(k)),
     };
     r.finish()?;
-    Ok(ResponseFrame { id, response })
-}
-
-// ---------------------------------------------------------------------------
-// Stream framing
-// ---------------------------------------------------------------------------
-
-/// Write one frame (length prefix + payload) to `w`.
-///
-/// A payload above [`MAX_FRAME_LEN`] returns an
-/// [`std::io::ErrorKind::InvalidInput`] error **before** writing anything —
-/// never a panic, and never a frame the peer would reject as oversized.
-/// (Server responses stay under the cap by construction: error messages
-/// are truncated at the door and recommendation sizes are bounded by the
-/// engine's `top_k`; this guard is the backstop.)
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN as usize {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!(
-                "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-                payload.len()
-            ),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Read one frame payload from `r`. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary; EOF mid-frame is [`ProtocolError::Truncated`], a length
-/// prefix above [`MAX_FRAME_LEN`] is [`ProtocolError::Oversized`] (the
-/// payload is *not* read, so a hostile prefix cannot trigger allocation).
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(None)
-                } else {
-                    Err(ProtocolError::Truncated.into())
-                };
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized(len).into());
-    }
-    let mut payload = vec![0u8; len as usize];
-    let mut filled = 0usize;
-    while filled < payload.len() {
-        match r.read(&mut payload[filled..]) {
-            Ok(0) => return Err(ProtocolError::Truncated.into()),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Some(payload))
+    Ok(ResponseFrame {
+        id: frame.id,
+        response,
+    })
 }

@@ -31,11 +31,12 @@
 //! ledger.
 
 use crate::protocol::{
-    decode_request, encode_response, read_frame, write_frame, ProtocolError, RecommendRequest,
-    Request, Response, ResponseFrame, ServeErrorKind, WireIngestReport, WireRecommendation,
+    decode_request, encode_response, RecommendRequest, Request, Response, ResponseFrame,
+    ServeErrorKind, WireIngestReport, WireRecommendation, RP,
 };
 use reptile::{Complaint, IngestReport, Reptile, Result as EngineResult, ViewKey};
 use reptile_obs as obs;
+use reptile_relational::codec::{read_frame, write_frame, FrameError, StreamError};
 use reptile_relational::{spawn_pool_job, AttrId, IngestBatch, Predicate};
 use reptile_session::{BatchRequest, BatchServer, RequestSignature};
 use std::collections::HashMap;
@@ -164,7 +165,7 @@ impl LedgerCells {
 
 /// Outbound error messages are clamped to this many bytes before encoding.
 /// Error detail can echo client-supplied text (a fault marker, an unknown
-/// attribute name) from a request near [`crate::protocol::MAX_FRAME_LEN`];
+/// attribute name) from a request near the [`RP`] frame cap;
 /// unbounded, the echo plus response overhead would push the response frame
 /// past the cap.
 const MAX_ERROR_MESSAGE_LEN: usize = 2048;
@@ -204,7 +205,7 @@ impl Conn {
             truncate_error_message(message);
         }
         let mut payload = encode_response(&frame);
-        if payload.len() > crate::protocol::MAX_FRAME_LEN as usize {
+        if payload.len() > RP.max_len as usize {
             // Backstop for any other over-cap response (e.g. a pathological
             // recommendation): the waiter still gets a typed answer, never
             // an unframeable one.
@@ -217,7 +218,7 @@ impl Conn {
             });
         }
         let mut writer = self.lock_writer();
-        if write_frame(&mut *writer, &payload).is_err() {
+        if write_frame(&mut *writer, &RP, &payload).is_err() {
             // The client vanished or stopped reading past the write
             // timeout: the connection is unusable. Close both halves so
             // its reader exits instead of feeding more requests into a
@@ -553,60 +554,48 @@ impl Core {
         self.quiesced.notify_all();
     }
 
+    /// Count a malformed frame and answer it with a typed `BadRequest` under
+    /// id 0 (the request id is not trusted).
+    fn protocol_error(&self, conn: &Conn, message: String) {
+        self.ledger.protocol_errors.fetch_add(1, Ordering::SeqCst);
+        obs::add_counter(obs::Counter::ServeProtocolErrors, 1);
+        conn.send(ResponseFrame {
+            id: 0,
+            response: Response::Error {
+                kind: ServeErrorKind::BadRequest,
+                message,
+            },
+        });
+    }
+
     /// One connection's read loop: decode frames, answer pings, admit
     /// recommend requests. Returns when the peer closes (or shutdown
     /// closes the read half).
     fn reader_loop(self: &Arc<Self>, mut stream: TcpStream, conn: Arc<Conn>) {
         loop {
-            let payload = match read_frame(&mut stream) {
-                Ok(Some(payload)) => payload,
+            let frame = match read_frame(&mut stream, &RP) {
+                Ok(Some(frame)) => frame,
                 Ok(None) => return,
+                Err(err @ StreamError::Frame(FrameError::UnknownKind(_))) => {
+                    // The whole frame was read: the next one can still
+                    // parse, so answer typed and keep the connection.
+                    self.protocol_error(&conn, err.to_string());
+                    continue;
+                }
                 Err(err) => {
-                    self.ledger.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                    obs::add_counter(obs::Counter::ServeProtocolErrors, 1);
-                    conn.send(ResponseFrame {
-                        id: 0,
-                        response: Response::Error {
-                            kind: ServeErrorKind::BadRequest,
-                            message: err.to_string(),
-                        },
-                    });
-                    // Framing is lost (mid-stream truncation / oversize /
-                    // transport failure): no resync point, drop the
-                    // connection.
+                    // Framing is lost (truncation, oversize, bad magic or
+                    // version, transport failure): no resync point, drop
+                    // the connection.
+                    self.protocol_error(&conn, err.to_string());
                     return;
                 }
             };
-            let frame = match decode_request(&payload) {
+            let frame = match decode_request(&frame) {
                 Ok(frame) => frame,
-                Err(err @ ProtocolError::Truncated)
-                | Err(err @ ProtocolError::BadMagic(_))
-                | Err(err @ ProtocolError::UnsupportedVersion(_)) => {
-                    // Header never validated: the id is untrustworthy and
-                    // the stream state suspect — answer id 0 and drop.
-                    self.ledger.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                    obs::add_counter(obs::Counter::ServeProtocolErrors, 1);
-                    conn.send(ResponseFrame {
-                        id: 0,
-                        response: Response::Error {
-                            kind: ServeErrorKind::BadRequest,
-                            message: err.to_string(),
-                        },
-                    });
-                    return;
-                }
                 Err(err) => {
-                    // The frame itself was well-delimited: answer typed and
-                    // keep the connection (the next frame can still parse).
-                    self.ledger.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                    obs::add_counter(obs::Counter::ServeProtocolErrors, 1);
-                    conn.send(ResponseFrame {
-                        id: 0,
-                        response: Response::Error {
-                            kind: ServeErrorKind::BadRequest,
-                            message: err.to_string(),
-                        },
-                    });
+                    // The frame was well-delimited and its header checked;
+                    // only the body is bad. Answer typed and keep reading.
+                    self.protocol_error(&conn, err.to_string());
                     continue;
                 }
             };

@@ -1,19 +1,23 @@
-//! Satellite: codec round-trip property test.
+//! RP body codecs: round-trip property test and hostile bodies.
 //!
 //! `decode(encode(request)) == request` for randomized requests (random
 //! predicates, group keys, unicode strings, random `f64` bit patterns
 //! including NaN payloads), and the decoders reject truncated, garbage,
-//! oversized and trailing-byte inputs with typed errors — never a panic,
-//! never a partial success.
+//! hostile-count and trailing-byte bodies with typed errors — never a
+//! panic, never a partial success. Every payload goes through the real RP
+//! reader first; the framing itself is covered for both protocols by
+//! `reptile-wire`'s `tests/framing.rs`.
 
 use reptile::Direction;
 use reptile_datasets::SimRng;
+use reptile_relational::codec::{
+    read_frame, write_frame, CodecError, Frame, FrameError, StreamError, FRAME_HEADER_LEN,
+};
 use reptile_relational::{AggregateKind, Value};
 use reptile_serve::protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    IngestRequest, ProtocolError, RecommendRequest, Request, RequestFrame, Response, ResponseFrame,
-    ServeErrorKind, WireError, WireIngestReport, WireRecommendation, WireScoredGroup,
-    MAX_FRAME_LEN, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, IngestRequest,
+    RecommendRequest, Request, RequestFrame, Response, ResponseFrame, ServeErrorKind,
+    WireIngestReport, WireRecommendation, WireScoredGroup, RP,
 };
 
 const STATISTICS: [AggregateKind; 7] = [
@@ -143,6 +147,23 @@ fn random_response_frame(rng: &mut SimRng) -> ResponseFrame {
     }
 }
 
+/// Frame `payload` behind a length prefix that matches it and read it back
+/// through the RP reader: header-level failures come back as
+/// [`FrameError`], exactly as the door's reader sees them.
+fn frame(payload: &[u8]) -> Result<Frame, FrameError> {
+    let mut stream = Vec::new();
+    write_frame(&mut stream, &RP, payload).expect("payload under the cap");
+    match read_frame(&mut stream.as_slice(), &RP) {
+        Ok(frame) => Ok(frame.expect("one frame")),
+        Err(StreamError::Frame(err)) => Err(err),
+        Err(StreamError::Io(err)) => panic!("in-memory read failed: {err}"),
+    }
+}
+
+fn decode_request_payload(payload: &[u8]) -> RequestFrame {
+    decode_request(&frame(payload).expect("header checks")).expect("request decodes")
+}
+
 /// `decode(encode(x)) == x` for randomized frames in both directions.
 /// `Value`/`Direction` equality uses total bit-pattern order, so this holds
 /// even for NaN payloads and signed zeros.
@@ -151,12 +172,11 @@ fn roundtrip_randomized_frames() {
     let mut rng = SimRng::seed_from_u64(0xC0DEC);
     for _ in 0..500 {
         let req = random_request_frame(&mut rng);
-        let decoded = decode_request(&encode_request(&req)).expect("request round-trip decodes");
-        assert_eq!(decoded, req);
+        assert_eq!(decode_request_payload(&encode_request(&req)), req);
 
         let resp = random_response_frame(&mut rng);
         let encoded = encode_response(&resp);
-        let decoded = decode_response(&encoded).expect("response round-trip decodes");
+        let decoded = decode_response(&frame(&encoded).unwrap()).expect("response decodes");
         // Response floats travel raw (`WireScoredGroup` holds plain `f64`s,
         // whose `==` is not reflexive for NaN), so the bit-exactness claim
         // is checked on the bytes: re-encoding the decoded frame must
@@ -165,50 +185,66 @@ fn roundtrip_randomized_frames() {
     }
 }
 
-/// Every strict prefix of a valid payload decodes to a typed error (almost
-/// always `Truncated`; very short prefixes can fail on magic/version first)
-/// — never a panic, never an `Ok`.
+/// Every strict prefix of a valid payload, framed as a whole frame, is a
+/// typed error: a prefix shorter than the header is `FrameError::Truncated`,
+/// a longer one passes the header check and its body fails as a
+/// `CodecError` — never a panic, never an `Ok`.
 #[test]
 fn truncation_at_every_prefix_is_typed() {
     let mut rng = SimRng::seed_from_u64(0x7241);
     for _ in 0..40 {
         let payload = encode_request(&random_request_frame(&mut rng));
         for cut in 0..payload.len() {
-            let err = decode_request(&payload[..cut]).expect_err("prefix must not decode");
-            match err {
-                ProtocolError::Truncated
-                | ProtocolError::BadMagic(_)
-                | ProtocolError::UnsupportedVersion(_)
-                | ProtocolError::UnknownKind(_) => {}
-                other => panic!("unexpected error class for prefix {cut}: {other:?}"),
+            match frame(&payload[..cut]) {
+                Err(err) => {
+                    assert!(cut < FRAME_HEADER_LEN, "prefix {cut}: {err:?}");
+                    assert_eq!(err, FrameError::Truncated);
+                }
+                Ok(body) => match decode_request(&body).expect_err("prefix must not decode") {
+                    CodecError::Truncated { .. } | CodecError::CountOverflow { .. } => {}
+                    other => panic!("unexpected error class for prefix {cut}: {other:?}"),
+                },
             }
         }
         let payload = encode_response(&random_response_frame(&mut rng));
         for cut in 0..payload.len() {
-            decode_response(&payload[..cut]).expect_err("prefix must not decode");
+            if let Ok(body) = frame(&payload[..cut]) {
+                decode_response(&body).expect_err("prefix must not decode");
+            }
         }
     }
 }
 
-/// Random garbage bytes never panic the decoders and never partially
-/// succeed: any `Ok` must re-encode to a canonical payload that decodes to
-/// the same frame (i.e. an accidental parse is still a *total* parse).
+/// Random garbage bytes never panic the reader or the decoders and never
+/// partially succeed: any `Ok` must re-encode to a canonical payload that
+/// decodes to the same frame (i.e. an accidental parse is still a *total*
+/// parse).
 #[test]
 fn garbage_never_panics_and_never_partially_decodes() {
     let mut rng = SimRng::seed_from_u64(0x6A42);
     for _ in 0..2000 {
         let len = rng.below(64);
-        let bytes: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
-        if let Ok(frame) = decode_request(&bytes) {
-            assert_eq!(decode_request(&encode_request(&frame)).unwrap(), frame);
+        let mut bytes: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        if len >= 4 && rng.below(2) == 0 {
+            // Half the time, a valid header so bodies get fuzzed too.
+            let kind = RP.kinds[rng.below(RP.kinds.len())];
+            bytes[..4].copy_from_slice(&[RP.magic[0], RP.magic[1], RP.version, kind]);
         }
-        if let Ok(frame) = decode_response(&bytes) {
-            assert_eq!(decode_response(&encode_response(&frame)).unwrap(), frame);
+        let Ok(body) = frame(&bytes) else { continue };
+        if let Ok(req) = decode_request(&body) {
+            assert_eq!(decode_request_payload(&encode_request(&req)), req);
+        }
+        if let Ok(resp) = decode_response(&body) {
+            // Compared as bytes: response floats travel raw, and NaN != NaN.
+            let again = decode_response(&frame(&encode_response(&resp)).unwrap()).unwrap();
+            assert_eq!(encode_response(&again), encode_response(&resp));
         }
     }
 }
 
-/// Mutating a valid frame's header bytes yields the matching typed error.
+/// Mutating a valid frame's header bytes yields the matching typed
+/// `FrameError`; a well-framed payload in the wrong direction or with
+/// trailing bytes is a typed `CodecError`.
 #[test]
 fn header_mutations_are_typed() {
     let valid = encode_request(&RequestFrame {
@@ -218,40 +254,39 @@ fn header_mutations_are_typed() {
 
     let mut bad_magic = valid.clone();
     bad_magic[0] = b'X';
-    assert_eq!(
-        decode_request(&bad_magic),
-        Err(ProtocolError::BadMagic([b'X', b'P']))
-    );
+    assert_eq!(frame(&bad_magic), Err(FrameError::BadMagic([b'X', b'P'])));
 
     let mut bad_version = valid.clone();
-    bad_version[2] = PROTOCOL_VERSION + 1;
+    bad_version[2] = RP.version + 1;
     assert_eq!(
-        decode_request(&bad_version),
-        Err(ProtocolError::UnsupportedVersion(PROTOCOL_VERSION + 1))
+        frame(&bad_version),
+        Err(FrameError::UnsupportedVersion(RP.version + 1))
     );
 
     let mut bad_kind = valid.clone();
     bad_kind[3] = 0x7F;
-    assert_eq!(
-        decode_request(&bad_kind),
-        Err(ProtocolError::UnknownKind(0x7F))
-    );
+    assert_eq!(frame(&bad_kind), Err(FrameError::UnknownKind(0x7F)));
 
-    // A response kind on the request decoder is also UnknownKind.
+    // A response kind on the request decoder (and the reverse) is a typed
+    // body error: the kind is RP's, just not this direction's.
     let pong = encode_response(&ResponseFrame {
         id: 1,
         response: Response::Pong,
     });
     assert!(matches!(
-        decode_request(&pong),
-        Err(ProtocolError::UnknownKind(0x80))
+        decode_request(&frame(&pong).unwrap()),
+        Err(CodecError::Invalid(_))
+    ));
+    assert!(matches!(
+        decode_response(&frame(&valid).unwrap()),
+        Err(CodecError::Invalid(_))
     ));
 
     let mut trailing = valid;
     trailing.push(0);
     assert_eq!(
-        decode_request(&trailing),
-        Err(ProtocolError::TrailingBytes(1))
+        decode_request(&frame(&trailing).unwrap()),
+        Err(CodecError::TrailingBytes(1))
     );
 }
 
@@ -261,83 +296,12 @@ fn header_mutations_are_typed() {
 fn hostile_sequence_counts_are_rejected() {
     let mut rng = SimRng::seed_from_u64(0xBADC);
     let valid = encode_request(&random_request_frame(&mut rng));
-    // Stamp 0xFFFFFFFF over every aligned 4-byte window in the body; each
-    // mutation must fail typed, not OOM or panic.
-    for pos in (12..valid.len().saturating_sub(4)).step_by(1) {
+    // Stamp 0xFFFFFFFF over every 4-byte window in the body; each mutation
+    // must fail typed, not OOM or panic.
+    for pos in FRAME_HEADER_LEN..valid.len().saturating_sub(4) {
         let mut hostile = valid.clone();
         hostile[pos..pos + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-        let _ = decode_request(&hostile).expect_err("hostile count must be rejected");
+        let _ =
+            decode_request(&frame(&hostile).unwrap()).expect_err("hostile count must be rejected");
     }
-}
-
-/// The stream framing layer: clean EOF at a boundary is `Ok(None)`,
-/// mid-frame EOF is `Truncated`, an oversized length prefix is rejected
-/// before allocation, and frames written with `write_frame` read back
-/// byte-identically.
-#[test]
-fn stream_framing_roundtrip_and_rejection() {
-    let mut rng = SimRng::seed_from_u64(0xF2A3);
-    let frames: Vec<Vec<u8>> = (0..16)
-        .map(|_| encode_request(&random_request_frame(&mut rng)))
-        .collect();
-
-    let mut stream = Vec::new();
-    for payload in &frames {
-        write_frame(&mut stream, payload).unwrap();
-    }
-    let mut cursor = std::io::Cursor::new(&stream);
-    for payload in &frames {
-        let read = read_frame(&mut cursor).unwrap().expect("frame present");
-        assert_eq!(&read, payload);
-    }
-    assert!(
-        read_frame(&mut cursor).unwrap().is_none(),
-        "clean EOF is None"
-    );
-
-    // Truncated mid-frame: cut the stream inside the last frame.
-    let cut = stream.len() - 1;
-    let mut cursor = std::io::Cursor::new(&stream[..cut]);
-    let mut outcome = Ok(Some(Vec::new()));
-    for _ in 0..frames.len() {
-        outcome = read_frame(&mut cursor);
-        if outcome.is_err() {
-            break;
-        }
-    }
-    assert!(
-        matches!(outcome, Err(WireError::Protocol(ProtocolError::Truncated))),
-        "mid-frame EOF must be Truncated, got {outcome:?}"
-    );
-
-    // Oversized prefix: rejected before the payload is allocated or read.
-    let mut oversized = Vec::new();
-    oversized.extend_from_slice(&(MAX_FRAME_LEN + 1).to_be_bytes());
-    oversized.extend_from_slice(&[0u8; 16]);
-    let mut cursor = std::io::Cursor::new(&oversized);
-    assert!(matches!(
-        read_frame(&mut cursor),
-        Err(WireError::Protocol(ProtocolError::Oversized(n))) if n == MAX_FRAME_LEN + 1
-    ));
-}
-
-/// Regression: an over-cap payload handed to `write_frame` is a typed io
-/// error, not a panic, and nothing reaches the stream — a response that
-/// cannot be framed must never wedge (or poison) the writer that tried.
-#[test]
-fn write_frame_rejects_oversized_payload_without_writing() {
-    let payload = vec![0u8; MAX_FRAME_LEN as usize + 1];
-    let mut out = Vec::new();
-    let err = write_frame(&mut out, &payload).expect_err("over-cap payload must error");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(
-        out.is_empty(),
-        "nothing may be written before the size check"
-    );
-
-    // Exactly at the cap still writes fine.
-    let payload = vec![0u8; MAX_FRAME_LEN as usize];
-    let mut out = Vec::new();
-    write_frame(&mut out, &payload).unwrap();
-    assert_eq!(out.len(), 4 + MAX_FRAME_LEN as usize);
 }

@@ -518,14 +518,14 @@ fn shutdown_drains_queued_requests_with_typed_responses() {
     }
 }
 
-/// Regression (review): a near-`MAX_FRAME_LEN` request whose fault marker
+/// Regression (review): a near-cap request whose fault marker
 /// would be echoed into the error detail must come back as a *truncated*
 /// typed `BadRequest` — the response frame stays under the cap, nothing
 /// panics while holding the connection's writer lock, and the same
 /// connection (and in-flight serving generally) keeps working.
 #[test]
 fn oversized_echoed_error_is_truncated_and_typed() {
-    use reptile_serve::MAX_FRAME_LEN;
+    use reptile_serve::RP;
 
     let (rel, schema) = dataset();
     let engine = Arc::new(Reptile::new(rel.clone(), schema.clone()));
@@ -538,7 +538,7 @@ fn oversized_echoed_error_is_truncated_and_typed() {
     // Minimal request shape: 46 bytes of encoding overhead, so this fault
     // length puts the request payload exactly at the frame cap while the
     // echoed error detail (+~35 bytes of surrounding text) would exceed it.
-    let huge_fault = "x".repeat(MAX_FRAME_LEN as usize - 46);
+    let huge_fault = "x".repeat(RP.max_len as usize - 46);
     let req = RecommendRequest {
         predicate: vec![],
         group_by: vec![],
@@ -780,4 +780,75 @@ fn wire_ingest_matches_in_process_sinks() {
     let ledger = server.shutdown();
     assert!(ledger.conserved(), "{ledger:?}");
     assert_eq!(ledger.protocol_errors, 0);
+}
+
+/// Regression: the door's reader tells a bad *body* from bad *framing*. A
+/// frame with a correct length prefix and a valid header whose Recommend
+/// body is cut short answers a typed `BadRequest` and the connection keeps
+/// serving, as does a frame of an unknown kind (the whole frame was read).
+/// A bad magic loses the framing: it is answered, then the connection is
+/// dropped.
+#[test]
+fn body_errors_keep_the_connection_and_framing_errors_drop_it() {
+    use reptile_relational::codec::{read_frame, write_frame, FRAME_HEADER_LEN};
+    use reptile_serve::{
+        decode_response, encode_request, Request, RequestFrame, Response, ResponseFrame, RP,
+    };
+    use std::net::TcpStream;
+
+    let (rel, schema) = dataset();
+    let engine = Arc::new(Reptile::new(rel, schema));
+    let server = Server::bind(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let mut round_trip = |payload: &[u8]| {
+        write_frame(&mut s, &RP, payload).unwrap();
+        let reply = read_frame(&mut s, &RP).unwrap().expect("reply frame");
+        decode_response(&reply).unwrap()
+    };
+    let ping = |id| {
+        encode_request(&RequestFrame {
+            id,
+            request: Request::Ping,
+        })
+    };
+    let assert_bad_request = |reply: ResponseFrame| match reply.response {
+        Response::Error { kind, .. } => assert_eq!(kind, ServeErrorKind::BadRequest),
+        other => panic!("expected a typed BadRequest, got {other:?}"),
+    };
+
+    // A Recommend frame whose body stops halfway: the prefix matches the
+    // bytes sent and the header checks out.
+    let recommend = encode_request(&RequestFrame {
+        id: 5,
+        request: Request::Recommend(request_for(0, 0, 0, "")),
+    });
+    let cut = FRAME_HEADER_LEN + (recommend.len() - FRAME_HEADER_LEN) / 2;
+    assert_bad_request(round_trip(&recommend[..cut]));
+    let pong = round_trip(&ping(6));
+    assert_eq!((pong.id, pong.response), (6, Response::Pong));
+
+    // An unknown kind keeps the connection.
+    let mut unknown = ping(7);
+    unknown[3] = 0x55;
+    assert_bad_request(round_trip(&unknown));
+    let pong = round_trip(&ping(8));
+    assert_eq!((pong.id, pong.response), (8, Response::Pong));
+
+    // A bad magic is answered, then the connection is dropped: a ping after
+    // it gets no reply.
+    let mut bad_magic = ping(9);
+    bad_magic[0] = b'X';
+    assert_bad_request(round_trip(&bad_magic));
+    write_frame(&mut s, &RP, &ping(10)).unwrap();
+    s.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    assert!(
+        !matches!(read_frame(&mut s, &RP), Ok(Some(_))),
+        "no frame may follow a dropped connection"
+    );
+
+    let ledger = server.shutdown();
+    assert_eq!(ledger.protocol_errors, 3);
 }

@@ -31,13 +31,13 @@
 //! [`Counter::RemoteBytesShipped`]; every reply frame read adds its bytes to
 //! [`Counter::RemoteBytesReceived`].
 
-use crate::frame::{read_frame, write_frame, Frame, WireError, KIND_ERROR, KIND_OK, KIND_RESULT};
 use crate::frame::{
-    KIND_ESTEP_PARTIAL, KIND_GRAM_PARTIAL, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_PING,
-    KIND_SCATTER, KIND_SHUTDOWN,
+    KIND_ERROR, KIND_ESTEP_PARTIAL, KIND_GRAM_PARTIAL, KIND_LOAD_PARTITION, KIND_LOAD_STATE,
+    KIND_OK, KIND_PING, KIND_RESULT, KIND_SCATTER, KIND_SHUTDOWN, RW,
 };
 use crate::worker::decode_error_body;
 use reptile_obs::{add_counter, Counter};
+use reptile_relational::codec::{read_frame, write_frame, Frame, StreamError};
 use reptile_relational::ship;
 use reptile_relational::{Parallelism, Relation, RemoteError, RemoteTransport};
 use std::collections::{HashMap, HashSet};
@@ -53,14 +53,14 @@ struct WorkerConn {
 
 impl WorkerConn {
     fn send(&mut self, frame: &Frame) -> Result<(), RemoteError> {
-        let bytes = write_frame(&mut self.stream, frame).map_err(wire_err)?;
+        let bytes = write_frame(&mut self.stream, &RW, &RW.encode(frame)).map_err(wire_err)?;
         add_counter(Counter::RemoteRpcs, 1);
         add_counter(Counter::RemoteBytesShipped, bytes as u64);
         Ok(())
     }
 
     fn recv(&mut self, expect_id: u64) -> Result<Frame, RemoteError> {
-        let frame = read_frame(&mut self.stream)
+        let frame = read_frame(&mut self.stream, &RW)
             .map_err(wire_err)?
             .ok_or_else(|| RemoteError::Transport("worker closed the connection".to_string()))?;
         add_counter(Counter::RemoteBytesReceived, frame.wire_len() as u64);
@@ -74,10 +74,10 @@ impl WorkerConn {
     }
 }
 
-fn wire_err(e: WireError) -> RemoteError {
+fn wire_err(e: StreamError) -> RemoteError {
     match e {
-        WireError::Frame(f) => RemoteError::Protocol(f.to_string()),
-        WireError::Io(io) => RemoteError::Transport(io.to_string()),
+        StreamError::Frame(f) => RemoteError::Protocol(f.to_string()),
+        StreamError::Io(io) => RemoteError::Transport(io.to_string()),
     }
 }
 
@@ -136,7 +136,7 @@ impl std::fmt::Debug for WorkerSet {
 
 impl WorkerSet {
     /// Connect to worker processes at `addrs` and ping each one. Each
-    /// address gets [`CONNECT_ATTEMPTS`] tries with short exponential
+    /// address gets `CONNECT_ATTEMPTS` (5) tries with short exponential
     /// backoff (a worker still binding its listener is a race, not a
     /// failure); a worker that stays unreachable or answers the ping wrong
     /// fails the whole set.

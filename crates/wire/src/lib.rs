@@ -7,8 +7,10 @@
 //! disjoint — the properties the in-process shard pool already exploits.
 //! This crate moves the same shard plan across process boundaries:
 //!
-//! * [`frame`] — the length-prefixed worker protocol (magic `"RW"`,
-//!   version 1): framing, typed decode errors, hostile-input safety;
+//! * [`frame`] — the worker protocol's [`RW`](frame::RW) constant (magic
+//!   `"RW"`, version 1, 64 MiB cap) and kind table, over the framing,
+//!   [`Frame`](reptile_relational::codec::Frame) and typed errors the
+//!   serving front door shares ([`reptile_relational::codec`]);
 //! * [`worker`] — the worker process: holds relation partitions (full
 //!   dictionaries in code order — the shared-dictionary contract, so codes
 //!   mean the same thing on every process) and content-fingerprinted
@@ -37,6 +39,5 @@ pub mod testing;
 pub mod worker;
 
 pub use coordinator::WorkerSet;
-pub use frame::{Frame, FrameError, WireError};
 pub use reptile_relational::{Exec, Remote, RemoteError, RemoteTransport};
 pub use worker::{WorkerErrorKind, WorkerState};

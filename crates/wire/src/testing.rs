@@ -19,11 +19,12 @@
 //! bit-identical to serial.
 
 use crate::frame::{
-    Frame, KIND_ERROR, KIND_ESTEP_PARTIAL, KIND_GRAM_PARTIAL, KIND_LOAD_PARTITION, KIND_LOAD_STATE,
+    KIND_ERROR, KIND_ESTEP_PARTIAL, KIND_GRAM_PARTIAL, KIND_LOAD_PARTITION, KIND_LOAD_STATE,
     KIND_RESULT, KIND_SCATTER,
 };
 use crate::worker::{decode_error_body, WorkerState};
 use reptile_obs::{add_counter, Counter};
+use reptile_relational::codec::Frame;
 use reptile_relational::ship;
 use reptile_relational::{Parallelism, Relation, RemoteError, RemoteTransport};
 use std::collections::{HashMap, HashSet};

@@ -12,14 +12,13 @@
 //! partial.
 
 use crate::frame::{
-    read_frame, write_frame, Frame, WireError, KIND_ERROR, KIND_ESTEP_PARTIAL, KIND_GRAM_PARTIAL,
-    KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING, KIND_RESULT, KIND_SCATTER,
-    KIND_SHUTDOWN,
+    KIND_ERROR, KIND_ESTEP_PARTIAL, KIND_GRAM_PARTIAL, KIND_LOAD_PARTITION, KIND_LOAD_STATE,
+    KIND_OK, KIND_PING, KIND_RESULT, KIND_SCATTER, KIND_SHUTDOWN, RW,
 };
 use reptile_factor::encoded::EncodedHierarchyAggregates;
 use reptile_factor::{payload, EncodedFactor};
 use reptile_model::remote::{self as em_remote, EmAnswerError, EmWorkerState};
-use reptile_relational::codec::{put_str, Reader};
+use reptile_relational::codec::{put_str, read_frame, write_frame, Frame, Reader, StreamError};
 use reptile_relational::exec::{
     DOMAIN_EM, DOMAIN_FACTOR, OP_AGG_RANGE, OP_CLUSTER_ZTZ, OP_E_STEP, OP_GRAM_CELLS, OP_VIEW_SCAN,
 };
@@ -344,13 +343,13 @@ impl WorkerState {
 /// coordinator that pipelines N requests reads N replies back in order.
 /// Malformed frames get a typed error reply where a request id could be
 /// read; an unframeable stream ends the connection.
-pub fn serve_connection(state: &mut WorkerState, stream: TcpStream) -> Result<bool, WireError> {
+pub fn serve_connection(state: &mut WorkerState, stream: TcpStream) -> Result<bool, StreamError> {
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
     let mut shutdown = false;
-    while let Some(frame) = read_frame(&mut reader)? {
+    while let Some(frame) = read_frame(&mut reader, &RW)? {
         let reply = state.handle(&frame, &mut shutdown);
-        write_frame(&mut writer, &reply)?;
+        write_frame(&mut writer, &RW, &RW.encode(&reply))?;
         if shutdown {
             break;
         }

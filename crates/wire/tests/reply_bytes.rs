@@ -4,8 +4,9 @@
 //! process-global, and pinning an exact delta needs no neighbour bumping it.
 
 use reptile_obs::{counter_value, Counter};
+use reptile_relational::codec::Frame;
 use reptile_relational::{Exec, Parallelism, Predicate, Relation, Remote, Schema, Value, View};
-use reptile_wire::frame::{Frame, KIND_RESULT};
+use reptile_wire::frame::KIND_RESULT;
 use reptile_wire::testing::LoopbackWorkers;
 use std::collections::BTreeSet;
 use std::sync::Arc;

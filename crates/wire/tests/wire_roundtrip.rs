@@ -1,24 +1,33 @@
 //! Wire-layer round trips and hostile-bytes safety.
 //!
-//! The frame layer's own unit tests cover header-level hostility; this
-//! suite drives the *payload* codecs the worker protocol carries —
+//! The framing harness (`tests/framing.rs`) covers header-level hostility;
+//! this suite drives the *payload* codecs the worker protocol carries —
 //! shipped partitions, view plans, encoded factors, aggregate partials —
 //! plus a live worker fed hostile frames over a real socket. The
 //! invariant everywhere: malformed input is a typed error, never a panic
 //! and never a giant allocation.
 
-use reptile_relational::codec::{put_f64, put_u32, put_u64};
+use reptile_relational::codec::{put_f64, put_u32, put_u64, Frame};
 use reptile_relational::{
     ship, Exec, Predicate, Relation, RelationalError, Remote, RemoteError, RemoteTransport, Schema,
     Value, View,
 };
 use reptile_wire::frame::{
-    read_frame, write_frame, Frame, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING,
-    KIND_RESULT, KIND_SCATTER,
+    KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING, KIND_RESULT, KIND_SCATTER, RW,
 };
 use reptile_wire::testing::LoopbackWorkers;
 use reptile_wire::WorkerState;
 use std::sync::Arc;
+
+/// Write one RW frame to a live socket.
+fn write_frame(s: &mut std::net::TcpStream, frame: &Frame) {
+    reptile_relational::codec::write_frame(s, &RW, &RW.encode(frame)).unwrap();
+}
+
+/// Read one RW frame from a live socket.
+fn read_frame(s: &mut std::net::TcpStream) -> Option<Frame> {
+    reptile_relational::codec::read_frame(s, &RW).unwrap()
+}
 
 fn sample_relation() -> Arc<Relation> {
     let schema = Arc::new(
@@ -281,8 +290,8 @@ fn worker_rejects_hostile_em_frames_over_a_live_socket() {
         hostile.push(Frame::new(KIND_SCATTER, 5 + n as u64, b));
     }
     for frame in &hostile {
-        write_frame(&mut s, frame).unwrap();
-        let reply = read_frame(&mut s).unwrap().expect("reply");
+        write_frame(&mut s, frame);
+        let reply = read_frame(&mut s).expect("reply");
         assert_eq!(reply.id, frame.id);
         assert_eq!(
             reply.kind,
@@ -295,8 +304,8 @@ fn worker_rejects_hostile_em_frames_over_a_live_socket() {
         assert!(!msg.is_empty());
     }
     // The connection survived all of it.
-    write_frame(&mut s, &Frame::new(KIND_PING, 99, Vec::new())).unwrap();
-    assert_eq!(read_frame(&mut s).unwrap().unwrap().kind, KIND_OK);
+    write_frame(&mut s, &Frame::new(KIND_PING, 99, Vec::new()));
+    assert_eq!(read_frame(&mut s).unwrap().kind, KIND_OK);
     drop(s);
 
     let state = server.join().unwrap();
@@ -336,8 +345,8 @@ fn worker_rejects_hostile_frames_over_a_live_socket() {
         Frame::new(KIND_SCATTER, 4, vec![0x77, 1, 2, 3]),
     ];
     for frame in &hostile {
-        write_frame(&mut s, frame).unwrap();
-        let reply = read_frame(&mut s).unwrap().expect("reply");
+        write_frame(&mut s, frame);
+        let reply = read_frame(&mut s).expect("reply");
         assert_eq!(reply.id, frame.id);
         assert_eq!(
             reply.kind,
@@ -350,8 +359,8 @@ fn worker_rejects_hostile_frames_over_a_live_socket() {
         assert!(!msg.is_empty());
     }
     // Still alive: a ping on the same connection answers OK.
-    write_frame(&mut s, &Frame::new(KIND_PING, 5, Vec::new())).unwrap();
-    assert_eq!(read_frame(&mut s).unwrap().unwrap().kind, KIND_OK);
+    write_frame(&mut s, &Frame::new(KIND_PING, 5, Vec::new()));
+    assert_eq!(read_frame(&mut s).unwrap().kind, KIND_OK);
     drop(s);
 
     // Connection 3: a legitimate load + scatter works after all the abuse,
@@ -368,9 +377,8 @@ fn worker_rejects_hostile_frames_over_a_live_socket() {
             6,
             ship::encode_partition(&rel, 0, rel.len()),
         ),
-    )
-    .unwrap();
-    assert_eq!(read_frame(&mut s).unwrap().unwrap().kind, KIND_OK);
+    );
+    assert_eq!(read_frame(&mut s).unwrap().kind, KIND_OK);
     let plan = ship::encode_view_plan(
         rel.ident(),
         rel.version(),
@@ -380,8 +388,8 @@ fn worker_rejects_hostile_frames_over_a_live_socket() {
     );
     let mut body = vec![reptile_relational::exec::OP_VIEW_SCAN];
     body.extend_from_slice(&plan);
-    write_frame(&mut s, &Frame::new(KIND_SCATTER, 7, body)).unwrap();
-    let reply = read_frame(&mut s).unwrap().unwrap();
+    write_frame(&mut s, &Frame::new(KIND_SCATTER, 7, body));
+    let reply = read_frame(&mut s).unwrap();
     assert_eq!(reply.kind, KIND_RESULT);
     assert_eq!(ship::decode_view_partial(&reply.body, 1).unwrap().len(), 2);
     drop(s);
