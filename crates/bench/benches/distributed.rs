@@ -9,17 +9,18 @@
 //!
 //! Writes `BENCH_distributed.json` at the repository root. The `distributed`
 //! extras section records the coordinator-observed wire accounting (RPCs,
-//! bytes shipped, overlapped merges, worker-side gram partials)
+//! bytes shipped, overlapped merges, worker-side gram and E-step partials)
 //! and the remote-over-serial median overhead per layer — on localhost the
 //! wire adds serialization + loopback latency, so the overhead ratio is
 //! the honest headline, not a speedup.
 //!
-//! Two pipeline properties are asserted before timing and exported as
-//! counters: the scatter/merge path folds partials while later replies
-//! are still in flight (non-zero `remote_overlapped_merges`, made
-//! deterministic with a delayed loopback fleet), and the EM fit builds its
-//! gram and cluster grams worker-side and iterates on the coordinator
-//! (non-zero `remote_gram_partials`, zero `remote_e_step_partials`).
+//! Two pipeline properties are asserted and exported as counters: the
+//! scatter/merge path folds partials while later replies are still in
+//! flight (non-zero `remote_overlapped_merges`, made deterministic with a
+//! delayed loopback fleet), and the remote recommendation fits its model
+//! on the coordinator (zero `remote_gram_partials` and
+//! `remote_e_step_partials`). Fit exactness under `Exec::Remote` is the
+//! `distributed_exactness` test's.
 
 use reptile::{Complaint, Direction, Reptile, ReptileConfig};
 use reptile_bench::{
@@ -27,8 +28,6 @@ use reptile_bench::{
 };
 use reptile_factor::encoded::EncodedHierarchyAggregates;
 use reptile_factor::{EncodedFactor, HierarchyFactor};
-use reptile_model::multilevel::{MultilevelConfig, MultilevelModel, TrainingBackend};
-use reptile_model::DesignBuilder;
 use reptile_relational::{
     AggregateKind, Exec, GroupKey, Predicate, Relation, Remote, Schema, Value, View,
 };
@@ -153,67 +152,6 @@ fn main() {
         assert_eq!(a.improvement.to_bits(), b.improvement.to_bits());
         assert_eq!(a.penalty.to_bits(), b.penalty.to_bits());
     }
-    // Remote EM fit: the per-iteration gram / ZᵀZ / E-step operators fan
-    // out worker-side; the fitted model must still be bit-identical.
-    let village = schema.attr("village").unwrap();
-    let fit_view = View::compute(
-        rel.clone(),
-        Predicate::all(),
-        vec![day, district, village],
-        reports,
-        &Exec::Serial,
-    )
-    .unwrap();
-    let fit_config = MultilevelConfig {
-        iterations: 8,
-        ..Default::default()
-    };
-    let serial_design = DesignBuilder::new(&fit_view, &schema, AggregateKind::Mean)
-        .build()
-        .unwrap();
-    let remote_design = DesignBuilder::new(&fit_view, &schema, AggregateKind::Mean)
-        .with_exec(remote.clone())
-        .build()
-        .unwrap();
-    let fit_serial = || {
-        MultilevelModel::fit_with_backend(&serial_design, fit_config, TrainingBackend::Factorized)
-            .unwrap()
-    };
-    let fit_remote = || {
-        MultilevelModel::fit_exec(
-            &remote_design,
-            fit_config,
-            TrainingBackend::Factorized,
-            &remote,
-        )
-        .unwrap()
-    };
-    let gram_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteGramPartials);
-    let e_step_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteEStepPartials);
-    let (serial_fit, remote_fit) = (fit_serial(), fit_remote());
-    assert_eq!(serial_fit.beta, remote_fit.beta, "remote fit: beta");
-    assert_eq!(serial_fit.sigma2, remote_fit.sigma2, "remote fit: sigma2");
-    assert_eq!(
-        serial_fit.sigma_b, remote_fit.sigma_b,
-        "remote fit: sigma_b"
-    );
-    assert_eq!(serial_fit.b, remote_fit.b, "remote fit: b");
-    assert_eq!(serial_fit.rss, remote_fit.rss, "remote fit: rss");
-    assert_eq!(
-        serial_fit.predict_all(&serial_design),
-        remote_fit.predict_all(&remote_design),
-        "remote fit: predictions"
-    );
-    assert!(
-        reptile_obs::counter_value(reptile_obs::Counter::RemoteGramPartials) > gram_before,
-        "the remote fit must have merged worker-side gram partials"
-    );
-    assert_eq!(
-        reptile_obs::counter_value(reptile_obs::Counter::RemoteEStepPartials),
-        e_step_before,
-        "the EM loop runs on the coordinator: no worker-side E-step partials"
-    );
-
     // Overlapped pipeline, made deterministic: a loopback fleet whose
     // replies arrive in ascending stagger forces the in-order merge to
     // fold early partials while later ones are still outstanding.
@@ -241,7 +179,7 @@ fn main() {
         "exactness ran through the wire, not a local fallback"
     );
     println!(
-        "exactness: remote == sharded == serial for views, aggregates, fit, recommendation ({} rows, {overlapped_merges} overlapped merges)",
+        "exactness: remote == sharded == serial for views, aggregates, recommendation ({} rows, {overlapped_merges} overlapped merges)",
         rel.len()
     );
 
@@ -273,8 +211,6 @@ fn main() {
         run_bench(&format!("recommend/remote/{workers}"), || {
             remote_engine.recommend(&serial_view, &complaint).unwrap()
         }),
-        run_bench("fit/serial", fit_serial),
-        run_bench(&format!("fit/remote/{workers}"), fit_remote),
     ];
     print_bench_table("distributed", &all_stats);
 
@@ -295,13 +231,10 @@ fn main() {
         rpcs > 0,
         "the measured section must have scattered remotely"
     );
-    assert!(
-        gram_partials > 0,
-        "the measured fits must have merged worker-side gram partials"
-    );
     assert_eq!(
-        e_step_partials, 0,
-        "the measured fits must have run their EM loop on the coordinator"
+        [gram_partials, e_step_partials],
+        [0, 0],
+        "the measured recommendations must have fitted on the coordinator"
     );
     assert_eq!(
         reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks),
@@ -325,10 +258,6 @@ fn main() {
             (
                 "recommend_remote_overhead_x".to_string(),
                 median("recommend/remote") / median("recommend/serial"),
-            ),
-            (
-                "fit_remote_overhead_x".to_string(),
-                median("fit/remote") / median("fit/serial"),
             ),
             ("remote_rpcs".to_string(), rpcs as f64),
             ("remote_bytes_shipped".to_string(), bytes as f64),

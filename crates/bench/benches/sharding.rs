@@ -87,9 +87,13 @@ fn assert_exactness(
         .with_exec(reptile_relational::Exec::Pool(par))
         .build()
         .expect("sharded design");
-    let sharded_fit =
-        MultilevelModel::fit_sharded(&sharded_design, em, TrainingBackend::Factorized, &par)
-            .expect("sharded fit");
+    let sharded_fit = MultilevelModel::fit_exec(
+        &sharded_design,
+        em,
+        TrainingBackend::Factorized,
+        &reptile_relational::Exec::Pool(par),
+    )
+    .expect("sharded fit");
     assert_eq!(serial_fit.beta, sharded_fit.beta, "sharded beta deviated");
     assert_eq!(serial_fit.sigma2, sharded_fit.sigma2);
     assert_eq!(
@@ -164,7 +168,13 @@ fn main() {
     for &n in &SHARD_COUNTS {
         let par = Parallelism::new(n);
         stats.push(run_bench(&format!("fit/sharded/{n}"), || {
-            MultilevelModel::fit_sharded(&design, em, TrainingBackend::Factorized, &par).unwrap()
+            MultilevelModel::fit_exec(
+                &design,
+                em,
+                TrainingBackend::Factorized,
+                &reptile_relational::Exec::Pool(par),
+            )
+            .unwrap()
         }));
     }
 
@@ -176,7 +186,13 @@ fn main() {
             .with_exec(reptile_relational::Exec::Pool(par))
             .build()
             .unwrap();
-        MultilevelModel::fit_sharded(&design, em, TrainingBackend::Factorized, &par).unwrap()
+        MultilevelModel::fit_exec(
+            &design,
+            em,
+            TrainingBackend::Factorized,
+            &reptile_relational::Exec::Pool(par),
+        )
+        .unwrap()
     };
     stats.push(run_bench("end_to_end/serial", || {
         cold(Parallelism::serial())

@@ -217,23 +217,6 @@ impl ClusterPartition {
         }
     }
 
-    /// Reassemble a partition from shipped parts — the worker-side mirror of
-    /// [`ClusterPartition::from_encoded`] for hosts that hold the clusters
-    /// but not the factorisation they were built from. The clusters must be
-    /// the coordinator's actual partition (shipped, not rebuilt) so both
-    /// hosts run the per-cluster operators over identical `f64` features.
-    pub fn from_raw_parts(
-        clusters: Vec<ClusterInfo>,
-        n_cols: usize,
-        intra_columns: Vec<usize>,
-    ) -> Self {
-        ClusterPartition {
-            clusters,
-            n_cols,
-            intra_columns,
-        }
-    }
-
     /// The clusters in row order.
     pub fn clusters(&self) -> &[ClusterInfo] {
         &self.clusters
@@ -320,14 +303,6 @@ impl ClusterPartition {
             return self.clusters.iter().map(|c| self.gram_of(c)).collect();
         }
         par.map_items(self.clusters.len(), |i| self.gram_of(&self.clusters[i]))
-    }
-
-    /// The gram matrix of cluster `i` — the single-cluster entry point the
-    /// remote cluster-gram workers use; runs exactly the per-cluster body of
-    /// [`ClusterPartition::grams`], so a worker-computed block is
-    /// bit-identical to the coordinator's.
-    pub fn gram_at(&self, i: usize) -> Matrix {
-        self.gram_of(&self.clusters[i])
     }
 
     /// Per-cluster right multiplications `X_i·A_i` (Algorithm 7); `a[i]` must

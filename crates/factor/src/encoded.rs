@@ -1087,42 +1087,6 @@ impl EncodedAggregates {
         &self.per_hierarchy
     }
 
-    /// Column positions, in column order (exposed for the wire codecs).
-    pub fn positions(&self) -> &[AttrPosition] {
-        &self.positions
-    }
-
-    /// Reassemble from shipped parts — the worker-side mirror of
-    /// [`EncodedAggregates::from_parts`] for hosts that hold the *decoded
-    /// aggregate tables* but not the factorisation they came from. The
-    /// tables must be the coordinator's actual state (shipped, not
-    /// recomputed): a delta-patched table can order its entries differently
-    /// from a cold rebuild, and the gram's per-cell FP sequence follows
-    /// entry order.
-    ///
-    /// # Panics
-    /// Panics if a position names a hierarchy outside `per_hierarchy`
-    /// (decoders validate positions before calling this).
-    pub fn from_raw_parts(
-        positions: Vec<AttrPosition>,
-        per_hierarchy: Vec<Arc<EncodedHierarchyAggregates>>,
-    ) -> Self {
-        for p in &positions {
-            assert!(
-                p.hierarchy < per_hierarchy.len(),
-                "position names hierarchy {} of {}",
-                p.hierarchy,
-                per_hierarchy.len()
-            );
-        }
-        let leaf_counts = per_hierarchy.iter().map(|h| h.leaf_count).collect();
-        EncodedAggregates {
-            positions,
-            per_hierarchy,
-            leaf_counts,
-        }
-    }
-
     /// Maintain the factorisation and its aggregates across an ingest's path
     /// deltas instead of recomputing: `fact` must be the factorisation these
     /// aggregates were computed over, with one optional [`PathDelta`] per
@@ -1465,14 +1429,8 @@ impl EncodedFeatureMap {
         &self.columns[column]
     }
 
-    /// All code-indexed columns (exposed for the wire codecs).
-    pub fn columns(&self) -> &[Vec<f64>] {
-        &self.columns
-    }
-
-    /// Reassemble from shipped code-indexed columns — the worker-side
-    /// mirror of [`EncodedFeatureMap::encode`] for hosts without the
-    /// `Value`-keyed feature map.
+    /// Wrap code-indexed columns built directly by a design builder (one
+    /// column per design column, indexed by the level's codes).
     pub fn from_columns(columns: Vec<Vec<f64>>) -> Self {
         EncodedFeatureMap { columns }
     }
@@ -1562,11 +1520,9 @@ pub fn gram(aggs: &EncodedAggregates, features: &EncodedFeatureMap, par: &Parall
 }
 
 /// The canonical upper-triangle cell enumeration of an `m × m` gram matrix:
-/// `(p, q)` with `p <= q` in row-major order. This is the index space every
-/// gram partial speaks — the sharded gram fans these cells over threads and
-/// the remote gram ships contiguous ranges of them to workers, so the cell
-/// at index `k` means the same `(p, q)` on every host.
-pub fn gram_pairs(m: usize) -> Vec<(usize, usize)> {
+/// `(p, q)` with `p <= q` in row-major order — the cells the sharded gram
+/// fans over threads.
+fn gram_pairs(m: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::with_capacity(m * (m + 1) / 2);
     for p in 0..m {
         for q in p..m {
@@ -1574,36 +1530,6 @@ pub fn gram_pairs(m: usize) -> Vec<(usize, usize)> {
         }
     }
     pairs
-}
-
-/// Gram cells `[start, start + len)` of the [`gram_pairs`] enumeration —
-/// the worker-side gram partial. Each cell runs the identical serial
-/// accumulation (`gram_entry`), so partials computed on any host drop
-/// bit-exactly into the coordinator's matrix.
-///
-/// Returns `None` when the range falls outside the enumeration (hostile or
-/// mismatched request — callers answer typed, never panic).
-pub fn gram_cells(
-    aggs: &EncodedAggregates,
-    features: &EncodedFeatureMap,
-    start: usize,
-    len: usize,
-) -> Option<Vec<f64>> {
-    let m = aggs.n_cols();
-    if features.n_cols() != m {
-        return None;
-    }
-    let n_cells = m * (m + 1) / 2;
-    if start.checked_add(len)? > n_cells {
-        return None;
-    }
-    let pairs = gram_pairs(m);
-    Some(
-        pairs[start..start + len]
-            .iter()
-            .map(|&(p, q)| gram_entry(aggs, features, p, q))
-            .collect(),
-    )
 }
 
 /// One output cell of the factorised left multiplication: `row i of A` (as a

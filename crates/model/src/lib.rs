@@ -18,7 +18,10 @@
 //! * [`linear`] — ordinary least squares over the factorised matrix;
 //! * [`multilevel`] — the multi-level (mixed effects) linear model trained by
 //!   EM (Appendix D), with both a factorised and a materialised ("Matlab
-//!   style") training path;
+//!   style") training path. A fit runs where its design lives, in this
+//!   process, under every execution context: `Exec::Remote` fits at its
+//!   coordinator-side thread budget, and no fit statistic goes over the
+//!   wire;
 //! * [`aic`] — Akaike-information-criterion model comparison (Appendix K).
 
 pub mod aic;
@@ -28,7 +31,6 @@ mod em_oracle;
 pub mod features;
 pub mod linear;
 pub mod multilevel;
-pub mod remote;
 
 pub use design::{DesignBuilder, DesignRows, EmptyGroupPolicy, TrainingDesign};
 pub use features::{ExtraFeature, FeaturePlan};

@@ -47,12 +47,11 @@
 //! LU on non-SPD input.
 
 use crate::design::TrainingDesign;
-use crate::{remote, ModelError, Result};
-use reptile_factor::{encoded, ops, Exec, Parallelism, Remote};
+use crate::{ModelError, Result};
+use reptile_factor::{encoded, ops, Exec, Parallelism};
 use reptile_linalg::cholesky::invert_spd_with_ridge;
 use reptile_linalg::Matrix;
-use reptile_obs::{add_counter, Counter, Stage, StageTimer};
-use reptile_relational::exec::DOMAIN_EM;
+use reptile_obs::{Stage, StageTimer};
 
 /// EM training configuration.
 #[derive(Debug, Clone, Copy)]
@@ -121,62 +120,34 @@ impl MultilevelModel {
         config: MultilevelConfig,
         backend: TrainingBackend,
     ) -> Result<Self> {
-        Self::fit_sharded(design, config, backend, &Parallelism::serial())
+        Self::fit_exec(design, config, backend, &Exec::Serial)
     }
 
-    /// Fit with an explicit backend and a thread budget: on the
+    /// Fit under an execution context. On the
     /// [`TrainingBackend::Factorized`] (encoded) path the once-per-fit
     /// statistics (gram cells, per-cluster grams, the cluster products of
-    /// the OLS residual) fan out over `par`'s shards. Every sharded step
-    /// runs the identical per-entry/per-cluster serial floating-point
-    /// sequence and the EM loop itself is serial, so the fitted model is
-    /// **bit-identical** to [`MultilevelModel::fit_with_backend`] — the
-    /// shard-merge property tests assert `==` on `beta`, `sigma2`,
-    /// `sigma_b`, `b` and the predictions. The legacy and materialized
-    /// baselines ignore the budget (they exist to be honest serial
-    /// baselines).
-    pub fn fit_sharded(
-        design: &TrainingDesign,
-        config: MultilevelConfig,
-        backend: TrainingBackend,
-        par: &Parallelism,
-    ) -> Result<Self> {
-        // One solve span per model fit (all backends), nested E-step spans
-        // per EM iteration — observability never changes the fit itself.
-        let _span = StageTimer::start(Stage::Solve);
-        let products = Products::new(design, backend, *par)?;
-        Self::fit_from(design, config, &products, None)
-    }
-
-    /// Fit under an execution context. [`Exec::Remote`] on the
-    /// [`TrainingBackend::Factorized`] path ships the fit's encoded state
-    /// to the worker fleet once and builds the two gram statistics there —
-    /// the gram's cells and every cluster's gram, one scatter each, partials
-    /// folded in worker order — **bit-identical** to the serial fit. The
-    /// rest of the statistics and the EM loop run on the coordinator. Any
-    /// remote failure falls back to the local fit (counted by
-    /// `remote_fallbacks`, never silent). Every other context delegates to
-    /// [`MultilevelModel::fit_sharded`] at the context's local thread
-    /// budget.
+    /// the OLS residual) fan out over [`Exec::parallelism`]'s shards. Every
+    /// sharded step runs the identical per-entry/per-cluster serial
+    /// floating-point sequence and the EM loop itself is serial, so the
+    /// fitted model is **bit-identical** to
+    /// [`MultilevelModel::fit_with_backend`] — the shard-merge property
+    /// tests assert `==` on `beta`, `sigma2`, `sigma_b`, `b` and the
+    /// predictions. The fit always runs on the calling process:
+    /// [`Exec::Remote`] fits at its coordinator-side budget, because the
+    /// design lives there and workers hold relation partitions, not
+    /// designs. The legacy and materialized baselines ignore the budget
+    /// (they exist to be honest serial baselines).
     pub fn fit_exec(
         design: &TrainingDesign,
         config: MultilevelConfig,
         backend: TrainingBackend,
         exec: &Exec,
     ) -> Result<Self> {
-        let (TrainingBackend::Factorized, Exec::Remote(rem)) = (backend, exec) else {
-            return Self::fit_sharded(design, config, backend, &exec.parallelism());
-        };
+        // One solve span per model fit (all backends), nested E-step spans
+        // per EM iteration — observability never changes the fit itself.
         let _span = StageTimer::start(Stage::Solve);
-        let products = Products::new(design, backend, rem.local())?;
-        let grams = match remote_grams(design, rem) {
-            Ok(grams) => Some(grams),
-            Err(_) => {
-                add_counter(Counter::RemoteFallbacks, 1);
-                None
-            }
-        };
-        Self::fit_from(design, config, &products, grams)
+        let products = Products::new(design, backend, exec.parallelism())?;
+        Self::fit_from(design, config, &products)
     }
 
     /// Fitted values (fixed + random effects) for every design row.
@@ -213,14 +184,12 @@ impl MultilevelModel {
     }
 
     /// The fit itself, shared by every backend and context: the once-per-fit
-    /// statistics through `products` (the gram and the cluster grams from
-    /// `grams` when the fleet built them), then the EM loop, which reads
-    /// nothing of size `n`.
+    /// statistics through `products`, then the EM loop, which reads nothing
+    /// of size `n`.
     fn fit_from(
         design: &TrainingDesign,
         config: MultilevelConfig,
         products: &Products<'_>,
-        grams: Option<(Matrix, Vec<Matrix>)>,
     ) -> Result<Self> {
         let y = design.y();
         let n = y.len();
@@ -229,10 +198,8 @@ impl MultilevelModel {
         let q = z.len();
 
         // ---------------- once per fit ----------------
-        let (gram, cluster_grams) = match grams {
-            Some(grams) => grams,
-            None => (products.gram()?, products.cluster_grams()?),
-        };
+        let gram = products.gram()?;
+        let cluster_grams = products.cluster_grams()?;
         let g = cluster_grams.len();
         let gram_inv = invert_spd_with_ridge(&gram, config.ridge)?;
         let xty = products.xt(y)?;
@@ -357,27 +324,6 @@ impl MultilevelModel {
             n,
         })
     }
-}
-
-/// Ship the design's encoded state to the fleet (content-addressed,
-/// idempotent) and build the gram and every cluster's gram worker-side.
-fn remote_grams(
-    design: &TrainingDesign,
-    rem: &Remote,
-) -> std::result::Result<(Matrix, Vec<Matrix>), String> {
-    let enc = design.encoded();
-    let clusters = design.clusters();
-    let bytes = remote::encode_em_state(&enc.aggregates, &enc.features, clusters)
-        .map_err(|e| e.to_string())?;
-    let key = remote::em_state_fingerprint(&bytes);
-    rem.transport()
-        .ensure_state(DOMAIN_EM, key, &|| bytes.clone())
-        .map_err(|e| e.to_string())?;
-    let m = design.n_cols();
-    let gram = remote::remote_gram(rem, key, m).map_err(|e| e.to_string())?;
-    let grams =
-        remote::remote_cluster_grams(rem, key, clusters.len(), m).map_err(|e| e.to_string())?;
-    Ok((gram, grams))
 }
 
 /// How one fit multiplies by its design. Every `O(n)` pass of EM goes
@@ -681,9 +627,13 @@ mod tests {
                 .with_exec(reptile_relational::Exec::Pool(par))
                 .build()
                 .unwrap();
-            let sharded =
-                MultilevelModel::fit_sharded(&design, config, TrainingBackend::Factorized, &par)
-                    .unwrap();
+            let sharded = MultilevelModel::fit_exec(
+                &design,
+                config,
+                TrainingBackend::Factorized,
+                &Exec::Shards(threads),
+            )
+            .unwrap();
             assert_eq!(serial.beta, sharded.beta, "{threads} threads");
             assert_eq!(serial.sigma2, sharded.sigma2);
             assert_eq!(serial.sigma_b, sharded.sigma_b);

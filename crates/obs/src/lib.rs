@@ -32,7 +32,7 @@
 //! | [`Stage::Encode`] | §5 factorised encoding | `EncodedFactor::encode` |
 //! | [`Stage::Scan`] | §5 aggregate pushdown | `View::compute_ranges`, `EncodedHierarchyAggregates::compute` |
 //! | [`Stage::Merge`] | shard-exact merge (PR 4/5) | `View` replay merge, `EncodedHierarchyAggregates::merge` |
-//! | [`Stage::Solve`] | §6 model training | `MultilevelModel::fit_sharded` |
+//! | [`Stage::Solve`] | §6 model training | `MultilevelModel::fit_exec` |
 //! | [`Stage::DesignBuild`] | §6 design assembly | `Reptile::fit_and_predict` |
 //! | [`Stage::EStep`] | Appendix D EM bottleneck | per-iteration posterior solves in `MultilevelModel::fit_from` |
 //! | [`Stage::QueueWait`] | — | shard-pool submit→execute latency |
@@ -205,15 +205,17 @@ pub enum Counter {
     /// later worker reply was still in flight — the overlap the streamed
     /// scatter pipeline exists to create (merge work hides network wait).
     RemoteOverlappedMerges,
-    /// Gram partials (gram-cell ranges and per-cluster gram blocks) computed
-    /// worker-side instead of on the coordinator.
+    /// Gram partials computed worker-side. Nothing bumps it any more: a fit
+    /// runs where its design lives, on the coordinator, under every
+    /// execution context, so it reads 0. It stays while the benchmark
+    /// reports it.
     RemoteGramPartials,
     /// E-step partials computed worker-side. Nothing bumps it any more: the
     /// EM loop reads only once-per-fit statistics and runs on the
     /// coordinator, so it reads 0. It stays while the benchmark reports it.
     RemoteEStepPartials,
-    /// Bytes of reply frames read back from remote workers (acks, view
-    /// partials, gram partials — reply side of the wire).
+    /// Bytes of reply frames read back from remote workers (acks, view and
+    /// aggregate partials, typed errors — reply side of the wire).
     RemoteBytesReceived,
 }
 

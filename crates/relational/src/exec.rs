@@ -17,9 +17,11 @@
 //! operators (view scans in this crate, hierarchy aggregates in
 //! `reptile-factor`) build *plans* and merge *partials*; the transport only
 //! ships opaque payloads and is implemented once, by `reptile-wire`'s
-//! `WorkerSet`, over `std::net`. Operators whose operands live entirely
-//! coordinator-side (gram products, model solves) never go remote — they
-//! take [`Exec::parallelism`], the local budget every variant carries.
+//! `WorkerSet`, over `std::net`. Workers hold relation partitions and
+//! hierarchy factors, so only view scans and hierarchy aggregates go
+//! remote. Everything built from a training design — grams, cluster grams,
+//! the whole EM fit, predictions — runs on the coordinator at
+//! [`Exec::parallelism`], the local budget every variant carries.
 
 use crate::parallel::Parallelism;
 use crate::relation::Relation;
@@ -32,10 +34,6 @@ use std::sync::Arc;
 /// (`reptile-factor`'s hierarchy aggregate inputs).
 pub const DOMAIN_FACTOR: u8 = 1;
 
-/// State domain tag for shipped EM fit state (encoded aggregates, feature
-/// map, cluster partition — codecs in `reptile-model`).
-pub const DOMAIN_EM: u8 = 2;
-
 /// Scatter op: code-keyed partial view table over a shipped partition
 /// (plan/partial codecs in [`crate::ship`]).
 pub const OP_VIEW_SCAN: u8 = 1;
@@ -43,14 +41,6 @@ pub const OP_VIEW_SCAN: u8 = 1;
 /// Scatter op: `EncodedHierarchyAggregates` partial over a leaf range
 /// (plan/partial codecs in `reptile-factor`).
 pub const OP_AGG_RANGE: u8 = 2;
-
-/// Scatter op: gram-matrix cell range over shipped EM state (upper-triangle
-/// cells in row-major order; codecs in `reptile-model`).
-pub const OP_GRAM_CELLS: u8 = 3;
-
-/// Scatter op: every cluster's full gram `X_iᵀX_i` over a cluster range of
-/// shipped EM state (codecs in `reptile-model`).
-pub const OP_CLUSTER_GRAMS: u8 = 4;
 
 /// A remote execution failure, surfaced to callers as
 /// [`RelationalError::Remote`](crate::error::RelationalError::Remote) (views)
@@ -148,11 +138,11 @@ pub trait RemoteTransport: Send + Sync {
 ///
 /// This is the coordinator half of the overlapped pipeline: replies arrive
 /// in whatever order the workers finish, but every merge rule in the
-/// workspace (integer-sum view tables, boundary-joined run/COF tables,
-/// gram-cell placement) is only bit-exact when partials fold in fixed
-/// worker order. So out-of-order arrivals are buffered, and `fold` is
-/// invoked strictly in worker order the moment its predecessor has folded —
-/// merge work overlaps the network wait without changing the FP sequence.
+/// workspace (integer-sum view tables, boundary-joined run/COF tables) is
+/// only bit-exact when partials fold in fixed worker order. So
+/// out-of-order arrivals are buffered, and `fold` is invoked strictly in
+/// worker order the moment its predecessor has folded — merge work
+/// overlaps the network wait without changing the FP sequence.
 ///
 /// Every `fold` that runs while at least one later reply is still in flight
 /// bumps [`Counter::RemoteOverlappedMerges`]. A worker reply the transport
@@ -286,9 +276,10 @@ impl Exec {
     }
 
     /// The *local* thread budget this context carries — what
-    /// coordinator-resident operators (gram products, solves, merges) fan
-    /// out over. `Remote` returns its coordinator-side budget: operands that
-    /// live on the coordinator never go over the wire.
+    /// coordinator-resident operators (merges, gram products, model fits,
+    /// predictions) fan out over. `Remote` returns its coordinator-side
+    /// budget: a training design lives on the coordinator, so its fit never
+    /// goes over the wire.
     pub fn parallelism(&self) -> Parallelism {
         match self {
             Exec::Serial => Parallelism::serial(),

@@ -32,8 +32,8 @@
 //! [`Counter::RemoteBytesReceived`].
 
 use crate::frame::{
-    KIND_ERROR, KIND_GRAM_PARTIAL, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING,
-    KIND_RESULT, KIND_SCATTER, KIND_SHUTDOWN, RW,
+    KIND_ERROR, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING, KIND_RESULT,
+    KIND_SCATTER, KIND_SHUTDOWN, RW,
 };
 use crate::worker::decode_error_body;
 use reptile_obs::{add_counter, Counter};
@@ -346,7 +346,7 @@ impl RemoteTransport for WorkerSet {
                     continue;
                 }
                 let step = result.and_then(|frame| match frame.kind {
-                    KIND_RESULT | KIND_GRAM_PARTIAL => {
+                    KIND_RESULT => {
                         let outstanding = total - arrived.load(Ordering::SeqCst).min(total);
                         complete(worker, frame.body, outstanding)
                     }

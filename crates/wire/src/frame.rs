@@ -30,13 +30,12 @@ pub const KIND_OK: u8 = 0x80;
 pub const KIND_RESULT: u8 = 0x81;
 /// Typed failure (body: kind tag + message string).
 pub const KIND_ERROR: u8 = 0x82;
-/// Success carrying a worker-computed gram partial (gram-cell range or
-/// per-cluster grams; body codecs in `reptile-model`).
-pub const KIND_GRAM_PARTIAL: u8 = 0x83;
 
 /// The worker wire's frames: magic `"RW"`, version 1, payloads up to
 /// [`MAX_WIRE_PAYLOAD`] (64 MiB) — the same number encode-time payload
-/// validation checks against.
+/// validation checks against. Kinds `0x83` (worker-built gram partials)
+/// and `0x84` (per-iteration E-step partials) are retired with the remote
+/// fit: a frame of either kind reads as `UnknownKind`.
 pub const RW: FrameSpec = FrameSpec {
     magic: *b"RW",
     version: 1,
@@ -50,6 +49,5 @@ pub const RW: FrameSpec = FrameSpec {
         KIND_OK,
         KIND_RESULT,
         KIND_ERROR,
-        KIND_GRAM_PARTIAL,
     ],
 };

@@ -18,9 +18,7 @@
 //! from the real worker handlers, so a merged result must still be
 //! bit-identical to serial.
 
-use crate::frame::{
-    KIND_ERROR, KIND_GRAM_PARTIAL, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_RESULT, KIND_SCATTER,
-};
+use crate::frame::{KIND_ERROR, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_RESULT, KIND_SCATTER};
 use crate::worker::{decode_error_body, WorkerState};
 use reptile_obs::{add_counter, Counter};
 use reptile_relational::codec::Frame;
@@ -85,7 +83,7 @@ impl LoopbackWorkers {
 
 fn reply_to_result(frame: Frame) -> Result<Vec<u8>, RemoteError> {
     match frame.kind {
-        KIND_RESULT | KIND_GRAM_PARTIAL => Ok(frame.body),
+        KIND_RESULT => Ok(frame.body),
         KIND_ERROR => {
             let (kind, msg) = decode_error_body(&frame.body);
             Err(RemoteError::Worker(format!("{kind}: {msg}")))

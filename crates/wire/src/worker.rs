@@ -12,16 +12,13 @@
 //! partial.
 
 use crate::frame::{
-    KIND_ERROR, KIND_GRAM_PARTIAL, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING,
-    KIND_RESULT, KIND_SCATTER, KIND_SHUTDOWN, RW,
+    KIND_ERROR, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING, KIND_RESULT,
+    KIND_SCATTER, KIND_SHUTDOWN, RW,
 };
 use reptile_factor::encoded::EncodedHierarchyAggregates;
 use reptile_factor::{payload, EncodedFactor};
-use reptile_model::remote::{self as em_remote, EmAnswerError, EmWorkerState};
 use reptile_relational::codec::{put_str, read_frame, write_frame, Frame, Reader, StreamError};
-use reptile_relational::exec::{
-    DOMAIN_EM, DOMAIN_FACTOR, OP_AGG_RANGE, OP_CLUSTER_GRAMS, OP_GRAM_CELLS, OP_VIEW_SCAN,
-};
+use reptile_relational::exec::{DOMAIN_FACTOR, OP_AGG_RANGE, OP_VIEW_SCAN};
 use reptile_relational::ship::{self, ShippedPartition};
 use std::collections::HashMap;
 use std::io::BufWriter;
@@ -98,10 +95,6 @@ pub struct WorkerState {
     partitions: HashMap<u64, ShippedPartition>,
     /// Decoded encoded-factor state by content fingerprint.
     factors: HashMap<u64, EncodedFactor>,
-    /// Decoded EM state (aggregates + features + clusters) by content
-    /// fingerprint — the ship-once operands of the gram and cluster-gram
-    /// scatters.
-    em_states: HashMap<u64, EmWorkerState>,
 }
 
 impl WorkerState {
@@ -118,11 +111,6 @@ impl WorkerState {
     /// Number of factor state blobs currently held.
     pub fn factor_count(&self) -> usize {
         self.factors.len()
-    }
-
-    /// Number of EM state blobs currently held.
-    pub fn em_state_count(&self) -> usize {
-        self.em_states.len()
     }
 
     /// Handle one request frame, producing the reply frame. `shutdown` is
@@ -184,17 +172,6 @@ impl WorkerState {
                     error_body(WorkerErrorKind::BadRequest, &format!("factor state: {e}")),
                 ),
             },
-            DOMAIN_EM => match em_remote::decode_em_state(&body[9..]) {
-                Ok(state) => {
-                    self.em_states.insert(key, state);
-                    Frame::new(KIND_OK, id, Vec::new())
-                }
-                Err(e) => Frame::new(
-                    KIND_ERROR,
-                    id,
-                    error_body(WorkerErrorKind::BadRequest, &format!("EM state: {e}")),
-                ),
-            },
             _ => Frame::new(
                 KIND_ERROR,
                 id,
@@ -217,14 +194,6 @@ impl WorkerState {
         match op {
             OP_VIEW_SCAN => self.view_scan(id, payload_bytes),
             OP_AGG_RANGE => self.agg_range(id, payload_bytes),
-            OP_GRAM_CELLS => Self::em_answer(
-                id,
-                em_remote::answer_gram_cells(&self.em_states, payload_bytes),
-            ),
-            OP_CLUSTER_GRAMS => Self::em_answer(
-                id,
-                em_remote::answer_cluster_grams(&self.em_states, payload_bytes),
-            ),
             _ => Frame::new(
                 KIND_ERROR,
                 id,
@@ -233,31 +202,6 @@ impl WorkerState {
                     &format!("unknown scatter op {op}"),
                 ),
             ),
-        }
-    }
-
-    /// Wrap one EM operator's answer: its partial in a
-    /// [`KIND_GRAM_PARTIAL`] frame, a typed answer error in the matching
-    /// wire error kind.
-    fn em_answer(id: u64, answer: Result<Vec<u8>, EmAnswerError>) -> Frame {
-        match answer {
-            Ok(partial) => Frame::new(KIND_GRAM_PARTIAL, id, partial),
-            Err(EmAnswerError::BadRequest(msg)) => Frame::new(
-                KIND_ERROR,
-                id,
-                error_body(WorkerErrorKind::BadRequest, &msg),
-            ),
-            Err(EmAnswerError::MissingState(key)) => Frame::new(
-                KIND_ERROR,
-                id,
-                error_body(
-                    WorkerErrorKind::MissingState,
-                    &format!("no EM state under key {key:#018x}"),
-                ),
-            ),
-            Err(EmAnswerError::Compute(msg)) => {
-                Frame::new(KIND_ERROR, id, error_body(WorkerErrorKind::Compute, &msg))
-            }
         }
     }
 

@@ -190,23 +190,26 @@ fn header_errors_are_typed() {
     }
 }
 
-/// RW's kind table is exactly its nine live kinds. `0x84` carried the
-/// per-iteration E-step partial, which is gone: a frame of that kind is
-/// now `UnknownKind`, read whole, with the stream still framed.
+/// RW's kind table is exactly its eight live kinds. `0x83` carried the
+/// worker-built gram partial and `0x84` the per-iteration E-step partial;
+/// both are gone with the remote fit, so a frame of either kind is now
+/// `UnknownKind`, read whole, with the stream still framed.
 #[test]
 fn rw_kind_table_has_no_e_step_partial() {
-    assert_eq!(
-        RW.kinds,
-        [0x00, 0x01, 0x02, 0x03, 0x04, 0x80, 0x81, 0x82, 0x83]
-    );
-    let mut payload = RW.encode(&Frame::new(KIND_SCATTER, 7, vec![1, 2, 3]));
-    payload[3] = 0x84;
-    let mut stream = Vec::new();
-    write_frame(&mut stream, &RW, &payload).unwrap();
-    put(&mut stream, &RW, &Frame::new(KIND_SCATTER, 8, vec![]));
-    let mut cursor = stream.as_slice();
-    assert_eq!(read(&mut cursor, &RW), Err(FrameError::UnknownKind(0x84)));
-    assert_eq!(read(&mut cursor, &RW).unwrap().unwrap().id, 8);
+    assert_eq!(RW.kinds, [0x00, 0x01, 0x02, 0x03, 0x04, 0x80, 0x81, 0x82]);
+    for retired in [0x83, 0x84] {
+        let mut payload = RW.encode(&Frame::new(KIND_SCATTER, 7, vec![1, 2, 3]));
+        payload[3] = retired;
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &RW, &payload).unwrap();
+        put(&mut stream, &RW, &Frame::new(KIND_SCATTER, 8, vec![]));
+        let mut cursor = stream.as_slice();
+        assert_eq!(
+            read(&mut cursor, &RW),
+            Err(FrameError::UnknownKind(retired))
+        );
+        assert_eq!(read(&mut cursor, &RW).unwrap().unwrap().id, 8);
+    }
 }
 
 /// An RP frame fed to the RW reader, and the reverse, fail as `BadMagic`.

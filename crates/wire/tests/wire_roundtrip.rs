@@ -247,9 +247,14 @@ fn lying_view_replies_are_typed_errors() {
     }
 }
 
+/// The remote fit is retired: state domain 2 (its EM state blob) and
+/// scatter ops 3, 4 and 5 (gram cells, cluster grams, the E-step) are gone
+/// from the worker. Frames that still name them — well-formed, garbage or
+/// truncated — answer a typed `BadRequest` on a live connection, and
+/// nothing is retained.
 #[test]
 fn worker_rejects_hostile_em_frames_over_a_live_socket() {
-    use reptile_relational::exec::{DOMAIN_EM, OP_CLUSTER_GRAMS, OP_GRAM_CELLS};
+    use reptile_wire::worker::{decode_error_body, WorkerErrorKind};
     use std::net::{TcpListener, TcpStream};
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -262,52 +267,40 @@ fn worker_rejects_hostile_em_frames_over_a_live_socket() {
     });
 
     let mut s = TcpStream::connect(addr).unwrap();
-    // An EM state blob that is pure garbage, then EM scatters against a
-    // key that was never loaded, then EM scatters with hostile payloads:
-    // every one must come back as a typed error frame on a live
-    // connection — never a panic, never a wedged worker.
-    let mut evil_state = vec![DOMAIN_EM];
-    evil_state.extend_from_slice(&0x1234u64.to_be_bytes());
-    evil_state.extend_from_slice(b"definitely not an EM state blob");
-    let mut missing_key_req = 0x9999u64.to_be_bytes().to_vec();
-    missing_key_req.extend_from_slice(&[0u8; 16]);
-    let mut hostile: Vec<Frame> = vec![
-        Frame::new(KIND_LOAD_STATE, 1, evil_state),
-        Frame::new(KIND_SCATTER, 2, {
-            let mut b = vec![OP_GRAM_CELLS];
-            b.extend_from_slice(&missing_key_req);
-            b
-        }),
-        Frame::new(KIND_SCATTER, 3, vec![OP_CLUSTER_GRAMS, 1, 2, 3]),
-        Frame::new(KIND_SCATTER, 4, vec![OP_CLUSTER_GRAMS]),
-        // Op 5 was the per-iteration E-step; it is retired, so a well-formed
-        // request for it is an unknown op.
-        Frame::new(KIND_SCATTER, 20, {
-            let mut b = vec![5u8];
-            b.extend_from_slice(&missing_key_req);
-            b
-        }),
-    ];
-    // Truncation sweep over a cluster-gram request body: every prefix is a
-    // typed error too.
-    for (n, cut) in [0usize, 5, 9, 17, 24].iter().enumerate() {
-        let mut b = vec![OP_CLUSTER_GRAMS];
-        b.extend_from_slice(&missing_key_req[..(*cut).min(missing_key_req.len())]);
-        hostile.push(Frame::new(KIND_SCATTER, 5 + n as u64, b));
+    let mut em_state = vec![2u8];
+    em_state.extend_from_slice(&0x1234u64.to_be_bytes());
+    em_state.extend_from_slice(b"definitely not an EM state blob");
+    let mut request = 0x9999u64.to_be_bytes().to_vec();
+    request.extend_from_slice(&[0u8; 16]);
+    let mut hostile: Vec<(Frame, &str)> = vec![(
+        Frame::new(KIND_LOAD_STATE, 1, em_state),
+        "unknown state domain 2",
+    )];
+    let mut id = 2;
+    for op in [3u8, 4, 5] {
+        // A well-formed range request, then every truncation of it down to
+        // the bare op byte.
+        for cut in [request.len(), 17, 9, 5, 0] {
+            let mut b = vec![op];
+            b.extend_from_slice(&request[..cut]);
+            hostile.push((Frame::new(KIND_SCATTER, id, b), "unknown scatter op"));
+            id += 1;
+        }
     }
-    for frame in &hostile {
+    for (frame, expected) in &hostile {
         write_frame(&mut s, frame);
         let reply = read_frame(&mut s).expect("reply");
         assert_eq!(reply.id, frame.id);
         assert_eq!(
             reply.kind,
             reptile_wire::frame::KIND_ERROR,
-            "hostile EM frame id {} got kind {:#04x}",
+            "retired EM frame id {} got kind {:#04x}",
             frame.id,
             reply.kind
         );
-        let (_kind, msg) = reptile_wire::worker::decode_error_body(&reply.body);
-        assert!(!msg.is_empty());
+        let (kind, msg) = decode_error_body(&reply.body);
+        assert_eq!(kind, WorkerErrorKind::BadRequest, "frame id {}", frame.id);
+        assert!(msg.contains(expected), "frame id {}: {msg}", frame.id);
     }
     // The connection survived all of it.
     write_frame(&mut s, &Frame::new(KIND_PING, 99, Vec::new()));
@@ -315,7 +308,11 @@ fn worker_rejects_hostile_em_frames_over_a_live_socket() {
     drop(s);
 
     let state = server.join().unwrap();
-    assert_eq!(state.em_state_count(), 0, "no hostile blob may be retained");
+    assert_eq!(
+        (state.partition_count(), state.factor_count()),
+        (0, 0),
+        "no hostile blob may be retained"
+    );
 }
 
 #[test]
