@@ -17,7 +17,7 @@
 //! * `stream/engine/cold` vs `stream/engine/warm` — the serving view of the
 //!   same story: per batch, a fresh engine + view + recommendation versus
 //!   one long-lived engine whose `ingest` delta-maintains factor state
-//!   while `SessionCaches::invalidate_ingest` evicts only the signatures
+//!   while `SharedCaches::invalidate_ingest` evicts only the signatures
 //!   the batch touched.
 //!
 //! Both arms are checked for exact agreement before timing. Full mode
@@ -36,7 +36,7 @@ use reptile_factor::{EncodedAggregates, EncodedFactorization, Factorization, Pat
 use reptile_relational::{
     AggregateKind, Exec, GroupKey, Hierarchy, Predicate, Relation, Schema, Value, View,
 };
-use reptile_session::SessionCaches;
+use reptile_session::SharedCaches;
 use std::sync::Arc;
 
 fn cold_state(
@@ -228,14 +228,18 @@ fn main() {
         // delta maintenance and evicts only the signatures the batch
         // touched — which, for a day-pinned investigation, is none of them.
         let engine = Arc::new(Reptile::new(stream.warm.clone(), schema.clone()));
-        let caches = SessionCaches::new();
+        let caches = SharedCaches::new();
         let view = investigation_view(&stream.warm);
         let mut acc = 0.0;
         for sb in &stream.batches {
             let report = engine.ingest(&sb.batch).unwrap();
             caches.invalidate_ingest(&report);
             let rec = engine
-                .recommend_with_cache(&view, &complaint_on(investigation_day), &caches)
+                .recommend_with_cache(
+                    &view,
+                    &complaint_on(investigation_day),
+                    &caches.handle_for(&view),
+                )
                 .unwrap();
             acc += rec.original_value;
         }

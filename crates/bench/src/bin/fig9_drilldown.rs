@@ -114,7 +114,7 @@ fn serving_walk_rows() -> Vec<Vec<String>> {
             session.reset();
         }
     });
-    let trainings = session.model_stats().misses;
+    let trainings = session.stats_snapshot().models.misses;
 
     vec![vec![
         "3 replays".to_string(),

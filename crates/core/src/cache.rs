@@ -13,13 +13,12 @@
 //! The trait is deliberately minimal: the engine only asks "have you seen
 //! this signature?" and "remember this". Eviction policy, statistics and
 //! concurrency (including exactly-once training under contention) live with
-//! the implementations in `reptile-session`.
+//! the serving cache in `reptile-session`.
 
 use crate::engine::{RepairModelKind, ReptileConfig};
 use reptile_model::{DesignRows, FeaturePlan, LinearModel, MultilevelModel};
 use reptile_relational::{AggregateKind, AttrId, GroupKey, Predicate, Relation, Value, View};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -190,22 +189,19 @@ impl TrainedModel {
 /// A cache the engine consults during [`crate::Reptile::recommend_with_cache`].
 ///
 /// `get_*` returning `None` is a *claim*: the engine computes the entry and
-/// either `put_*`s it or, on failure, `abort_*`s the claim. Blocking
-/// implementations (the batch server's shared cache) use the claim to make
+/// either `put_*`s it or, on failure, `abort_*`s the claim. The serving
+/// cache (`reptile-session`'s `SharedCaches`) uses the claim to make
 /// concurrent duplicate work wait instead of retraining.
 ///
 /// Every method takes `&self` and the trait requires [`Sync`]: the engine
 /// evaluates candidate hierarchies *concurrently* on the shard pool, and
 /// all of them look up and publish through the one cache handle the caller
-/// passed in. Implementations provide their own interior mutability behind
-/// whatever lock discipline they already have — a plain mutex around the
-/// LRU maps for the single-session caches, the claim-protocol mutex +
-/// condvar for the batch server's shared caches. The contract for
-/// implementors: each method must be individually atomic and must never
-/// hold a lock while calling back into the engine; blocking in `get_*`
-/// (waiting out another worker's in-flight claim) is allowed because the
-/// engine dispatches hierarchy evaluations as *may-block* pool jobs, which
-/// the pool's work-stealing assist never runs inline on a waiting caller.
+/// passed in. The contract for implementors: each method must be
+/// individually atomic and must never hold a lock while calling back into
+/// the engine; blocking in `get_*` (waiting out another worker's in-flight
+/// claim) is allowed because the engine dispatches hierarchy evaluations as
+/// *may-block* pool jobs, which the pool's work-stealing assist never runs
+/// inline on a waiting caller.
 pub trait EngineCache: Sync {
     /// Whether this cache accepts requests posed over `view`'s snapshot.
     /// After an ingest-driven invalidation the serving caches record the
@@ -224,11 +220,11 @@ pub trait EngineCache: Sync {
         true
     }
     /// The highest post-ingest relation version (per lineage ident) this
-    /// cache has been invalidated for — see [`IngestLog::horizon`]. The
-    /// engine refuses to consult a cache whose horizon lags the registered
-    /// relation's current version: such a cache missed an ingest
-    /// invalidation and may hold entries no eviction ever screened. The
-    /// default (0) is correct for caches that never outlive an ingest.
+    /// cache has been invalidated for. The engine refuses to consult a
+    /// cache whose horizon lags the registered relation's current version:
+    /// such a cache missed an ingest invalidation and may hold entries no
+    /// eviction ever screened. The default (0) is correct for caches that
+    /// never outlive an ingest.
     fn ingest_horizon(&self, _relation_ident: u64) -> u64 {
         0
     }
@@ -244,136 +240,6 @@ pub trait EngineCache: Sync {
     fn put_model(&self, key: ModelKey, model: Arc<TrainedModel>);
     /// Release a model claim after a failed fit.
     fn abort_model(&self, _key: &ModelKey) {}
-}
-
-/// How many ingest change sets [`IngestLog`] retains per relation lineage
-/// before it starts answering conservatively for very old snapshots.
-const INGEST_LOG_WINDOW: usize = 64;
-
-/// Per-lineage log of recent ingest change sets — the bookkeeping behind
-/// [`EngineCache::accepts_view`]. Serving caches record every
-/// [`IngestReport`](crate::engine::IngestReport) they invalidate for;
-/// [`IngestLog::is_current`] then answers whether a view computed over an
-/// older snapshot is still content-identical to its current recomputation
-/// (no logged ingest after its snapshot changed a row its predicate
-/// selects). The log keeps the last 64 change sets per
-/// lineage; snapshots older than the window are conservatively reported
-/// out of date.
-#[derive(Debug, Default)]
-pub struct IngestLog {
-    lineages: HashMap<u64, LineageLog>,
-}
-
-#[derive(Debug)]
-struct LineageLog {
-    /// Snapshots older than this version fall outside the retained window.
-    min_known: u64,
-    /// Highest post-ingest version recorded for the lineage.
-    latest: u64,
-    /// `(post-ingest version, changed rows)`, oldest first. The row sets
-    /// are shared with the [`IngestReport`](crate::engine::IngestReport)s
-    /// they came from (and with every other log), not copied.
-    entries: VecDeque<(u64, Arc<[Vec<Value>]>)>,
-}
-
-impl IngestLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        IngestLog::default()
-    }
-
-    /// Record one ingest's change set (shared by `Arc`, not copied).
-    ///
-    /// Returns whether the lineage was witnessed *contiguously*: versions
-    /// advance by one per ingest, so a recorded version more than one past
-    /// the previously witnessed one means this log's holder missed at least
-    /// one ingest — its cached entries were never screened against the
-    /// missed change sets. In that case the log discards what it knew about
-    /// the lineage (conservatively rejecting every older snapshot from now
-    /// on) and returns `false`; the caller must flush its cached entries
-    /// for the same reason.
-    #[must_use = "a gap means the caller's cached entries were never screened and must be flushed"]
-    pub fn record(&mut self, report: &crate::engine::IngestReport) -> bool {
-        let log = self
-            .lineages
-            .entry(report.relation.ident())
-            .or_insert(LineageLog {
-                min_known: 0,
-                latest: 0,
-                entries: VecDeque::new(),
-            });
-        let version = report.relation.version();
-        let contiguous = version <= log.latest + 1;
-        if !contiguous {
-            // Missed ingest(s): everything known about the lineage is
-            // unreliable. Start over from this snapshot.
-            log.entries.clear();
-            log.min_known = version;
-            log.latest = version;
-            return false;
-        }
-        log.latest = log.latest.max(version);
-        log.entries
-            .push_back((version, report.changed_rows.clone()));
-        while log.entries.len() > INGEST_LOG_WINDOW {
-            if let Some((version, _)) = log.entries.pop_front() {
-                log.min_known = version;
-            }
-        }
-        true
-    }
-
-    /// Mark a lineage as witnessed up to `version` without recording any
-    /// change set — how a *freshly created* (hence empty) cache over an
-    /// already-ingested relation starts: snapshots at or after `version`
-    /// are accepted, anything older is conservatively rejected, and the
-    /// next contiguous ingest keeps full precision.
-    pub fn seed(&mut self, relation_ident: u64, version: u64) {
-        let log = self.lineages.entry(relation_ident).or_insert(LineageLog {
-            min_known: 0,
-            latest: 0,
-            entries: VecDeque::new(),
-        });
-        if version > log.latest {
-            log.entries.clear();
-            log.min_known = version;
-            log.latest = version;
-        }
-    }
-
-    /// The highest post-ingest version recorded for a lineage (0 if none):
-    /// how far this log's holder has *witnessed* the lineage advance. The
-    /// engine compares it against the registered relation's current version
-    /// to detect caches that missed an invalidation entirely (e.g. a second
-    /// `Session` over the same engine that never saw the ingest) and serves
-    /// them cache-less rather than let them return stale entries.
-    pub fn horizon(&self, relation_ident: u64) -> u64 {
-        self.lineages
-            .get(&relation_ident)
-            .map(|log| log.latest)
-            .unwrap_or(0)
-    }
-
-    /// Whether a view with canonical signature `key`, computed over
-    /// snapshot `version` of its lineage, still matches the current
-    /// snapshot's contents.
-    pub fn is_current(&self, key: &ViewKey, version: u64) -> bool {
-        let Some(log) = self.lineages.get(&key.relation_ident()) else {
-            return true; // no ingest ever recorded for this lineage
-        };
-        if version < log.min_known {
-            return false; // predates the retained window: assume stale
-        }
-        log.entries
-            .iter()
-            .filter(|(v, _)| *v > version)
-            .all(|(_, rows)| !rows.iter().any(|row| key.matches_row(row)))
-    }
-
-    /// [`IngestLog::is_current`] for a held [`View`].
-    pub fn view_is_current(&self, view: &View) -> bool {
-        self.is_current(&ViewKey::of_view(view), view.relation().version())
-    }
 }
 
 /// The no-op cache behind the stateless [`crate::Reptile::recommend`].

@@ -231,7 +231,7 @@ pub struct IngestReport {
     pub stages: IngestStages,
     /// Every inserted or deleted tuple (the predicate-matching set),
     /// `Arc`-shared with the ingest logs that record it.
-    pub(crate) changed_rows: Arc<[Vec<Value>]>,
+    changed_rows: Arc<[Vec<Value>]>,
 }
 
 impl IngestReport {
@@ -245,8 +245,9 @@ impl IngestReport {
             && self.changed_rows.iter().any(|row| key.matches_row(row))
     }
 
-    /// The inserted and deleted tuples this ingest applied.
-    pub fn changed_rows(&self) -> &[Vec<Value>] {
+    /// The inserted and deleted tuples this ingest applied, shared by `Arc`
+    /// so a serving cache can log them without a copy.
+    pub fn changed_rows(&self) -> &Arc<[Vec<Value>]> {
         &self.changed_rows
     }
 }

@@ -80,8 +80,7 @@ pub mod complaint;
 pub mod engine;
 
 pub use cache::{
-    config_fingerprint, EngineCache, FittedRepairModel, IngestLog, ModelKey, NoCache, TrainedModel,
-    ViewKey,
+    config_fingerprint, EngineCache, FittedRepairModel, ModelKey, NoCache, TrainedModel, ViewKey,
 };
 pub use complaint::{Complaint, Direction};
 pub use engine::{

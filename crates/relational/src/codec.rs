@@ -38,31 +38,10 @@ use std::fmt;
 use std::io::{Read, Write};
 
 /// Hard cap on any single encoded payload shipped over a worker wire —
-/// `reptile-wire`'s 64 MiB frame cap is defined from this constant, so
-/// encode-time validation ([`check_payload_size`]) and read-time rejection
-/// share one number.
+/// `reptile-wire`'s 64 MiB frame cap is defined from this constant, and
+/// [`write_frame`] refuses a longer payload with a typed
+/// [`FrameError::Oversized`] before writing any byte.
 pub const MAX_WIRE_PAYLOAD: usize = 64 << 20;
-
-/// Frame-header headroom subtracted from [`MAX_WIRE_PAYLOAD`] when
-/// validating a payload at encode time (frame header + domain/op envelope).
-const WIRE_ENVELOPE_HEADROOM: usize = 64;
-
-/// Validate an encoded payload against the wire frame cap **at encode
-/// time**, leaving headroom for the frame header and the domain/op
-/// envelope. A payload that could only ever die at the framing layer is
-/// rejected typed here ([`CodecError::Oversized`]) — never a panic, never a
-/// silently truncated frame.
-pub fn check_payload_size(what: &str, len: usize) -> Result<(), CodecError> {
-    let cap = MAX_WIRE_PAYLOAD - WIRE_ENVELOPE_HEADROOM;
-    if len > cap {
-        return Err(CodecError::Oversized {
-            what: what.to_string(),
-            len,
-            cap,
-        });
-    }
-    Ok(())
-}
 
 /// Typed decode failure. Every [`Reader`] method returns one of these
 /// instead of panicking, whatever the input bytes.
@@ -92,16 +71,6 @@ pub enum CodecError {
     /// Structurally valid bytes that violate a semantic invariant (e.g. a
     /// code out of dictionary range).
     Invalid(String),
-    /// An encoded payload exceeds the wire frame cap (caught at encode
-    /// time by [`check_payload_size`], before any frame is written).
-    Oversized {
-        /// What was being encoded.
-        what: String,
-        /// The payload's encoded length.
-        len: usize,
-        /// The cap it exceeded.
-        cap: usize,
-    },
 }
 
 impl fmt::Display for CodecError {
@@ -118,10 +87,6 @@ impl fmt::Display for CodecError {
             ),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
             CodecError::Invalid(msg) => write!(f, "invalid payload: {msg}"),
-            CodecError::Oversized { what, len, cap } => write!(
-                f,
-                "{what} encodes to {len} bytes, above the {cap}-byte wire cap"
-            ),
         }
     }
 }
@@ -621,15 +586,6 @@ mod tests {
         buf.extend_from_slice(&[0xFF, 0xFE]);
         let mut r = Reader::new(&buf);
         assert_eq!(r.str(), Err(CodecError::BadUtf8));
-    }
-
-    #[test]
-    fn payload_size_check_is_typed() {
-        check_payload_size("partial", 0).unwrap();
-        check_payload_size("partial", MAX_WIRE_PAYLOAD / 2).unwrap();
-        let err = check_payload_size("gram partial", MAX_WIRE_PAYLOAD).unwrap_err();
-        assert!(matches!(err, CodecError::Oversized { len, .. } if len == MAX_WIRE_PAYLOAD));
-        assert!(err.to_string().contains("gram partial"));
     }
 
     #[test]

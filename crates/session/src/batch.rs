@@ -26,432 +26,11 @@
 //!    claimants are always themselves running jobs and make independent
 //!    progress (the same argument as the engine's hierarchy jobs).
 
-use crate::cache::{CacheStats, LruCache, DEFAULT_MODEL_CAPACITY, DEFAULT_VIEW_CAPACITY};
-use reptile::{
-    Complaint, Direction, EngineCache, ModelKey, Recommendation, Reptile, Result, TrainedModel,
-    ViewKey,
-};
+use crate::cache::{CachesSnapshot, SharedCaches};
+use reptile::{Complaint, Direction, EngineCache, Recommendation, Reptile, Result, ViewKey};
 use reptile_relational::{AggregateKind, AttrId, GroupKey, Parallelism, Predicate, View};
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex};
-
-/// An LRU cache wrapped with the claim protocol: a miss claims the key, and
-/// concurrent readers of a claimed key wait for the claimant to publish.
-///
-/// A *generation* counter is the first of two guards that make the
-/// protocol ingest-safe: every claim records the generation it was made
-/// under, and [`Claimable::invalidate`] (called when an ingest evicts
-/// stale signatures) bumps it, so a publication whose claim *predates* the
-/// bump is dropped instead of inserted. A worker can also claim *after*
-/// the bump while still computing from a pre-ingest view snapshot — that
-/// case is caught by the second guard, [`SharedCacheHandle`]'s snapshot
-/// pinning against the shared ingest log. Either way the worker's
-/// own request still gets its (snapshot-consistent) result; only the cache
-/// write is suppressed.
-struct Claimable<K, V> {
-    state: Mutex<ClaimState<K, V>>,
-    ready: Condvar,
-}
-
-struct ClaimState<K, V> {
-    cache: LruCache<K, V>,
-    in_flight: HashSet<K>,
-    generation: u64,
-}
-
-/// Outcome of [`Claimable::get_or_claim`].
-enum Lookup<V> {
-    /// The cached value (possibly published by a concurrent claimant while
-    /// we waited).
-    Hit(V),
-    /// The key is now claimed by the caller; the payload is the generation
-    /// the claim was made under, to be passed back to `fulfill`.
-    Claimed(u64),
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Claimable<K, V> {
-    fn new(capacity: usize) -> Self {
-        Claimable {
-            state: Mutex::new(ClaimState {
-                cache: LruCache::new(capacity),
-                in_flight: HashSet::new(),
-                generation: 0,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Return the cached value (a hit — possibly after waiting for an
-    /// in-flight computation), or claim the key (a miss; the caller must
-    /// `fulfill` or `abort`).
-    fn get_or_claim(&self, key: &K) -> Lookup<V> {
-        let mut st = self.state.lock().expect("cache lock");
-        loop {
-            if let Some(value) = st.cache.get_quiet(key) {
-                st.cache.record_hit();
-                return Lookup::Hit(value);
-            }
-            if st.in_flight.contains(key) {
-                st = self.ready.wait(st).expect("cache lock");
-                continue;
-            }
-            st.cache.record_miss();
-            st.in_flight.insert(key.clone());
-            return Lookup::Claimed(st.generation);
-        }
-    }
-
-    /// Publish a claimed key's value and wake the waiters — the
-    /// conservative path for *unpinned* handles: the insert is skipped when
-    /// any invalidation happened after the claim (`generation` no longer
-    /// current), because without a snapshot pin there is no way to tell
-    /// whether the value predates the ingest.
-    fn fulfill(&self, key: K, value: V, generation: u64) {
-        let mut st = self.state.lock().expect("cache lock");
-        st.in_flight.remove(&key);
-        if st.generation == generation {
-            st.cache.insert(key, value);
-        }
-        self.ready.notify_all();
-    }
-
-    /// Publish a snapshot-verified value from a *pinned* handle:
-    /// `still_valid` re-checks the pin against the ingest log **inside this
-    /// cache's critical section**, so the check and the insert cannot be
-    /// separated by a concurrent `invalidate_ingest` (which records the log
-    /// before evicting — an insert that slips in before the record is
-    /// screened by the eviction that follows; one that comes after sees the
-    /// recorded change set and skips itself). A valid publication is
-    /// inserted even across a generation bump: an ingest of rows the pinned
-    /// predicate does not select must not throw away unrelated in-flight
-    /// work.
-    fn fulfill_verified(&self, key: K, value: V, still_valid: impl FnOnce() -> bool) {
-        let mut st = self.state.lock().expect("cache lock");
-        st.in_flight.remove(&key);
-        if still_valid() {
-            st.cache.insert(key, value);
-        }
-        self.ready.notify_all();
-    }
-
-    /// Release a claim whose computation failed; a waiter will re-claim.
-    fn abort(&self, key: &K) {
-        let mut st = self.state.lock().expect("cache lock");
-        st.in_flight.remove(key);
-        self.ready.notify_all();
-    }
-
-    /// Drop the entries whose key fails `keep` and start a new generation,
-    /// so in-flight publications claimed before this point cannot land.
-    fn invalidate(&self, keep: impl FnMut(&K) -> bool) {
-        let mut st = self.state.lock().expect("cache lock");
-        st.cache.retain(keep);
-        st.generation += 1;
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.state.lock().expect("cache lock").cache.stats()
-    }
-}
-
-/// Concurrent view/model caches shared by every worker of a batch (and, if
-/// desired, across batches).
-pub struct SharedCaches {
-    views: Claimable<ViewKey, Arc<View>>,
-    models: Claimable<ModelKey, Arc<TrainedModel>>,
-    /// Recent ingest change sets (see [`EngineCache::accepts_view`]): a
-    /// handle pinned to a snapshot an ingest has since made out of date
-    /// discards its publications.
-    ingest_log: Mutex<reptile::IngestLog>,
-}
-
-impl SharedCaches {
-    /// Caches with the default capacities.
-    pub fn new() -> Self {
-        Self::with_capacities(DEFAULT_VIEW_CAPACITY, DEFAULT_MODEL_CAPACITY)
-    }
-
-    /// Caches with explicit capacities.
-    pub fn with_capacities(views: usize, models: usize) -> Self {
-        SharedCaches {
-            views: Claimable::new(views),
-            models: Claimable::new(models),
-            ingest_log: Mutex::new(reptile::IngestLog::new()),
-        }
-    }
-
-    /// Whether a view signature over snapshot `version` is still current.
-    fn is_current(&self, key: &ViewKey, version: u64) -> bool {
-        self.ingest_log
-            .lock()
-            .expect("ingest log lock")
-            .is_current(key, version)
-    }
-
-    /// The highest post-ingest version recorded for a lineage.
-    fn horizon(&self, relation_ident: u64) -> u64 {
-        self.ingest_log
-            .lock()
-            .expect("ingest log lock")
-            .horizon(relation_ident)
-    }
-
-    /// View-cache statistics.
-    pub fn view_stats(&self) -> CacheStats {
-        self.views.stats()
-    }
-
-    /// Model-cache statistics (misses count model trainings).
-    pub fn model_stats(&self) -> CacheStats {
-        self.models.stats()
-    }
-
-    /// Aggregated snapshot of both caches' statistics (hits, misses,
-    /// evictions and ingest invalidations across the view and model
-    /// caches). Each cache is locked once, never both at the same time —
-    /// the same no-nesting discipline as every other cache operation.
-    pub fn stats_snapshot(&self) -> crate::cache::CachesSnapshot {
-        crate::cache::CachesSnapshot {
-            views: self.view_stats(),
-            models: self.model_stats(),
-        }
-    }
-
-    /// A per-worker handle implementing [`EngineCache`], not pinned to any
-    /// snapshot. Prefer [`SharedCaches::handle_for`] when the request's
-    /// view is known — an unpinned handle's publications are only protected
-    /// by the claim-generation guard, which cannot catch a worker that
-    /// claims *after* an invalidation while computing from a pre-ingest
-    /// snapshot.
-    pub fn handle(&self) -> SharedCacheHandle<'_> {
-        SharedCacheHandle {
-            caches: self,
-            snapshot: None,
-            claimed_views: Mutex::new(Vec::new()),
-            claimed_models: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A per-worker handle pinned to the snapshot `view` was computed over.
-    /// Everything the engine derives while serving that request (drilled
-    /// views, trained models) comes from the same snapshot, so if an ingest
-    /// changes rows the view's predicate selects — before, during or after
-    /// the request — the handle discards its publications instead of caching
-    /// pre-ingest state under post-ingest keys. The worker's own request
-    /// still gets its snapshot-consistent result.
-    pub fn handle_for(&self, view: &View) -> SharedCacheHandle<'_> {
-        SharedCacheHandle {
-            caches: self,
-            snapshot: Some((ViewKey::of_view(view), view.relation().version())),
-            claimed_views: Mutex::new(Vec::new()),
-            claimed_models: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Versioned invalidation after an ingest: drop exactly the views (and
-    /// models trained over them) whose signature the report marks stale,
-    /// advance both caches' generations so claims made before this point
-    /// cannot publish, and record the change set so handles pinned to
-    /// snapshots this batch made out of date (and engine requests posed
-    /// over them, via [`EngineCache::accepts_view`]) cannot either.
-    pub fn invalidate_ingest(&self, report: &reptile::IngestReport) {
-        // Record first: a reader that consults the log after this point sees
-        // the change set before any republished post-ingest entry can land.
-        let contiguous = self
-            .ingest_log
-            .lock()
-            .expect("ingest log lock")
-            .record(report);
-        if contiguous {
-            self.views.invalidate(|key| !report.invalidates_view(key));
-            self.models
-                .invalidate(|key| !report.invalidates_view(&key.view));
-        } else {
-            // Missed an earlier ingest: nothing here was screened — flush.
-            self.views.invalidate(|_| false);
-            self.models.invalidate(|_| false);
-        }
-    }
-
-    /// Mark these caches as up to date with `relation`'s lineage without
-    /// recording a change set — called by `BatchServer::new`/`with_caches`
-    /// so caches created after the engine already ingested start at the
-    /// current snapshot instead of being refused cache access forever.
-    pub fn sync_with(&self, relation: &reptile_relational::Relation) {
-        self.ingest_log
-            .lock()
-            .expect("ingest log lock")
-            .seed(relation.ident(), relation.version());
-    }
-}
-
-impl Default for SharedCaches {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Borrowed, `EngineCache`-shaped access to a [`SharedCaches`].
-///
-/// The handle tracks its outstanding claims and releases them on drop, so a
-/// worker that panics mid-computation (unwinding past its `put_*`/`abort_*`)
-/// cannot leave a key in-flight forever and deadlock the waiters — they
-/// re-claim and the panic propagates normally through the thread join.
-///
-/// One handle serves one request, but the engine evaluates that request's
-/// candidate hierarchies *concurrently* ([`EngineCache`] takes `&self`), so
-/// the claim lists sit behind a mutex of their own. Claim-list locks nest
-/// inside nothing: they are taken only in the `EngineCache` methods, before
-/// or after — never while — the `Claimable` cache lock is held.
-pub struct SharedCacheHandle<'a> {
-    caches: &'a SharedCaches,
-    /// Canonical signature + snapshot version of the request's view, when
-    /// known — publications are discarded once an ingest changes rows the
-    /// pinned view's predicate selects (everything the request derives
-    /// only refines that predicate).
-    snapshot: Option<(ViewKey, u64)>,
-    claimed_views: Mutex<Vec<(ViewKey, u64)>>,
-    claimed_models: Mutex<Vec<(ModelKey, u64)>>,
-}
-
-impl SharedCacheHandle<'_> {
-    /// Whether an ingest has made the pinned snapshot out of date.
-    fn snapshot_is_stale(&self) -> bool {
-        self.snapshot
-            .as_ref()
-            .is_some_and(|(key, version)| !self.caches.is_current(key, *version))
-    }
-}
-
-impl EngineCache for SharedCacheHandle<'_> {
-    fn accepts_view(&self, view: &View) -> bool {
-        self.caches
-            .is_current(&ViewKey::of_view(view), view.relation().version())
-    }
-
-    fn ingest_horizon(&self, relation_ident: u64) -> u64 {
-        self.caches.horizon(relation_ident)
-    }
-
-    fn get_view(&self, key: &ViewKey) -> Option<Arc<View>> {
-        if self.snapshot_is_stale() {
-            // An ingest superseded the pinned snapshot mid-request: stop
-            // reading the shared cache (its entries may reflect the newer
-            // snapshot — a hit would mix snapshots within one request) and
-            // do not claim (the publication would be discarded anyway, and
-            // waiters should not block on it). The engine recomputes from
-            // the request's own snapshot.
-            return None;
-        }
-        match self.caches.views.get_or_claim(key) {
-            Lookup::Hit(view) => Some(view),
-            Lookup::Claimed(generation) => {
-                self.claimed_views
-                    .lock()
-                    .expect("claim list lock")
-                    .push((key.clone(), generation));
-                None
-            }
-        }
-    }
-
-    fn put_view(&self, key: ViewKey, view: Arc<View>) {
-        // No claim held means the stale-snapshot `get` skipped the claim
-        // protocol: drop the value without touching the in-flight set (the
-        // key may be another worker's live claim).
-        let Some(generation) = take_claim(&self.claimed_views, &key) else {
-            return;
-        };
-        if let Some((pin_key, pin_version)) = &self.snapshot {
-            if self.caches.is_current(pin_key, *pin_version) {
-                // Snapshot-verified (re-checked inside the cache lock):
-                // publish even across a generation bump for unrelated rows.
-                let caches = self.caches;
-                self.caches
-                    .views
-                    .fulfill_verified(key, view, || caches.is_current(pin_key, *pin_version));
-            } else {
-                // Superseded mid-request: release the claim (waking waiters
-                // to recompute) without caching the pre-ingest contents.
-                self.caches.views.abort(&key);
-            }
-        } else {
-            // Unpinned: only the claim generation can vouch for freshness.
-            self.caches.views.fulfill(key, view, generation);
-        }
-    }
-
-    fn abort_view(&self, key: &ViewKey) {
-        if take_claim(&self.claimed_views, key).is_some() {
-            self.caches.views.abort(key);
-        }
-    }
-
-    fn get_model(&self, key: &ModelKey) -> Option<Arc<TrainedModel>> {
-        if self.snapshot_is_stale() {
-            return None; // see get_view: no mixed-snapshot reads, no claims
-        }
-        match self.caches.models.get_or_claim(key) {
-            Lookup::Hit(model) => Some(model),
-            Lookup::Claimed(generation) => {
-                self.claimed_models
-                    .lock()
-                    .expect("claim list lock")
-                    .push((key.clone(), generation));
-                None
-            }
-        }
-    }
-
-    fn put_model(&self, key: ModelKey, model: Arc<TrainedModel>) {
-        let Some(generation) = take_claim(&self.claimed_models, &key) else {
-            return; // see put_view: never touch another worker's claim
-        };
-        if let Some((pin_key, pin_version)) = &self.snapshot {
-            if self.caches.is_current(pin_key, *pin_version) {
-                let caches = self.caches;
-                self.caches
-                    .models
-                    .fulfill_verified(key, model, || caches.is_current(pin_key, *pin_version));
-            } else {
-                self.caches.models.abort(&key);
-            }
-        } else {
-            self.caches.models.fulfill(key, model, generation);
-        }
-    }
-
-    fn abort_model(&self, key: &ModelKey) {
-        if take_claim(&self.claimed_models, key).is_some() {
-            self.caches.models.abort(key);
-        }
-    }
-}
-
-/// Remove `key`'s outstanding claim, if this handle holds one, returning
-/// the generation it was made under. `None` means the handle never claimed
-/// the key (its stale-snapshot `get` skipped the claim protocol) — the
-/// publication must then be dropped *without* touching the in-flight set,
-/// which may hold another worker's live claim.
-fn take_claim<K: Eq>(claims: &Mutex<Vec<(K, u64)>>, key: &K) -> Option<u64> {
-    let mut claims = claims.lock().expect("claim list lock");
-    claims
-        .iter()
-        .position(|(k, _)| k == key)
-        .map(|i| claims.swap_remove(i).1)
-}
-
-impl Drop for SharedCacheHandle<'_> {
-    fn drop(&mut self) {
-        for (key, _) in self.claimed_views.lock().expect("claim list lock").iter() {
-            self.caches.views.abort(key);
-        }
-        for (key, _) in self.claimed_models.lock().expect("claim list lock").iter() {
-            self.caches.models.abort(key);
-        }
-    }
-}
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One complaint to serve, posed against a (shared) view.
 #[derive(Clone)]
@@ -557,44 +136,25 @@ impl BatchServer {
         self
     }
 
-    /// Replace the shared caches (e.g. different capacities). The caches
-    /// are synced to the engine's current snapshot (see
-    /// [`SharedCaches::sync_with`]).
-    pub fn with_caches(mut self, caches: SharedCaches) -> Self {
-        caches.sync_with(&self.engine.relation());
-        self.caches = caches;
-        self
-    }
-
     /// The engine serving the batches.
     pub fn engine(&self) -> &Arc<Reptile> {
         &self.engine
     }
 
-    /// View-cache statistics (cumulative across batches).
-    pub fn view_stats(&self) -> CacheStats {
-        self.caches.view_stats()
-    }
-
-    /// Model-cache statistics; `misses` equals the number of models trained.
-    pub fn model_stats(&self) -> CacheStats {
-        self.caches.model_stats()
-    }
-
-    /// Aggregated snapshot of the shared caches' statistics (see
-    /// [`SharedCaches::stats_snapshot`]).
-    pub fn stats_snapshot(&self) -> crate::cache::CachesSnapshot {
+    /// Aggregated snapshot of the shared caches' statistics, cumulative
+    /// across batches (`models.misses` counts models trained).
+    pub fn stats_snapshot(&self) -> CachesSnapshot {
         self.caches.stats_snapshot()
     }
 
     /// Stream an [`IngestBatch`](reptile_relational::IngestBatch) into the
     /// engine while the server keeps serving: the engine applies the batch
     /// with delta maintenance, then the shared caches drop exactly the
-    /// signatures the batch made stale and advance their generation so a
-    /// worker that is mid-computation against the pre-ingest snapshot
-    /// cannot publish into the post-ingest cache. Requests built from old
-    /// view snapshots keep working (snapshot consistency); callers should
-    /// build subsequent requests from views over
+    /// signatures the batch made stale and record its change set, so a
+    /// worker that is mid-computation against a pre-ingest snapshot the
+    /// batch changed cannot publish into the post-ingest cache. Requests
+    /// built from old view snapshots keep working (snapshot consistency);
+    /// callers should build subsequent requests from views over
     /// [`IngestReport::relation`](reptile::IngestReport) (e.g. via
     /// [`reptile::Reptile::refresh_view`]).
     pub fn ingest(&self, batch: &reptile_relational::IngestBatch) -> Result<reptile::IngestReport> {
@@ -618,8 +178,10 @@ impl BatchServer {
     /// aggs(measure)}(σ_predicate(relation))` over the engine's current
     /// snapshot, through the shared view cache's claim protocol — concurrent
     /// requests for the same view signature compute it exactly once. The
-    /// network front door uses this to turn a wire request's view
-    /// *definition* into the [`BatchRequest`]'s view.
+    /// lookup is pinned to `(signature, current version)` like any request,
+    /// so a view an ingest makes stale before it is published is not
+    /// published. The network front door uses this to turn a wire
+    /// request's view *definition* into the [`BatchRequest`]'s view.
     pub fn resolve_view(
         &self,
         predicate: Predicate,
@@ -628,7 +190,7 @@ impl BatchServer {
     ) -> Result<Arc<View>> {
         let relation = self.engine.relation();
         let key = ViewKey::new(&relation, &predicate, group_by.clone(), measure);
-        let cache = self.caches.handle();
+        let cache = self.caches.pinned(key.clone(), relation.version());
         if let Some(view) = cache.get_view(&key) {
             return Ok(view);
         }

@@ -12,24 +12,25 @@
 //! view per call; this crate adds the serving layer that makes the loop (and
 //! concurrent multi-complaint workloads) cheap:
 //!
-//! * [`Session`] — tracks the analyst's drill-down path and threads a pair
-//!   of LRU caches (and, inside the engine, the
+//! * [`Session`] — tracks the analyst's drill-down path and threads the
+//!   serving cache (and, inside the engine, the
 //!   `reptile_factor::DrilldownSession` aggregate cache) through every call;
-//! * [`ViewCache`] / [`ModelCache`] — LRU caches keyed by canonical
-//!   signatures of `(predicate, group-by, measure)` and
-//!   `(view, statistic, model config)`, with hit/miss statistics, so
-//!   repeated complaints over the same view reuse trained multilevel models;
+//! * [`SharedCaches`] — the one serving cache: LRU view and model caches
+//!   keyed by canonical signatures of `(predicate, group-by, measure)` and
+//!   `(view, statistic, model config)`, with hit/miss statistics and a claim
+//!   protocol, so repeated complaints reuse trained multilevel models and
+//!   concurrent ones train each model once;
 //! * [`BatchServer`] — evaluates many independent complaints concurrently
-//!   via `std::thread::scope`, sharing the read-only relation and schema via
-//!   `Arc` and deduplicating identical `(view, model)` work items across
-//!   complaints (the paper's multi-query optimisation, Figures 8/9, as a
-//!   serving primitive): each distinct pair is trained exactly once per
-//!   batch, however many complaints need it.
+//!   as may-block jobs on the process-wide shard pool, sharing the engine
+//!   read-only and deduplicating identical `(view, complaint)` requests
+//!   (the paper's multi-query optimisation, Figures 8/9, as a serving
+//!   primitive): each distinct `(view, model)` pair is trained exactly once
+//!   per batch, however many complaints need it.
 
-pub mod batch;
-pub mod cache;
-pub mod session;
+mod batch;
+mod cache;
+mod session;
 
-pub use batch::{BatchRequest, BatchServer, RequestSignature, SharedCacheHandle, SharedCaches};
-pub use cache::{CacheStats, CachesSnapshot, LruCache, ModelCache, SessionCaches, ViewCache};
+pub use batch::{BatchRequest, BatchServer, RequestSignature};
+pub use cache::{CacheStats, CachesSnapshot, SharedCacheHandle, SharedCaches};
 pub use session::{DrillStep, Session};

@@ -1,13 +1,14 @@
 //! The interactive drill-down session (complain → recommend → accept →
 //! complain one level deeper).
 //!
-//! A [`Session`] owns the analyst's current view and a pair of LRU caches.
+//! A [`Session`] owns the analyst's current view and a [`SharedCaches`].
 //! Every [`Session::recommend`] goes through
-//! [`reptile::Reptile::recommend_with_cache`], so re-posing a complaint over
-//! an unchanged view reuses the trained models (zero retraining), and
-//! [`Session::accept`] drills the current view down through the view cache.
+//! [`reptile::Reptile::recommend_with_cache`] with a handle pinned to the
+//! current view, so re-posing a complaint over an unchanged view reuses the
+//! trained models (zero retraining), and [`Session::accept`] drills the
+//! current view down through the view cache.
 
-use crate::cache::{CacheStats, SessionCaches};
+use crate::cache::{CachesSnapshot, SharedCaches};
 use reptile::{Complaint, IngestReport, Recommendation, Reptile, ReptileError, Result, ViewKey};
 use reptile_relational::{GroupKey, IngestBatch, View};
 use std::sync::Arc;
@@ -26,7 +27,7 @@ pub struct DrillStep {
 /// A stateful interactive explanation session over one engine.
 pub struct Session {
     engine: Arc<Reptile>,
-    caches: SessionCaches,
+    caches: SharedCaches,
     root: Arc<View>,
     current: Arc<View>,
     path: Vec<DrillStep>,
@@ -40,7 +41,7 @@ impl Session {
         // Sync the fresh caches to the engine's current snapshot: an engine
         // that already ingested would otherwise refuse them cache access
         // (their ingest horizon would lag the relation version forever).
-        let caches = SessionCaches::new();
+        let caches = SharedCaches::new();
         caches.sync_with(&engine.relation());
         Session {
             engine,
@@ -49,15 +50,6 @@ impl Session {
             root,
             path: Vec::new(),
         }
-    }
-
-    /// Replace the default caches (e.g. to bound memory differently). The
-    /// caches are synced to the engine's current snapshot (see
-    /// [`SessionCaches::sync_with`]).
-    pub fn with_caches(mut self, caches: SessionCaches) -> Self {
-        caches.sync_with(&self.engine.relation());
-        self.caches = caches;
-        self
     }
 
     /// The engine serving this session.
@@ -80,27 +72,20 @@ impl Session {
         self.path.len()
     }
 
-    /// View-cache statistics.
-    pub fn view_stats(&self) -> CacheStats {
-        self.caches.view_stats()
-    }
-
-    /// Model-cache statistics (misses count model trainings).
-    pub fn model_stats(&self) -> CacheStats {
-        self.caches.model_stats()
-    }
-
-    /// Aggregated snapshot of both caches' statistics (see
-    /// [`SessionCaches::stats_snapshot`]).
-    pub fn stats_snapshot(&self) -> crate::cache::CachesSnapshot {
+    /// Aggregated snapshot of the session cache's statistics (see
+    /// [`SharedCaches::stats_snapshot`]).
+    pub fn stats_snapshot(&self) -> CachesSnapshot {
         self.caches.stats_snapshot()
     }
 
     /// Recommend a drill-down for `complaint` posed against the current
     /// view, reusing cached views and trained models.
     pub fn recommend(&mut self, complaint: &Complaint) -> Result<Recommendation> {
-        self.engine
-            .recommend_with_cache(&self.current, complaint, &self.caches)
+        self.engine.recommend_with_cache(
+            &self.current,
+            complaint,
+            &self.caches.handle_for(&self.current),
+        )
     }
 
     /// Accept a recommendation: descend into the provenance of
@@ -113,9 +98,10 @@ impl Session {
             .hierarchy(hierarchy)
             .cloned()
             .map_err(ReptileError::from)?;
+        let cache = self.caches.handle_for(&self.current);
         let (view, added) =
             self.engine
-                .drill_down_cached(&self.current, complaint_key, &h, &self.caches)?;
+                .drill_down_cached(&self.current, complaint_key, &h, &cache)?;
         self.path.push(DrillStep {
             hierarchy: h.name.clone(),
             added_attribute: self.engine.schema().name(added).to_string(),
@@ -139,7 +125,7 @@ impl Session {
     ///    factor state, touched ones get their epoch bumped and are patched
     ///    forward on next use);
     /// 2. exactly the cached views/models whose predicate selects a changed
-    ///    row are evicted ([`SessionCaches::invalidate_ingest`]) — warm
+    ///    row are evicted ([`SharedCaches::invalidate_ingest`]) — warm
     ///    entries over untouched subtrees survive;
     /// 3. the session's root and current views are recomputed over the new
     ///    snapshot *only if* the ingest actually changed their contents.

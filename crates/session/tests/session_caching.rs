@@ -5,7 +5,7 @@
 
 use reptile::{Complaint, Direction, Recommendation, Reptile, ScoredGroup};
 use reptile_relational::{AggregateKind, GroupKey, Predicate, Relation, Schema, Value, View};
-use reptile_session::{BatchRequest, BatchServer, Session, SessionCaches};
+use reptile_session::{BatchRequest, BatchServer, Session, SharedCaches};
 use std::sync::Arc;
 
 /// A three-level geography (region -> district -> village) crossed with a
@@ -96,12 +96,12 @@ fn warm_session_rerecommendation_trains_zero_models() {
     let c = complaint("R0", 1986);
 
     let cold = session.recommend(&c).unwrap();
-    let after_cold = session.model_stats();
+    let after_cold = session.stats_snapshot().models;
     assert!(after_cold.misses > 0, "cold call must train models");
     assert_eq!(after_cold.hits, 0);
 
     let warm = session.recommend(&c).unwrap();
-    let after_warm = session.model_stats();
+    let after_warm = session.stats_snapshot().models;
     // Zero retraining: the model-cache miss count (= trainings) is unchanged.
     assert_eq!(after_warm.misses, after_cold.misses);
     assert_eq!(after_warm.hits, after_cold.misses);
@@ -135,12 +135,12 @@ fn complaints_over_the_same_view_share_trained_models() {
     let mut session = Session::new(engine, view);
 
     session.recommend(&complaint("R0", 1986)).unwrap();
-    let trained = session.model_stats().misses;
+    let trained = session.stats_snapshot().models.misses;
     // A different complaint tuple over the SAME view needs the same parallel
     // training views, hence the same models: no new training.
     session.recommend(&complaint("R1", 1985)).unwrap();
-    assert_eq!(session.model_stats().misses, trained);
-    assert!(session.model_stats().hits >= trained);
+    assert_eq!(session.stats_snapshot().models.misses, trained);
+    assert!(session.stats_snapshot().models.hits >= trained);
 }
 
 #[test]
@@ -182,11 +182,11 @@ fn accept_drills_deeper_and_keeps_the_loop_going() {
     assert_eq!(session.path()[1].added_attribute, "village");
 
     // reset returns to the root view but keeps the caches warm.
-    let trained = session.model_stats().misses;
+    let trained = session.stats_snapshot().models.misses;
     session.reset();
     assert_eq!(session.depth(), 0);
     session.recommend(&c).unwrap();
-    assert_eq!(session.model_stats().misses, trained);
+    assert_eq!(session.stats_snapshot().models.misses, trained);
 }
 
 #[test]
@@ -223,14 +223,18 @@ fn view_cache_canonicalizes_predicate_order() {
         AggregateKind::Mean,
         Direction::TooLow,
     );
-    let caches = SessionCaches::new();
-    let first = engine.recommend_with_cache(&v1, &c, &caches).unwrap();
-    let trained = caches.model_stats().misses;
+    let caches = SharedCaches::new();
+    let first = engine
+        .recommend_with_cache(&v1, &c, &caches.handle_for(&v1))
+        .unwrap();
+    let trained = caches.stats_snapshot().models.misses;
     assert!(trained > 0);
     // The differently-written but identical view must hit the same cache
     // entries: zero additional training.
-    let second = engine.recommend_with_cache(&v2, &c, &caches).unwrap();
-    assert_eq!(caches.model_stats().misses, trained);
+    let second = engine
+        .recommend_with_cache(&v2, &c, &caches.handle_for(&v2))
+        .unwrap();
+    assert_eq!(caches.stats_snapshot().models.misses, trained);
     assert_same_ranking(&first, &second);
 }
 
@@ -264,7 +268,7 @@ fn batch_server_trains_each_distinct_pair_exactly_once() {
     // All eight complaints drill the same view along the same hierarchy with
     // the same statistic: exactly ONE distinct (view, model) pair, trained
     // exactly once however many threads wanted it.
-    let stats = server.model_stats();
+    let stats = server.stats_snapshot().models;
     assert_eq!(stats.misses, 1, "each distinct (view, model) trained once");
     assert_eq!(stats.insertions, 1);
     assert!(stats.hits >= 3, "remaining unique requests hit the cache");
@@ -320,5 +324,61 @@ fn batch_server_handles_mixed_views_and_errors() {
     // Distinct views -> distinct model signatures: one training for the
     // coarse view (geo only; time is exhausted) plus two for the fine view
     // (both geo and time can still drill).
-    assert_eq!(server.model_stats().misses, 3);
+    assert_eq!(server.stats_snapshot().models.misses, 3);
+}
+
+/// A `Session` and a `BatchServer` driven through the same drill sequence
+/// give the same answers and the same cache accounting: the session's
+/// cache is the batch server's shared cache, pinned to the current view.
+#[test]
+fn session_accounting_matches_shared_accounting() {
+    let (rel, schema) = dataset();
+    let view = Arc::new(region_year_view(&rel, &schema));
+    let engine = Arc::new(Reptile::new(rel, schema.clone()));
+    let mut session = Session::new(engine.clone(), (*view).clone());
+    let server = BatchServer::new(engine).with_threads(1);
+    let geo = schema.hierarchy("geo").unwrap().clone();
+
+    let steps = [
+        complaint("R0", 1986),
+        Complaint::new(
+            GroupKey(vec![
+                Value::str("R0"),
+                Value::int(1986),
+                Value::str("R0-D1"),
+            ]),
+            AggregateKind::Mean,
+            Direction::TooLow,
+        ),
+    ];
+    let mut served = view;
+    for c in &steps {
+        // Cold, then warm: the second pass is all hits on both sides.
+        for _ in 0..2 {
+            let ours = session.recommend(c).unwrap();
+            let theirs = server
+                .serve_one(&BatchRequest::new(served.clone(), c.clone()))
+                .unwrap();
+            assert_eq!(format!("{ours:?}"), format!("{theirs:?}"));
+        }
+        // Accept the geo drill-down: the session drills through its cache,
+        // the server resolves the same drilled view definition.
+        let next = geo.next_level(served.group_by()).unwrap();
+        let mut group_by = served.group_by().to_vec();
+        group_by.push(next);
+        let drilled = server
+            .resolve_view(
+                served.provenance_predicate(&c.key),
+                group_by,
+                served.measure(),
+            )
+            .unwrap();
+        session.accept(&c.key, "geo").unwrap();
+        assert_eq!(format!("{:?}", session.view()), format!("{drilled:?}"));
+        served = drilled;
+        assert_eq!(session.stats_snapshot(), server.stats_snapshot());
+    }
+    let snapshot = session.stats_snapshot();
+    assert!(snapshot.views.hits > 0 && snapshot.models.hits > 0);
+    assert!(snapshot.models.misses > 0);
 }

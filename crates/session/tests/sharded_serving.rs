@@ -121,11 +121,14 @@ fn sharded_engine_batches_match_serial_engine_batches() {
     // Serve the same batch again: the sharded server answers from its warm
     // caches (no retraining) and still matches.
     let warm = sharded_server.serve(&reqs);
-    let trained_before = sharded_server.model_stats().misses;
+    let trained_before = sharded_server.stats_snapshot().models.misses;
     for (a, b) in serial.iter().zip(&warm) {
         assert_identical(a.as_ref().unwrap(), b.as_ref().unwrap());
     }
-    assert_eq!(sharded_server.model_stats().misses, trained_before);
+    assert_eq!(
+        sharded_server.stats_snapshot().models.misses,
+        trained_before
+    );
 }
 
 #[test]

@@ -3,11 +3,11 @@
 //! served (the epoch/invalidation regression), while entries over untouched
 //! subtrees stay warm (versioned invalidation, not a cache flush).
 
-use reptile::{Complaint, Direction, Recommendation, Reptile, ScoredGroup};
+use reptile::{Complaint, Direction, EngineCache, Recommendation, Reptile, ScoredGroup, ViewKey};
 use reptile_relational::{
     AggregateKind, GroupKey, IngestBatch, Predicate, Relation, Schema, Value, View,
 };
-use reptile_session::{BatchRequest, BatchServer, Session, SessionCaches};
+use reptile_session::{BatchRequest, BatchServer, CacheStats, Session, SharedCaches};
 use std::sync::Arc;
 
 /// Region -> district -> village geography crossed with years; village
@@ -105,6 +105,23 @@ fn repair_batch(rel: &Relation, schema: &Schema) -> IngestBatch {
         }
     }
     assert!(!batch.is_empty());
+    batch
+}
+
+/// Rewrites the measure of one 1985 row: a batch no 1986-pinned predicate
+/// selects.
+fn correct_a_1985_row(rel: &Relation, schema: &Schema) -> IngestBatch {
+    let year = schema.attr("year").unwrap();
+    let row = rel
+        .filter_indices(|r| rel.value(r, year) == &Value::int(1985))
+        .first()
+        .map(|&r| rel.row(r))
+        .unwrap();
+    let mut corrected = row.clone();
+    corrected[4] = Value::float(9.9);
+    let mut batch = IngestBatch::new();
+    batch.push_delete(row);
+    batch.push_insert(corrected);
     batch
 }
 
@@ -333,10 +350,10 @@ fn values_sorting_before_existing_ones_keep_design_and_answers_exact() {
     for c in [c, complaint("A0", 1984)] {
         let cold = fresh_engine.recommend(&fresh_view, &c).unwrap();
         let miss = session.recommend(&c).unwrap();
-        let trained = session.model_stats().misses;
+        let trained = session.stats_snapshot().models.misses;
         let hit = session.recommend(&c).unwrap();
         assert_eq!(
-            session.model_stats().misses,
+            session.stats_snapshot().models.misses,
             trained,
             "second pass is a hit"
         );
@@ -350,7 +367,7 @@ fn ingest_keeps_untouched_subtree_models_warm() {
     let (rel, schema) = dataset();
     let year = schema.attr("year").unwrap();
     let engine = Reptile::new(rel.clone(), schema.clone());
-    let caches = SessionCaches::new();
+    let caches = SharedCaches::new();
     let year_view = |rel: &Arc<Relation>, y: i64| {
         View::compute(
             rel.clone(),
@@ -364,34 +381,41 @@ fn ingest_keeps_untouched_subtree_models_warm() {
     let v85 = year_view(&rel, 1985);
     let v86 = year_view(&rel, 1986);
     engine
-        .recommend_with_cache(&v85, &complaint("R0", 1985), &caches)
+        .recommend_with_cache(&v85, &complaint("R0", 1985), &caches.handle_for(&v85))
         .unwrap();
     engine
-        .recommend_with_cache(&v86, &complaint("R0", 1986), &caches)
+        .recommend_with_cache(&v86, &complaint("R0", 1986), &caches.handle_for(&v86))
         .unwrap();
-    let trained = caches.model_stats().misses;
+    let trained = caches.stats_snapshot().models.misses;
     assert!(trained > 0);
 
     // The batch only changes 1986 rows.
     let report = engine.ingest(&repair_batch(&rel, &schema)).unwrap();
     caches.invalidate_ingest(&report);
     assert!(
-        caches.model_stats().invalidations > 0,
+        caches.stats_snapshot().models.invalidations > 0,
         "1986 models evicted"
     );
-    assert!(caches.view_stats().invalidations > 0, "1986 views evicted");
+    assert!(
+        caches.stats_snapshot().views.invalidations > 0,
+        "1986 views evicted"
+    );
 
     // 1985: everything still warm — zero new trainings, and the pre-ingest
     // view snapshot itself is still accepted (its day-pinned predicate
     // selects none of the changed rows), so the request actually HITS the
     // cache rather than being served cache-less.
-    let hits_before = caches.model_stats().hits;
+    let hits_before = caches.stats_snapshot().models.hits;
     engine
-        .recommend_with_cache(&v85, &complaint("R0", 1985), &caches)
+        .recommend_with_cache(&v85, &complaint("R0", 1985), &caches.handle_for(&v85))
         .unwrap();
-    assert_eq!(caches.model_stats().misses, trained, "1985 stayed warm");
+    assert_eq!(
+        caches.stats_snapshot().models.misses,
+        trained,
+        "1985 stayed warm"
+    );
     assert!(
-        caches.model_stats().hits > hits_before,
+        caches.stats_snapshot().models.hits > hits_before,
         "1985 models served from cache"
     );
 
@@ -399,9 +423,16 @@ fn ingest_keeps_untouched_subtree_models_warm() {
     // matches a cold engine over the new snapshot.
     let v86_fresh = year_view(&report.relation, 1986);
     let after = engine
-        .recommend_with_cache(&v86_fresh, &complaint("R0", 1986), &caches)
+        .recommend_with_cache(
+            &v86_fresh,
+            &complaint("R0", 1986),
+            &caches.handle_for(&v86_fresh),
+        )
         .unwrap();
-    assert!(caches.model_stats().misses > trained, "1986 retrained");
+    assert!(
+        caches.stats_snapshot().models.misses > trained,
+        "1986 retrained"
+    );
     let cold = Reptile::new(report.relation.clone(), schema.clone());
     let expected = cold
         .recommend(&year_view(&report.relation, 1986), &complaint("R0", 1986))
@@ -420,18 +451,31 @@ fn pre_ingest_snapshot_cannot_repopulate_the_cache() {
     let engine = Reptile::new(rel.clone(), schema.clone());
     let old_view = region_year_view(&rel, &schema); // pre-ingest snapshot
     let c = complaint("R0", 1986);
-    let caches = SessionCaches::new();
-    engine.recommend_with_cache(&old_view, &c, &caches).unwrap();
-    let trained = caches.model_stats().misses;
+    let caches = SharedCaches::new();
+    engine
+        .recommend_with_cache(&old_view, &c, &caches.handle_for(&old_view))
+        .unwrap();
+    let trained = caches.stats_snapshot().models.misses;
 
     let report = engine.ingest(&repair_batch(&rel, &schema)).unwrap();
     caches.invalidate_ingest(&report);
 
     // Serving the old snapshot still works (snapshot-consistent) but runs
     // cache-less: no hits, no misses, nothing published.
-    let stats_before = (caches.model_stats(), caches.view_stats());
-    let stale = engine.recommend_with_cache(&old_view, &c, &caches).unwrap();
-    assert_eq!((caches.model_stats(), caches.view_stats()), stats_before);
+    let stats_before = (
+        caches.stats_snapshot().models,
+        caches.stats_snapshot().views,
+    );
+    let stale = engine
+        .recommend_with_cache(&old_view, &c, &caches.handle_for(&old_view))
+        .unwrap();
+    assert_eq!(
+        (
+            caches.stats_snapshot().models,
+            caches.stats_snapshot().views
+        ),
+        stats_before
+    );
     let cold_old = Reptile::new(rel.clone(), schema.clone());
     assert_same_ranking(&cold_old.recommend(&old_view, &c).unwrap(), &stale);
 
@@ -439,10 +483,10 @@ fn pre_ingest_snapshot_cannot_repopulate_the_cache() {
     // retrains, and matches a cold engine over the new snapshot.
     let fresh_view = region_year_view(&report.relation, &schema);
     let fresh = engine
-        .recommend_with_cache(&fresh_view, &c, &caches)
+        .recommend_with_cache(&fresh_view, &c, &caches.handle_for(&fresh_view))
         .unwrap();
     assert!(
-        caches.model_stats().misses > trained,
+        caches.stats_snapshot().models.misses > trained,
         "fresh snapshot retrained"
     );
     let cold_new = Reptile::new(report.relation.clone(), schema.clone());
@@ -461,10 +505,14 @@ fn cache_that_missed_an_ingest_is_not_consulted() {
     let view = region_year_view(&rel, &schema);
     let c = complaint("R0", 1986);
     // Two independent cache holders over the same engine.
-    let synced = SessionCaches::new();
-    let unsynced = SessionCaches::new();
-    engine.recommend_with_cache(&view, &c, &synced).unwrap();
-    engine.recommend_with_cache(&view, &c, &unsynced).unwrap();
+    let synced = SharedCaches::new();
+    let unsynced = SharedCaches::new();
+    engine
+        .recommend_with_cache(&view, &c, &synced.handle_for(&view))
+        .unwrap();
+    engine
+        .recommend_with_cache(&view, &c, &unsynced.handle_for(&view))
+        .unwrap();
 
     // Only `synced` learns about the ingest.
     let report = engine.ingest(&repair_batch(&rel, &schema)).unwrap();
@@ -474,12 +522,18 @@ fn cache_that_missed_an_ingest_is_not_consulted() {
     // hit its surviving stale models. The engine must refuse to consult it
     // (no cache interaction) and still produce the cold-correct answer.
     let fresh_view = region_year_view(&report.relation, &schema);
-    let unsynced_stats = (unsynced.model_stats(), unsynced.view_stats());
+    let unsynced_stats = (
+        unsynced.stats_snapshot().models,
+        unsynced.stats_snapshot().views,
+    );
     let rec = engine
-        .recommend_with_cache(&fresh_view, &c, &unsynced)
+        .recommend_with_cache(&fresh_view, &c, &unsynced.handle_for(&fresh_view))
         .unwrap();
     assert_eq!(
-        (unsynced.model_stats(), unsynced.view_stats()),
+        (
+            unsynced.stats_snapshot().models,
+            unsynced.stats_snapshot().views
+        ),
         unsynced_stats,
         "unsynced cache must not be consulted"
     );
@@ -489,10 +543,10 @@ fn cache_that_missed_an_ingest_is_not_consulted() {
 
     // The synced cache keeps full access and also answers correctly.
     let rec = engine
-        .recommend_with_cache(&fresh_view, &c, &synced)
+        .recommend_with_cache(&fresh_view, &c, &synced.handle_for(&fresh_view))
         .unwrap();
     assert_same_ranking(&expected, &rec);
-    assert!(synced.model_stats().misses > 0);
+    assert!(synced.stats_snapshot().models.misses > 0);
 }
 
 /// A cache that misses one ingest but witnesses a later one must be
@@ -503,7 +557,7 @@ fn cache_with_an_ingest_gap_is_flushed_not_trusted() {
     let (rel, schema) = dataset();
     let year = schema.attr("year").unwrap();
     let engine = Reptile::new(rel.clone(), schema.clone());
-    let caches = SessionCaches::new();
+    let caches = SharedCaches::new();
     let v86 = View::compute(
         rel.clone(),
         Predicate::eq(year, Value::int(1986)),
@@ -513,31 +567,24 @@ fn cache_with_an_ingest_gap_is_flushed_not_trusted() {
     )
     .unwrap();
     let c = complaint("R0", 1986);
-    engine.recommend_with_cache(&v86, &c, &caches).unwrap();
-    let trained = caches.model_stats().misses;
+    engine
+        .recommend_with_cache(&v86, &c, &caches.handle_for(&v86))
+        .unwrap();
+    let trained = caches.stats_snapshot().models.misses;
 
     // Batch 1 rewrites 1986 rows — the cache never hears about it.
     let _missed = engine.ingest(&repair_batch(&rel, &schema)).unwrap();
     // Batch 2 touches only 1985 rows — the cache witnesses this one. Its
     // change set does not select the 1986 entries, so precise screening
     // alone would keep them; the version gap must force a flush instead.
-    let rel_now = engine.relation();
-    let row = rel_now
-        .filter_indices(|r| rel_now.value(r, year) == &Value::int(1985))
-        .first()
-        .map(|&r| rel_now.row(r))
+    let report2 = engine
+        .ingest(&correct_a_1985_row(&engine.relation(), &schema))
         .unwrap();
-    let mut corrected = row.clone();
-    corrected[4] = Value::float(9.9);
-    let batch2 = {
-        let mut b = IngestBatch::new();
-        b.push_delete(row);
-        b.push_insert(corrected);
-        b
-    };
-    let report2 = engine.ingest(&batch2).unwrap();
     caches.invalidate_ingest(&report2);
-    assert!(caches.model_stats().invalidations > 0, "gap flushed models");
+    assert!(
+        caches.stats_snapshot().models.invalidations > 0,
+        "gap flushed models"
+    );
 
     // Recommending over the current snapshot retrains and is correct.
     let v86_fresh = View::compute(
@@ -549,10 +596,10 @@ fn cache_with_an_ingest_gap_is_flushed_not_trusted() {
     )
     .unwrap();
     let rec = engine
-        .recommend_with_cache(&v86_fresh, &c, &caches)
+        .recommend_with_cache(&v86_fresh, &c, &caches.handle_for(&v86_fresh))
         .unwrap();
     assert!(
-        caches.model_stats().misses > trained,
+        caches.stats_snapshot().models.misses > trained,
         "stale model not served"
     );
     let cold = Reptile::new(report2.relation.clone(), schema.clone());
@@ -769,4 +816,68 @@ fn counters_stay_consistent_under_concurrent_serving_and_ingest() {
         .recommend(&region_year_view(&settled, &schema), &complaint("R0", 1986))
         .unwrap();
     assert_same_ranking(&expected, &served);
+}
+
+/// The one publication rule, driven by hand: a handle pinned to a view
+/// claims a key, an ingest is invalidated, then the handle publishes. The
+/// value lands only if the ingest changed no row the pinned predicate
+/// selects; either way the claim is released and its waiters wake.
+#[test]
+fn pinned_handle_publishes_only_when_the_ingest_missed_its_predicate() {
+    let (rel, schema) = dataset();
+    let engine = Reptile::new(rel.clone(), schema.clone());
+    let v86 = |rel: &Arc<Relation>| {
+        View::compute(
+            rel.clone(),
+            Predicate::eq(schema.attr("year").unwrap(), Value::int(1986)),
+            vec![schema.attr("region").unwrap(), schema.attr("year").unwrap()],
+            schema.attr("severity").unwrap(),
+            &reptile_relational::Exec::Serial,
+        )
+        .unwrap()
+    };
+    let stats = |hits, misses, insertions| CacheStats {
+        hits,
+        misses,
+        insertions,
+        evictions: 0,
+        invalidations: 0,
+    };
+
+    // Claim, ingest, publish, while a second request waits on the claim.
+    // Returns what the waiter saw and what a lookup afterwards sees.
+    let drive = |caches: &SharedCaches, batch: IngestBatch| {
+        let pinned_view = v86(&engine.relation());
+        let key = ViewKey::of_view(&pinned_view);
+        let pinned = caches.handle_for(&pinned_view);
+        assert!(pinned.get_view(&key).is_none(), "a miss claims the key");
+        let report = engine.ingest(&batch).unwrap();
+        caches.invalidate_ingest(&report);
+        let fresh = v86(&report.relation);
+        let waited = std::thread::scope(|s| {
+            let waiter = s.spawn(|| caches.handle_for(&fresh).get_view(&key));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            pinned.put_view(key.clone(), Arc::new(pinned_view.clone()));
+            waiter.join().unwrap()
+        });
+        let next = caches.handle_for(&fresh).get_view(&key);
+        (waited, next)
+    };
+
+    // The repair rewrites 1986 rows: the pinned predicate selects them, so
+    // nothing is published; the waiter and the next lookup both miss.
+    let caches = SharedCaches::new();
+    let (waited, next) = drive(&caches, repair_batch(&rel, &schema));
+    assert!(waited.is_none() && next.is_none());
+    assert_eq!(caches.stats_snapshot().views, stats(0, 3, 0));
+
+    // A 1985 correction leaves the 1986 view's contents alone: the value
+    // is published across the ingest, and the waiter and the next lookup
+    // both hit it.
+    let caches = SharedCaches::new();
+    caches.sync_with(&engine.relation());
+    let batch = correct_a_1985_row(&engine.relation(), &schema);
+    let (waited, next) = drive(&caches, batch);
+    assert!(waited.is_some() && next.is_some());
+    assert_eq!(caches.stats_snapshot().views, stats(2, 1, 1));
 }
