@@ -3,14 +3,16 @@
 
 use reptile_bench::{print_bench_table, run_bench};
 use reptile_datasets::hiergen::synthetic_factorization;
-use reptile_factor::{ClusterPartition, Parallelism};
+use reptile_factor::{ClusterPartition, EncodedFactorization, EncodedFeatureMap, Parallelism};
 use reptile_linalg::naive;
 
 fn main() {
     let mut stats = Vec::new();
     for d in [2usize, 3, 4] {
         let (fact, features) = synthetic_factorization(d, 1, 10);
-        let part = ClusterPartition::new(&fact, &features);
+        let enc = EncodedFactorization::encode(&fact);
+        let enc_features = EncodedFeatureMap::encode(&features, &enc);
+        let part = ClusterPartition::from_encoded(&enc, &enc_features, 1, &Parallelism::serial());
         let x = fact.materialize(&features);
         let ranges = part.row_ranges();
         stats.push(run_bench(&format!("cluster_gram/naive/{d}"), || {

@@ -4,14 +4,15 @@
 
 use reptile_bench::{print_bench_table, run_bench};
 use reptile_datasets::hiergen::synthetic_factorization_with_fanout;
-use reptile_factor::{lmfao, DecomposedAggregates};
+use reptile_factor::{lmfao, EncodedAggregates, EncodedFactorization, Exec};
 
 fn main() {
     let mut stats = Vec::new();
     for w in [32usize, 128, 256] {
         let (fact, _) = synthetic_factorization_with_fanout(3, 3, w, 2);
+        let enc = EncodedFactorization::encode(&fact);
         stats.push(run_bench(&format!("reptile_shared/{w}"), || {
-            DecomposedAggregates::compute(&fact)
+            EncodedAggregates::compute(&enc, &Exec::Serial)
         }));
         stats.push(run_bench(&format!("lmfao_serial/{w}"), || {
             lmfao::compute_serial(&fact)

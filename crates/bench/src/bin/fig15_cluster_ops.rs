@@ -5,14 +5,16 @@
 
 use reptile_bench::{fmt, print_table, time};
 use reptile_datasets::hiergen::synthetic_factorization;
-use reptile_factor::{ClusterPartition, Parallelism};
+use reptile_factor::{ClusterPartition, EncodedFactorization, EncodedFeatureMap, Parallelism};
 use reptile_linalg::{naive, Matrix};
 
 fn main() {
     let mut rows = Vec::new();
     for d in 1..=5usize {
         let (fact, features) = synthetic_factorization(d, 1, 10);
-        let part = ClusterPartition::new(&fact, &features);
+        let enc = EncodedFactorization::encode(&fact);
+        let enc_features = EncodedFeatureMap::encode(&features, &enc);
+        let part = ClusterPartition::from_encoded(&enc, &enc_features, 1, &Parallelism::serial());
         let ranges = part.row_ranges();
         let (_, t_fact_gram) = time(|| part.grams(&Parallelism::serial()));
         let beta: Vec<f64> = (0..fact.n_cols()).map(|i| i as f64 * 0.1 + 1.0).collect();

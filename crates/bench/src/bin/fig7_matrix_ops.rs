@@ -6,7 +6,8 @@
 
 use reptile_bench::{fmt, print_table, time};
 use reptile_datasets::hiergen::synthetic_factorization;
-use reptile_factor::{ops, DecomposedAggregates};
+use reptile_factor::encoded::{self, EncodedAggregates, EncodedFactorization, EncodedFeatureMap};
+use reptile_factor::{Exec, Parallelism};
 use reptile_linalg::{naive, Matrix};
 
 fn main() {
@@ -15,13 +16,16 @@ fn main() {
     let mut rows = Vec::new();
     for d in 1..=max_d {
         let (fact, features) = synthetic_factorization(d, 1, 10);
-        let aggs = DecomposedAggregates::compute(&fact);
+        let enc = EncodedFactorization::encode(&fact);
+        let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
+        let enc_features = EncodedFeatureMap::encode(&features, &enc);
         let a = Matrix::from_fn(1, fact.n_rows(), |_, c| (c % 7) as f64 - 3.0);
         let b = Matrix::from_fn(fact.n_cols(), 1, |r, _| r as f64 + 0.5);
 
-        let (_, t_fact_gram) = time(|| ops::gram(&aggs, &features));
-        let (_, t_fact_left) = time(|| ops::left_mult(&a, &aggs, &features));
-        let (_, t_fact_right) = time(|| ops::right_mult(&fact, &features, &b));
+        let serial = Parallelism::serial();
+        let (_, t_fact_gram) = time(|| encoded::gram(&aggs, &enc_features, &serial));
+        let (_, t_fact_left) = time(|| encoded::left_mult(&a, &aggs, &enc_features));
+        let (_, t_fact_right) = time(|| encoded::right_mult(&enc, &enc_features, &b));
 
         let (naive_times, t_mat) = if d <= max_d_naive {
             let (x, t_mat) = time(|| fact.materialize(&features));

@@ -9,7 +9,7 @@
 use reptile::{Complaint, Direction, Reptile};
 use reptile_bench::{fmt, print_table, time};
 use reptile_datasets::hiergen::synthetic_factorization_with_fanout;
-use reptile_factor::{lmfao, DecomposedAggregates};
+use reptile_factor::{lmfao, EncodedAggregates, EncodedFactorization, Exec};
 use reptile_relational::{AggregateKind, GroupKey, Predicate, Relation, Schema, Value, View};
 use reptile_session::{BatchRequest, BatchServer};
 use std::sync::Arc;
@@ -18,7 +18,8 @@ fn aggregate_batch_rows() -> Vec<Vec<String>> {
     let mut rows = Vec::new();
     for w in [64usize, 256, 1024, 4096] {
         let (fact, _) = synthetic_factorization_with_fanout(3, 3, w, 2);
-        let (_, t_shared) = time(|| DecomposedAggregates::compute(&fact));
+        let enc = EncodedFactorization::encode(&fact);
+        let (_, t_shared) = time(|| EncodedAggregates::compute(&enc, &Exec::Serial));
         let (_, t_serial) = time(|| lmfao::compute_serial(&fact));
         rows.push(vec![
             w.to_string(),

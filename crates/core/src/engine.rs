@@ -19,8 +19,8 @@ use crate::cache::{
 use crate::complaint::Complaint;
 use crate::{ReptileError, Result};
 use reptile_factor::{
-    AggregateSource, DecomposedAggregates, DrilldownMode, DrilldownSession, EncodedAggregates,
-    EncodedFactor, EncodedFactorization, Exec, FactorBackend, Factorization, PathCountIndex,
+    AggregateSource, DrilldownMode, DrilldownSession, EncodedAggregates, EncodedFactor,
+    EncodedFactorization, Exec, PathCountIndex,
 };
 use reptile_model::{
     DesignBuilder, EmptyGroupPolicy, FeaturePlan, LinearModel, MultilevelConfig, MultilevelModel,
@@ -154,14 +154,10 @@ impl Recommendation {
 
 /// [`AggregateSource`] over the engine's shared [`DrilldownSession`]: locks
 /// the mutex per aggregate call only, so a design build does not hold the
-/// session across its (backend-independent) view scans.
+/// session across its view scans.
 struct SharedSession<'a>(&'a Mutex<DrilldownSession>);
 
 impl AggregateSource for SharedSession<'_> {
-    fn legacy_aggregates(&mut self, fact: &Factorization) -> DecomposedAggregates {
-        self.0.lock().unwrap().aggregates(fact)
-    }
-
     fn encoded_aggregates(
         &mut self,
         factors: Vec<Arc<EncodedFactor>>,
@@ -754,22 +750,16 @@ impl Reptile {
             let parallel = self.view_via_cache(&parallel_key, cache, || {
                 Ok(view.drill_down_parallel(hierarchy, &self.config.exec)?.view)
             })?;
-            // The design runs on the factor backend matching the configured
-            // training backend; the engine's drill-down session serves cached
-            // per-hierarchy state (encoded factors + aggregates) either way.
-            // The session mutex is taken per aggregate call, not across the
+            // The engine's drill-down session serves cached per-hierarchy
+            // state (encoded factors + aggregates) to the design build. The
+            // session mutex is taken per aggregate call, not across the
             // whole design build, so concurrent batch-served complaints only
             // serialize the (cached) aggregate step.
-            let factor_backend = match self.config.backend {
-                TrainingBackend::FactorizedLegacy => FactorBackend::Legacy,
-                _ => FactorBackend::Encoded,
-            };
             let mut source = SharedSession(&self.session);
             let design_span = StageTimer::start_if(Stage::DesignBuild, self.config.obs.enabled);
             let design = DesignBuilder::new(&parallel, &self.schema, complaint.statistic)
                 .with_plan(self.plan.clone())
                 .empty_groups(self.config.empty_groups)
-                .with_factor_backend(factor_backend)
                 .with_exec(self.config.exec.clone())
                 .with_aggregate_source(&mut source)
                 .build()?;
@@ -1071,7 +1061,7 @@ mod tests {
 
     /// The recommendation by the `Value`-keyed route this engine replaced,
     /// kept as the exactness oracle: predictions keyed by cloned group keys,
-    /// each resolved through one `Vec<Value>` and the legacy
+    /// each resolved through one `Vec<Value>` and
     /// `Factorization::row_index_of`; the drilled view's total re-folded for
     /// every scored group; every group of every hierarchy merged before the
     /// top-k cut.

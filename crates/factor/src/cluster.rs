@@ -11,8 +11,6 @@
 //! plus the (few) intra columns.
 
 use crate::encoded::{EncodedFactorization, EncodedFeatureMap};
-use crate::factorization::Factorization;
-use crate::feature::FeatureMap;
 use crate::parallel::Parallelism;
 use reptile_linalg::Matrix;
 
@@ -43,45 +41,11 @@ pub struct ClusterPartition {
 }
 
 impl ClusterPartition {
-    /// Build the partition treating only the very last column as
-    /// intra-cluster (the common single-attribute drill-down).
-    pub fn new(fact: &Factorization, features: &FeatureMap) -> Self {
-        Self::with_intra_levels(fact, features, 1)
-    }
-
-    /// Build the partition with the trailing `intra_levels` levels of the last
-    /// hierarchy treated as intra-cluster columns (used when auxiliary or
-    /// custom features are derived from the drilled attribute).
-    pub fn with_intra_levels(
-        fact: &Factorization,
-        features: &FeatureMap,
-        intra_levels: usize,
-    ) -> Self {
-        let hierarchies = fact.hierarchies();
-        let depths: Vec<usize> = hierarchies.iter().map(|h| h.depth()).collect();
-        let leaf_counts: Vec<usize> = hierarchies.iter().map(|h| h.leaf_count()).collect();
-        Self::build(
-            fact.n_cols(),
-            &depths,
-            &leaf_counts,
-            |h, level| fact.column_of(h, level),
-            |h, level, idx| {
-                features.value(fact.column_of(h, level), &hierarchies[h].paths[idx][level])
-            },
-            |prefix_len, a, b| {
-                let lastf = hierarchies.last().expect("non-empty");
-                lastf.paths[a][..prefix_len] == lastf.paths[b][..prefix_len]
-            },
-            intra_levels,
-            &Parallelism::serial(),
-        )
-    }
-
-    /// Build the partition from the dictionary-encoded representation: the
-    /// same output as [`ClusterPartition::with_intra_levels`] (bit-identical
-    /// `f64` features), but every path comparison is a `u32` compare and
-    /// every feature lookup a flat-slice index instead of a `Value` slice
-    /// compare plus a `BTreeMap` walk.
+    /// Build the partition with the trailing `intra_levels` levels of the
+    /// last hierarchy treated as intra-cluster columns (1 for the common
+    /// single-attribute drill-down; more when auxiliary or custom features
+    /// are derived from the drilled attribute). Every path comparison is a
+    /// `u32` compare and every feature lookup a flat-slice index.
     /// The earlier-hierarchy combination loop — the `O(n_rows)` bulk of the
     /// partition build — is sharded over `par` (the coordinator-local
     /// thread budget; pass [`Parallelism::serial`] for the inline build).
@@ -94,47 +58,20 @@ impl ClusterPartition {
         par: &Parallelism,
     ) -> Self {
         let factors = fact.factors();
+        assert!(!factors.is_empty(), "factorization has no hierarchies");
+        let m = fact.n_cols();
         let depths: Vec<usize> = factors.iter().map(|f| f.depth()).collect();
         let leaf_counts: Vec<usize> = factors.iter().map(|f| f.leaf_count()).collect();
-        Self::build(
-            fact.n_cols(),
-            &depths,
-            &leaf_counts,
-            |h, level| fact.column_of(h, level),
-            |h, level, idx| features.value(fact.column_of(h, level), factors[h].code(level, idx)),
-            |prefix_len, a, b| {
-                let lastf = factors.last().expect("non-empty");
-                (0..prefix_len).all(|level| lastf.code(level, a) == lastf.code(level, b))
-            },
-            intra_levels,
-            par,
-        )
-    }
-
-    /// Shared partition construction, parameterised over the backend's
-    /// representation: `column_of(h, level)` maps a hierarchy level to its
-    /// global column, `feature(h, level, path_idx)` reads that path's feature
-    /// value, and `last_prefix_eq(prefix_len, a, b)` compares two paths of
-    /// the *last* hierarchy on their inter-cluster prefix. Both public
-    /// constructors inline this one body, so the backends cannot drift.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        m: usize,
-        depths: &[usize],
-        leaf_counts: &[usize],
-        column_of: impl Fn(usize, usize) -> usize + Sync,
-        feature: impl Fn(usize, usize, usize) -> f64 + Sync,
-        last_prefix_eq: impl Fn(usize, usize, usize) -> bool + Sync,
-        intra_levels: usize,
-        par: &Parallelism,
-    ) -> Self {
-        assert!(!depths.is_empty(), "factorization has no hierarchies");
+        // The feature value of path `idx` of hierarchy `h` at `level`.
+        let feature = |h: usize, level: usize, idx: usize| {
+            features.value(fact.column_of(h, level), factors[h].code(level, idx))
+        };
         let last = depths.len() - 1;
         let depth = depths[last];
         let intra_levels = intra_levels.clamp(1, depth);
         let prefix_len = depth - intra_levels;
         let intra_columns: Vec<usize> = (prefix_len..depth)
-            .map(|level| column_of(last, level))
+            .map(|level| fact.column_of(last, level))
             .collect();
 
         // Group the last hierarchy's paths by their inter-cluster prefix.
@@ -145,9 +82,13 @@ impl ClusterPartition {
                 prefix_groups.push((0, last_leafs));
             } else {
                 let mut i = 0usize;
+                let lastf = &factors[last];
                 while i < last_leafs {
                     let start = i;
-                    while i < last_leafs && last_prefix_eq(prefix_len, start, i) {
+                    while i < last_leafs
+                        && (0..prefix_len)
+                            .all(|level| lastf.code(level, start) == lastf.code(level, i))
+                    {
                         i += 1;
                     }
                     prefix_groups.push((start, i - start));
@@ -170,14 +111,14 @@ impl ClusterPartition {
                     let idx = rem % leaf_counts[h];
                     rem /= leaf_counts[h];
                     for level in 0..depths[h] {
-                        const_features[column_of(h, level)] = feature(h, level, idx);
+                        const_features[fact.column_of(h, level)] = feature(h, level, idx);
                     }
                 }
             }
             for &(path_start, path_len) in &prefix_groups {
                 let mut cf = const_features.clone();
                 for level in 0..prefix_len {
-                    cf[column_of(last, level)] = feature(last, level, path_start);
+                    cf[fact.column_of(last, level)] = feature(last, level, path_start);
                 }
                 let intra_features: Vec<Vec<f64>> = (0..path_len)
                     .map(|i| {
@@ -496,9 +437,21 @@ impl ClusterPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factorization::HierarchyFactor;
+    use crate::factorization::{Factorization, HierarchyFactor};
+    use crate::feature::FeatureMap;
     use reptile_linalg::naive;
     use reptile_relational::{AttrId, Value};
+
+    /// The partition of `fact` under `features`, built from their encoding.
+    fn partition(
+        fact: &Factorization,
+        features: &FeatureMap,
+        intra_levels: usize,
+    ) -> ClusterPartition {
+        let enc = EncodedFactorization::encode(fact);
+        let enc_features = EncodedFeatureMap::encode(features, &enc);
+        ClusterPartition::from_encoded(&enc, &enc_features, intra_levels, &Parallelism::serial())
+    }
 
     fn example() -> (Factorization, FeatureMap) {
         let time = HierarchyFactor::from_paths(
@@ -577,7 +530,7 @@ mod tests {
     #[test]
     fn clusters_cover_all_rows_contiguously() {
         let (fact, features) = example();
-        let part = ClusterPartition::new(&fact, &features);
+        let part = partition(&fact, &features, 1);
         // 2 time values x 2 districts = 4 clusters (Figure 3c: siblings per district).
         assert_eq!(part.len(), 4);
         let mut next = 0usize;
@@ -596,7 +549,7 @@ mod tests {
     #[test]
     fn cluster_grams_match_naive() {
         let (fact, features) = example();
-        let part = ClusterPartition::new(&fact, &features);
+        let part = partition(&fact, &features, 1);
         let x = fact.materialize(&features);
         let expected = naive::cluster_grams(&x, &part.row_ranges()).unwrap();
         let got = part.grams(&Parallelism::serial());
@@ -609,7 +562,7 @@ mod tests {
     #[test]
     fn cluster_right_mult_matches_naive() {
         let (fact, features) = example();
-        let part = ClusterPartition::new(&fact, &features);
+        let part = partition(&fact, &features, 1);
         let x = fact.materialize(&features);
         let a: Vec<Matrix> = (0..part.len())
             .map(|i| pseudo_random(fact.n_cols(), 2, 10 + i as u64))
@@ -624,7 +577,7 @@ mod tests {
     #[test]
     fn cluster_left_mult_matches_naive() {
         let (fact, features) = example();
-        let part = ClusterPartition::new(&fact, &features);
+        let part = partition(&fact, &features, 1);
         let x = fact.materialize(&features);
         let d: Vec<Matrix> = part
             .clusters()
@@ -642,7 +595,7 @@ mod tests {
     #[test]
     fn shared_vector_helpers_match_naive() {
         let (fact, features) = example();
-        let part = ClusterPartition::new(&fact, &features);
+        let part = partition(&fact, &features, 1);
         let x = fact.materialize(&features);
         let beta = vec![0.3, -1.0, 2.0];
         let shared = part.right_mult_shared_vec(&beta, &Parallelism::serial());
@@ -667,7 +620,7 @@ mod tests {
     #[test]
     fn per_cluster_vec_mult_matches_block_products() {
         let (fact, features) = example();
-        let part = ClusterPartition::new(&fact, &features);
+        let part = partition(&fact, &features, 1);
         let x = fact.materialize(&features);
         let betas: Vec<Vec<f64>> = (0..part.len())
             .map(|i| vec![i as f64, 1.0 - i as f64, 0.5 * i as f64])
@@ -688,7 +641,7 @@ mod tests {
     #[test]
     fn multiple_intra_levels_match_naive() {
         let (fact, features) = example_multi_intra();
-        let part = ClusterPartition::with_intra_levels(&fact, &features, 2);
+        let part = partition(&fact, &features, 2);
         assert_eq!(part.intra_columns(), &[2, 3]);
         // 3 times x 2 districts = 6 clusters of 2 villages each.
         assert_eq!(part.len(), 6);
@@ -717,21 +670,23 @@ mod tests {
     }
 
     #[test]
-    fn encoded_partition_is_bit_identical_to_value_partition() {
+    fn partition_features_equal_the_materialized_rows() {
         for intra in [1usize, 2] {
             let (fact, features) = example_multi_intra();
-            let legacy = ClusterPartition::with_intra_levels(&fact, &features, intra);
-            let enc = EncodedFactorization::encode(&fact);
-            let enc_features = EncodedFeatureMap::encode(&features, &enc);
-            let encoded =
-                ClusterPartition::from_encoded(&enc, &enc_features, intra, &Parallelism::serial());
-            assert_eq!(legacy.intra_columns(), encoded.intra_columns());
-            assert_eq!(legacy.len(), encoded.len());
-            for (l, e) in legacy.clusters().iter().zip(encoded.clusters()) {
-                assert_eq!(l.start_row, e.start_row);
-                assert_eq!(l.len, e.len);
-                assert_eq!(l.const_features, e.const_features);
-                assert_eq!(l.intra_features, e.intra_features);
+            let part = partition(&fact, &features, intra);
+            let x = fact.materialize(&features);
+            let intra_columns = part.intra_columns().to_vec();
+            assert_eq!(intra_columns.len(), intra);
+            for c in part.clusters() {
+                for r in 0..c.len {
+                    let row = x.row(c.start_row + r);
+                    for (col, &value) in row.iter().enumerate() {
+                        match intra_columns.iter().position(|&ic| ic == col) {
+                            Some(k) => assert_eq!(c.intra_features[r][k], value),
+                            None => assert_eq!(c.const_features[col], value),
+                        }
+                    }
+                }
             }
         }
     }
@@ -749,7 +704,7 @@ mod tests {
         );
         let fact = Factorization::new(vec![only]);
         let features = FeatureMap::indexed(&[vec![Value::int(1), Value::int(2), Value::int(3)]]);
-        let part = ClusterPartition::new(&fact, &features);
+        let part = partition(&fact, &features, 1);
         assert_eq!(part.len(), 1);
         assert_eq!(part.clusters()[0].len, 3);
     }

@@ -6,7 +6,7 @@
 //! hierarchies are independent, the aggregates of the *other* hierarchies can
 //! be carried over unchanged — only the global scaling factors (the leaf-count
 //! products) change, and those are applied lazily by
-//! [`DecomposedAggregates`]. A cross-invocation cache further removes the
+//! [`EncodedAggregates`]. A cross-invocation cache further removes the
 //! cost of re-deriving aggregates for hierarchies that were computed by an
 //! earlier Reptile invocation.
 //!
@@ -15,12 +15,10 @@
 //! hierarchy, reuse the rest from the previous call), and `CachedDynamic`
 //! (additionally reuse any previously computed hierarchy state).
 
-use crate::aggregates::{DecomposedAggregates, HierarchyAggregates};
 use crate::encoded::{
     EncodedAggregates, EncodedFactor, EncodedFactorization, EncodedHierarchyAggregates,
     FactorizationDelta, PathDelta,
 };
-use crate::factorization::Factorization;
 use reptile_relational::Exec;
 use reptile_relational::{Hierarchy, IngestBatch, Relation, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -43,8 +41,7 @@ pub enum DrilldownMode {
     CachedDynamic,
 }
 
-/// Statistics about the last [`DrilldownSession::aggregates`] /
-/// [`DrilldownSession::encoded`] call.
+/// Statistics about the last [`DrilldownSession::encoded`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Hierarchies whose aggregates were recomputed from scratch.
@@ -55,9 +52,8 @@ pub struct SessionStats {
     /// earlier snapshot instead of recomputed (see
     /// [`EncodedAggregates::apply_delta`]).
     pub delta_patched: usize,
-    /// Nanoseconds the last call spent computing aggregates from scratch
-    /// (the legacy path's are `Value`-keyed, the encoded path's run on
-    /// codes). Always 0 while stage timing is off (the counters
+    /// Nanoseconds the last call spent computing aggregates from scratch.
+    /// Always 0 while stage timing is off (the counters
     /// above stay exact either way) — durations are integer nanoseconds so
     /// the struct stays `Copy + Eq`.
     pub encode_ns: u64,
@@ -91,18 +87,14 @@ type FactorKey = (String, usize, usize, u64, u64);
 /// with session lifetime).
 pub const DEFAULT_SESSION_CAPACITY: usize = 256;
 
-/// One hierarchy's cached *encoded* state: the dictionary-encoded factor and
-/// its aggregates, `Arc`-shared so cache hits are pointer bumps instead of
-/// the deep `HierarchyAggregates` clone the legacy path pays.
+/// One hierarchy's cached state: the dictionary-encoded factor and its
+/// aggregates, `Arc`-shared so cache hits are pointer bumps.
 type EncodedEntry = (Arc<EncodedFactor>, Arc<EncodedHierarchyAggregates>);
 
 /// A source of decomposed aggregates that the design builder can consult
 /// instead of recomputing from scratch — implemented by [`DrilldownSession`]
-/// so the engine threads its cross-invocation cache through design builds on
-/// either backend.
+/// so the engine threads its cross-invocation cache through design builds.
 pub trait AggregateSource {
-    /// Serve (or compute) the legacy `Value`-keyed aggregates of `fact`.
-    fn legacy_aggregates(&mut self, fact: &Factorization) -> DecomposedAggregates;
     /// Serve (or compute) the aggregates of already dictionary-encoded
     /// hierarchy factors (drill-down hierarchy last). The returned
     /// factorisation holds the same path tables, possibly as an earlier
@@ -232,13 +224,10 @@ pub struct DrilldownSession {
     mode: DrilldownMode,
     capacity: usize,
     clock: u64,
-    cache: HashMap<FactorKey, (HierarchyAggregates, u64)>,
+    /// One encoded factor + aggregates per key, with its last-use clock.
+    cache: HashMap<FactorKey, (EncodedEntry, u64)>,
     /// Keys used by the previous invocation (the `Dynamic` reuse set).
     previous: Vec<FactorKey>,
-    /// Encoded-backend cache: one encoded factor + aggregates per key.
-    encoded_cache: HashMap<FactorKey, (EncodedEntry, u64)>,
-    /// Keys used by the previous *encoded* invocation.
-    previous_encoded: Vec<FactorKey>,
     /// Per-hierarchy ingest epoch, folded into every [`FactorKey`]. Bumped
     /// by the engine when an ingest changes a hierarchy's distinct path set;
     /// entries cached under the old epoch become unreachable as exact
@@ -269,8 +258,7 @@ impl DrilldownSession {
     }
 
     /// Create a session holding at most `capacity` cached hierarchy states
-    /// *in total across both backends* (least-recently-used beyond that;
-    /// minimum 1).
+    /// (least-recently-used beyond that; minimum 1).
     pub fn with_capacity(mode: DrilldownMode, capacity: usize) -> Self {
         DrilldownSession {
             mode,
@@ -278,8 +266,6 @@ impl DrilldownSession {
             clock: 0,
             cache: HashMap::new(),
             previous: Vec::new(),
-            encoded_cache: HashMap::new(),
-            previous_encoded: Vec::new(),
             epochs: HashMap::new(),
             delta_bases: HashMap::new(),
             exec: Exec::Serial,
@@ -331,14 +317,14 @@ impl DrilldownSession {
         self.capacity
     }
 
-    /// Number of cached hierarchy states (legacy plus encoded).
+    /// Number of cached hierarchy states.
     pub fn len(&self) -> usize {
-        self.cache.len() + self.encoded_cache.len()
+        self.cache.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty() && self.encoded_cache.is_empty()
+        self.cache.is_empty()
     }
 
     /// Statistics of the most recent call.
@@ -347,8 +333,7 @@ impl DrilldownSession {
     }
 
     /// Running totals over the whole session: every counter and duration
-    /// of every [`DrilldownSession::aggregates`] /
-    /// [`DrilldownSession::encoded`] call since creation, summed.
+    /// of every [`DrilldownSession::encoded`] call since creation, summed.
     pub fn cumulative_stats(&self) -> SessionStats {
         self.cumulative
     }
@@ -386,36 +371,21 @@ impl DrilldownSession {
         )
     }
 
-    /// Make room for one insertion: while the *total* number of cached
-    /// states (legacy + encoded) is at the capacity, evict the globally
-    /// least-recently-used entry — but never one of the current
+    /// Make room for one insertion: while the cache is at its capacity,
+    /// evict the least-recently-used entry — but never one of the current
     /// invocation's own hierarchies.
     fn evict_for_insert(&mut self, current_keys: &[FactorKey]) {
-        while self.cache.len() + self.encoded_cache.len() >= self.capacity {
-            let legacy = self
+        while self.cache.len() >= self.capacity {
+            let lru = self
                 .cache
                 .iter()
                 .filter(|(k, _)| !current_keys.contains(*k))
                 .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, (_, used))| (k.clone(), *used));
-            let encoded = self
-                .encoded_cache
-                .iter()
-                .filter(|(k, _)| !current_keys.contains(*k))
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, (_, used))| (k.clone(), *used));
-            match (legacy, encoded) {
-                (Some((lk, lu)), Some((_, eu))) if lu <= eu => {
-                    self.cache.remove(&lk);
-                }
-                (Some((lk, _)), None) => {
-                    self.cache.remove(&lk);
-                }
-                (_, Some((ek, _))) => {
-                    self.encoded_cache.remove(&ek);
-                }
-                (None, None) => break,
-            }
+                .map(|(k, _)| k.clone());
+            match lru {
+                Some(key) => self.cache.remove(&key),
+                None => break,
+            };
         }
     }
 
@@ -436,7 +406,7 @@ impl DrilldownSession {
         let base_key = self
             .delta_bases
             .get(&(factor.name.clone(), factor.depth()))?;
-        let ((base_factor, base_aggs), _) = self.encoded_cache.get(base_key)?;
+        let ((base_factor, base_aggs), _) = self.cache.get(base_key)?;
         if base_factor.attrs != factor.attrs {
             return None;
         }
@@ -451,59 +421,6 @@ impl DrilldownSession {
         debug_assert_eq!(next.leaf_count(), factor.leaf_count());
         let aggs = Arc::new(base_aggs.apply_delta(&next, &delta, &self.exec));
         Some((next, aggs))
-    }
-
-    /// Compute (or reuse) the decomposed aggregates for `fact`.
-    pub fn aggregates(&mut self, fact: &Factorization) -> DecomposedAggregates {
-        let timing = self.timing_on();
-        let mut stats = SessionStats::default();
-        let mut parts = Vec::with_capacity(fact.hierarchies().len());
-        let mut current_keys = Vec::with_capacity(fact.hierarchies().len());
-        for factor in fact.hierarchies() {
-            let key = self.key(
-                &factor.name,
-                factor.depth(),
-                factor.leaf_count(),
-                factor.content_fingerprint(),
-            );
-            let reusable = match self.mode {
-                DrilldownMode::Static => false,
-                DrilldownMode::Dynamic => {
-                    self.previous.contains(&key) && self.cache.contains_key(&key)
-                }
-                DrilldownMode::CachedDynamic => self.cache.contains_key(&key),
-            };
-            self.clock += 1;
-            let aggs = if reusable {
-                stats.reused += 1;
-                let entry = self.cache.get_mut(&key).expect("checked above");
-                entry.1 = self.clock;
-                entry.0.clone()
-            } else {
-                stats.recomputed += 1;
-                let t0 = timing.then(Instant::now);
-                let computed = HierarchyAggregates::compute(factor);
-                if let Some(t0) = t0 {
-                    stats.encode_ns += elapsed_ns(t0);
-                }
-                if !self.cache.contains_key(&key) {
-                    self.evict_for_insert(&current_keys);
-                }
-                self.cache
-                    .insert(key.clone(), (computed.clone(), self.clock));
-                computed
-            };
-            parts.push(aggs);
-            current_keys.push(key);
-        }
-        if self.mode == DrilldownMode::Dynamic {
-            // Dynamic only keeps state from the immediately preceding call.
-            self.cache.retain(|k, _| current_keys.contains(k));
-        }
-        self.previous = current_keys;
-        self.cumulative.absorb(&stats);
-        self.stats = stats;
-        DecomposedAggregates::from_parts(fact, parts)
     }
 
     /// Compute (or reuse) the decomposed aggregates of already encoded
@@ -530,14 +447,14 @@ impl DrilldownSession {
             let reusable = match self.mode {
                 DrilldownMode::Static => false,
                 DrilldownMode::Dynamic => {
-                    self.previous_encoded.contains(&key) && self.encoded_cache.contains_key(&key)
+                    self.previous.contains(&key) && self.cache.contains_key(&key)
                 }
-                DrilldownMode::CachedDynamic => self.encoded_cache.contains_key(&key),
+                DrilldownMode::CachedDynamic => self.cache.contains_key(&key),
             };
             self.clock += 1;
             let (enc, aggs) = if reusable {
                 stats.reused += 1;
-                let entry = self.encoded_cache.get_mut(&key).expect("checked above");
+                let entry = self.cache.get_mut(&key).expect("checked above");
                 entry.1 = self.clock;
                 entry.0.clone()
             } else {
@@ -571,11 +488,10 @@ impl DrilldownSession {
                         (factor.clone(), aggs)
                     }
                 };
-                if !self.encoded_cache.contains_key(&key) {
+                if !self.cache.contains_key(&key) {
                     self.evict_for_insert(&current_keys);
                 }
-                self.encoded_cache
-                    .insert(key.clone(), (entry.clone(), self.clock));
+                self.cache.insert(key.clone(), (entry.clone(), self.clock));
                 self.delta_bases
                     .insert((factor.name.clone(), factor.depth()), key.clone());
                 entry
@@ -585,9 +501,10 @@ impl DrilldownSession {
             current_keys.push(key);
         }
         if self.mode == DrilldownMode::Dynamic {
-            self.encoded_cache.retain(|k, _| current_keys.contains(k));
+            // Dynamic only keeps state from the immediately preceding call.
+            self.cache.retain(|k, _| current_keys.contains(k));
         }
-        self.previous_encoded = current_keys;
+        self.previous = current_keys;
         self.cumulative.absorb(&stats);
         self.stats = stats;
         let encoded_fact = EncodedFactorization::new(factors);
@@ -597,10 +514,6 @@ impl DrilldownSession {
 }
 
 impl AggregateSource for DrilldownSession {
-    fn legacy_aggregates(&mut self, fact: &Factorization) -> DecomposedAggregates {
-        self.aggregates(fact)
-    }
-
     fn encoded_aggregates(
         &mut self,
         factors: Vec<Arc<EncodedFactor>>,
@@ -612,7 +525,7 @@ impl AggregateSource for DrilldownSession {
 /// A stateless [`AggregateSource`] that recomputes everything on every call —
 /// what a design build does when no drill-down session is threaded through.
 /// Carries an execution context so stand-alone builds can still fan their
-/// encoded computation out (bit-identically; serial by default).
+/// aggregate batch out (bit-identically; serial by default).
 #[derive(Debug, Clone, Default)]
 pub struct FreshAggregates {
     /// Execution context for the encoded aggregate batch.
@@ -627,10 +540,6 @@ impl FreshAggregates {
 }
 
 impl AggregateSource for FreshAggregates {
-    fn legacy_aggregates(&mut self, fact: &Factorization) -> DecomposedAggregates {
-        DecomposedAggregates::compute(fact)
-    }
-
     fn encoded_aggregates(
         &mut self,
         factors: Vec<Arc<EncodedFactor>>,
@@ -644,7 +553,7 @@ impl AggregateSource for FreshAggregates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factorization::HierarchyFactor;
+    use crate::factorization::{Factorization, HierarchyFactor};
     use reptile_relational::{AttrId, Value};
 
     fn hierarchy(name: &str, attr: usize, depth: usize, width: usize) -> HierarchyFactor {
@@ -691,7 +600,7 @@ mod tests {
     #[test]
     fn static_mode_recomputes_everything() {
         let mut s = DrilldownSession::new(DrilldownMode::Static);
-        s.aggregates(&fact(1, 1));
+        s.encoded(cold(&fact(1, 1)));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -702,7 +611,7 @@ mod tests {
                 ..SessionStats::default()
             }
         );
-        s.aggregates(&fact(1, 1));
+        s.encoded(cold(&fact(1, 1)));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -718,7 +627,7 @@ mod tests {
     #[test]
     fn dynamic_mode_reuses_unchanged_hierarchies() {
         let mut s = DrilldownSession::new(DrilldownMode::Dynamic);
-        s.aggregates(&fact(1, 1));
+        s.encoded(cold(&fact(1, 1)));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -730,7 +639,7 @@ mod tests {
             }
         );
         // Drill down hierarchy B: only B is recomputed.
-        s.aggregates(&fact(1, 2));
+        s.encoded(cold(&fact(1, 2)));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -742,7 +651,7 @@ mod tests {
             }
         );
         // Going back to the earlier B depth is NOT cached in dynamic mode.
-        s.aggregates(&fact(1, 1));
+        s.encoded(cold(&fact(1, 1)));
         assert_eq!(
             s.stats(),
             SessionStats {
@@ -757,123 +666,6 @@ mod tests {
 
     #[test]
     fn cached_mode_reuses_previous_invocations() {
-        let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
-        s.aggregates(&fact(1, 1));
-        s.aggregates(&fact(1, 2));
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                recomputed: 1,
-                reused: 1,
-                delta_patched: 0,
-
-                ..SessionStats::default()
-            }
-        );
-        // Revisit the first configuration: everything is served from cache.
-        s.aggregates(&fact(1, 1));
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                recomputed: 0,
-                reused: 2,
-                delta_patched: 0,
-
-                ..SessionStats::default()
-            }
-        );
-        // A brand-new depth still requires work for that hierarchy only.
-        s.aggregates(&fact(2, 1));
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                recomputed: 1,
-                reused: 1,
-                delta_patched: 0,
-
-                ..SessionStats::default()
-            }
-        );
-    }
-
-    #[test]
-    fn cache_is_bounded_and_evicts_least_recently_used() {
-        let mut s = DrilldownSession::with_capacity(DrilldownMode::CachedDynamic, 2);
-        assert_eq!(s.capacity(), 2);
-        let a = fact(1, 1); // hierarchies A(depth 1), B(depth 1)
-        s.aggregates(&a);
-        assert_eq!(s.len(), 2);
-        // A new A-depth fills the cache past capacity: the oldest state that
-        // is not part of the current invocation (A depth 1) is evicted while
-        // B (just reused this call) survives.
-        s.aggregates(&fact(2, 1));
-        assert_eq!(s.len(), 2);
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                recomputed: 1,
-                reused: 1,
-                delta_patched: 0,
-
-                ..SessionStats::default()
-            }
-        );
-        // A depth 1 was evicted: recomputed again; B still cached.
-        s.aggregates(&a);
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                recomputed: 1,
-                reused: 1,
-                delta_patched: 0,
-
-                ..SessionStats::default()
-            }
-        );
-    }
-
-    #[test]
-    fn equally_shaped_factors_with_different_content_do_not_alias() {
-        // Two factors with the same name/depth/leaf-count but different paths
-        // (think: the villages of district D1 vs district D2) must not reuse
-        // each other's aggregates.
-        let a = hierarchy("H", 0, 1, 2);
-        let mut other_paths = a.paths.clone();
-        for p in &mut other_paths {
-            *p = vec![Value::str(format!("other-{}", p[0]))];
-        }
-        let b = HierarchyFactor::from_paths("H", a.attrs.clone(), other_paths);
-        assert_eq!(a.depth(), b.depth());
-        assert_eq!(a.leaf_count(), b.leaf_count());
-        let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
-        s.aggregates(&Factorization::new(vec![a.clone()]));
-        s.aggregates(&Factorization::new(vec![b]));
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                recomputed: 1,
-                reused: 0,
-                delta_patched: 0,
-
-                ..SessionStats::default()
-            }
-        );
-        // The original factor is still served from cache.
-        s.aggregates(&Factorization::new(vec![a]));
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                recomputed: 0,
-                reused: 1,
-                delta_patched: 0,
-
-                ..SessionStats::default()
-            }
-        );
-    }
-
-    #[test]
-    fn encoded_mode_reuses_like_legacy_mode() {
         let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
         s.encoded(cold(&fact(1, 1)));
         assert_eq!(
@@ -897,7 +689,7 @@ mod tests {
                 ..SessionStats::default()
             }
         );
-        // Revisit the first configuration: everything served from cache.
+        // Revisit the first configuration: everything is served from cache.
         s.encoded(cold(&fact(1, 1)));
         assert_eq!(
             s.stats(),
@@ -909,14 +701,13 @@ mod tests {
                 ..SessionStats::default()
             }
         );
-        // The encoded and legacy caches are independent: a legacy call over
-        // the same shape still has to compute its own state.
-        s.aggregates(&fact(1, 1));
+        // A brand-new depth still requires work for that hierarchy only.
+        s.encoded(cold(&fact(2, 1)));
         assert_eq!(
             s.stats(),
             SessionStats {
-                recomputed: 2,
-                reused: 0,
+                recomputed: 1,
+                reused: 1,
                 delta_patched: 0,
 
                 ..SessionStats::default()
@@ -925,14 +716,84 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_both_backends_together() {
-        let mut s = DrilldownSession::with_capacity(DrilldownMode::CachedDynamic, 3);
-        s.aggregates(&fact(1, 1)); // 2 legacy states
-        s.encoded(cold(&fact(1, 1))); // +2 encoded states -> one eviction
-        assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
+    fn cache_is_bounded_and_evicts_least_recently_used() {
+        let mut s = DrilldownSession::with_capacity(DrilldownMode::CachedDynamic, 2);
+        assert_eq!(s.capacity(), 2);
+        let a = fact(1, 1); // hierarchies A(depth 1), B(depth 1)
+        s.encoded(cold(&a));
+        assert_eq!(s.len(), 2);
+        // A new A-depth fills the cache past capacity: the oldest state that
+        // is not part of the current invocation (A depth 1) is evicted while
+        // B (just reused this call) survives.
+        s.encoded(cold(&fact(2, 1)));
+        assert_eq!(s.len(), 2);
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                recomputed: 1,
+                reused: 1,
+                delta_patched: 0,
+
+                ..SessionStats::default()
+            }
+        );
+        // A depth 1 was evicted: recomputed again; B still cached.
+        s.encoded(cold(&a));
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                recomputed: 1,
+                reused: 1,
+                delta_patched: 0,
+
+                ..SessionStats::default()
+            }
+        );
+        // Invocations wider than the bound still leave it holding.
         s.encoded(cold(&fact(2, 2)));
-        s.aggregates(&fact(2, 1));
         assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
+        s.encoded(cold(&fact(1, 2)));
+        assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
+    }
+
+    #[test]
+    fn equally_shaped_factors_with_different_content_do_not_alias() {
+        // Two factors with the same name/depth/leaf-count but different paths
+        // (think: the villages of district D1 vs district D2) must not reuse
+        // each other's aggregates.
+        let a = hierarchy("H", 0, 1, 2);
+        let mut other_paths = a.paths.clone();
+        for p in &mut other_paths {
+            *p = vec![Value::str(format!("other-{}", p[0]))];
+        }
+        let b = HierarchyFactor::from_paths("H", a.attrs.clone(), other_paths);
+        assert_eq!(a.depth(), b.depth());
+        assert_eq!(a.leaf_count(), b.leaf_count());
+        let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
+        s.encoded(cold(&Factorization::new(vec![a.clone()])));
+        s.encoded(cold(&Factorization::new(vec![b])));
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                recomputed: 1,
+                reused: 0,
+                delta_patched: 0,
+
+                ..SessionStats::default()
+            }
+        );
+        // The original factor is still served from cache.
+        s.encoded(cold(&Factorization::new(vec![a])));
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                recomputed: 0,
+                reused: 1,
+                delta_patched: 0,
+
+                ..SessionStats::default()
+            }
+        );
     }
 
     #[test]
@@ -1052,13 +913,17 @@ mod tests {
     #[test]
     fn aggregates_are_identical_across_modes() {
         let f = fact(2, 2);
-        let from_static = DrilldownSession::new(DrilldownMode::Static).aggregates(&f);
+        let (_, from_static) = DrilldownSession::new(DrilldownMode::Static).encoded(cold(&f));
         let mut dynamic = DrilldownSession::new(DrilldownMode::CachedDynamic);
-        dynamic.aggregates(&fact(2, 1));
-        let from_dynamic = dynamic.aggregates(&f);
+        dynamic.encoded(cold(&fact(2, 1)));
+        let (_, from_dynamic) = dynamic.encoded(cold(&f));
         for c in 0..f.n_cols() {
             assert_eq!(from_static.total(c), from_dynamic.total(c));
-            assert_eq!(from_static.counts(c), from_dynamic.counts(c));
+            assert_eq!(from_static.counts_raw(c), from_dynamic.counts_raw(c));
+            assert_eq!(
+                from_static.block_runs_raw(c),
+                from_dynamic.block_runs_raw(c)
+            );
         }
         assert_eq!(from_static.grand_total(), from_dynamic.grand_total());
     }

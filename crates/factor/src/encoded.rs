@@ -1,10 +1,9 @@
-//! Dictionary-encoded columnar backend for the factorised operators.
+//! The dictionary-encoded columnar factorised matrix and its operators.
 //!
-//! The `Value`-keyed representation ([`Factorization`] +
-//! [`DecomposedAggregates`](crate::aggregates::DecomposedAggregates)) pays an
-//! `Arc<str>` clone plus an `O(log n)` string-comparison `BTreeMap` lookup for
-//! every path/value touch on the operator hot paths. This module replaces
-//! those with dense integer codes:
+//! A `Value`-keyed path table ([`Factorization`]) would pay an `Arc<str>`
+//! clone plus an `O(log n)` string comparison for every path/value touch on
+//! the operator hot paths. This module encodes each hierarchy once and runs
+//! everything downstream on dense integer codes:
 //!
 //! * [`EncodedFactor`] — one hierarchy stored *columnar*: per level a
 //!   [`ValueDict`] (sorted domain → dense `u32` codes) and the level's code
@@ -18,12 +17,13 @@
 //! * [`gram`], [`left_mult`], [`right_mult`], [`transpose_vec_mult`] — the
 //!   factorised operators of Algorithms 2–4 running on codes end-to-end.
 //!
-//! Codes are assigned in sorted `Value` order, and every loop below iterates
-//! in exactly the same order (and performs the same floating-point operation
-//! sequence) as its `Value`-keyed counterpart, so results are **bit-identical**
-//! to the legacy path — the equivalence property tests assert `==`, not
-//! tolerance. Decoding back to [`Value`] happens only at the explanation/API
-//! boundary via the per-level dictionaries.
+//! Codes are assigned in sorted `Value` order, so code order is value order
+//! and every table below iterates in path (= value) order. The aggregates
+//! are integer counts, equal (`==`) to the serial LMFAO-style baseline
+//! ([`crate::lmfao::compute_serial`]); every [`Exec`] context is `==` the
+//! serial computation, and a delta-maintained state is `==` a cold rebuild
+//! ([`semantic_diff`]). Decoding back to [`Value`] happens only at the
+//! explanation/API boundary via the per-level dictionaries.
 
 use crate::factorization::{AttrPosition, Factorization, HierarchyFactor};
 use crate::feature::FeatureMap;
@@ -35,18 +35,6 @@ use reptile_relational::exec::{scatter_fold_in_order, DOMAIN_FACTOR, OP_AGG_RANG
 use reptile_relational::{AttrId, Exec, Remote, RemoteError, Value, ValueDict};
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
-
-/// Which factor execution path an operator/design runs on. The legacy
-/// `Value`-keyed path stays available so the encoded backend can be
-/// benchmarked and equivalence-tested against it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FactorBackend {
-    /// `Value`-keyed `BTreeMap` aggregates and operators (the original path).
-    Legacy,
-    /// Dictionary-encoded columnar codes (the default).
-    #[default]
-    Encoded,
-}
 
 /// One level of an encoded hierarchy: its domain dictionary and the dense
 /// code column in (value-sorted) path order.
@@ -303,8 +291,8 @@ impl EncodedFactor {
         self.path_values(path_idx).cloned().collect()
     }
 
-    /// Decode the whole factor back to its `Value`-keyed form (the legacy
-    /// backends' representation).
+    /// Decode the whole factor back to its `Value`-keyed form (what the
+    /// dense baselines materialise).
     pub fn decode(&self) -> HierarchyFactor {
         HierarchyFactor::from_paths(
             self.name.clone(),
@@ -609,9 +597,9 @@ impl EncodedFactorization {
     }
 }
 
-/// Aggregates local to one encoded hierarchy: the code-space mirror of
-/// [`HierarchyAggregates`](crate::aggregates::HierarchyAggregates), with
-/// dense code-indexed descendant tables instead of `BTreeMap<Value, f64>`.
+/// Aggregates local to one encoded hierarchy: the leaf count, dense
+/// code-indexed descendant tables, and the block-order run and
+/// same-hierarchy `COF` tables.
 ///
 /// Every table is additive across contiguous path shards (all counts are
 /// integer-valued `f64`s), which is what makes
@@ -633,9 +621,10 @@ pub struct EncodedHierarchyAggregates {
 }
 
 impl EncodedHierarchyAggregates {
-    /// Compute the per-hierarchy aggregates with the same bottom-up work
-    /// sharing as the `Value`-keyed path — but every map update is a flat
-    /// `Vec` index on a `u32` code.
+    /// Compute the per-hierarchy aggregates with bottom-up work sharing:
+    /// level `l`'s descendant counts sum level `l + 1`'s grouped by parent,
+    /// the `COUNT_{A_{k+1}} = ⊕ COF_{A_{k+1},A_k}` rewriting of Appendix I,
+    /// and every update is a flat `Vec` index on a `u32` code.
     ///
     /// `exec` says *where* the scan runs: inline ([`Exec::Serial`]), over
     /// the in-process shard pool at the adaptive width ([`Exec::Pool`]),
@@ -1043,8 +1032,18 @@ pub enum EncodedCofPairs<'a> {
     },
 }
 
-/// All decomposed aggregates of an [`EncodedFactorization`] — the code-space
-/// mirror of [`DecomposedAggregates`](crate::aggregates::DecomposedAggregates).
+/// All decomposed aggregates `TOTAL`, `COUNT`, `COF` (Section 4.2.1) of an
+/// [`EncodedFactorization`], defined on the attribute order `A_n, ..., A_1`:
+///
+/// * `TOTAL_A` — the number of distinct rows of the matrix projected onto
+///   the columns from `A` rightwards;
+/// * `COUNT_A[v]` — the same count restricted to rows with `A = v`;
+/// * `COF_{A,B}[a,b]` — the count grouped by both `A` and `B`.
+///
+/// Within a hierarchy these reduce to descendant-leaf counts; across
+/// hierarchies they factor into products of per-hierarchy counts (the
+/// independence optimisation of Section 4.3), so cross-hierarchy `COF`s are
+/// never materialised.
 #[derive(Debug, Clone)]
 pub struct EncodedAggregates {
     positions: Vec<AttrPosition>,
@@ -1179,8 +1178,8 @@ impl EncodedAggregates {
     }
 
     /// The raw (unscaled) code-indexed descendant counts of `column` together
-    /// with the global suffix scale. Because codes follow sorted value order,
-    /// index order here equals the legacy `BTreeMap` iteration order.
+    /// with the global suffix scale. Codes follow sorted value order, so
+    /// index order here is value order.
     pub fn counts_raw(&self, column: usize) -> (&[f64], f64) {
         let p = self.pos(column);
         (
@@ -1189,9 +1188,8 @@ impl EncodedAggregates {
         )
     }
 
-    /// The raw block-order run table of `column` plus the suffix scale —
-    /// borrowed, unlike the legacy path which clones a fresh `Vec<(Value,
-    /// f64)>` per call.
+    /// The raw block-order run table of `column` plus the suffix scale,
+    /// borrowed.
     pub fn block_runs_raw(&self, column: usize) -> (&[(u32, f64)], f64) {
         let p = self.pos(column);
         (
@@ -1222,8 +1220,9 @@ impl EncodedAggregates {
     }
 
     /// `Σ_{a,b} COF_{A,B}[a,b] · f[a] · g[b]` with feature columns as flat
-    /// slices. The operation order matches the legacy closure-based
-    /// `cof_weighted_sum` exactly.
+    /// slices — the weighted pair sum the gram operator needs.
+    /// Cross-hierarchy pairs use the independence factorisation and never
+    /// materialise the product.
     pub fn cof_weighted_sum(&self, left: usize, right: usize, f: &[f64], g: &[f64]) -> f64 {
         match self.cof(left, right) {
             EncodedCofPairs::Materialized { entries, scale } => entries
@@ -1380,8 +1379,7 @@ pub struct EncodedFeatureMap {
 
 impl EncodedFeatureMap {
     /// Bake a `Value`-keyed feature map into code-indexed columns using the
-    /// factorisation's dictionaries (missing values take the map's default,
-    /// exactly as the legacy lookup would).
+    /// factorisation's dictionaries (missing values take the map's default).
     pub fn encode(features: &FeatureMap, fact: &EncodedFactorization) -> Self {
         let columns = (0..fact.n_cols())
             .map(|c| {
@@ -1396,7 +1394,7 @@ impl EncodedFeatureMap {
     }
 
     /// The `Value`-keyed feature map of these columns over `fact`'s
-    /// dictionaries (the legacy backends' representation): one entry per
+    /// dictionaries (what the dense baselines materialise): one entry per
     /// value some path carries — codes a delta-maintained dictionary keeps
     /// for vanished values are left to the map's default.
     pub fn decode(&self, fact: &EncodedFactorization) -> FeatureMap {
@@ -1436,7 +1434,7 @@ impl EncodedFeatureMap {
     }
 }
 
-/// Everything the encoded execution path needs about one training design:
+/// Everything the factorised operators need about one training design:
 /// the encoded factorisation, the code-indexed features, and the aggregates.
 #[derive(Debug, Clone)]
 pub struct EncodedDesign {
@@ -1446,22 +1444,6 @@ pub struct EncodedDesign {
     pub features: EncodedFeatureMap,
     /// The decomposed aggregates over codes.
     pub aggregates: EncodedAggregates,
-}
-
-impl EncodedDesign {
-    /// Assemble from pre-encoded parts, baking a `Value`-keyed feature map.
-    pub fn from_parts(
-        factorization: EncodedFactorization,
-        aggregates: EncodedAggregates,
-        features: &FeatureMap,
-    ) -> Self {
-        let features = EncodedFeatureMap::encode(features, &factorization);
-        EncodedDesign {
-            factorization,
-            features,
-            aggregates,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1485,8 +1467,10 @@ fn gram_entry(aggs: &EncodedAggregates, features: &EncodedFeatureMap, p: usize, 
     }
 }
 
-/// Factorised gram matrix `Xᵀ·X` (Algorithm 2) on the encoded backend,
-/// with the upper-triangle cells fanned out over `par`'s threads. The gram's
+/// Factorised gram matrix `Xᵀ·X` (Algorithm 2): per column pair, the
+/// `COUNT`/`COF`-weighted feature sums scaled by the duplication factor
+/// `TOTAL_first / TOTAL_A`, with the upper-triangle cells fanned out over
+/// `par`'s threads. The gram's
 /// operands (aggregates and baked features) live on the coordinator, so
 /// this operator takes the local thread budget directly
 /// ([`Exec::parallelism`]) and never goes remote. Per-shard partials fill
@@ -1560,7 +1544,8 @@ fn left_mult_entry(
     acc
 }
 
-/// Factorised left multiplication `A·X` (Algorithm 3) on the encoded backend.
+/// Factorised left multiplication `A·X` (Algorithm 3): per-row prefix sums
+/// of `A` sum the contiguous duplicates of each attribute value in O(1).
 pub fn left_mult(a: &Matrix, aggs: &EncodedAggregates, features: &EncodedFeatureMap) -> Matrix {
     let m = aggs.n_cols();
     let n = aggs.grand_total() as usize;
@@ -1620,7 +1605,9 @@ pub struct EncodedRowDelta {
     pub changes: Vec<(usize, u32)>,
 }
 
-/// Delta-based row iterator (Algorithm 1) over an [`EncodedFactorization`].
+/// Delta-based row iterator (Algorithm 1) over an [`EncodedFactorization`]:
+/// adjacent rows of the conceptual matrix differ in only a few trailing
+/// columns, so each step yields just the `(column, code)` changes.
 #[derive(Debug)]
 pub struct EncodedRowIter<'a> {
     fact: &'a EncodedFactorization,
@@ -1697,8 +1684,9 @@ impl<'a> Iterator for EncodedRowIter<'a> {
     }
 }
 
-/// Factorised right multiplication `X·A` (Algorithm 4) on the encoded
-/// backend, updating each output row incrementally from the previous one.
+/// Factorised right multiplication `X·A` (Algorithm 4). The output is
+/// materialised (`n × A.cols()`); each row's dot products are updated
+/// incrementally from the previous row through the delta row iterator.
 pub fn right_mult(fact: &EncodedFactorization, features: &EncodedFeatureMap, a: &Matrix) -> Matrix {
     let m = fact.n_cols();
     let n = fact.n_rows();
@@ -1732,8 +1720,8 @@ pub fn right_mult(fact: &EncodedFactorization, features: &EncodedFeatureMap, a: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregates::DecomposedAggregates;
-    use crate::ops;
+    use reptile_linalg::naive;
+    use std::collections::BTreeMap;
 
     fn paper_example() -> (Factorization, FeatureMap) {
         let time = HierarchyFactor::from_paths(
@@ -1789,81 +1777,267 @@ mod tests {
         }
     }
 
-    #[test]
-    fn encoded_aggregates_are_bit_identical_to_legacy() {
-        let (fact, _) = paper_example();
-        let legacy = DecomposedAggregates::compute(&fact);
-        let enc = EncodedFactorization::encode(&fact);
-        let encoded = EncodedAggregates::compute(&enc, &Exec::Serial);
-        assert_eq!(legacy.grand_total(), encoded.grand_total());
+    /// Three hierarchies of uneven fanout (5 × 3 × 3 rows): repetitions > 1,
+    /// multi-level hierarchies before and after a single-level one.
+    fn three_hierarchies() -> Factorization {
+        let a = HierarchyFactor::from_paths(
+            "a",
+            vec![AttrId(0), AttrId(1)],
+            vec![
+                vec![Value::int(1), Value::int(11)],
+                vec![Value::int(1), Value::int(12)],
+                vec![Value::int(2), Value::int(21)],
+                vec![Value::int(2), Value::int(22)],
+                vec![Value::int(2), Value::int(23)],
+            ],
+        );
+        let b = HierarchyFactor::from_paths(
+            "b",
+            vec![AttrId(2)],
+            vec![
+                vec![Value::int(100)],
+                vec![Value::int(200)],
+                vec![Value::int(300)],
+            ],
+        );
+        let c = HierarchyFactor::from_paths(
+            "c",
+            vec![AttrId(3), AttrId(4)],
+            vec![
+                vec![Value::str("x"), Value::str("x1")],
+                vec![Value::str("y"), Value::str("y1")],
+                vec![Value::str("y"), Value::str("y2")],
+            ],
+        );
+        Factorization::new(vec![a, b, c])
+    }
+
+    /// Seeded features in `[-2, 2)` for every value of every column.
+    fn random_features(fact: &Factorization, seed: u64) -> FeatureMap {
+        let mut features = FeatureMap::zeros(fact.n_cols());
+        let mut s = seed;
         for c in 0..fact.n_cols() {
-            assert_eq!(legacy.total(c), encoded.total(c));
-            assert_eq!(legacy.repetitions(c), encoded.repetitions(c));
-            let (desc, scale) = encoded.counts_raw(c);
-            let legacy_counts = legacy.counts(c);
-            assert_eq!(legacy_counts.len(), desc.len());
-            for ((value, lc), (code, ec)) in legacy_counts.iter().zip(desc.iter().enumerate()) {
-                assert_eq!(enc.dict(c).value(code as u32), value);
-                assert_eq!(*lc, ec * scale);
-                assert_eq!(legacy.count(c, value), encoded.count(c, code as u32));
-            }
-            let (runs, rscale) = encoded.block_runs_raw(c);
-            let legacy_runs = legacy.block_runs(c);
-            assert_eq!(legacy_runs.len(), runs.len());
-            for ((lv, lc), &(code, rc)) in legacy_runs.iter().zip(runs) {
-                assert_eq!(enc.dict(c).value(code), lv);
-                assert_eq!(*lc, rc * rscale);
+            let pos = fact.position(c);
+            for (v, _) in fact.hierarchies()[pos.hierarchy].level_runs(pos.level) {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                features.set(c, v, ((s >> 33) as f64 / u32::MAX as f64) * 4.0 - 2.0);
             }
         }
+        features
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("expected a panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// `TOTAL` / `COUNT` / `COF` by brute force over the materialised value
+    /// rows, compared exactly (every quantity is an integer count).
+    fn assert_aggregates_match_brute_force(fact: &Factorization) {
+        let enc = EncodedFactorization::encode(fact);
+        let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
+        let rows = fact.materialize_values();
+        let m = fact.n_cols();
+        let one_hot = |c: usize, v: &Value| {
+            let mut f = vec![0.0; enc.dict(c).len()];
+            f[enc.dict(c).code_of(v).expect("value in domain") as usize] = 1.0;
+            f
+        };
+        for p in 0..m {
+            // TOTAL_p: distinct suffixes from p onward.
+            let mut suffixes: Vec<Vec<Value>> = rows.iter().map(|r| r[p..].to_vec()).collect();
+            suffixes.sort();
+            suffixes.dedup();
+            assert_eq!(aggs.total(p), suffixes.len() as f64, "TOTAL col {p}");
+            assert_eq!(
+                aggs.repetitions(p),
+                rows.len() as f64 / suffixes.len() as f64,
+                "repetitions col {p}"
+            );
+            let mut counts: BTreeMap<Value, f64> = BTreeMap::new();
+            for s in &suffixes {
+                *counts.entry(s[0].clone()).or_insert(0.0) += 1.0;
+            }
+            for (v, c) in &counts {
+                let code = enc.dict(p).code_of(v).unwrap();
+                assert_eq!(aggs.count(p, code), *c, "COUNT col {p} value {v}");
+            }
+            assert_eq!(aggs.counts_raw(p).0.len(), counts.len());
+            let (runs, scale) = aggs.block_runs_raw(p);
+            let run_total: f64 = runs.iter().map(|(_, c)| c * scale).sum();
+            assert_eq!(run_total, suffixes.len() as f64);
+            for q in (p + 1)..m {
+                let mut cof: BTreeMap<(Value, Value), f64> = BTreeMap::new();
+                for s in &suffixes {
+                    *cof.entry((s[0].clone(), s[q - p].clone())).or_insert(0.0) += 1.0;
+                }
+                for ((a, b), c) in &cof {
+                    let sum = aggs.cof_weighted_sum(p, q, &one_hot(p, a), &one_hot(q, b));
+                    assert_eq!(sum, *c, "COF ({p},{q}) [{a},{b}]");
+                }
+            }
+        }
+        assert_eq!(aggs.grand_total(), rows.len() as f64);
     }
 
     #[test]
-    fn encoded_ops_are_bit_identical_to_legacy_ops() {
-        let (fact, features) = paper_example();
-        let legacy = DecomposedAggregates::compute(&fact);
-        let enc = EncodedFactorization::encode(&fact);
-        let encoded = EncodedAggregates::compute(&enc, &Exec::Serial);
-        let enc_features = EncodedFeatureMap::encode(&features, &enc);
+    fn encoded_aggregates_match_brute_force() {
+        assert_aggregates_match_brute_force(&paper_example().0);
+        assert_aggregates_match_brute_force(&three_hierarchies());
 
-        assert_eq!(
-            ops::gram(&legacy, &features),
-            gram(&encoded, &enc_features, &Parallelism::serial())
-        );
-
-        let a = pseudo_random(3, fact.n_rows(), 5);
-        assert_eq!(
-            ops::left_mult(&a, &legacy, &features),
-            left_mult(&a, &encoded, &enc_features)
-        );
-
-        let b = pseudo_random(fact.n_cols(), 2, 17);
-        assert_eq!(
-            ops::right_mult(&fact, &features, &b),
-            right_mult(&enc, &enc_features, &b)
-        );
-
-        let v: Vec<f64> = (0..fact.n_rows()).map(|i| i as f64 * 0.5 - 1.0).collect();
-        assert_eq!(
-            ops::transpose_vec_mult(&v, &legacy, &features),
-            transpose_vec_mult(&v, &encoded, &enc_features, &Parallelism::serial())
-        );
-    }
-
-    #[test]
-    fn encoded_row_iter_mirrors_value_row_iter() {
+        // Figure 4 of the paper: with order (T, D, V), TOTAL_T = 6 (all
+        // rows), TOTAL_D = TOTAL_V = 3 (geo suffixes).
         let (fact, _) = paper_example();
         let enc = EncodedFactorization::encode(&fact);
-        let legacy: Vec<crate::row_iter::RowDelta> = crate::RowIter::new(&fact).collect();
-        let encoded: Vec<EncodedRowDelta> = EncodedRowIter::new(&enc).collect();
-        assert_eq!(legacy.len(), encoded.len());
-        for (l, e) in legacy.iter().zip(&encoded) {
-            assert_eq!(l.row, e.row);
-            assert_eq!(l.changes.len(), e.changes.len());
-            for ((lc, lv), &(ec, code)) in l.changes.iter().zip(&e.changes) {
-                assert_eq!(*lc, ec);
-                assert_eq!(enc.dict(ec).value(code), lv);
-            }
+        let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
+        let code = |c: usize, v: &str| enc.dict(c).code_of(&Value::str(v)).unwrap();
+        assert_eq!(aggs.grand_total(), 6.0);
+        assert_eq!(aggs.total(0), 6.0);
+        assert_eq!(aggs.total(1), 3.0);
+        assert_eq!(aggs.total(2), 3.0);
+        assert_eq!(aggs.count(0, code(0, "t1")), 3.0);
+        assert_eq!(aggs.count(1, code(1, "d1")), 2.0);
+        assert_eq!(aggs.count(1, code(1, "d2")), 1.0);
+        assert_eq!(aggs.count(2, code(2, "v2")), 1.0);
+        assert_eq!(aggs.count(1, enc.dict(1).len() as u32), 0.0);
+        assert_eq!(aggs.repetitions(1), 2.0);
+        assert_eq!(aggs.repetitions(0), 1.0);
+
+        // Cross-hierarchy COFs stay an implicit product; same-hierarchy ones
+        // are the FD-sparse table.
+        match aggs.cof(0, 1) {
+            EncodedCofPairs::Independent { scale, .. } => assert_eq!(scale, 1.0),
+            _ => panic!("cross-hierarchy COF should be independent"),
         }
+        match aggs.cof(1, 2) {
+            EncodedCofPairs::Materialized { entries, .. } => assert_eq!(entries.len(), 3),
+            _ => panic!("same-hierarchy COF should be materialized"),
+        }
+        assert!(panic_message(|| {
+            let _ = aggs.cof(2, 1);
+        })
+        .contains("left < right"));
+    }
+
+    #[test]
+    fn encoded_ops_match_naive() {
+        let (paper, paper_features) = paper_example();
+        // Zero-valued features keep their place in every product.
+        let mut zeros = paper_features.clone();
+        zeros.set(1, Value::str("d2"), 0.0);
+        zeros.set(2, Value::str("v1"), 0.0);
+        let wide = three_hierarchies();
+        let wide_features = random_features(&wide, 5);
+        for (fact, features) in [
+            (&paper, &paper_features),
+            (&paper, &zeros),
+            (&wide, &wide_features),
+        ] {
+            let enc = EncodedFactorization::encode(fact);
+            let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
+            let enc_features = EncodedFeatureMap::encode(features, &enc);
+            let x = fact.materialize(features);
+            let (n, m) = (fact.n_rows(), fact.n_cols());
+
+            let g = gram(&aggs, &enc_features, &Parallelism::serial());
+            assert!(g.max_abs_diff(&naive::gram(&x).unwrap()) < 1e-9);
+
+            let a = pseudo_random(3, n, 5);
+            let lm = left_mult(&a, &aggs, &enc_features);
+            assert!(lm.max_abs_diff(&naive::left_mult(&a, &x).unwrap()) < 1e-9);
+
+            let b = pseudo_random(m, 2, 17);
+            let rm = right_mult(&enc, &enc_features, &b);
+            assert!(rm.max_abs_diff(&naive::right_mult(&x, &b).unwrap()) < 1e-9);
+
+            let v: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 1.0).collect();
+            let xtv = x.transpose().matmul(&Matrix::column_vector(&v)).unwrap();
+            let got = transpose_vec_mult(&v, &aggs, &enc_features, &Parallelism::serial());
+            for (i, g) in got.iter().enumerate() {
+                assert!((g - xtv.get(i, 0)).abs() < 1e-9, "Xᵀv[{i}]");
+            }
+
+            // Operand shapes are checked.
+            assert!(panic_message(|| {
+                let _ = left_mult(&Matrix::zeros(1, n + 1), &aggs, &enc_features);
+            })
+            .contains("left operand"));
+            assert!(panic_message(|| {
+                let _ = right_mult(&enc, &enc_features, &Matrix::zeros(m + 2, 1));
+            })
+            .contains("right operand"));
+        }
+    }
+
+    #[test]
+    fn encoded_row_iter_reconstructs_materialized_rows() {
+        let decoded =
+            |enc: &EncodedFactorization, delta: &EncodedRowDelta| -> Vec<(usize, Value)> {
+                delta
+                    .changes
+                    .iter()
+                    .map(|&(c, code)| (c, enc.dict(c).value(code).clone()))
+                    .collect()
+            };
+        // Replaying the deltas reproduces every materialised row.
+        for fact in [paper_example().0, three_hierarchies()] {
+            let enc = EncodedFactorization::encode(&fact);
+            let expected = fact.materialize_values();
+            let mut current: Vec<Option<Value>> = vec![None; fact.n_cols()];
+            let mut seen = 0usize;
+            for delta in EncodedRowIter::new(&enc) {
+                for (c, v) in decoded(&enc, &delta) {
+                    current[c] = Some(v);
+                }
+                let row: Vec<Value> = current.iter().map(|v| v.clone().unwrap()).collect();
+                assert_eq!(row, expected[delta.row], "row {}", delta.row);
+                seen += 1;
+            }
+            assert_eq!(seen, fact.n_rows());
+        }
+
+        // Adjacent rows change few columns (Algorithm 1).
+        let (fact, _) = paper_example();
+        let enc = EncodedFactorization::encode(&fact);
+        let deltas: Vec<EncodedRowDelta> = EncodedRowIter::new(&enc).collect();
+        // Row 1 differs from row 0 only in the village column (v1 -> v2).
+        assert_eq!(decoded(&enc, &deltas[1]), vec![(2, Value::str("v2"))]);
+        // Row 2 changes district and village.
+        assert_eq!(
+            decoded(&enc, &deltas[2]),
+            vec![(1, Value::str("d2")), (2, Value::str("v3"))]
+        );
+        // Row 3 wraps the geo hierarchy and advances time.
+        assert_eq!(
+            decoded(&enc, &deltas[3]),
+            vec![
+                (0, Value::str("t2")),
+                (1, Value::str("d1")),
+                (2, Value::str("v1"))
+            ]
+        );
+
+        // A single hierarchy yields one change per row.
+        let single =
+            EncodedFactorization::encode(&Factorization::new(vec![HierarchyFactor::from_paths(
+                "only",
+                vec![AttrId(0)],
+                vec![
+                    vec![Value::int(1)],
+                    vec![Value::int(2)],
+                    vec![Value::int(3)],
+                ],
+            )]));
+        let deltas: Vec<EncodedRowDelta> = EncodedRowIter::new(&single).collect();
+        assert_eq!(deltas.len(), 3);
+        assert_eq!(decoded(&single, &deltas[0]), vec![(0, Value::int(1))]);
+        assert_eq!(decoded(&single, &deltas[2]), vec![(0, Value::int(3))]);
     }
 
     /// Semantic (decoded) equality of two aggregate states whose dictionaries

@@ -119,21 +119,6 @@ impl HierarchyFactor {
         self.attrs.len()
     }
 
-    /// A stable fingerprint of the factor's content (attribute ids plus
-    /// paths). Caches that reuse aggregates across invocations key on this:
-    /// name/depth/leaf-count alone collide when two views select different
-    /// provenance of the same shape (e.g. the four villages of district D1
-    /// vs the four villages of district D2).
-    pub fn content_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.attrs.hash(&mut h);
-        for path in &self.paths {
-            path.hash(&mut h);
-        }
-        h.finish()
-    }
-
     /// Number of distinct leaf paths.
     pub fn leaf_count(&self) -> usize {
         self.paths.len()
@@ -253,57 +238,19 @@ impl Factorization {
             .collect()
     }
 
-    /// Product of leaf counts of hierarchies strictly *after* `hierarchy`
-    /// (the "later product" used to scale per-hierarchy counts into global
-    /// decomposed aggregates).
-    pub fn later_product(&self, hierarchy: usize) -> usize {
-        self.hierarchies[hierarchy + 1..]
-            .iter()
-            .map(HierarchyFactor::leaf_count)
-            .product()
-    }
-
-    /// Product of leaf counts of hierarchies strictly *before* `hierarchy`
-    /// (how many times that hierarchy's block pattern repeats in the matrix).
-    pub fn earlier_product(&self, hierarchy: usize) -> usize {
-        self.hierarchies[..hierarchy]
-            .iter()
-            .map(HierarchyFactor::leaf_count)
-            .product()
-    }
-
-    /// The attribute value at `(row, column)` of the conceptual matrix.
-    /// O(#hierarchies) — intended for tests and small materialisations.
-    pub fn value_at(&self, row: usize, column: usize) -> &Value {
-        let pos = self.position(column);
-        let mut remainder = row;
-        // row index decomposes as mixed radix over hierarchy path indices,
-        // last hierarchy fastest.
-        let mut path_index = 0usize;
-        for (h, factor) in self.hierarchies.iter().enumerate().rev() {
-            let idx = remainder % factor.leaf_count();
-            remainder /= factor.leaf_count();
-            if h == pos.hierarchy {
-                path_index = idx;
-            }
-        }
-        &self.hierarchies[pos.hierarchy].paths[path_index][pos.level]
-    }
-
     /// Materialise the full attribute matrix as rows of values. Exponential —
     /// only for tests and the naive baselines.
     pub fn materialize_values(&self) -> Vec<Vec<Value>> {
-        let n = self.n_rows();
-        let m = self.n_cols();
-        let mut rows = Vec::with_capacity(n);
-        for r in 0..n {
-            let mut row = Vec::with_capacity(m);
-            for c in 0..m {
-                row.push(self.value_at(r, c).clone());
-            }
-            rows.push(row);
-        }
-        rows
+        (0..self.n_rows())
+            .map(|row| {
+                let indices = self.row_to_path_indices(row);
+                self.hierarchies
+                    .iter()
+                    .zip(indices)
+                    .flat_map(|(factor, idx)| factor.paths[idx].iter().cloned())
+                    .collect()
+            })
+            .collect()
     }
 
     /// Materialise the full *feature* matrix by mapping each attribute value
@@ -313,11 +260,20 @@ impl Factorization {
         let n = self.n_rows();
         let m = self.n_cols();
         let mut out = Matrix::zeros(n, m);
+        let leaf_product = |hierarchies: &[HierarchyFactor]| -> usize {
+            hierarchies
+                .iter()
+                .map(HierarchyFactor::leaf_count)
+                .product()
+        };
         for c in 0..m {
             let pos = self.position(c);
             let factor = &self.hierarchies[pos.hierarchy];
-            let repeat_outer = self.earlier_product(pos.hierarchy);
-            let repeat_inner = self.later_product(pos.hierarchy);
+            // The block pattern repeats once per path combination of the
+            // earlier hierarchies; each path repeats once per combination of
+            // the later ones.
+            let repeat_outer = leaf_product(&self.hierarchies[..pos.hierarchy]);
+            let repeat_inner = leaf_product(&self.hierarchies[pos.hierarchy + 1..]);
             let mut row = 0usize;
             for _ in 0..repeat_outer {
                 for path in &factor.paths {
@@ -376,16 +332,6 @@ impl Factorization {
         }
         row
     }
-
-    /// The attribute values of one conceptual row, as a vector.
-    pub fn row_values(&self, row: usize) -> Vec<Value> {
-        let indices = self.row_to_path_indices(row);
-        let mut out = Vec::with_capacity(self.n_cols());
-        for (h, factor) in self.hierarchies.iter().enumerate() {
-            out.extend(factor.paths[indices[h]].iter().cloned());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -419,10 +365,6 @@ mod tests {
         let f = paper_example();
         assert_eq!(f.n_cols(), 3);
         assert_eq!(f.n_rows(), 6);
-        assert_eq!(f.later_product(0), 3);
-        assert_eq!(f.later_product(1), 1);
-        assert_eq!(f.earlier_product(0), 1);
-        assert_eq!(f.earlier_product(1), 2);
         assert_eq!(f.attr_order(), vec![AttrId(0), AttrId(1), AttrId(2)]);
     }
 
@@ -462,10 +404,6 @@ mod tests {
             rows[5],
             vec![Value::str("t2"), Value::str("d2"), Value::str("v3")]
         );
-        // row_values agrees with materialize_values
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(&f.row_values(r), row);
-        }
     }
 
     #[test]
@@ -496,9 +434,8 @@ mod tests {
     #[test]
     fn row_index_of_inverts_row_values() {
         let f = paper_example();
-        for row in 0..f.n_rows() {
-            let values = f.row_values(row);
-            assert_eq!(f.row_index_of(&values), Some(row));
+        for (row, values) in f.materialize_values().iter().enumerate() {
+            assert_eq!(f.row_index_of(values), Some(row));
         }
         // unknown values or wrong arity give None
         assert_eq!(

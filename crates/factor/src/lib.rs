@@ -13,20 +13,19 @@
 //! linear. This crate implements:
 //!
 //! * [`Factorization`] — the f-representation of the attribute/feature matrix
-//!   (Section 3.4, Appendix C), stored as per-hierarchy sorted path tables;
-//! * [`RowIter`] — the delta-based row iterator of Algorithm 1;
-//! * [`DecomposedAggregates`] — the `TOTAL` / `COUNT` / `COF` aggregates of
-//!   Section 4.2.1, computed with the work-sharing plan of Algorithm 10 and
-//!   the cross-hierarchy independence optimisation;
-//! * [`ops`] — factorised gram matrix, left multiplication and right
-//!   multiplication (Algorithms 2–4);
+//!   (Section 3.4, Appendix C) as per-hierarchy sorted `Value` path tables:
+//!   the input the factors are encoded from, and the form the dense
+//!   baselines materialise;
+//! * [`encoded`] — the factorised compute path: per-level
+//!   [`ValueDict`](reptile_relational::ValueDict)s map values to dense `u32`
+//!   codes, the `TOTAL` / `COUNT` / `COF` aggregates of Section 4.2.1
+//!   ([`EncodedAggregates`]) run the work-sharing plan of Algorithm 10 with
+//!   the cross-hierarchy independence optimisation on flat `Vec<f64>`
+//!   tables, and the gram matrix, left and right multiplication of
+//!   Algorithms 2–4 and the delta row iterator of Algorithm 1 run on codes
+//!   end to end;
 //! * [`cluster`] — the per-cluster operator variants (Appendix E/F) used by
 //!   the EM algorithm's random-effect updates;
-//! * [`encoded`] — the dictionary-encoded columnar backend: per-level
-//!   [`ValueDict`](reptile_relational::ValueDict)s map values to dense `u32`
-//!   codes so the aggregate batch and the operators run on flat `Vec<f64>`
-//!   indexing instead of `BTreeMap<Value, _>` lookups, bit-identically to the
-//!   `Value`-keyed path;
 //! * [`lmfao`] — an LMFAO-style baseline that computes the same aggregate
 //!   batch without cross-hierarchy independence or work sharing (Figure 8);
 //! * [`drilldown`] — the O(1) cross-hierarchy updates and caching performed
@@ -55,29 +54,24 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregates;
 pub mod cluster;
 pub mod drilldown;
 pub mod encoded;
 pub mod factorization;
 pub mod feature;
 pub mod lmfao;
-pub mod ops;
 pub use reptile_relational::parallel;
 pub mod payload;
-pub mod row_iter;
 
-pub use aggregates::DecomposedAggregates;
 pub use cluster::ClusterPartition;
 pub use drilldown::{
     AggregateSource, DrilldownMode, DrilldownSession, FreshAggregates, PathCountIndex, SessionStats,
 };
 pub use encoded::{
     EncodedAggregates, EncodedDesign, EncodedFactor, EncodedFactorization, EncodedFeatureMap,
-    EncodedHierarchyAggregates, EncodedRowIter, FactorBackend, FactorizationDelta, PathDelta,
+    EncodedHierarchyAggregates, EncodedRowIter, FactorizationDelta, PathDelta,
 };
 pub use factorization::{AttrPosition, Factorization, HierarchyFactor};
 pub use feature::FeatureMap;
 pub use parallel::Parallelism;
 pub use reptile_relational::{Exec, Remote, RemoteError, RemoteTransport};
-pub use row_iter::RowIter;

@@ -8,7 +8,9 @@
 //! the batch rather than being reused bottom-up.
 //!
 //! This module reproduces that behaviour so the multi-query/work-sharing
-//! speedup of `DecomposedAggregates::compute` can be measured against it.
+//! speedup of [`EncodedAggregates::compute`](crate::EncodedAggregates::compute)
+//! can be measured against it. It is also the exactness oracle of the
+//! aggregates: both compute integer counts, so they agree `==`.
 
 use crate::factorization::{Factorization, HierarchyFactor};
 use reptile_relational::Value;
@@ -124,9 +126,9 @@ pub fn compute_serial(fact: &Factorization) -> SerialAggregates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregates::DecomposedAggregates;
+    use crate::encoded::{EncodedAggregates, EncodedFactorization};
     use crate::factorization::HierarchyFactor;
-    use reptile_relational::AttrId;
+    use reptile_relational::{AttrId, Exec};
 
     fn example() -> Factorization {
         let time = HierarchyFactor::from_paths(
@@ -150,11 +152,23 @@ mod tests {
     fn serial_baseline_agrees_with_optimized_aggregates() {
         let fact = example();
         let serial = compute_serial(&fact);
-        let optimized = DecomposedAggregates::compute(&fact);
+        let enc = EncodedFactorization::encode(&fact);
+        let optimized = EncodedAggregates::compute(&enc, &Exec::Serial);
+        let code = |c: usize, v: &Value| enc.dict(c).code_of(v).expect("value in domain");
+        let one_hot = |c: usize, v: &Value| {
+            let mut f = vec![0.0; enc.dict(c).len()];
+            f[code(c, v) as usize] = 1.0;
+            f
+        };
         for c in 0..fact.n_cols() {
             assert_eq!(serial.totals[c], optimized.total(c), "TOTAL col {c}");
+            assert_eq!(serial.counts[c].len(), optimized.counts_raw(c).0.len());
             for (v, cnt) in &serial.counts[c] {
-                assert_eq!(*cnt, optimized.count(c, v), "COUNT col {c} value {v}");
+                assert_eq!(
+                    *cnt,
+                    optimized.count(c, code(c, v)),
+                    "COUNT col {c} value {v}"
+                );
             }
         }
         for ((left, right), table) in &serial.cofs {
@@ -162,10 +176,10 @@ mod tests {
                 let got = optimized.cof_weighted_sum(
                     *left,
                     *right,
-                    |x| if x == a { 1.0 } else { 0.0 },
-                    |x| if x == b { 1.0 } else { 0.0 },
+                    &one_hot(*left, a),
+                    &one_hot(*right, b),
                 );
-                assert!((got - cnt).abs() < 1e-9, "COF ({left},{right}) [{a},{b}]");
+                assert_eq!(got, *cnt, "COF ({left},{right}) [{a},{b}]");
             }
         }
     }

@@ -6,15 +6,14 @@
 //! per-hierarchy path tables are `u32` sorts, and features, response and
 //! clusters are integer-indexed. `Value`s are produced for the distinct
 //! values of each path-table level only; the `Value`-keyed factorisation and
-//! feature map the legacy backends read are derived on first use.
+//! feature map the dense baselines materialise are decoded on first use.
 
 use crate::features::{main_effects, normalize, FeaturePlan};
 use crate::{ModelError, Result};
 use reptile_factor::encoded::EncodedLevel;
 use reptile_factor::{
-    AggregateSource, ClusterPartition, DecomposedAggregates, EncodedAggregates, EncodedDesign,
-    EncodedFactor, EncodedFactorization, EncodedFeatureMap, Exec, FactorBackend, Factorization,
-    FeatureMap, FreshAggregates,
+    AggregateSource, ClusterPartition, EncodedDesign, EncodedFactor, EncodedFeatureMap, Exec,
+    Factorization, FeatureMap, FreshAggregates,
 };
 use reptile_relational::{AggregateKind, AttrId, GroupKey, Schema, ValueDict, View};
 use std::sync::{Arc, OnceLock};
@@ -92,19 +91,16 @@ impl DesignRows {
 
 /// A complete training design: factorised feature matrix, response, clusters.
 ///
-/// The design carries the factor data for *both* execution backends: the one
-/// the builder was configured with is populated eagerly (through the
-/// drill-down session cache when one is threaded in); the other is derived
-/// lazily on first access so backends can always be compared on the same
-/// design.
+/// The encoded factorisation, features and aggregates the factorised
+/// operators run on are built eagerly (through the drill-down session cache
+/// when one is threaded in); the `Value`-keyed factorisation and feature map
+/// the dense baselines materialise are decoded lazily on first access.
 #[derive(Debug, Clone)]
 pub struct TrainingDesign {
     rows: Arc<DesignRows>,
-    backend: FactorBackend,
     factorization: OnceLock<Factorization>,
     features: OnceLock<FeatureMap>,
-    aggregates: OnceLock<DecomposedAggregates>,
-    encoded: OnceLock<EncodedDesign>,
+    encoded: EncodedDesign,
     clusters: ClusterPartition,
     y: Vec<f64>,
     observed: Vec<bool>,
@@ -125,43 +121,22 @@ impl TrainingDesign {
     }
 
     /// The `Value`-keyed factorised feature matrix structure (decoded from
-    /// the path tables on first use when the design was built for the
-    /// encoded backend).
+    /// the path tables on first use).
     pub fn factorization(&self) -> &Factorization {
         self.factorization.get_or_init(|| {
             Factorization::new(self.rows.factors.iter().map(|f| f.decode()).collect())
         })
     }
 
-    /// The `Value`-keyed per-column feature mappings (decoded on first use
-    /// when the design was built for the encoded backend).
+    /// The `Value`-keyed per-column feature mappings (decoded on first use).
     pub fn features(&self) -> &FeatureMap {
-        self.features.get_or_init(|| {
-            let encoded = self.encoded();
-            encoded.features.decode(&encoded.factorization)
-        })
+        self.features
+            .get_or_init(|| self.encoded.features.decode(&self.encoded.factorization))
     }
 
-    /// The backend this design was built for.
-    pub fn factor_backend(&self) -> FactorBackend {
-        self.backend
-    }
-
-    /// The legacy `Value`-keyed decomposed aggregates of the factorisation
-    /// (computed lazily when the design was built for the encoded backend).
-    pub fn aggregates(&self) -> &DecomposedAggregates {
-        self.aggregates
-            .get_or_init(|| DecomposedAggregates::compute(self.factorization()))
-    }
-
-    /// The dictionary-encoded factorisation, features and aggregates
-    /// (computed lazily when the design was built for the legacy backend).
+    /// The dictionary-encoded factorisation, features and aggregates.
     pub fn encoded(&self) -> &EncodedDesign {
-        self.encoded.get_or_init(|| {
-            let factorization = EncodedFactorization::new(self.rows.factors.clone());
-            let aggregates = EncodedAggregates::compute(&factorization, &Exec::Serial);
-            EncodedDesign::from_parts(factorization, aggregates, self.features())
-        })
+        &self.encoded
     }
 
     /// The cluster partition used for the random effects.
@@ -279,7 +254,6 @@ pub struct DesignBuilder<'a, 'g> {
     statistic: AggregateKind,
     plan: FeaturePlan,
     empty_policy: EmptyGroupPolicy,
-    backend: FactorBackend,
     exec: Exec,
     aggregate_source: Option<&'g mut dyn AggregateSource>,
 }
@@ -295,7 +269,6 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
             statistic,
             plan: FeaturePlan::none(),
             empty_policy: EmptyGroupPolicy::GlobalMean,
-            backend: FactorBackend::default(),
             exec: Exec::Serial,
             aggregate_source: None,
         }
@@ -324,14 +297,6 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
     /// Choose how empty parallel groups are filled.
     pub fn empty_groups(mut self, policy: EmptyGroupPolicy) -> Self {
         self.empty_policy = policy;
-        self
-    }
-
-    /// Choose which factor backend the design precomputes (default:
-    /// [`FactorBackend::Encoded`]). The other backend's data stays derivable
-    /// lazily, so equivalence tests and benchmarks can always compare both.
-    pub fn with_factor_backend(mut self, backend: FactorBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -513,21 +478,15 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
             .collect();
 
         // The decomposed aggregates come from the aggregate source, which
-        // on the encoded backend may also swap a path table for an earlier
-        // snapshot's delta-maintained one (same paths, same order, other
-        // code numbering) — features are baked against what it returns.
+        // may also swap a path table for an earlier snapshot's
+        // delta-maintained one (same paths, same order, other code
+        // numbering) — features are baked against what it returns.
         let mut fresh = FreshAggregates::with_exec(self.exec.clone());
         let source: &mut dyn AggregateSource = match self.aggregate_source.as_mut() {
             Some(source) => *source,
             None => &mut fresh,
         };
-        let (enc_fact, enc_aggs) = match self.backend {
-            FactorBackend::Encoded => {
-                let (fact, aggs) = source.encoded_aggregates(built);
-                (fact, Some(aggs))
-            }
-            FactorBackend::Legacy => (EncodedFactorization::new(built), None),
-        };
+        let (enc_fact, enc_aggs) = source.encoded_aggregates(built);
 
         // Feature columns by code: main effects for base columns,
         // normalised auxiliary values for extra columns. The drilled
@@ -584,49 +543,24 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
         }));
 
         // Cluster partition: the drilled attribute and everything after it in
-        // the last hierarchy vary within a cluster. The partition and the
-        // decomposed aggregates are built on the configured factor backend;
-        // both backends produce bit-identical numbers.
+        // the last hierarchy vary within a cluster.
         let last_depth = level_gb.last().map_or(1, Vec::len);
         let intra_levels = last_depth - drilled_level_in_last;
+        let clusters = ClusterPartition::from_encoded(&enc_fact, &baked, intra_levels, &local);
         let rows = Arc::new(DesignRows {
             factors: enc_fact.factors().to_vec(),
             level_gb,
         });
-        let factorization = OnceLock::new();
-        let features = OnceLock::new();
-        let aggregates = OnceLock::new();
-        let encoded = OnceLock::new();
-        let clusters = match enc_aggs {
-            Some(enc_aggs) => {
-                let clusters =
-                    ClusterPartition::from_encoded(&enc_fact, &baked, intra_levels, &local);
-                let _ = encoded.set(EncodedDesign {
-                    factorization: enc_fact,
-                    features: baked,
-                    aggregates: enc_aggs,
-                });
-                clusters
-            }
-            None => {
-                let fact = Factorization::new(rows.factors.iter().map(|f| f.decode()).collect());
-                let value_features = baked.decode(&enc_fact);
-                let _ = aggregates.set(source.legacy_aggregates(&fact));
-                let clusters =
-                    ClusterPartition::with_intra_levels(&fact, &value_features, intra_levels);
-                let _ = factorization.set(fact);
-                let _ = features.set(value_features);
-                clusters
-            }
-        };
 
         Ok(TrainingDesign {
             rows,
-            backend: self.backend,
-            factorization,
-            features,
-            aggregates,
-            encoded,
+            factorization: OnceLock::new(),
+            features: OnceLock::new(),
+            encoded: EncodedDesign {
+                factorization: enc_fact,
+                features: baked,
+                aggregates: enc_aggs,
+            },
             clusters,
             y,
             observed,

@@ -8,7 +8,7 @@
 use crate::design::TrainingDesign;
 use crate::multilevel::{pad, select_square, MultilevelConfig, MultilevelModel, TrainingBackend};
 use crate::Result;
-use reptile_factor::{encoded, ops, Parallelism};
+use reptile_factor::{encoded, Parallelism};
 use reptile_linalg::cholesky::invert_spd_with_ridge;
 use reptile_linalg::Matrix;
 
@@ -24,20 +24,11 @@ pub(crate) fn fit(
     let y = design.y();
     let m = design.n_cols();
     match backend {
-        TrainingBackend::Factorized | TrainingBackend::FactorizedLegacy => {
-            let legacy = backend == TrainingBackend::FactorizedLegacy;
+        TrainingBackend::Factorized => {
             let enc = design.encoded();
-            let gram = if legacy {
-                ops::gram(design.aggregates(), design.features())
-            } else {
-                encoded::gram(&enc.aggregates, &enc.features, &serial)
-            };
+            let gram = encoded::gram(&enc.aggregates, &enc.features, &serial);
             let xt_vec = |v: &[f64]| -> Vec<f64> {
-                if legacy {
-                    ops::transpose_vec_mult(v, design.aggregates(), design.features())
-                } else {
-                    encoded::transpose_vec_mult(v, &enc.aggregates, &enc.features, &serial)
-                }
+                encoded::transpose_vec_mult(v, &enc.aggregates, &enc.features, &serial)
             };
             let ztz: Vec<Matrix> = clusters
                 .grams(&serial)

@@ -6,7 +6,7 @@
 
 use crate::design::TrainingDesign;
 use crate::Result;
-use reptile_factor::{encoded, ops, FactorBackend, Parallelism};
+use reptile_factor::{encoded, Parallelism};
 use reptile_linalg::cholesky::invert_spd_with_ridge;
 use reptile_linalg::Matrix;
 
@@ -24,27 +24,12 @@ pub struct LinearModel {
 }
 
 impl LinearModel {
-    /// Fit by OLS using the factorised gram matrix and `Xᵀy`, on whichever
-    /// factor backend the design was built for (both are bit-identical).
+    /// Fit by OLS using the factorised gram matrix and `Xᵀy`.
     pub fn fit(design: &TrainingDesign) -> Result<Self> {
-        let (gram, xty) = match design.factor_backend() {
-            FactorBackend::Encoded => {
-                let enc = design.encoded();
-                (
-                    encoded::gram(&enc.aggregates, &enc.features, &Parallelism::serial()),
-                    encoded::transpose_vec_mult(
-                        design.y(),
-                        &enc.aggregates,
-                        &enc.features,
-                        &Parallelism::serial(),
-                    ),
-                )
-            }
-            FactorBackend::Legacy => (
-                ops::gram(design.aggregates(), design.features()),
-                ops::transpose_vec_mult(design.y(), design.aggregates(), design.features()),
-            ),
-        };
+        let enc = design.encoded();
+        let serial = Parallelism::serial();
+        let gram = encoded::gram(&enc.aggregates, &enc.features, &serial);
+        let xty = encoded::transpose_vec_mult(design.y(), &enc.aggregates, &enc.features, &serial);
         // The gram matrix is SPD once ridged: Cholesky with LU fallback.
         let gram_inv = invert_spd_with_ridge(&gram, 1e-8)?;
         let beta_mat = gram_inv.matmul(&Matrix::column_vector(&xty))?;

@@ -28,15 +28,12 @@
 //! is `==` under every [`Exec`]. The final `rss` is one exact pass after
 //! the loop.
 //!
-//! Three training backends differ only in how they compute those
+//! Two training backends differ only in how they compute those
 //! statistics (`Products`):
 //! * [`TrainingBackend::Factorized`] — the factorised operators (gram,
 //!   per-cluster grams, left/right multiplication) over the
 //!   dictionary-encoded columnar representation; the feature matrix is
 //!   never materialised.
-//! * [`TrainingBackend::FactorizedLegacy`] — the same factorised algorithm
-//!   over the `Value`-keyed `BTreeMap` aggregates (the original path, kept
-//!   for honest baselines; bit-identical results to `Factorized`).
 //! * [`TrainingBackend::Materialized`] — the "Matlab/LAPACK style" baseline
 //!   used in Figure 10: the feature matrix is fully materialised and every
 //!   statistic is a dense product.
@@ -48,7 +45,7 @@
 
 use crate::design::TrainingDesign;
 use crate::{ModelError, Result};
-use reptile_factor::{encoded, ops, Exec, Parallelism};
+use reptile_factor::{encoded, Exec, Parallelism};
 use reptile_linalg::cholesky::invert_spd_with_ridge;
 use reptile_linalg::Matrix;
 use reptile_obs::{Stage, StageTimer};
@@ -79,8 +76,6 @@ impl Default for MultilevelConfig {
 pub enum TrainingBackend {
     /// Factorised operators over dictionary-encoded codes (Reptile default).
     Factorized,
-    /// Factorised operators over the legacy `Value`-keyed aggregates.
-    FactorizedLegacy,
     /// Fully materialised dense products (Matlab-style baseline).
     Materialized,
 }
@@ -135,8 +130,8 @@ impl MultilevelModel {
     /// predictions. The fit always runs on the calling process:
     /// [`Exec::Remote`] fits at its coordinator-side budget, because the
     /// design lives there and workers hold relation partitions, not
-    /// designs. The legacy and materialized baselines ignore the budget
-    /// (they exist to be honest serial baselines).
+    /// designs. The materialized baseline ignores the budget (it exists to
+    /// be an honest serial baseline).
     pub fn fit_exec(
         design: &TrainingDesign,
         config: MultilevelConfig,
@@ -330,12 +325,10 @@ impl MultilevelModel {
 /// through here, before the iteration loop or after it; the backends differ
 /// in nothing else.
 enum Products<'a> {
-    /// Factorised operators: `G` and `Xᵀv` over the aggregates — the
-    /// dictionary-encoded ones, or with `legacy` the `Value`-keyed ones —
-    /// and the per-cluster products over the cluster partition.
+    /// Factorised operators: `G` and `Xᵀv` over the encoded aggregates and
+    /// the per-cluster products over the cluster partition.
     Factorized {
         design: &'a TrainingDesign,
-        legacy: bool,
         par: Parallelism,
     },
     /// Dense products over the materialised `X` and its cluster row ranges.
@@ -351,16 +344,7 @@ impl<'a> Products<'a> {
             return Err(ModelError::EmptyTrainingData);
         }
         Ok(match backend {
-            TrainingBackend::Factorized => Products::Factorized {
-                design,
-                legacy: false,
-                par,
-            },
-            TrainingBackend::FactorizedLegacy => Products::Factorized {
-                design,
-                legacy: true,
-                par: Parallelism::serial(),
-            },
+            TrainingBackend::Factorized => Products::Factorized { design, par },
             TrainingBackend::Materialized => Products::Dense {
                 x: design.materialize_x(),
                 ranges: design.clusters().row_ranges(),
@@ -371,16 +355,9 @@ impl<'a> Products<'a> {
     /// `G = XᵀX`.
     fn gram(&self) -> Result<Matrix> {
         Ok(match self {
-            Products::Factorized {
-                design,
-                legacy: false,
-                par,
-            } => {
+            Products::Factorized { design, par } => {
                 let enc = design.encoded();
                 encoded::gram(&enc.aggregates, &enc.features, par)
-            }
-            Products::Factorized { design, .. } => {
-                ops::gram(design.aggregates(), design.features())
             }
             Products::Dense { x, .. } => x.transpose().matmul(x)?,
         })
@@ -389,7 +366,7 @@ impl<'a> Products<'a> {
     /// Every cluster's `G_i = X_iᵀX_i`, in cluster order.
     fn cluster_grams(&self) -> Result<Vec<Matrix>> {
         match self {
-            Products::Factorized { design, par, .. } => Ok(design.clusters().grams(par)),
+            Products::Factorized { design, par } => Ok(design.clusters().grams(par)),
             Products::Dense { x, ranges } => ranges
                 .iter()
                 .map(|&(s, l)| {
@@ -403,16 +380,9 @@ impl<'a> Products<'a> {
     /// `Xᵀv`.
     fn xt(&self, v: &[f64]) -> Result<Vec<f64>> {
         Ok(match self {
-            Products::Factorized {
-                design,
-                legacy: false,
-                par,
-            } => {
+            Products::Factorized { design, par } => {
                 let enc = design.encoded();
                 encoded::transpose_vec_mult(v, &enc.aggregates, &enc.features, par)
-            }
-            Products::Factorized { design, .. } => {
-                ops::transpose_vec_mult(v, design.aggregates(), design.features())
             }
             Products::Dense { x, .. } => {
                 x.transpose().matmul(&Matrix::column_vector(v))?.into_data()
@@ -423,7 +393,7 @@ impl<'a> Products<'a> {
     /// `X_iᵀv_i` for every cluster `i` (`v_i`: `v` on the cluster's rows).
     fn cluster_xt(&self, v: &[f64]) -> Result<Vec<Vec<f64>>> {
         match self {
-            Products::Factorized { design, par, .. } => {
+            Products::Factorized { design, par } => {
                 Ok(design.clusters().left_mult_global_vec(v, par))
             }
             Products::Dense { x, ranges } => ranges
@@ -439,7 +409,7 @@ impl<'a> Products<'a> {
     /// `X·β`.
     fn x(&self, beta: &[f64]) -> Result<Vec<f64>> {
         Ok(match self {
-            Products::Factorized { design, par, .. } => {
+            Products::Factorized { design, par } => {
                 design.clusters().right_mult_shared_vec(beta, par)
             }
             Products::Dense { x, .. } => x.matmul(&Matrix::column_vector(beta))?.into_data(),
@@ -449,7 +419,7 @@ impl<'a> Products<'a> {
     /// `X_i·β_i` for every cluster, concatenated in row order.
     fn x_per_cluster(&self, betas: &[Vec<f64>]) -> Result<Vec<f64>> {
         match self {
-            Products::Factorized { design, par, .. } => {
+            Products::Factorized { design, par } => {
                 Ok(design.clusters().right_mult_per_cluster_vec(betas, par))
             }
             Products::Dense { x, ranges } => {
@@ -567,41 +537,6 @@ mod tests {
         let pd = dense.predict_all(&design);
         for (a, b) in pf.iter().zip(&pd) {
             assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn encoded_and_legacy_factorized_fits_are_bit_identical() {
-        use reptile_factor::FactorBackend;
-        let (rel, view) = clustered_dataset(1.5);
-        let schema = rel.schema().clone();
-        let config = MultilevelConfig {
-            iterations: 8,
-            ..Default::default()
-        };
-        // Regardless of which backend the design was *built* for, the two
-        // factorised fits must produce exactly the same numbers.
-        for build_backend in [FactorBackend::Encoded, FactorBackend::Legacy] {
-            let design = DesignBuilder::new(&view, &schema, AggregateKind::Mean)
-                .with_factor_backend(build_backend)
-                .build()
-                .unwrap();
-            let enc =
-                MultilevelModel::fit_with_backend(&design, config, TrainingBackend::Factorized)
-                    .unwrap();
-            let legacy = MultilevelModel::fit_with_backend(
-                &design,
-                config,
-                TrainingBackend::FactorizedLegacy,
-            )
-            .unwrap();
-            assert_eq!(enc.beta, legacy.beta);
-            assert_eq!(enc.sigma2, legacy.sigma2);
-            assert_eq!(enc.sigma_b, legacy.sigma_b);
-            assert_eq!(enc.b, legacy.b);
-            assert_eq!(enc.rss, legacy.rss);
-            assert_eq!(enc.iterations_run, legacy.iterations_run);
-            assert_eq!(enc.predict_all(&design), legacy.predict_all(&design));
         }
     }
 
@@ -753,11 +688,8 @@ mod tests {
         .fold(0.0, f64::max)
     }
 
-    const BACKENDS: [TrainingBackend; 3] = [
-        TrainingBackend::Factorized,
-        TrainingBackend::FactorizedLegacy,
-        TrainingBackend::Materialized,
-    ];
+    const BACKENDS: [TrainingBackend; 2] =
+        [TrainingBackend::Factorized, TrainingBackend::Materialized];
 
     /// Largest gap between the fit and the oracle, over every backend.
     fn oracle_gap(design: &TrainingDesign, config: MultilevelConfig) -> f64 {

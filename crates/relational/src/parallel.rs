@@ -69,8 +69,7 @@
 //! operation order would change (e.g. the response-vector scan over view
 //! groups, or a direct per-shard split of a single gram *entry*'s
 //! `Σ c·f·g`), because floating-point addition is not associative and the
-//! equivalence tests assert exact equality against both the serial encoded
-//! path and the legacy `Value`-keyed path.
+//! equivalence tests assert exact equality against the serial path.
 //!
 //! **Observability.** The pool reports to the process-wide `reptile-obs`
 //! registry: always-on relaxed counters for scatters (dispatched vs inline

@@ -5,8 +5,20 @@
 //! performance claims (Figures 7, 10, 15).
 
 use reptile_datasets::hiergen::synthetic_factorization_with_fanout;
-use reptile_factor::{ops, ClusterPartition, DecomposedAggregates, Parallelism};
+use reptile_factor::encoded::{self, EncodedAggregates, EncodedFactorization, EncodedFeatureMap};
+use reptile_factor::{ClusterPartition, Exec, Factorization, FeatureMap, Parallelism};
 use reptile_linalg::{naive, Matrix};
+
+/// The encoded factorisation, its aggregates and the baked features.
+fn encode(
+    fact: &Factorization,
+    features: &FeatureMap,
+) -> (EncodedFactorization, EncodedAggregates, EncodedFeatureMap) {
+    let enc = EncodedFactorization::encode(fact);
+    let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
+    let enc_features = EncodedFeatureMap::encode(features, &enc);
+    (enc, aggs, enc_features)
+}
 
 fn pseudo_random(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut s = seed;
@@ -22,10 +34,10 @@ fn pseudo_random(rows: usize, cols: usize, seed: u64) -> Matrix {
 fn factorized_operators_match_naive_across_shapes() {
     for (d, t, w, fanout) in [(1, 3, 8, 2), (2, 2, 6, 1), (3, 1, 5, 1), (2, 3, 8, 2)] {
         let (fact, features) = synthetic_factorization_with_fanout(d, t, w, fanout);
-        let aggs = DecomposedAggregates::compute(&fact);
+        let (enc, aggs, enc_features) = encode(&fact, &features);
         let x = fact.materialize(&features);
 
-        let gram = ops::gram(&aggs, &features);
+        let gram = encoded::gram(&aggs, &enc_features, &Parallelism::serial());
         let expected = naive::gram(&x).unwrap();
         assert!(
             gram.max_abs_diff(&expected) < 1e-7,
@@ -33,11 +45,11 @@ fn factorized_operators_match_naive_across_shapes() {
         );
 
         let a = pseudo_random(3, fact.n_rows(), 7 + d as u64);
-        let lm = ops::left_mult(&a, &aggs, &features);
+        let lm = encoded::left_mult(&a, &aggs, &enc_features);
         assert!(lm.max_abs_diff(&naive::left_mult(&a, &x).unwrap()) < 1e-7);
 
         let b = pseudo_random(fact.n_cols(), 2, 11 + t as u64);
-        let rm = ops::right_mult(&fact, &features, &b);
+        let rm = encoded::right_mult(&enc, &enc_features, &b);
         assert!(rm.max_abs_diff(&naive::right_mult(&x, &b).unwrap()) < 1e-7);
     }
 }
@@ -46,7 +58,8 @@ fn factorized_operators_match_naive_across_shapes() {
 fn cluster_operators_match_naive_across_shapes() {
     for (d, t, w, fanout) in [(2, 2, 6, 2), (3, 1, 4, 1), (2, 3, 8, 2)] {
         let (fact, features) = synthetic_factorization_with_fanout(d, t, w, fanout);
-        let part = ClusterPartition::new(&fact, &features);
+        let (enc, _, enc_features) = encode(&fact, &features);
+        let part = ClusterPartition::from_encoded(&enc, &enc_features, 1, &Parallelism::serial());
         let x = fact.materialize(&features);
         let ranges = part.row_ranges();
 
@@ -90,8 +103,8 @@ fn cluster_operators_match_naive_across_shapes() {
 
 #[test]
 fn decomposed_aggregates_match_brute_force_on_tree_hierarchies() {
-    let (fact, _) = synthetic_factorization_with_fanout(2, 3, 8, 2);
-    let aggs = DecomposedAggregates::compute(&fact);
+    let (fact, features) = synthetic_factorization_with_fanout(2, 3, 8, 2);
+    let (enc, aggs, _) = encode(&fact, &features);
     let rows = fact.materialize_values();
     for p in 0..fact.n_cols() {
         let mut suffixes: Vec<Vec<reptile_relational::Value>> =
@@ -105,7 +118,7 @@ fn decomposed_aggregates_match_brute_force_on_tree_hierarchies() {
             *counts.entry(s[0].clone()).or_insert(0.0) += 1.0;
         }
         for (v, c) in counts {
-            assert_eq!(aggs.count(p, &v), c);
+            assert_eq!(aggs.count(p, enc.dict(p).code_of(&v).unwrap()), c);
         }
     }
 }

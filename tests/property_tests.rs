@@ -11,9 +11,9 @@
 
 use reptile::{Complaint, Direction};
 use reptile_factor::{
-    encoded, lmfao, ops, ClusterPartition, DecomposedAggregates, EncodedAggregates, EncodedFactor,
-    EncodedFactorization, EncodedFeatureMap, Exec, Factorization, FactorizationDelta, FeatureMap,
-    HierarchyFactor, Parallelism, PathDelta,
+    encoded, lmfao, ClusterPartition, EncodedAggregates, EncodedFactor, EncodedFactorization,
+    EncodedFeatureMap, Exec, Factorization, FactorizationDelta, FeatureMap, HierarchyFactor,
+    Parallelism, PathDelta,
 };
 use reptile_linalg::{naive, Matrix};
 use reptile_relational::{
@@ -172,10 +172,12 @@ fn factorized_ops_equal_dense_ops() {
                 features.set(c, v, ((s >> 33) as f64 / u32::MAX as f64) * 2.0 - 1.0);
             }
         }
-        let aggs = DecomposedAggregates::compute(&fact);
+        let enc_fact = EncodedFactorization::encode(&fact);
+        let aggs = EncodedAggregates::compute(&enc_fact, &Exec::Serial);
+        let enc_features = EncodedFeatureMap::encode(&features, &enc_fact);
         let x = fact.materialize(&features);
 
-        let gram = ops::gram(&aggs, &features);
+        let gram = encoded::gram(&aggs, &enc_features, &Parallelism::serial());
         assert!(gram.max_abs_diff(&naive::gram(&x).unwrap()) < 1e-7);
 
         let mut s2 = seed.wrapping_add(99) | 1;
@@ -183,11 +185,11 @@ fn factorized_ops_equal_dense_ops() {
             s2 = s2.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((s2 >> 33) as f64 / u32::MAX as f64) - 0.5
         });
-        let lm = ops::left_mult(&a, &aggs, &features);
+        let lm = encoded::left_mult(&a, &aggs, &enc_features);
         assert!(lm.max_abs_diff(&naive::left_mult(&a, &x).unwrap()) < 1e-7);
 
         let b = Matrix::from_fn(fact.n_cols(), 2, |r, c| (r as f64) - (c as f64) * 0.5);
-        let rm = ops::right_mult(&fact, &features, &b);
+        let rm = encoded::right_mult(&enc_fact, &enc_features, &b);
         assert!(rm.max_abs_diff(&naive::right_mult(&x, &b).unwrap()) < 1e-7);
     }
 }
@@ -206,11 +208,12 @@ fn random_features(fact: &Factorization, seed: u64) -> FeatureMap {
     features
 }
 
-/// The dictionary-encoded backend must be *bit-identical* (==, not within a
-/// tolerance) to the legacy `Value`-keyed path, and must agree exactly with
-/// the LMFAO-style serial baseline, on randomly shaped hierarchies.
+/// The encoded aggregates must agree *exactly* (==, not within a tolerance)
+/// with the LMFAO-style serial baseline, and the encoded operators and
+/// cluster partition with the naive dense products over the materialised
+/// matrix, on randomly shaped hierarchies.
 #[test]
-fn encoded_backend_is_bit_identical_to_legacy_and_lmfao() {
+fn encoded_backend_equals_lmfao_and_naive() {
     let mut rng = Rng(97);
     for round in 0..24 {
         let fa: Vec<usize> = (0..rng.range_usize(1, 4))
@@ -224,42 +227,35 @@ fn encoded_backend_is_bit_identical_to_legacy_and_lmfao() {
         let fact = Factorization::new(vec![h1, h2]);
         let features = random_features(&fact, rng.next_u64());
 
-        let legacy = DecomposedAggregates::compute(&fact);
         let enc_fact = EncodedFactorization::encode(&fact);
         let enc_aggs = EncodedAggregates::compute(&enc_fact, &Exec::Serial);
         let enc_features = EncodedFeatureMap::encode(&features, &enc_fact);
         let serial = lmfao::compute_serial(&fact);
+        let x = fact.materialize(&features);
 
-        // --- aggregates: encoded == legacy == lmfao serial, exactly ---
-        assert_eq!(legacy.grand_total(), enc_aggs.grand_total());
+        // --- aggregates: encoded == lmfao serial, exactly ---
+        assert_eq!(fact.n_rows() as f64, enc_aggs.grand_total());
         for c in 0..fact.n_cols() {
-            assert_eq!(legacy.total(c), enc_aggs.total(c), "TOTAL col {c}");
-            assert_eq!(serial.totals[c], enc_aggs.total(c), "serial TOTAL col {c}");
-            assert_eq!(legacy.repetitions(c), enc_aggs.repetitions(c));
+            assert_eq!(serial.totals[c], enc_aggs.total(c), "TOTAL col {c}");
+            assert_eq!(
+                enc_aggs.repetitions(c) * enc_aggs.total(c),
+                enc_aggs.grand_total(),
+                "repetitions col {c}"
+            );
             let dict = enc_fact.dict(c);
             let (desc, scale) = enc_aggs.counts_raw(c);
-            let legacy_counts = legacy.counts(c);
-            assert_eq!(legacy_counts.len(), desc.len(), "round {round} col {c}");
-            for ((value, lc), (code, ec)) in legacy_counts.iter().zip(desc.iter().enumerate()) {
-                // codes decode to the same sorted value order
-                assert_eq!(dict.value(code as u32), value);
-                assert_eq!(*lc, ec * scale);
-                assert_eq!(serial.counts[c][value], ec * scale);
+            assert_eq!(serial.counts[c].len(), desc.len(), "round {round} col {c}");
+            for (value, count) in &serial.counts[c] {
+                let code = dict.code_of(value).unwrap();
+                assert_eq!(*count, desc[code as usize] * scale, "COUNT col {c} {value}");
+                assert_eq!(*count, enc_aggs.count(c, code));
             }
         }
-        // every (left, right) COF pair agrees with the serial baseline via
-        // indicator-weighted sums on both backends
+        // every (left, right) COF entry agrees with the serial baseline via
+        // indicator-weighted sums
         for (&(left, right), table) in &serial.cofs {
             let fl = enc_features.column(left);
             let fr = enc_features.column(right);
-            let encoded_sum = enc_aggs.cof_weighted_sum(left, right, fl, fr);
-            let legacy_sum = legacy.cof_weighted_sum(
-                left,
-                right,
-                |v| features.value(left, v),
-                |v| features.value(right, v),
-            );
-            assert_eq!(legacy_sum, encoded_sum, "COF ({left},{right})");
             for ((a, b), cnt) in table {
                 let ca = enc_fact.dict(left).code_of(a).unwrap();
                 let cb = enc_fact.dict(right).code_of(b).unwrap();
@@ -274,56 +270,65 @@ fn encoded_backend_is_bit_identical_to_legacy_and_lmfao() {
             }
         }
 
-        // --- operators: encoded results == legacy results, exactly ---
-        assert_eq!(
-            ops::gram(&legacy, &features),
-            encoded::gram(&enc_aggs, &enc_features, &Parallelism::serial())
-        );
+        // --- operators: encoded results == naive dense, within 1e-7 ---
+        let gram = encoded::gram(&enc_aggs, &enc_features, &Parallelism::serial());
+        assert!(gram.max_abs_diff(&naive::gram(&x).unwrap()) < 1e-7);
         let a = Matrix::from_fn(2, fact.n_rows(), |r, c| {
             ((r * 31 + c * 7) % 13) as f64 * 0.25 - 1.0
         });
-        assert_eq!(
-            ops::left_mult(&a, &legacy, &features),
-            encoded::left_mult(&a, &enc_aggs, &enc_features)
-        );
+        let lm = encoded::left_mult(&a, &enc_aggs, &enc_features);
+        assert!(lm.max_abs_diff(&naive::left_mult(&a, &x).unwrap()) < 1e-7);
         let b = Matrix::from_fn(fact.n_cols(), 2, |r, c| (r as f64) - (c as f64) * 0.5);
-        assert_eq!(
-            ops::right_mult(&fact, &features, &b),
-            encoded::right_mult(&enc_fact, &enc_features, &b)
-        );
+        let rm = encoded::right_mult(&enc_fact, &enc_features, &b);
+        assert!(rm.max_abs_diff(&naive::right_mult(&x, &b).unwrap()) < 1e-7);
         let v: Vec<f64> = (0..fact.n_rows()).map(|i| i as f64 * 0.5 - 1.0).collect();
-        assert_eq!(
-            ops::transpose_vec_mult(&v, &legacy, &features),
-            encoded::transpose_vec_mult(&v, &enc_aggs, &enc_features, &Parallelism::serial())
-        );
-
-        // --- cluster partition and cluster ops: bit-identical ---
-        let intra = rng.range_usize(1, fb.len() + 1);
-        let legacy_part = ClusterPartition::with_intra_levels(&fact, &features, intra);
-        let encoded_part =
-            ClusterPartition::from_encoded(&enc_fact, &enc_features, intra, &Parallelism::serial());
-        assert_eq!(legacy_part.intra_columns(), encoded_part.intra_columns());
-        assert_eq!(legacy_part.len(), encoded_part.len());
-        for (l, e) in legacy_part.clusters().iter().zip(encoded_part.clusters()) {
-            assert_eq!(l.start_row, e.start_row);
-            assert_eq!(l.len, e.len);
-            assert_eq!(l.const_features, e.const_features);
-            assert_eq!(l.intra_features, e.intra_features);
+        let xtv = x.transpose().matmul(&Matrix::column_vector(&v)).unwrap();
+        let got = encoded::transpose_vec_mult(&v, &enc_aggs, &enc_features, &Parallelism::serial());
+        for (j, g) in got.iter().enumerate() {
+            assert!((g - xtv.get(j, 0)).abs() < 1e-7, "Xᵀv[{j}]");
         }
-        assert_eq!(
-            legacy_part.grams(&Parallelism::serial()),
-            encoded_part.grams(&Parallelism::serial())
-        );
+
+        // --- cluster partition: contiguous row blocks carrying the
+        // materialised rows' features exactly; cluster ops == naive ---
+        let intra = rng.range_usize(1, fb.len() + 1);
+        let part =
+            ClusterPartition::from_encoded(&enc_fact, &enc_features, intra, &Parallelism::serial());
+        let intra_columns = part.intra_columns().to_vec();
+        let mut next_row = 0usize;
+        for cluster in part.clusters() {
+            assert_eq!(cluster.start_row, next_row);
+            next_row += cluster.len;
+            for r in 0..cluster.len {
+                for (col, &value) in x.row(cluster.start_row + r).iter().enumerate() {
+                    match intra_columns.iter().position(|&ic| ic == col) {
+                        Some(k) => assert_eq!(cluster.intra_features[r][k], value),
+                        None => assert_eq!(cluster.const_features[col], value),
+                    }
+                }
+            }
+        }
+        assert_eq!(next_row, fact.n_rows());
+        let ranges = part.row_ranges();
+        let expected = naive::cluster_grams(&x, &ranges).unwrap();
+        for (g, e) in part.grams(&Parallelism::serial()).iter().zip(&expected) {
+            assert!(g.max_abs_diff(e) < 1e-7);
+        }
         let beta: Vec<f64> = (0..fact.n_cols()).map(|i| i as f64 * 0.5 - 0.7).collect();
-        assert_eq!(
-            legacy_part.right_mult_shared_vec(&beta, &Parallelism::serial()),
-            encoded_part.right_mult_shared_vec(&beta, &Parallelism::serial())
-        );
+        let xb = x.matmul(&Matrix::column_vector(&beta)).unwrap();
+        let shared = part.right_mult_shared_vec(&beta, &Parallelism::serial());
+        for (i, s) in shared.iter().enumerate() {
+            assert!((s - xb.get(i, 0)).abs() < 1e-7);
+        }
         let v: Vec<f64> = (0..fact.n_rows()).map(|i| (i % 7) as f64 - 3.0).collect();
-        assert_eq!(
-            legacy_part.left_mult_global_vec(&v, &Parallelism::serial()),
-            encoded_part.left_mult_global_vec(&v, &Parallelism::serial())
-        );
+        let per_cluster = part.left_mult_global_vec(&v, &Parallelism::serial());
+        for (&(start, len), res) in ranges.iter().zip(&per_cluster) {
+            let exp = Matrix::row_vector(&v[start..start + len])
+                .matmul(&x.row_block(start, len))
+                .unwrap();
+            for (j, r) in res.iter().enumerate() {
+                assert!((r - exp.get(0, j)).abs() < 1e-7);
+            }
+        }
     }
 }
 
