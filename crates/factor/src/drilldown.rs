@@ -668,16 +668,6 @@ mod tests {
     fn cached_mode_reuses_previous_invocations() {
         let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
         s.encoded(cold(&fact(1, 1)));
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                recomputed: 2,
-                reused: 0,
-                delta_patched: 0,
-
-                ..SessionStats::default()
-            }
-        );
         s.encoded(cold(&fact(1, 2)));
         assert_eq!(
             s.stats(),
@@ -749,11 +739,6 @@ mod tests {
                 ..SessionStats::default()
             }
         );
-        // Invocations wider than the bound still leave it holding.
-        s.encoded(cold(&fact(2, 2)));
-        assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
-        s.encoded(cold(&fact(1, 2)));
-        assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
     }
 
     #[test]
@@ -794,6 +779,73 @@ mod tests {
                 ..SessionStats::default()
             }
         );
+    }
+
+    /// The reuse counts of a cached drill-down walk: the `Value`-keyed
+    /// cache this session once kept beside the encoded one read the same.
+    #[test]
+    fn encoded_mode_reuses_like_legacy_mode() {
+        let mut s = DrilldownSession::new(DrilldownMode::CachedDynamic);
+        s.encoded(cold(&fact(1, 1)));
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                recomputed: 2,
+                reused: 0,
+                delta_patched: 0,
+
+                ..SessionStats::default()
+            }
+        );
+        s.encoded(cold(&fact(1, 2)));
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                recomputed: 1,
+                reused: 1,
+                delta_patched: 0,
+
+                ..SessionStats::default()
+            }
+        );
+        // Revisit the first configuration: everything served from cache.
+        s.encoded(cold(&fact(1, 1)));
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                recomputed: 0,
+                reused: 2,
+                delta_patched: 0,
+
+                ..SessionStats::default()
+            }
+        );
+        // There is one cache: the same shape again is still served from it.
+        s.encoded(cold(&fact(1, 1)));
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                recomputed: 0,
+                reused: 2,
+                delta_patched: 0,
+
+                ..SessionStats::default()
+            }
+        );
+    }
+
+    /// The capacity bounds every cached state together, across invocations
+    /// of mixed depth, including ones wider than the bound.
+    #[test]
+    fn capacity_bounds_both_backends_together() {
+        let mut s = DrilldownSession::with_capacity(DrilldownMode::CachedDynamic, 3);
+        s.encoded(cold(&fact(1, 1))); // 2 states
+        s.encoded(cold(&fact(2, 2))); // +2 states -> one eviction
+        assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
+        s.encoded(cold(&fact(2, 1)));
+        assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
+        s.encoded(cold(&fact(1, 2)));
+        assert!(s.len() <= s.capacity(), "{} > {}", s.len(), s.capacity());
     }
 
     #[test]

@@ -1720,45 +1720,9 @@ pub fn right_mult(fact: &EncodedFactorization, features: &EncodedFeatureMap, a: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{paper_example, three_hierarchies};
     use reptile_linalg::naive;
-    use std::collections::BTreeMap;
-
-    fn paper_example() -> (Factorization, FeatureMap) {
-        let time = HierarchyFactor::from_paths(
-            "time",
-            vec![AttrId(0)],
-            vec![vec![Value::str("t1")], vec![Value::str("t2")]],
-        );
-        let geo = HierarchyFactor::from_paths(
-            "geo",
-            vec![AttrId(1), AttrId(2)],
-            vec![
-                vec![Value::str("d1"), Value::str("v1")],
-                vec![Value::str("d1"), Value::str("v2")],
-                vec![Value::str("d2"), Value::str("v3")],
-            ],
-        );
-        let fact = Factorization::new(vec![time, geo]);
-        let mut features = FeatureMap::zeros(3);
-        features.set(0, Value::str("t1"), 1.5);
-        features.set(0, Value::str("t2"), 3.0);
-        features.set(1, Value::str("d1"), 4.0);
-        features.set(1, Value::str("d2"), -1.0);
-        features.set(2, Value::str("v1"), 1.25);
-        features.set(2, Value::str("v2"), 0.25);
-        features.set(2, Value::str("v3"), 5.0);
-        (fact, features)
-    }
-
-    fn pseudo_random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut s = seed;
-        Matrix::from_fn(rows, cols, |_, _| {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / u32::MAX as f64) * 2.0 - 1.0
-        })
-    }
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn encoding_round_trips_through_dictionaries() {
@@ -1777,267 +1741,114 @@ mod tests {
         }
     }
 
-    /// Three hierarchies of uneven fanout (5 × 3 × 3 rows): repetitions > 1,
-    /// multi-level hierarchies before and after a single-level one.
-    fn three_hierarchies() -> Factorization {
-        let a = HierarchyFactor::from_paths(
-            "a",
-            vec![AttrId(0), AttrId(1)],
-            vec![
-                vec![Value::int(1), Value::int(11)],
-                vec![Value::int(1), Value::int(12)],
-                vec![Value::int(2), Value::int(21)],
-                vec![Value::int(2), Value::int(22)],
-                vec![Value::int(2), Value::int(23)],
-            ],
-        );
-        let b = HierarchyFactor::from_paths(
-            "b",
-            vec![AttrId(2)],
-            vec![
-                vec![Value::int(100)],
-                vec![Value::int(200)],
-                vec![Value::int(300)],
-            ],
-        );
-        let c = HierarchyFactor::from_paths(
-            "c",
-            vec![AttrId(3), AttrId(4)],
-            vec![
-                vec![Value::str("x"), Value::str("x1")],
-                vec![Value::str("y"), Value::str("y1")],
-                vec![Value::str("y"), Value::str("y2")],
-            ],
-        );
-        Factorization::new(vec![a, b, c])
-    }
-
-    /// Seeded features in `[-2, 2)` for every value of every column.
-    fn random_features(fact: &Factorization, seed: u64) -> FeatureMap {
-        let mut features = FeatureMap::zeros(fact.n_cols());
-        let mut s = seed;
-        for c in 0..fact.n_cols() {
-            let pos = fact.position(c);
-            for (v, _) in fact.hierarchies()[pos.hierarchy].level_runs(pos.level) {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                features.set(c, v, ((s >> 33) as f64 / u32::MAX as f64) * 4.0 - 2.0);
-            }
-        }
-        features
-    }
-
-    /// The message of the panic `f` raises.
-    fn panic_message(f: impl FnOnce()) -> String {
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .expect_err("expected a panic");
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
-    }
-
-    /// `TOTAL` / `COUNT` / `COF` by brute force over the materialised value
-    /// rows, compared exactly (every quantity is an integer count).
-    fn assert_aggregates_match_brute_force(fact: &Factorization) {
-        let enc = EncodedFactorization::encode(fact);
-        let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
-        let rows = fact.materialize_values();
-        let m = fact.n_cols();
-        let one_hot = |c: usize, v: &Value| {
-            let mut f = vec![0.0; enc.dict(c).len()];
-            f[enc.dict(c).code_of(v).expect("value in domain") as usize] = 1.0;
-            f
-        };
-        for p in 0..m {
-            // TOTAL_p: distinct suffixes from p onward.
-            let mut suffixes: Vec<Vec<Value>> = rows.iter().map(|r| r[p..].to_vec()).collect();
-            suffixes.sort();
-            suffixes.dedup();
-            assert_eq!(aggs.total(p), suffixes.len() as f64, "TOTAL col {p}");
-            assert_eq!(
-                aggs.repetitions(p),
-                rows.len() as f64 / suffixes.len() as f64,
-                "repetitions col {p}"
-            );
-            let mut counts: BTreeMap<Value, f64> = BTreeMap::new();
-            for s in &suffixes {
-                *counts.entry(s[0].clone()).or_insert(0.0) += 1.0;
-            }
-            for (v, c) in &counts {
-                let code = enc.dict(p).code_of(v).unwrap();
-                assert_eq!(aggs.count(p, code), *c, "COUNT col {p} value {v}");
-            }
-            assert_eq!(aggs.counts_raw(p).0.len(), counts.len());
-            let (runs, scale) = aggs.block_runs_raw(p);
-            let run_total: f64 = runs.iter().map(|(_, c)| c * scale).sum();
-            assert_eq!(run_total, suffixes.len() as f64);
-            for q in (p + 1)..m {
-                let mut cof: BTreeMap<(Value, Value), f64> = BTreeMap::new();
-                for s in &suffixes {
-                    *cof.entry((s[0].clone(), s[q - p].clone())).or_insert(0.0) += 1.0;
-                }
-                for ((a, b), c) in &cof {
-                    let sum = aggs.cof_weighted_sum(p, q, &one_hot(p, a), &one_hot(q, b));
-                    assert_eq!(sum, *c, "COF ({p},{q}) [{a},{b}]");
-                }
-            }
-        }
-        assert_eq!(aggs.grand_total(), rows.len() as f64);
-    }
-
+    /// The encoded `COUNT` and block-run tables, decoded to the `Value`-keyed
+    /// form (per-value counts in value order, runs in path order), are
+    /// bit-identical to that form built by brute force over
+    /// `materialize_values`.
     #[test]
-    fn encoded_aggregates_match_brute_force() {
-        assert_aggregates_match_brute_force(&paper_example().0);
-        assert_aggregates_match_brute_force(&three_hierarchies());
-
-        // Figure 4 of the paper: with order (T, D, V), TOTAL_T = 6 (all
-        // rows), TOTAL_D = TOTAL_V = 3 (geo suffixes).
-        let (fact, _) = paper_example();
-        let enc = EncodedFactorization::encode(&fact);
-        let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
-        let code = |c: usize, v: &str| enc.dict(c).code_of(&Value::str(v)).unwrap();
-        assert_eq!(aggs.grand_total(), 6.0);
-        assert_eq!(aggs.total(0), 6.0);
-        assert_eq!(aggs.total(1), 3.0);
-        assert_eq!(aggs.total(2), 3.0);
-        assert_eq!(aggs.count(0, code(0, "t1")), 3.0);
-        assert_eq!(aggs.count(1, code(1, "d1")), 2.0);
-        assert_eq!(aggs.count(1, code(1, "d2")), 1.0);
-        assert_eq!(aggs.count(2, code(2, "v2")), 1.0);
-        assert_eq!(aggs.count(1, enc.dict(1).len() as u32), 0.0);
-        assert_eq!(aggs.repetitions(1), 2.0);
-        assert_eq!(aggs.repetitions(0), 1.0);
-
-        // Cross-hierarchy COFs stay an implicit product; same-hierarchy ones
-        // are the FD-sparse table.
-        match aggs.cof(0, 1) {
-            EncodedCofPairs::Independent { scale, .. } => assert_eq!(scale, 1.0),
-            _ => panic!("cross-hierarchy COF should be independent"),
-        }
-        match aggs.cof(1, 2) {
-            EncodedCofPairs::Materialized { entries, .. } => assert_eq!(entries.len(), 3),
-            _ => panic!("same-hierarchy COF should be materialized"),
-        }
-        assert!(panic_message(|| {
-            let _ = aggs.cof(2, 1);
-        })
-        .contains("left < right"));
-    }
-
-    #[test]
-    fn encoded_ops_match_naive() {
-        let (paper, paper_features) = paper_example();
-        // Zero-valued features keep their place in every product.
-        let mut zeros = paper_features.clone();
-        zeros.set(1, Value::str("d2"), 0.0);
-        zeros.set(2, Value::str("v1"), 0.0);
-        let wide = three_hierarchies();
-        let wide_features = random_features(&wide, 5);
-        for (fact, features) in [
-            (&paper, &paper_features),
-            (&paper, &zeros),
-            (&wide, &wide_features),
-        ] {
-            let enc = EncodedFactorization::encode(fact);
-            let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
-            let enc_features = EncodedFeatureMap::encode(features, &enc);
-            let x = fact.materialize(features);
-            let (n, m) = (fact.n_rows(), fact.n_cols());
-
-            let g = gram(&aggs, &enc_features, &Parallelism::serial());
-            assert!(g.max_abs_diff(&naive::gram(&x).unwrap()) < 1e-9);
-
-            let a = pseudo_random(3, n, 5);
-            let lm = left_mult(&a, &aggs, &enc_features);
-            assert!(lm.max_abs_diff(&naive::left_mult(&a, &x).unwrap()) < 1e-9);
-
-            let b = pseudo_random(m, 2, 17);
-            let rm = right_mult(&enc, &enc_features, &b);
-            assert!(rm.max_abs_diff(&naive::right_mult(&x, &b).unwrap()) < 1e-9);
-
-            let v: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 1.0).collect();
-            let xtv = x.transpose().matmul(&Matrix::column_vector(&v)).unwrap();
-            let got = transpose_vec_mult(&v, &aggs, &enc_features, &Parallelism::serial());
-            for (i, g) in got.iter().enumerate() {
-                assert!((g - xtv.get(i, 0)).abs() < 1e-9, "Xᵀv[{i}]");
-            }
-
-            // Operand shapes are checked.
-            assert!(panic_message(|| {
-                let _ = left_mult(&Matrix::zeros(1, n + 1), &aggs, &enc_features);
-            })
-            .contains("left operand"));
-            assert!(panic_message(|| {
-                let _ = right_mult(&enc, &enc_features, &Matrix::zeros(m + 2, 1));
-            })
-            .contains("right operand"));
-        }
-    }
-
-    #[test]
-    fn encoded_row_iter_reconstructs_materialized_rows() {
-        let decoded =
-            |enc: &EncodedFactorization, delta: &EncodedRowDelta| -> Vec<(usize, Value)> {
-                delta
-                    .changes
-                    .iter()
-                    .map(|&(c, code)| (c, enc.dict(c).value(code).clone()))
-                    .collect()
-            };
-        // Replaying the deltas reproduces every materialised row.
+    fn encoded_aggregates_are_bit_identical_to_legacy() {
         for fact in [paper_example().0, three_hierarchies()] {
             let enc = EncodedFactorization::encode(&fact);
-            let expected = fact.materialize_values();
-            let mut current: Vec<Option<Value>> = vec![None; fact.n_cols()];
-            let mut seen = 0usize;
-            for delta in EncodedRowIter::new(&enc) {
-                for (c, v) in decoded(&enc, &delta) {
-                    current[c] = Some(v);
+            let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
+            let rows = fact.materialize_values();
+            for c in 0..fact.n_cols() {
+                // Distinct suffixes from `c`, in the order the rows first
+                // reach them.
+                let mut seen = BTreeSet::new();
+                let mut counts: BTreeMap<&Value, f64> = BTreeMap::new();
+                let mut runs: Vec<(&Value, f64)> = Vec::new();
+                for suffix in rows.iter().map(|r| &r[c..]) {
+                    if !seen.insert(suffix) {
+                        continue;
+                    }
+                    *counts.entry(&suffix[0]).or_insert(0.0) += 1.0;
+                    match runs.last_mut() {
+                        Some((v, n)) if *v == &suffix[0] => *n += 1.0,
+                        _ => runs.push((&suffix[0], 1.0)),
+                    }
                 }
-                let row: Vec<Value> = current.iter().map(|v| v.clone().unwrap()).collect();
-                assert_eq!(row, expected[delta.row], "row {}", delta.row);
-                seen += 1;
+                let (desc, scale) = aggs.counts_raw(c);
+                assert_eq!(desc.len(), counts.len(), "COUNT col {c}");
+                for ((value, count), (code, d)) in counts.iter().zip(desc.iter().enumerate()) {
+                    assert_eq!(enc.dict(c).value(code as u32), *value);
+                    assert_eq!(*count, d * scale, "COUNT col {c} value {value}");
+                }
+                let (enc_runs, run_scale) = aggs.block_runs_raw(c);
+                let decoded: Vec<(&Value, f64)> = enc_runs
+                    .iter()
+                    .map(|&(code, n)| (enc.dict(c).value(code), n * run_scale))
+                    .collect();
+                assert_eq!(decoded, runs, "block runs col {c}");
             }
-            assert_eq!(seen, fact.n_rows());
         }
+    }
 
-        // Adjacent rows change few columns (Algorithm 1).
-        let (fact, _) = paper_example();
+    /// On dyadic operands every product and partial sum is exact in `f64`,
+    /// so the encoded operators equal the dense products over the
+    /// materialised matrix bit for bit, whatever their summation order.
+    #[test]
+    fn encoded_ops_are_bit_identical_to_legacy_ops() {
+        let (fact, features) = paper_example();
         let enc = EncodedFactorization::encode(&fact);
-        let deltas: Vec<EncodedRowDelta> = EncodedRowIter::new(&enc).collect();
-        // Row 1 differs from row 0 only in the village column (v1 -> v2).
-        assert_eq!(decoded(&enc, &deltas[1]), vec![(2, Value::str("v2"))]);
-        // Row 2 changes district and village.
+        let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
+        let enc_features = EncodedFeatureMap::encode(&features, &enc);
+        let x = fact.materialize(&features);
+        let (n, m) = (fact.n_rows(), fact.n_cols());
+        let dyadic = |rows: usize, cols: usize, seed: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 7 + c * 3 + seed) % 9) as f64 * 0.25 - 1.0
+            })
+        };
+
         assert_eq!(
-            decoded(&enc, &deltas[2]),
-            vec![(1, Value::str("d2")), (2, Value::str("v3"))]
-        );
-        // Row 3 wraps the geo hierarchy and advances time.
-        assert_eq!(
-            decoded(&enc, &deltas[3]),
-            vec![
-                (0, Value::str("t2")),
-                (1, Value::str("d1")),
-                (2, Value::str("v1"))
-            ]
+            gram(&aggs, &enc_features, &Parallelism::serial()),
+            naive::gram(&x).unwrap()
         );
 
-        // A single hierarchy yields one change per row.
-        let single =
-            EncodedFactorization::encode(&Factorization::new(vec![HierarchyFactor::from_paths(
-                "only",
-                vec![AttrId(0)],
-                vec![
-                    vec![Value::int(1)],
-                    vec![Value::int(2)],
-                    vec![Value::int(3)],
-                ],
-            )]));
-        let deltas: Vec<EncodedRowDelta> = EncodedRowIter::new(&single).collect();
-        assert_eq!(deltas.len(), 3);
-        assert_eq!(decoded(&single, &deltas[0]), vec![(0, Value::int(1))]);
-        assert_eq!(decoded(&single, &deltas[2]), vec![(0, Value::int(3))]);
+        let a = dyadic(3, n, 5);
+        assert_eq!(
+            left_mult(&a, &aggs, &enc_features),
+            naive::left_mult(&a, &x).unwrap()
+        );
+
+        let b = dyadic(m, 2, 17);
+        assert_eq!(
+            right_mult(&enc, &enc_features, &b),
+            naive::right_mult(&x, &b).unwrap()
+        );
+
+        let v: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 1.0).collect();
+        let xtv = x.transpose().matmul(&Matrix::column_vector(&v)).unwrap();
+        assert_eq!(
+            transpose_vec_mult(&v, &aggs, &enc_features, &Parallelism::serial()),
+            (0..m).map(|i| xtv.get(i, 0)).collect::<Vec<f64>>()
+        );
+    }
+
+    /// Each delta, decoded, lists exactly the columns in which the
+    /// materialised value row differs from the row before it (every column
+    /// for the first row).
+    #[test]
+    fn encoded_row_iter_mirrors_value_row_iter() {
+        for fact in [paper_example().0, three_hierarchies()] {
+            let enc = EncodedFactorization::encode(&fact);
+            let rows = fact.materialize_values();
+            let deltas: Vec<EncodedRowDelta> = EncodedRowIter::new(&enc).collect();
+            assert_eq!(deltas.len(), rows.len());
+            for (r, delta) in deltas.iter().enumerate() {
+                assert_eq!(delta.row, r);
+                let expected: Vec<(usize, &Value)> = (0..fact.n_cols())
+                    .filter(|&c| r == 0 || rows[r][c] != rows[r - 1][c])
+                    .map(|c| (c, &rows[r][c]))
+                    .collect();
+                let got: Vec<(usize, &Value)> = delta
+                    .changes
+                    .iter()
+                    .map(|&(c, code)| (c, enc.dict(c).value(code)))
+                    .collect();
+                assert_eq!(got, expected, "row {r}");
+            }
+        }
     }
 
     /// Semantic (decoded) equality of two aggregate states whose dictionaries

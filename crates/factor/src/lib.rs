@@ -75,3 +75,23 @@ pub use factorization::{AttrPosition, Factorization, HierarchyFactor};
 pub use feature::FeatureMap;
 pub use parallel::Parallelism;
 pub use reptile_relational::{Exec, Remote, RemoteError, RemoteTransport};
+
+#[cfg(test)]
+mod fixtures;
+
+// Unit tests of the decomposed aggregates (Section 4.2.1), the factorised
+// operators (Algorithms 2–4) and the delta row iterator (Algorithm 1),
+// checked on the encoded implementation against brute force over the
+// materialised rows and against `reptile_linalg::naive`.
+#[cfg(test)]
+mod aggregates {
+    mod tests;
+}
+#[cfg(test)]
+mod ops {
+    mod tests;
+}
+#[cfg(test)]
+mod row_iter {
+    mod tests;
+}
