@@ -25,9 +25,11 @@ pub struct ClusterInfo {
     /// Feature value of each column for the cluster; entries of intra-cluster
     /// columns are unused (they vary within the cluster).
     pub const_features: Vec<f64>,
-    /// Feature values of the intra-cluster columns: `intra_features[r][k]` is
-    /// the value of the k-th intra column in the cluster's r-th row.
-    pub intra_features: Vec<Vec<f64>>,
+    /// Feature values of the intra-cluster columns, one row-major
+    /// `len × k` block for the partition's `k` intra columns:
+    /// `intra_features[r * k + j]` is the value of the j-th intra column in
+    /// the cluster's r-th row.
+    pub intra_features: Vec<f64>,
 }
 
 /// The partition of a factorisation's rows into clusters.
@@ -96,6 +98,19 @@ impl ClusterPartition {
             }
         }
 
+        // A prefix group's intra-column block is the same under every
+        // earlier-hierarchy combination: built once, copied per cluster.
+        let intra_blocks: Vec<Vec<f64>> = prefix_groups
+            .iter()
+            .map(|&(path_start, path_len)| {
+                let mut block = Vec::with_capacity(path_len * intra_levels);
+                for path in path_start..path_start + path_len {
+                    block.extend((prefix_len..depth).map(|level| feature(last, level, path)));
+                }
+                block
+            })
+            .collect();
+
         // Enumerate earlier-hierarchy combinations in row order. Each
         // combination's clusters are built independently (and gathered in
         // combination order when sharded over `par`).
@@ -115,23 +130,16 @@ impl ClusterPartition {
                     }
                 }
             }
-            for &(path_start, path_len) in &prefix_groups {
+            for (&(path_start, path_len), intra) in prefix_groups.iter().zip(&intra_blocks) {
                 let mut cf = const_features.clone();
                 for level in 0..prefix_len {
                     cf[fact.column_of(last, level)] = feature(last, level, path_start);
                 }
-                let intra_features: Vec<Vec<f64>> = (0..path_len)
-                    .map(|i| {
-                        (prefix_len..depth)
-                            .map(|level| feature(last, level, path_start + i))
-                            .collect()
-                    })
-                    .collect();
                 clusters.push(ClusterInfo {
                     start_row: combo * last_leafs + path_start,
                     len: path_len,
                     const_features: cf,
-                    intra_features,
+                    intra_features: intra.clone(),
                 });
             }
         };
@@ -198,6 +206,11 @@ impl ClusterPartition {
         self.intra_columns.iter().position(|c| *c == col)
     }
 
+    /// The rows of `c`'s intra-column block, in row order.
+    fn intra_rows<'c>(&self, c: &'c ClusterInfo) -> std::slice::ChunksExact<'c, f64> {
+        c.intra_features.chunks_exact(self.intra_columns.len())
+    }
+
     /// The gram matrix of one cluster — the per-cluster body the serial and
     /// fanned-out [`ClusterPartition::grams`] budgets share.
     fn gram_of(&self, c: &ClusterInfo) -> Matrix {
@@ -207,7 +220,7 @@ impl ClusterPartition {
         let k = self.intra_columns.len();
         let mut intra_sum = vec![0.0f64; k];
         let mut intra_cross = vec![0.0f64; k * k];
-        for row in &c.intra_features {
+        for row in self.intra_rows(c) {
             for a in 0..k {
                 intra_sum[a] += row[a];
                 for b in a..k {
@@ -276,7 +289,7 @@ impl ClusterPartition {
                     }
                 }
                 let mut out = Matrix::zeros(c.len, p);
-                for (r, intra) in c.intra_features.iter().enumerate() {
+                for (r, intra) in self.intra_rows(c).enumerate() {
                     for (col, &b) in base.iter().enumerate() {
                         let mut v = b;
                         for (k, &icol) in self.intra_columns.iter().enumerate() {
@@ -300,7 +313,7 @@ impl ClusterPartition {
                 base += c.const_features[j] * bj;
             }
         }
-        for intra in &c.intra_features {
+        for intra in self.intra_rows(c) {
             let mut v = base;
             for (k, &icol) in self.intra_columns.iter().enumerate() {
                 v += intra[k] * beta[icol];
@@ -381,7 +394,7 @@ impl ClusterPartition {
                     for (k, &icol) in self.intra_columns.iter().enumerate() {
                         let v: f64 = row
                             .iter()
-                            .zip(&c.intra_features)
+                            .zip(self.intra_rows(c))
                             .map(|(a, w)| a * w[k])
                             .sum();
                         out.set(r, icol, v);
@@ -407,7 +420,7 @@ impl ClusterPartition {
         for (k, &icol) in self.intra_columns.iter().enumerate() {
             out[icol] = slice
                 .iter()
-                .zip(&c.intra_features)
+                .zip(self.intra_rows(c))
                 .map(|(a, w)| a * w[k])
                 .sum();
         }
@@ -539,7 +552,7 @@ mod tests {
             assert_eq!(c.start_row, next);
             next += c.len;
             total += c.len;
-            assert_eq!(c.intra_features.len(), c.len);
+            assert_eq!(c.intra_features.len(), c.len * part.intra_columns().len());
         }
         assert_eq!(total, fact.n_rows());
         assert_eq!(part.row_ranges().len(), 4);
@@ -682,7 +695,10 @@ mod tests {
                     let row = x.row(c.start_row + r);
                     for (col, &value) in row.iter().enumerate() {
                         match intra_columns.iter().position(|&ic| ic == col) {
-                            Some(k) => assert_eq!(c.intra_features[r][k], value),
+                            Some(k) => assert_eq!(
+                                c.intra_features[r * intra_columns.len() + k].to_bits(),
+                                value.to_bits()
+                            ),
                             None => assert_eq!(c.const_features[col], value),
                         }
                     }

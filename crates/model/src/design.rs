@@ -3,8 +3,9 @@
 //!
 //! The build runs on the view's *codes*: every group's code tuple is
 //! translated once per attribute to the value-rank of its code, the
-//! per-hierarchy path tables are `u32` sorts, and features, response and
-//! clusters are integer-indexed. `Value`s are produced for the distinct
+//! per-hierarchy path tables are stable sorts of packed rank keys, main
+//! effects are counting-sorted by code, and features, response and clusters
+//! are integer-indexed. `Value`s are produced for the distinct
 //! values of each path-table level only; the `Value`-keyed factorisation and
 //! feature map the dense baselines materialise are decoded on first use.
 
@@ -197,33 +198,63 @@ impl TrainingDesign {
 
 /// The distinct rows of the `n`-row table whose columns are `cols`, sorted,
 /// as one flat row-major vector — and, per input row, its index among them.
-fn distinct_rows(cols: &[&[u32]], n: usize) -> (Vec<u32>, Vec<u32>) {
+/// Every entry of `cols[l]` is below `radices[l]`.
+///
+/// Each row is packed into one `u64` key (Horner, the longest prefix of
+/// levels whose radices multiply within `u64`; the remaining levels break
+/// ties). Runs of equal consecutive rows collapse first, and one stable
+/// sort orders the runs' `(key, run)` pairs: the view's key order leaves a
+/// hierarchy's projection as long runs of one path, or as a few long
+/// ascending runs of distinct paths, which the stable sort merges.
+fn distinct_rows(cols: &[&[u32]], radices: &[u64], n: usize) -> (Vec<u32>, Vec<u32>) {
     let depth = cols.len();
-    // Collapse runs of equal consecutive rows first: the view is in key
-    // order, so a hierarchy's projection repeats over long runs.
-    let mut runs: Vec<u32> = Vec::new();
-    let mut run_of: Vec<u32> = Vec::with_capacity(n);
-    for i in 0..n {
-        if i == 0 || cols.iter().any(|col| col[i] != col[i - 1]) {
-            runs.extend(cols.iter().map(|col| col[i]));
+    let mut domain = 1u64;
+    let packed = radices
+        .iter()
+        .take_while(|&&radix| match domain.checked_mul(radix.max(1)) {
+            Some(product) => {
+                domain = product;
+                true
+            }
+            None => false,
+        })
+        .count();
+    let (head, tail) = cols.split_at(packed);
+    let tail_of = |i: u32| tail.iter().map(move |col| col[i as usize]);
+    // `starts[r]` is run `r`'s first row; `keyed` holds `(key, r)`.
+    let mut starts: Vec<u32> = Vec::new();
+    let mut keyed: Vec<(u64, u32)> = Vec::new();
+    for i in 0..n as u32 {
+        let key = head.iter().zip(radices).fold(0u64, |key, (col, &radix)| {
+            key * radix + u64::from(col[i as usize])
+        });
+        let same_run = keyed
+            .last()
+            .is_some_and(|&(last, r)| last == key && tail_of(starts[r as usize]).eq(tail_of(i)));
+        if !same_run {
+            keyed.push((key, starts.len() as u32));
+            starts.push(i);
         }
-        run_of.push((runs.len() / depth - 1) as u32);
     }
-    let run = |r: u32| &runs[r as usize * depth..][..depth];
-    let mut order: Vec<u32> = (0..(runs.len() / depth) as u32).collect();
-    order.sort_unstable_by(|&a, &b| run(a).cmp(run(b)));
+    let first_row = |r: u32| starts[r as usize];
+    keyed.sort_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| tail_of(first_row(a.1)).cmp(tail_of(first_row(b.1))))
+    });
     let mut table: Vec<u32> = Vec::new();
-    let mut index_of_run = vec![0u32; order.len()];
-    for &r in &order {
-        if table.len() < depth || &table[table.len() - depth..] != run(r) {
-            table.extend_from_slice(run(r));
+    let mut index_of_row = vec![0u32; n];
+    for (k, &(key, r)) in keyed.iter().enumerate() {
+        let row = first_row(r);
+        let new_path = k == 0 || {
+            let (previous_key, previous) = keyed[k - 1];
+            previous_key != key || tail_of(first_row(previous)).ne(tail_of(row))
+        };
+        if new_path {
+            table.extend(cols.iter().map(|col| col[row as usize]));
         }
-        index_of_run[r as usize] = (table.len() / depth - 1) as u32;
+        let end = starts.get(r as usize + 1).map_or(n, |&next| next as usize);
+        index_of_row[row as usize..end].fill((table.len() / depth - 1) as u32);
     }
-    let index_of_row = run_of
-        .into_iter()
-        .map(|r| index_of_run[r as usize])
-        .collect();
     (table, index_of_row)
 }
 
@@ -403,7 +434,11 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
                 .iter()
                 .map(|s| rank_cols[s.gb_index].as_slice())
                 .collect();
-            let (table, path_of_group) = distinct_rows(&cols, n_groups);
+            let radices: Vec<u64> = specs
+                .iter()
+                .map(|s| key_cols[s.gb_index].dict().len() as u64)
+                .collect();
+            let (table, path_of_group) = distinct_rows(&cols, &radices, n_groups);
             let levels = specs
                 .iter()
                 .enumerate()
@@ -747,6 +782,53 @@ mod tests {
         let col = design.features().column(3);
         let sum: f64 = col.values().sum();
         assert!(sum.abs() < 1e-9);
+    }
+
+    /// `distinct_rows` equals the sorted set of rows, also where the
+    /// radices overflow `u64` and the trailing levels break ties.
+    #[test]
+    fn distinct_rows_equal_the_sorted_row_set() {
+        use std::collections::BTreeSet;
+        let mut state = 7u64;
+        let mut next = |below: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % below
+        };
+        let shapes: [&[u64]; 4] = [
+            &[3, 5, 2],
+            &[1 << 20, 1 << 20, 1 << 20, 7, 3],
+            &[u64::MAX, 2, 4],
+            &[1 << 40, 1 << 30, 1],
+        ];
+        for radices in shapes {
+            for n in [0usize, 1, 40, 300] {
+                // Few distinct digits per level (0, the top and one in
+                // between), so heads repeat and the tails decide.
+                let cols: Vec<Vec<u32>> = radices
+                    .iter()
+                    .map(|&radix| {
+                        let top = radix.min(u64::from(u32::MAX)) - 1;
+                        let digits = [0, top, top / 2];
+                        (0..n).map(|_| digits[next(3) as usize] as u32).collect()
+                    })
+                    .collect();
+                let col_refs: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+                let (table, index_of_row) = distinct_rows(&col_refs, radices, n);
+                let row = |i: usize| cols.iter().map(|col| col[i]).collect::<Vec<u32>>();
+                let expected: Vec<Vec<u32>> = (0..n)
+                    .map(row)
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                assert_eq!(table, expected.concat(), "{radices:?}, {n} rows");
+                for (i, &index) in index_of_row.iter().enumerate() {
+                    assert_eq!(expected[index as usize], row(i), "{radices:?}: row {i}");
+                }
+                assert_eq!(index_of_row.len(), n);
+            }
+        }
     }
 
     #[test]

@@ -80,30 +80,59 @@ impl FeaturePlan {
     }
 }
 
-/// Median of a slice (empty slices yield 0).
+/// Median of a slice under [`f64::total_cmp`] order (empty slices yield 0;
+/// even lengths average the two middle values). Reorders `values`: a
+/// linear-time selection, not a sort. The result depends only on the
+/// multiset of values, so it is bit-identical to reading the middle of the
+/// `total_cmp`-sorted slice.
 pub fn median(values: &mut [f64]) -> f64 {
-    if values.is_empty() {
+    let n = values.len();
+    if n == 0 {
         return 0.0;
     }
-    values.sort_by(|a, b| a.total_cmp(b));
-    let n = values.len();
+    let (lower, &mut middle, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        values[n / 2]
+        middle
     } else {
-        0.5 * (values[n / 2 - 1] + values[n / 2])
+        // the lower middle is the largest value left of the upper one
+        let lower_middle = lower
+            .iter()
+            .copied()
+            .max_by(f64::total_cmp)
+            .expect("an even, non-empty slice has a lower half");
+        0.5 * (lower_middle + middle)
     }
 }
 
 /// The main-effect featurisation of one attribute, by code: `codes[i]` is
 /// training group `i`'s code (below `n_codes`) and `values[i]` its target
-/// statistic; entry `c` of the result is the median over the groups with
-/// code `c` (0 for a code no group carries).
-pub fn main_effects(codes: impl Iterator<Item = u32>, n_codes: usize, values: &[f64]) -> Vec<f64> {
-    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); n_codes];
-    for (code, value) in codes.zip(values) {
-        buckets[code as usize].push(*value);
+/// statistic; entry `c` of the result is the [`median`] over the groups
+/// with code `c` (0 for a code no group carries). The values are counting-
+/// sorted by code into one flat buffer, and each code's median is selected
+/// in place from its stretch of it.
+pub fn main_effects(
+    codes: impl Iterator<Item = u32> + Clone,
+    n_codes: usize,
+    values: &[f64],
+) -> Vec<f64> {
+    let mut offsets = vec![0usize; n_codes + 1];
+    for (code, _) in codes.clone().zip(values) {
+        offsets[code as usize + 1] += 1;
     }
-    buckets.iter_mut().map(|ys| median(ys)).collect()
+    for c in 0..n_codes {
+        offsets[c + 1] += offsets[c];
+    }
+    let mut next = offsets.clone();
+    let mut flat = vec![0.0f64; offsets[n_codes]];
+    for (code, &value) in codes.zip(values) {
+        let slot = &mut next[code as usize];
+        flat[*slot] = value;
+        *slot += 1;
+    }
+    offsets
+        .windows(2)
+        .map(|bucket| median(&mut flat[bucket[0]..bucket[1]]))
+        .collect()
 }
 
 /// Center and rescale a feature column to zero mean / unit scale (used for
@@ -175,6 +204,56 @@ mod tests {
         assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&mut []), 0.0);
         assert_eq!(median(&mut [7.0]), 7.0);
+    }
+
+    /// The selection median is bit-identical to the middle of the slice
+    /// sorted by `total_cmp`, across odd and even lengths, duplicates,
+    /// signed zeros, NaNs and infinities.
+    #[test]
+    fn selection_median_equals_the_sorted_median_bitwise() {
+        let sorted_median = |values: &[f64]| {
+            let mut sorted = values.to_vec();
+            sorted.sort_by(|a, b| a.total_cmp(b));
+            let n = sorted.len();
+            match n {
+                0 => 0.0,
+                _ if n % 2 == 1 => sorted[n / 2],
+                _ => 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]),
+            }
+        };
+        let pool = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            1e300,
+            -1e-300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+        ];
+        let mut state = 11u64;
+        let mut next = |below: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        for len in 0..40 {
+            for _ in 0..50 {
+                // a few pool entries per slice, so duplicates are common
+                let distinct = 1 + next(pool.len());
+                let values: Vec<f64> = (0..len).map(|_| pool[next(distinct)]).collect();
+                let expected = sorted_median(&values);
+                let got = median(&mut values.clone());
+                assert_eq!(got.to_bits(), expected.to_bits(), "{values:?}");
+            }
+        }
     }
 
     #[test]

@@ -341,7 +341,7 @@ fn values_sorting_before_existing_ones_keep_design_and_answers_exact() {
         {
             assert_eq!((a.start_row, a.len), (b.start_row, b.len));
             assert_eq!(bits(&a.const_features), bits(&b.const_features));
-            assert_eq!(a.intra_features, b.intra_features);
+            assert_eq!(bits(&a.intra_features), bits(&b.intra_features));
         }
     }
 

@@ -301,7 +301,9 @@ fn encoded_backend_equals_lmfao_and_naive() {
             for r in 0..cluster.len {
                 for (col, &value) in x.row(cluster.start_row + r).iter().enumerate() {
                     match intra_columns.iter().position(|&ic| ic == col) {
-                        Some(k) => assert_eq!(cluster.intra_features[r][k], value),
+                        Some(k) => {
+                            assert_eq!(cluster.intra_features[r * intra_columns.len() + k], value)
+                        }
                         None => assert_eq!(cluster.const_features[col], value),
                     }
                 }
@@ -1619,4 +1621,397 @@ fn observability_never_changes_results() {
             "view deviated with observability enabled at {shards:?} shards"
         );
     }
+}
+
+/// The design `DesignBuilder` builds on codes equals a brute-force build
+/// over `Value`s: path tables (the sorted sets of projected value tuples),
+/// baked features (per-value medians by a full sort; normalised extras),
+/// `y` and `observed` (by key lookup) and the cluster partition (the runs of
+/// rows sharing every inter-cluster value, carrying the rows of
+/// `materialize_x`). Every comparison is `==` or `to_bits`. Every round
+/// ingests values that sort before everything present into warmed
+/// dictionaries, so codes are appended out of value order (ranks ≠ codes).
+#[test]
+fn design_build_equals_value_keyed_oracle() {
+    use reptile_model::features::{normalize, ExtraFeature, FeaturePlan};
+    use reptile_model::{DesignBuilder, EmptyGroupPolicy};
+    use reptile_relational::{IngestBatch, Predicate, Relation, Schema, View};
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Arc;
+
+    let sorted_median = |mut ys: Vec<f64>| -> f64 {
+        ys.sort_by(f64::total_cmp);
+        let n = ys.len();
+        if n % 2 == 1 {
+            ys[n / 2]
+        } else {
+            0.5 * (ys[n / 2 - 1] + ys[n / 2])
+        }
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rng = Rng(3434);
+    let mut checked_rows = 0usize;
+    let mut with_extra = 0usize;
+    for round in 0..24 {
+        // 2–3 hierarchies of depth 1–4; level `l` of hierarchy `h` is the
+        // attribute "h{h}l{l}". Values are strings that name their parent
+        // ("r5", "r5-6", ...), so every level determines its ancestors.
+        let depths: Vec<usize> = (0..rng.range_usize(2, 4))
+            .map(|_| rng.range_usize(1, 5))
+            .collect();
+        let mut builder = Schema::builder();
+        for (h, &depth) in depths.iter().enumerate() {
+            builder = builder.hierarchy(format!("h{h}"), (0..depth).map(|l| format!("h{h}l{l}")));
+        }
+        let schema = Arc::new(builder.measure("m").build().unwrap());
+        let measure = schema.attr("m").unwrap();
+        let attr = |h: usize, l: usize| schema.attr(&format!("h{h}l{l}")).unwrap();
+        let leaves: Vec<Vec<Vec<Value>>> = depths
+            .iter()
+            .map(|&depth| {
+                let mut paths: Vec<Vec<String>> = vec![vec![]];
+                for level in 0..depth {
+                    let fanout = rng.range_usize([2, 1, 1, 1][level], [5, 4, 4, 3][level]);
+                    paths = paths
+                        .into_iter()
+                        .flat_map(|path| {
+                            (5..5 + fanout).map(move |i| {
+                                let mut path = path.clone();
+                                path.push(match path.last() {
+                                    None => format!("r{i}"),
+                                    Some(parent) => format!("{parent}-{i}"),
+                                });
+                                path
+                            })
+                        })
+                        .collect();
+                }
+                paths
+                    .into_iter()
+                    .map(|path| path.into_iter().map(Value::str).collect())
+                    .collect()
+            })
+            .collect();
+        // Rows: a random leaf per hierarchy; small integer measures (ties
+        // for the medians) and a few nulls.
+        let row_of = |rng: &mut Rng, paths: Vec<Vec<Value>>| -> Vec<Value> {
+            let mut row: Vec<Value> = paths.into_iter().flatten().collect();
+            row.push(match rng.range_usize(0, 12) {
+                0 => Value::Null,
+                _ => Value::float(rng.range_usize(0, 6) as f64),
+            });
+            row
+        };
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for _ in 0..rng.range_usize(60, 200) {
+            let paths = leaves
+                .iter()
+                .map(|l| l[rng.range_usize(0, l.len())].clone())
+                .collect();
+            rows.push(row_of(&mut rng, paths));
+        }
+        let mut b = Relation::builder(schema.clone());
+        for row in &rows {
+            b = b.row(row.clone()).unwrap();
+        }
+        let rel = Arc::new(b.build());
+        for a in 0..schema.arity() {
+            let _ = rel.code_column(AttrId(a));
+        }
+        // The ingest: new roots "r1" and new children "…-1" sort before
+        // every value present, and the warmed dictionaries append them.
+        let mut batch = IngestBatch::new();
+        for i in 0..rng.range_usize(2, 5) {
+            let paths = leaves
+                .iter()
+                .enumerate()
+                .map(|(h, l)| {
+                    let mut path = l[rng.range_usize(0, l.len())].clone();
+                    let fresh_from = match (i, h) {
+                        (0, 0) => Some(0),
+                        _ => [None, Some(0), Some(path.len() - 1)][rng.range_usize(0, 3)],
+                    };
+                    if let Some(from) = fresh_from {
+                        for level in from..path.len() {
+                            path[level] = Value::str(match level {
+                                0 => "r1".to_string(),
+                                _ => format!("{}-1", path[level - 1]),
+                            });
+                        }
+                    }
+                    path
+                })
+                .collect();
+            batch = batch.insert(row_of(&mut rng, paths));
+        }
+        for _ in 0..rng.range_usize(0, 6) {
+            batch = batch.delete(rows.swap_remove(rng.range_usize(0, rows.len())));
+        }
+        let rel = Arc::new(rel.apply(&batch).unwrap());
+        let root = rel.code_column(attr(0, 0));
+        assert_ne!(
+            root.dict().ranks(),
+            (0..root.dict().len() as u32).collect::<Vec<_>>(),
+            "round {round}: the ingest must leave codes out of value order"
+        );
+
+        // A random grouped prefix per hierarchy and a drill on one of them,
+        // redrawn until the design (at most the product of the hierarchies'
+        // projections, the ingest's new paths included) stays small; the
+        // grouped attributes in random order, the drilled one last.
+        let (grouped, drill_h) = loop {
+            let mut grouped: Vec<usize> = depths
+                .iter()
+                .map(|&depth| rng.range_usize(0, depth + 1))
+                .collect();
+            let drillable: Vec<usize> = (0..depths.len())
+                .filter(|&h| grouped[h] < depths[h])
+                .collect();
+            let drill_h = match drillable.is_empty() {
+                true => {
+                    let h = rng.range_usize(0, depths.len());
+                    grouped[h] -= 1;
+                    h
+                }
+                false => drillable[rng.range_usize(0, drillable.len())],
+            };
+            let bound: usize = (0..depths.len())
+                .map(|h| {
+                    let levels = grouped[h] + usize::from(h == drill_h);
+                    let prefixes: BTreeSet<&[Value]> =
+                        leaves[h].iter().map(|path| &path[..levels]).collect();
+                    prefixes.len() + 4
+                })
+                .product();
+            if bound <= 3000 {
+                break (grouped, drill_h);
+            }
+        };
+        let drilled = attr(drill_h, grouped[drill_h]);
+        let mut group_by: Vec<AttrId> = (0..depths.len())
+            .flat_map(|h| (0..grouped[h]).map(move |l| (h, l)))
+            .map(|(h, l)| attr(h, l))
+            .collect();
+        for i in (1..group_by.len()).rev() {
+            group_by.swap(i, rng.range_usize(0, i + 1));
+        }
+        group_by.push(drilled);
+        let gb = |a: AttrId| group_by.iter().position(|&g| g == a).unwrap();
+        let view = View::compute(
+            rel.clone(),
+            Predicate::all(),
+            group_by.clone(),
+            measure,
+            &Exec::Serial,
+        )
+        .unwrap();
+
+        let statistic = [
+            AggregateKind::Count,
+            AggregateKind::Sum,
+            AggregateKind::Mean,
+            AggregateKind::Max,
+        ][rng.range_usize(0, 4)];
+        let policy = [EmptyGroupPolicy::GlobalMean, EmptyGroupPolicy::Zero][rng.range_usize(0, 2)];
+        let mut plan = FeaturePlan::none();
+        let extra_attr = (round % 3 != 0).then(|| group_by[rng.range_usize(0, group_by.len())]);
+        if let Some(key) = extra_attr {
+            // An extra keyed by a grouped attribute, known for some of its
+            // values (the others take the fallback).
+            let mut known = BTreeMap::new();
+            for group in view.keys() {
+                if rng.range_usize(0, 3) > 0 {
+                    known.insert(group.value(gb(key)).clone(), rng.range_f64(-5.0, 5.0));
+                }
+            }
+            plan = plan.with_extra(ExtraFeature::new("extra", key, known));
+            with_extra += 1;
+        }
+        let design = DesignBuilder::new(&view, &schema, statistic)
+            .with_plan(plan.clone())
+            .empty_groups(policy)
+            .build()
+            .unwrap();
+        let label = format!("round {round}: {group_by:?}, {statistic:?}, extra {extra_attr:?}");
+
+        // The oracle's columns: per hierarchy (those grouped, the drilled
+        // one last) its grouped levels, then the extra if it is keyed by one.
+        let mut ordered: Vec<usize> = (0..depths.len())
+            .filter(|&h| h != drill_h && grouped[h] > 0)
+            .collect();
+        ordered.push(drill_h);
+        let hierarchy_attrs: Vec<Vec<AttrId>> = ordered
+            .iter()
+            .map(|&h| {
+                let levels = grouped[h] + usize::from(h == drill_h);
+                let mut attrs: Vec<AttrId> = (0..levels).map(|l| attr(h, l)).collect();
+                if let Some(key) = extra_attr.filter(|key| attrs.contains(key)) {
+                    attrs.push(key);
+                }
+                attrs
+            })
+            .collect();
+        let columns: Vec<AttrId> = hierarchy_attrs.iter().flatten().copied().collect();
+        // the extra trails the hierarchy of its key
+        let extra_column = extra_attr.map(|key| {
+            let h = hierarchy_attrs
+                .iter()
+                .position(|attrs| attrs.contains(&key))
+                .unwrap();
+            hierarchy_attrs[..=h].iter().map(Vec::len).sum::<usize>() - 1
+        });
+        let factorization = design.factorization();
+        assert_eq!(factorization.attr_order(), columns, "{label}: columns");
+
+        // Path tables: the sorted distinct projections of the group keys.
+        let keys = view.keys();
+        for (h, attrs) in hierarchy_attrs.iter().enumerate() {
+            let expected: BTreeSet<Vec<Value>> = keys
+                .iter()
+                .map(|key| attrs.iter().map(|&a| key.value(gb(a)).clone()).collect())
+                .collect();
+            let got = &factorization.hierarchies()[h].paths;
+            assert_eq!(
+                *got,
+                expected.into_iter().collect::<Vec<_>>(),
+                "{label}: paths {h}"
+            );
+        }
+
+        // Features, by value: medians of the statistic over the groups
+        // carrying the value; 1 for the drilled attribute; the normalised
+        // extra over the values present, in value order.
+        let values: Vec<f64> = view
+            .aggregates()
+            .iter()
+            .map(|a| a.value(statistic))
+            .collect();
+        let expected_features: Vec<BTreeMap<Value, f64>> = columns
+            .iter()
+            .enumerate()
+            .map(|(c, &a)| {
+                let mut by_value: BTreeMap<Value, Vec<f64>> = BTreeMap::new();
+                for (key, &value) in keys.iter().zip(&values) {
+                    by_value
+                        .entry(key.value(gb(a)).clone())
+                        .or_default()
+                        .push(value);
+                }
+                if Some(c) == extra_column {
+                    let extra = &plan.extras[0];
+                    let mut normalized: Vec<f64> = by_value
+                        .keys()
+                        .map(|v| extra.values.get(v).copied().unwrap_or(extra.fallback()))
+                        .collect();
+                    normalize(&mut normalized);
+                    by_value.into_keys().zip(normalized).collect()
+                } else if a == drilled {
+                    by_value.into_keys().map(|v| (v, 1.0)).collect()
+                } else {
+                    by_value
+                        .into_iter()
+                        .map(|(v, ys)| (v, sorted_median(ys)))
+                        .collect()
+                }
+            })
+            .collect();
+        for (c, expected) in expected_features.iter().enumerate() {
+            let got = design.features().column(c);
+            assert_eq!(
+                got.keys().collect::<Vec<_>>(),
+                expected.keys().collect::<Vec<_>>(),
+                "{label}: domain of column {c}"
+            );
+            for (v, e) in expected {
+                assert_eq!(
+                    got[v].to_bits(),
+                    e.to_bits(),
+                    "{label}: column {c} at {v:?}"
+                );
+            }
+        }
+
+        // `y` and `observed` by key lookup; absent groups take the fill.
+        let by_key: BTreeMap<&[Value], f64> = keys
+            .iter()
+            .map(|k| k.values())
+            .zip(values.iter().copied())
+            .collect();
+        let fill = match policy {
+            EmptyGroupPolicy::Zero => 0.0,
+            EmptyGroupPolicy::GlobalMean => values.iter().sum::<f64>() / values.len() as f64,
+        };
+        let row_values = factorization.materialize_values();
+        let first_column = |a: AttrId| columns.iter().position(|&c| c == a).unwrap();
+        let mut expected_y = Vec::new();
+        let mut expected_observed = Vec::new();
+        for row in &row_values {
+            let key: Vec<Value> = group_by
+                .iter()
+                .map(|&a| row[first_column(a)].clone())
+                .collect();
+            let found = by_key.get(key.as_slice());
+            expected_y.push(found.copied().unwrap_or(fill));
+            expected_observed.push(found.is_some());
+        }
+        assert_eq!(bits(design.y()), bits(&expected_y), "{label}: y");
+        assert_eq!(
+            design.observed(),
+            expected_observed.as_slice(),
+            "{label}: observed"
+        );
+
+        // The dense matrix maps every row's values through the features.
+        let x = design.materialize_x();
+        for (r, row) in row_values.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                assert_eq!(
+                    x.get(r, c).to_bits(),
+                    expected_features[c][v].to_bits(),
+                    "{label}: x[{r}][{c}]"
+                );
+            }
+        }
+
+        // Clusters: the runs of rows equal on every inter-cluster column
+        // (all but the drilled level and what follows it in the last
+        // hierarchy), carrying the rows of `x`.
+        let intra: Vec<usize> = (columns.len() - hierarchy_attrs.last().unwrap().len()
+            + grouped[drill_h]..columns.len())
+            .collect();
+        let inter_key = |r: usize| -> Vec<&Value> {
+            (0..columns.len())
+                .filter(|c| !intra.contains(c))
+                .map(|c| &row_values[r][c])
+                .collect()
+        };
+        let mut expected_ranges: Vec<(usize, usize)> = Vec::new();
+        for r in 0..row_values.len() {
+            match expected_ranges.last_mut() {
+                Some((start, len)) if inter_key(*start) == inter_key(r) => *len += 1,
+                _ => expected_ranges.push((r, 1)),
+            }
+        }
+        let clusters = design.clusters();
+        assert_eq!(clusters.intra_columns(), intra.as_slice(), "{label}: intra");
+        assert_eq!(clusters.row_ranges(), expected_ranges, "{label}: clusters");
+        for cluster in clusters.clusters() {
+            assert_eq!(cluster.intra_features.len(), cluster.len * intra.len());
+            for r in 0..cluster.len {
+                let row = x.row(cluster.start_row + r);
+                for (c, &value) in row.iter().enumerate() {
+                    let got = match intra.iter().position(|&ic| ic == c) {
+                        Some(k) => cluster.intra_features[r * intra.len() + k],
+                        None => cluster.const_features[c],
+                    };
+                    assert_eq!(got.to_bits(), value.to_bits(), "{label}: cluster row {r}");
+                }
+            }
+        }
+        checked_rows += row_values.len();
+    }
+    assert!(
+        checked_rows > 2000 && with_extra > 0,
+        "the rounds must not be vacuous: {checked_rows} design rows"
+    );
 }
