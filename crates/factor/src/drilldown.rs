@@ -124,9 +124,9 @@ pub struct PathCountIndex {
 impl PathCountIndex {
     /// Index `relation`'s rows over every hierarchy (one full scan).
     ///
-    /// The scan runs on the relation's cached code columns: rows are
-    /// counted under dense `u32` code tuples (no per-row `Value` clones)
-    /// and each distinct path is decoded exactly once at the end — the same
+    /// The scan runs on the relation's code columns: rows are counted
+    /// under dense `u32` code tuples (no per-row `Value` clones) and each
+    /// distinct path is decoded exactly once at the end — the same
     /// compile-then-decode shape as the view scan kernels.
     pub fn build(relation: &Relation, hierarchies: &[Hierarchy]) -> Self {
         let counts = hierarchies

@@ -1,39 +1,65 @@
 //! Dictionary encoding of attribute domains.
 //!
 //! A [`ValueDict`] maps each distinct [`Value`] of one attribute domain to a
-//! dense `u32` code. At construction codes are assigned in the `Value`s'
-//! sorted order, so comparing two codes orders the same way as comparing the
-//! values they stand for — range predicates, sorted-run detection and
-//! BTreeMap-iteration equivalence all survive the encoding. The factorised
-//! operators run on codes end-to-end (flat `Vec<f64>` indexing instead of
-//! `BTreeMap<Value, _>` lookups) and decode back to `Value` only at the
-//! explanation/API boundary.
+//! dense `u32` code. Two construction orders exist:
 //!
-//! Under streaming ingest a domain can *grow*: [`ValueDict::extend_with`]
-//! keeps every existing code stable and appends fresh codes for unseen
-//! values, so code-indexed tables built before the extension stay valid and
-//! only need to be lengthened. After an extension, code order is no longer
-//! globally sorted (the appended tail sorts wherever its values fall); a
-//! separate permutation index keeps `code_of` an `O(log n)` binary search
-//! either way.
+//! * **Sorted** ([`ValueDict::from_values`], [`ValueDict::from_sorted_values`]):
+//!   codes are the values' sorted ranks, so comparing two codes orders like
+//!   comparing the values. The factorised operators build their level
+//!   dictionaries this way and run on codes end to end (flat `Vec<f64>`
+//!   indexing instead of `BTreeMap<Value, _>` lookups).
+//! * **Arrival** ([`ValueDict::code_or_insert`]): a relation's columns are
+//!   encoded row by row, so each value gets the next code on first
+//!   appearance. Streaming ingest grows a domain the same way: existing
+//!   codes never move, so code-indexed tables built before an extension stay
+//!   valid and only need to be lengthened.
+//!
+//! While code order is value order, lookups ([`ValueDict::code_of`],
+//! [`ValueDict::code_or_insert`]) binary-search the domain. The first value
+//! that arrives out of order builds an open-addressing hash index of codes,
+//! and lookups go through it from then on, so an insertion costs O(log d)
+//! amortised whatever order values arrive in. [`ValueDict::codes_by_value`]
+//! (and [`ValueDict::ranks`]) recover value order, derived by one sort the
+//! first time a grown domain asks for it.
 
-use crate::parallel::Parallelism;
 use crate::value::Value;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::{Arc, OnceLock};
+
+/// An empty slot of the hash index.
+const EMPTY: u32 = u32::MAX;
 
 /// A dictionary assigning dense `u32` codes to one attribute domain.
 ///
-/// Codes are sorted-rank order at construction and remain *stable* across
-/// [`ValueDict::extend_with`]: extending never renumbers an existing value,
-/// it only appends codes for new ones.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Codes remain *stable* across [`ValueDict::code_or_insert`]: growing the
+/// domain never renumbers an existing value, it only appends codes for new
+/// ones.
+#[derive(Debug, Clone)]
 pub struct ValueDict {
-    /// Distinct values in *code* order: the sorted construction domain
-    /// followed by appended extension values in arrival order.
+    /// Distinct values in *code* order.
     values: Vec<Value>,
-    /// Codes ordered by their value — the binary-search index behind
-    /// [`ValueDict::code_of`]. Equals the identity permutation until the
-    /// first extension appends out of sorted order.
-    by_value: Vec<u32>,
+    /// `None` while code order is value order (lookups binary-search
+    /// `values`), else the hash index lookups go through.
+    index: Option<HashIndex>,
+    /// Codes ordered by their value, derived on first use after the domain
+    /// last grew.
+    by_value: OnceLock<Vec<u32>>,
+}
+
+impl PartialEq for ValueDict {
+    /// Two dictionaries are equal when they assign the same codes; the hash
+    /// index and the value order are functions of that.
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
+    }
+}
+
+impl Eq for ValueDict {}
+
+impl Default for ValueDict {
+    fn default() -> Self {
+        Self::from_code_order(Vec::new())
+    }
 }
 
 impl ValueDict {
@@ -45,50 +71,37 @@ impl ValueDict {
         // unstable sort gives the same dictionary.
         values.sort_unstable();
         values.dedup();
-        let by_value = (0..values.len() as u32).collect();
-        ValueDict { values, by_value }
+        Self::from_sorted_values(values)
     }
 
     /// Build from values already sorted and distinct (checked in debug).
     pub fn from_sorted_values(values: Vec<Value>) -> Self {
         debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
-        let by_value = (0..values.len() as u32).collect();
-        ValueDict { values, by_value }
-    }
-
-    /// [`ValueDict::from_values`] with the sort fanned out over
-    /// `parallelism`: contiguous column ranges are sorted and de-duplicated
-    /// per shard, then merged in shard order. The result is *identical* to
-    /// the serial constructor (sorting is value-deterministic), so sharded
-    /// and serial dictionary builds assign the same codes.
-    pub fn from_column_with(column: &[Value], parallelism: &Parallelism) -> Self {
-        if parallelism.is_serial() || column.len() < 2 {
-            return Self::from_values(column.to_vec());
+        ValueDict {
+            values,
+            index: None,
+            by_value: OnceLock::new(),
         }
-        let runs: Vec<Vec<Value>> = parallelism.map_ranges(column.len(), |start, len| {
-            let mut run = column[start..start + len].to_vec();
-            run.sort();
-            run.dedup();
-            run
-        });
-        Self::from_sorted_values(merge_distinct_runs(runs))
     }
 
     /// Rebuild a dictionary from its domain in *code* order (the exact
     /// `values()` slice of another dictionary, e.g. decoded off the wire).
     /// Unlike [`ValueDict::from_values`] the input is **not** re-sorted:
-    /// value `i` keeps code `i`, so a dictionary whose tail was appended by
-    /// post-ingest extensions round-trips with every code intact. The
-    /// `code_of` permutation index is rebuilt by sorting codes by value.
+    /// value `i` keeps code `i`, so an arrival-order dictionary round-trips
+    /// with every code intact.
     ///
     /// Values must be distinct (dictionary domains always are).
     pub fn from_code_order(values: Vec<Value>) -> Self {
-        let mut by_value: Vec<u32> = (0..values.len() as u32).collect();
-        by_value.sort_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
-        debug_assert!(by_value
-            .windows(2)
-            .all(|w| values[w[0] as usize] < values[w[1] as usize]));
-        ValueDict { values, by_value }
+        let sorted = values.windows(2).all(|w| w[0] < w[1]);
+        let dict = ValueDict {
+            index: (!sorted).then(|| HashIndex::build(&values)),
+            values,
+            by_value: OnceLock::new(),
+        };
+        debug_assert!(dict
+            .iter()
+            .all(|(code, value)| dict.code_of(value) == Some(code)));
+        dict
     }
 
     /// Number of distinct values in the domain.
@@ -104,27 +117,40 @@ impl ValueDict {
     /// The code of `value`, if it is part of the domain.
     #[inline]
     pub fn code_of(&self, value: &Value) -> Option<u32> {
-        self.by_value
-            .binary_search_by(|&c| self.values[c as usize].cmp(value))
-            .ok()
-            .map(|i| self.by_value[i])
+        match &self.index {
+            None => self.values.binary_search(value).ok().map(|i| i as u32),
+            Some(index) => index.probe(&self.values, value).1,
+        }
     }
 
     /// The code of `value`, appending a fresh code if the value is unseen.
     /// Existing codes are never renumbered.
     pub fn code_or_insert(&mut self, value: &Value) -> u32 {
-        match self
-            .by_value
-            .binary_search_by(|&c| self.values[c as usize].cmp(value))
-        {
-            Ok(i) => self.by_value[i],
-            Err(i) => {
-                let code = self.values.len() as u32;
+        let code = self.values.len() as u32;
+        match &mut self.index {
+            None => match self.values.binary_search(value) {
+                Ok(found) => return found as u32,
+                Err(at) => {
+                    self.values.push(value.clone());
+                    if at < code as usize {
+                        self.index = Some(HashIndex::build(&self.values));
+                    }
+                }
+            },
+            Some(index) => {
+                let (slot, found) = index.probe(&self.values, value);
+                if let Some(found) = found {
+                    return found;
+                }
                 self.values.push(value.clone());
-                self.by_value.insert(i, code);
-                code
+                index.slots[slot] = code;
+                if 2 * self.values.len() > index.slots.len() {
+                    *index = HashIndex::build(&self.values);
+                }
             }
         }
+        self.by_value.take();
+        code
     }
 
     /// Extend the domain in place with every unseen value of `values`,
@@ -147,8 +173,7 @@ impl ValueDict {
         &self.values[code as usize]
     }
 
-    /// The full domain in code order (sorted order until the first
-    /// extension; extension values follow in arrival order).
+    /// The full domain in code order.
     pub fn values(&self) -> &[Value] {
         &self.values
     }
@@ -156,16 +181,24 @@ impl ValueDict {
     /// The codes ordered by their value: `codes_by_value()[r]` is the code
     /// of the domain's `r`-th smallest value.
     pub fn codes_by_value(&self) -> &[u32] {
-        &self.by_value
+        self.by_value.get_or_init(|| {
+            let mut codes: Vec<u32> = (0..self.values.len() as u32).collect();
+            if self.index.is_some() {
+                codes.sort_unstable_by(|&a, &b| {
+                    self.values[a as usize].cmp(&self.values[b as usize])
+                });
+            }
+            codes
+        })
     }
 
     /// The value-rank of every code (the inverse of
     /// [`ValueDict::codes_by_value`]): comparing `ranks()[a]` with
     /// `ranks()[b]` orders like comparing the values of codes `a` and `b`,
-    /// also after extensions appended codes out of sorted order.
+    /// whatever order the codes were assigned in.
     pub fn ranks(&self) -> Vec<u32> {
-        let mut ranks = vec![0u32; self.by_value.len()];
-        for (rank, &code) in self.by_value.iter().enumerate() {
+        let mut ranks = vec![0u32; self.values.len()];
+        for (rank, &code) in self.codes_by_value().iter().enumerate() {
             ranks[code as usize] = rank as u32;
         }
         ranks
@@ -177,43 +210,56 @@ impl ValueDict {
     }
 }
 
-/// Merge any number of sorted, de-duplicated runs into one sorted distinct
-/// domain (pairwise rounds). Used by [`ValueDict::from_column_with`] and by
-/// the sharded view scan, whose shards produce one run per column range.
-pub(crate) fn merge_distinct_runs(mut runs: Vec<Vec<Value>>) -> Vec<Value> {
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut iter = runs.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(merge_distinct(a, b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
+/// The code of `value` in a shared dictionary, appending it when unseen —
+/// through a private copy of the dictionary if another column still shares
+/// it, so snapshots that hold the old dictionary never see the new code.
+pub(crate) fn code_or_append(dict: &mut Arc<ValueDict>, value: &Value) -> u32 {
+    match dict.code_of(value) {
+        Some(code) => code,
+        None => Arc::make_mut(dict).code_or_insert(value),
     }
-    runs.pop().unwrap_or_default()
 }
 
-/// Merge two sorted, de-duplicated runs into one (duplicates across the
-/// runs collapse).
-fn merge_distinct(a: Vec<Value>, b: Vec<Value>) -> Vec<Value> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut a = a.into_iter().peekable();
-    let mut b = b.into_iter().peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => out.push(a.next().expect("peeked")),
-                std::cmp::Ordering::Greater => out.push(b.next().expect("peeked")),
-                std::cmp::Ordering::Equal => {
-                    out.push(a.next().expect("peeked"));
-                    b.next();
-                }
-            },
-            (Some(_), None) => out.push(a.next().expect("peeked")),
-            (None, Some(_)) => out.push(b.next().expect("peeked")),
-            (None, None) => return out,
+/// An open-addressing (linear probing) hash index of a dictionary's codes:
+/// each slot holds a code or [`EMPTY`], and the slot count is a power of two
+/// at least twice the domain, so probe sequences stay short and always end.
+/// The hash keys are random (std's `RandomState`), so values crafted to
+/// collide — a dictionary can grow from client input — cannot lengthen them.
+#[derive(Debug, Clone)]
+struct HashIndex {
+    slots: Vec<u32>,
+    keys: RandomState,
+}
+
+impl HashIndex {
+    /// The index of `values` (the first of equal values wins, which only
+    /// hostile input can produce).
+    fn build(values: &[Value]) -> Self {
+        let slots = vec![EMPTY; (2 * values.len()).next_power_of_two().max(8)];
+        let mut index = HashIndex {
+            slots,
+            keys: RandomState::new(),
+        };
+        for (code, value) in values.iter().enumerate() {
+            if let (slot, None) = index.probe(values, value) {
+                index.slots[slot] = code as u32;
+            }
+        }
+        index
+    }
+
+    /// The slot `value` occupies with its code, or the empty slot that ends
+    /// its probe sequence.
+    #[inline]
+    fn probe(&self, values: &[Value], value: &Value) -> (usize, Option<u32>) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.keys.hash_one(value) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return (slot, None),
+                code if values[code as usize] == *value => return (slot, Some(code)),
+                _ => slot = (slot + 1) & mask,
+            }
         }
     }
 }
@@ -221,31 +267,6 @@ fn merge_distinct(a: Vec<Value>, b: Vec<Value>) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sharded_dictionary_build_equals_serial() {
-        let mut rng = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        for len in [0usize, 1, 2, 7, 100, 1001] {
-            let column: Vec<Value> = (0..len)
-                .map(|_| match next() % 3 {
-                    0 => Value::int((next() % 17) as i64),
-                    1 => Value::str(format!("v{}", next() % 29)),
-                    _ => Value::float((next() % 11) as f64 * 0.5),
-                })
-                .collect();
-            let serial = ValueDict::from_values(column.clone());
-            for threads in [2usize, 3, 8] {
-                let sharded = ValueDict::from_column_with(&column, &Parallelism::new(threads));
-                assert_eq!(serial, sharded, "len {len}, {threads} threads");
-            }
-        }
-    }
 
     #[test]
     fn codes_follow_sorted_order() {
@@ -324,5 +345,74 @@ mod tests {
         assert_eq!(dict.code_or_insert(&Value::int(3)), 1);
         assert_eq!(dict.code_or_insert(&Value::int(7)), 0);
         assert_eq!(dict.value(1), &Value::int(3));
+    }
+
+    #[test]
+    fn arrival_order_insertion_equals_code_order_rebuild() {
+        let mut rng = 0x9E3779B97F4A7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut dict = ValueDict::default();
+        let mut arrival: Vec<Value> = Vec::new();
+        for step in 0..20_000 {
+            let value = match next() % 4 {
+                0 => Value::int((next() % 3000) as i64 - 1500),
+                1 => Value::str(format!("s{}", next() % 5000)),
+                2 => Value::float((next() % 700) as f64 * 0.125),
+                _ => Value::Null,
+            };
+            let fresh = dict.code_of(&value).is_none();
+            let code = dict.code_or_insert(&value);
+            if fresh {
+                arrival.push(value.clone());
+                assert_eq!(code as usize, arrival.len() - 1, "codes follow arrival");
+            }
+            assert_eq!(dict.value(code), &value);
+            if step % 4999 == 0 {
+                // Deriving the value order mid-stream must not stick.
+                assert_eq!(dict.codes_by_value().len(), dict.len());
+            }
+        }
+        let rebuilt = ValueDict::from_code_order(arrival.clone());
+        assert_eq!(dict.values(), rebuilt.values());
+        assert_eq!(dict.codes_by_value(), rebuilt.codes_by_value());
+        assert_eq!(dict, rebuilt);
+        let mut sorted = arrival;
+        sorted.sort();
+        let by_value: Vec<Value> = dict
+            .codes_by_value()
+            .iter()
+            .map(|&code| dict.value(code).clone())
+            .collect();
+        assert_eq!(by_value, sorted);
+        assert_eq!(
+            ValueDict::from_values(sorted.clone()).values(),
+            &by_value[..]
+        );
+        // Ascending arrival (binary-searched, no hash index) and any other
+        // arrival agree on every lookup.
+        let mut ascending = ValueDict::default();
+        for value in &sorted {
+            ascending.code_or_insert(value);
+        }
+        assert_eq!(ascending, ValueDict::from_sorted_values(sorted.clone()));
+        let identity: Vec<u32> = (0..sorted.len() as u32).collect();
+        assert_eq!(ascending.codes_by_value(), &identity[..]);
+        for value in &sorted {
+            assert_eq!(ascending.value(ascending.code_of(value).unwrap()), value);
+        }
+        let ranks = dict.ranks();
+        for (code, value) in dict.iter() {
+            assert_eq!(dict.code_of(value), Some(code));
+            assert_eq!(
+                ranks[code as usize] as usize,
+                by_value.binary_search(value).unwrap()
+            );
+        }
+        assert_eq!(dict.code_of(&Value::str("absent")), None);
     }
 }

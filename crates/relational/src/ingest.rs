@@ -15,12 +15,22 @@
 //! row (the earliest not already claimed by the batch), and a tuple with no
 //! match fails the whole batch with [`RelationalError::NoSuchRow`] — nothing
 //! is applied partially.
+//!
+//! A snapshot is built on codes, never on [`Value`] cells: each successor
+//! column is the kept code segments plus the encoded inserts, over the
+//! predecessor's `Arc`-shared dictionary (copied only when an insert carries
+//! an unseen value), with the run and zone tables carried up to the first
+//! changed row. An append costs about one copy of the `u32` columns.
 
+use crate::dict::code_or_append;
 use crate::error::RelationalError;
 use crate::relation::Relation;
+use crate::scan::CodeColumn;
+use crate::schema::AttrId;
 use crate::value::Value;
 use crate::Result;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A batch of row-level changes to apply to a [`Relation`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -106,7 +116,8 @@ impl Relation {
     /// matched against a distinct row) and applied all-or-nothing. Deleted
     /// rows are removed, then inserts are appended in batch order. The
     /// receiver is untouched — callers holding an `Arc` of the old snapshot
-    /// keep a consistent pre-ingest view of the data.
+    /// keep a consistent pre-ingest view of the data. See the
+    /// [module docs](self) for how the successor's columns are built.
     pub fn apply(&self, batch: &IngestBatch) -> Result<Relation> {
         let arity = self.schema().arity();
         for row in batch.inserts().iter().chain(batch.deletes()) {
@@ -117,62 +128,98 @@ impl Relation {
                 });
             }
         }
-        // Resolve every delete tuple to a distinct row index (bag semantics:
-        // duplicates in the batch claim duplicates in the relation, earliest
-        // rows first). The index is built over the *deletes* — O(|deletes|)
-        // memory — and resolved by one ascending scan of the relation that
-        // only materialises rows passing a cheap first-column prefilter, so
-        // a small correction batch against a large panel costs one scan of
-        // borrowed comparisons, not a relation-sized map of cloned tuples.
-        let mut claimed = vec![false; self.len()];
-        if !batch.deletes().is_empty() {
-            let mut remaining: HashMap<&Vec<Value>, usize> = HashMap::new();
-            for tuple in batch.deletes() {
-                *remaining.entry(tuple).or_insert(0) += 1;
+        let columns: Vec<Arc<CodeColumn>> =
+            (0..arity).map(|a| self.code_column(AttrId(a))).collect();
+        let deleted = self.claim_deletes(&columns, batch.deletes())?;
+        let first_changed = deleted.first().copied().unwrap_or(self.len());
+        let next = columns
+            .iter()
+            .enumerate()
+            .map(|(a, col)| {
+                let mut dict = col.dict().clone();
+                let mut codes =
+                    Vec::with_capacity(self.len() - deleted.len() + batch.inserts().len());
+                let mut kept = 0;
+                for row in deleted.iter().copied().chain([self.len()]) {
+                    codes.extend_from_slice(&col.codes()[kept..row]);
+                    kept = row + 1;
+                }
+                codes.extend(
+                    batch
+                        .inserts()
+                        .iter()
+                        .map(|row| code_or_append(&mut dict, &row[a])),
+                );
+                col.successor(dict, codes, first_changed)
+            })
+            .collect();
+        Ok(Relation::from_code_columns(
+            self.schema().clone(),
+            self.ident(),
+            self.version() + 1,
+            next,
+        ))
+    }
+
+    /// Resolve every delete tuple to a distinct row, earliest first, by one
+    /// scan of the codes that allocates nothing per row (a value missing
+    /// from a dictionary matches no row; a row is looked up by its code
+    /// tuple only if each of its codes occurs in some delete tuple).
+    fn claim_deletes(
+        &self,
+        columns: &[Arc<CodeColumn>],
+        deletes: &[Vec<Value>],
+    ) -> Result<Vec<usize>> {
+        let no_such_row = |tuple: &[Value]| {
+            let shown: Vec<String> = tuple.iter().map(|v| v.to_string()).collect();
+            RelationalError::NoSuchRow(format!("({})", shown.join(", ")))
+        };
+        let mut wanted: Vec<Vec<bool>> = columns
+            .iter()
+            .map(|c| vec![false; c.dict().len()])
+            .collect();
+        let encode = |tuple: &[Value]| -> Option<Vec<u32>> {
+            let codes = tuple.iter().zip(columns);
+            codes
+                .map(|(value, col)| col.dict().code_of(value))
+                .collect()
+        };
+        let mut remaining: HashMap<Vec<u32>, usize> = HashMap::new();
+        for tuple in deletes {
+            let codes = encode(tuple).ok_or_else(|| no_such_row(tuple))?;
+            for (wanted, &code) in wanted.iter_mut().zip(&codes) {
+                wanted[code as usize] = true;
             }
-            let first_values: std::collections::HashSet<&Value> =
-                batch.deletes().iter().filter_map(|t| t.first()).collect();
-            let mut unresolved = batch.deletes().len();
-            for (r, claim) in claimed.iter_mut().enumerate() {
-                if unresolved == 0 {
-                    break;
-                }
-                if arity > 0 && !first_values.contains(self.value(r, crate::AttrId(0))) {
-                    continue;
-                }
-                let row = self.row(r);
-                if let Some(n) = remaining.get_mut(&row) {
-                    if *n > 0 {
-                        *n -= 1;
-                        unresolved -= 1;
-                        *claim = true;
-                    }
-                }
+            *remaining.entry(codes).or_insert(0) += 1;
+        }
+        let cols: Vec<&[u32]> = columns.iter().map(|c| c.codes()).collect();
+        let mut claimed = Vec::with_capacity(deletes.len());
+        let mut key = Vec::with_capacity(cols.len());
+        for row in 0..self.len() {
+            if claimed.len() == deletes.len() {
+                break;
             }
-            if unresolved > 0 {
-                let tuple = batch
-                    .deletes()
-                    .iter()
-                    .find(|t| remaining.get(*t).copied().unwrap_or(0) > 0)
-                    .expect("some delete tuple is unresolved");
-                let shown: Vec<String> = tuple.iter().map(|v| v.to_string()).collect();
-                return Err(RelationalError::NoSuchRow(format!(
-                    "({})",
-                    shown.join(", ")
-                )));
+            if !cols
+                .iter()
+                .zip(&wanted)
+                .all(|(col, wanted)| wanted[col[row] as usize])
+            {
+                continue;
+            }
+            key.clear();
+            key.extend(cols.iter().map(|col| col[row]));
+            if let Some(n) = remaining.get_mut(key.as_slice()).filter(|n| **n > 0) {
+                *n -= 1;
+                claimed.push(row);
             }
         }
-        let keep: Vec<usize> = (0..self.len()).filter(|&r| !claimed[r]).collect();
-        let mut next = self.take(&keep);
-        for row in batch.inserts() {
-            next.push_row(row.clone())?;
+        match deletes
+            .iter()
+            .find(|t| remaining[&encode(t).expect("encoded above")] > 0)
+        {
+            Some(unresolved) => Err(no_such_row(unresolved)),
+            None => Ok(claimed),
         }
-        // The successor starts with a warm scan cache: every code column
-        // cached on this snapshot is patched forward (kept rows keep their
-        // codes, inserts extend the dictionary) instead of being re-derived
-        // from a cold sort on the next scan. See `crate::scan`.
-        self.patch_scan_cache_into(&mut next, &keep);
-        Ok(next.into_successor_of(self))
     }
 }
 
@@ -180,7 +227,6 @@ impl Relation {
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
         Arc::new(
@@ -265,40 +311,132 @@ mod tests {
     }
 
     #[test]
-    fn scan_cache_is_patched_across_apply() {
+    fn code_columns_carry_across_apply() {
         let rel = base();
-        // Warm the cache on the predecessor.
-        let warm = rel.code_column(crate::AttrId(1));
-        assert_eq!(warm.dict().len(), 2); // Adishim, Darube
+        let before = rel.code_column(crate::AttrId(1));
+        assert_eq!(before.dict().len(), 2); // Adishim, Darube
+        let _ = before.run_starts(); // derive the tables, so apply carries them
         let batch = IngestBatch::new()
             .insert(["Raya", "Zata", "1986", "9"])
             .insert(["Ofla", "Aaa", "1986", "1"])
             .delete(["Ofla", "Darube", "1986", "2"]);
         let next = rel.apply(&batch).unwrap();
-        let patched = next.code_column(crate::AttrId(1));
+        let after = next.code_column(crate::AttrId(1));
         // Kept rows keep their codes (stable extension), inserts append —
         // "Zata" and "Aaa" get codes 2 and 3 even though "Aaa" sorts first.
         for v in [Value::str("Adishim"), Value::str("Darube")] {
-            assert_eq!(patched.dict().code_of(&v), warm.dict().code_of(&v));
+            assert_eq!(after.dict().code_of(&v), before.dict().code_of(&v));
         }
-        assert_eq!(patched.dict().code_of(&Value::str("Zata")), Some(2));
-        assert_eq!(patched.dict().code_of(&Value::str("Aaa")), Some(3));
-        // The patched column decodes back to the successor's rows exactly.
-        assert_eq!(patched.len(), next.len());
+        assert_eq!(after.dict().code_of(&Value::str("Zata")), Some(2));
+        assert_eq!(after.dict().code_of(&Value::str("Aaa")), Some(3));
+        // The successor column decodes back to the successor's rows, and its
+        // carried tables equal a fresh derivation over the same codes.
+        assert_eq!(after.len(), next.len());
         for row in 0..next.len() {
             assert_eq!(
-                patched.dict().value(patched.code(row)),
+                after.dict().value(after.code(row)),
                 next.value(row, crate::AttrId(1))
             );
         }
-        // A compiled select over the patched snapshot equals the reference.
+        let fresh = CodeColumn::from_parts(after.dict().clone(), after.codes().to_vec());
+        assert_eq!(after.run_starts(), fresh.run_starts());
+        assert_eq!(after.zones(), fresh.zones());
+        // A dictionary no insert extends ("1986" only) is shared, not copied.
+        assert!(Arc::ptr_eq(
+            rel.code_column(crate::AttrId(2)).dict(),
+            next.code_column(crate::AttrId(2)).dict()
+        ));
+        // A compiled select over the successor equals the reference, also
+        // when the predecessor never derived its tables.
         let p = crate::Predicate::eq(crate::AttrId(1), Value::str("Zata"));
         let reference: Vec<usize> = (0..next.len()).filter(|&r| p.matches(&next, r)).collect();
         assert_eq!(p.select(&next), reference);
-        // A cold snapshot (predecessor never warmed) still works: nothing
-        // cached, nothing patched, lazily built on the successor.
-        let cold = base().apply(&batch).unwrap();
-        assert_eq!(p.select(&cold), reference);
+        let underived = base().apply(&batch).unwrap();
+        assert_eq!(p.select(&underived), reference);
+    }
+
+    #[test]
+    fn delete_of_a_value_only_deleted_rows_carried_is_no_such_row() {
+        let rel = base();
+        let gone = rel
+            .apply(&IngestBatch::new().delete(["Ofla", "Adishim", "1986", "8"]))
+            .unwrap();
+        // "Adishim" survives in the dictionary, but no row carries it.
+        let village = gone.code_column(crate::AttrId(1));
+        assert!(village.dict().code_of(&Value::str("Adishim")).is_some());
+        let batch = IngestBatch::new()
+            .insert(["Raya", "Zata", "1986", "9"])
+            .delete(["Ofla", "Darube", "1986", "2"])
+            .delete(["Ofla", "Adishim", "1986", "8"]);
+        let err = gone.apply(&batch).unwrap_err();
+        assert!(
+            matches!(err, RelationalError::NoSuchRow(ref t) if t.contains("Adishim")),
+            "{err}"
+        );
+        // A value no dictionary has ever seen fails the same way.
+        let batch = IngestBatch::new()
+            .insert(["Raya", "Zata", "1986", "9"])
+            .delete(["Ofla", "Darube", "1986", "2"])
+            .delete(["Ofla", "Nowhere", "1986", "2"]);
+        let err = gone.apply(&batch).unwrap_err();
+        assert!(
+            matches!(err, RelationalError::NoSuchRow(ref t) if t.contains("Nowhere")),
+            "{err}"
+        );
+        // Neither failed batch applied anything.
+        assert_eq!(gone.len(), 2);
+        assert_eq!(gone.version(), rel.version() + 1);
+    }
+
+    #[test]
+    fn duplicate_deletes_claim_the_earliest_rows() {
+        let rel = Relation::builder(schema())
+            .row(["Ofla", "Darube", "1986", "2"])
+            .unwrap()
+            .row(["Ofla", "Adishim", "1986", "8"])
+            .unwrap()
+            .row(["Ofla", "Darube", "1986", "2"])
+            .unwrap()
+            .row(["Bora", "Zata", "1987", "5"])
+            .unwrap()
+            .row(["Ofla", "Darube", "1986", "2"])
+            .unwrap()
+            .build();
+        let darube = row("Ofla", "Darube", "1986", "2");
+        let batch = IngestBatch::new()
+            .delete(darube.clone())
+            .delete(darube.clone());
+        let next = rel.apply(&batch).unwrap();
+        let rows: Vec<Vec<Value>> = (0..next.len()).map(|r| next.row(r)).collect();
+        assert_eq!(
+            rows,
+            vec![
+                row("Ofla", "Adishim", "1986", "8"),
+                row("Bora", "Zata", "1987", "5"),
+                darube,
+            ]
+        );
+    }
+
+    #[test]
+    fn distinct_omits_a_value_once_its_last_row_is_deleted() {
+        let rel = base();
+        let village = crate::AttrId(1);
+        assert_eq!(rel.distinct(village).len(), 2);
+        let next = rel
+            .apply(&IngestBatch::new().delete(["Ofla", "Adishim", "1986", "8"]))
+            .unwrap();
+        assert_eq!(next.distinct(village), vec![Value::str("Darube")]);
+        let empty = next
+            .apply(
+                &IngestBatch::new()
+                    .delete(["Ofla", "Darube", "1986", "2"])
+                    .delete(["Ofla", "Darube", "1986", "2"]),
+            )
+            .unwrap();
+        assert!(empty.is_empty());
+        assert!(empty.distinct(village).is_empty());
+        assert_eq!(empty.code_column(village).dict().len(), 2);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! **Appendix A** that let a parent aggregate absorb a repaired child
 //! without rescanning the data:
 //!
-//! * typed [`Value`]s and columnar [`Relation`]s,
+//! * typed [`Value`]s and columnar [`Relation`]s stored as dictionary-encoded
+//!   code columns,
 //! * [`Schema`]s whose dimension attributes are partitioned into
 //!   [`Hierarchy`] dimensions (e.g. `Region -> District -> Village`),
 //! * distributive aggregation ([`AggState`], [`AggregateKind`]) together with
@@ -18,7 +19,7 @@
 //!   factorised operators' columnar backend (§4.2's aggregates run on dense
 //!   codes; values are decoded only at the explanation boundary),
 //! * code-native scan kernels ([`scan`]) — predicates compiled to dense
-//!   `u32` comparisons against cached per-attribute code columns, with
+//!   `u32` comparisons against the relation's per-attribute code columns, with
 //!   run skipping and per-shard zone maps, bit-identical to the serial
 //!   `Value` scan (see the [`scan`] module docs for the compilation rule),
 //! * streaming ingest ([`IngestBatch`], [`Relation::apply`]) — snapshot

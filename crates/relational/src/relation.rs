@@ -2,7 +2,7 @@
 
 use crate::dict::ValueDict;
 use crate::error::RelationalError;
-use crate::scan::{CodeColumn, CompiledPredicate, ScanCache};
+use crate::scan::{CodeColumn, CompiledPredicate};
 use crate::schema::{AttrId, Schema};
 use crate::value::Value;
 use crate::Result;
@@ -19,6 +19,12 @@ fn fresh_ident() -> u64 {
 
 /// A columnar relation (bag of tuples) with an attached [`Schema`].
 ///
+/// The relation *is* its code columns: one `Arc`-shared [`CodeColumn`] per
+/// attribute (dictionary, `u32` codes, run table, zone map) and no other
+/// copy of the cells. [`Relation::value`] decodes through the dictionary;
+/// every scan reads the codes. Building a relation encodes each cell as it
+/// arrives, so codes follow first appearance.
+///
 /// Every relation carries a *lineage identity* and a *version*: a freshly
 /// built (or cloned) relation starts a new lineage at version 0, while
 /// [`Relation::apply`](crate::ingest) produces the next snapshot of the
@@ -28,22 +34,17 @@ fn fresh_ident() -> u64 {
 #[derive(Debug)]
 pub struct Relation {
     schema: Arc<Schema>,
-    columns: Vec<Vec<Value>>,
+    columns: Vec<Arc<CodeColumn>>,
     rows: usize,
     ident: u64,
     version: u64,
-    /// Lazily built per-attribute [`CodeColumn`]s (see [`crate::scan`]).
-    /// Derived data only — never part of relation equality; reset by
-    /// in-place mutation, cold on clone, patched across
-    /// [`Relation::apply`](crate::ingest).
-    scan: ScanCache,
 }
 
 impl Clone for Relation {
-    /// Deep-copy the relation as a **new lineage** (fresh ident, version 0):
+    /// Share every column under a **new lineage** (fresh ident, version 0):
     /// a clone can be mutated independently (e.g. error injection via
-    /// [`Relation::set_value`]), so it must never alias its source in any
-    /// lineage-keyed cache. The scan cache starts cold for the same reason.
+    /// [`Relation::set_value`], which copies a shared column on first
+    /// write), so it must never alias its source in any lineage-keyed cache.
     fn clone(&self) -> Self {
         Relation {
             schema: self.schema.clone(),
@@ -51,7 +52,6 @@ impl Clone for Relation {
             rows: self.rows,
             ident: fresh_ident(),
             version: 0,
-            scan: ScanCache::default(),
         }
     }
 }
@@ -59,15 +59,10 @@ impl Clone for Relation {
 impl Relation {
     /// Create an empty relation for `schema`.
     pub fn empty(schema: Arc<Schema>) -> Self {
-        let arity = schema.arity();
-        Relation {
-            schema,
-            columns: vec![Vec::new(); arity],
-            rows: 0,
-            ident: fresh_ident(),
-            version: 0,
-            scan: ScanCache::default(),
-        }
+        let columns = (0..schema.arity())
+            .map(|_| CodeColumn::from_parts(ValueDict::default(), Vec::new()))
+            .collect();
+        Relation::from_code_columns(schema, fresh_ident(), 0, columns)
     }
 
     /// Start building a relation row by row.
@@ -75,6 +70,38 @@ impl Relation {
         RelationBuilder {
             relation: Relation::empty(schema),
         }
+    }
+
+    /// Assemble snapshot `version` of lineage `ident` from one column per
+    /// attribute: the successor built by [`Relation::apply`](crate::ingest),
+    /// or a worker-side partition decoded off the wire (see [`crate::ship`])
+    /// that keeps the *coordinator's* lineage, version and code space, so
+    /// code-keyed partials computed there merge with the coordinator's.
+    pub(crate) fn from_code_columns(
+        schema: Arc<Schema>,
+        ident: u64,
+        version: u64,
+        columns: Vec<CodeColumn>,
+    ) -> Relation {
+        debug_assert_eq!(columns.len(), schema.arity());
+        Relation {
+            schema,
+            rows: columns.first().map_or(0, CodeColumn::len),
+            columns: columns.into_iter().map(Arc::new).collect(),
+            ident,
+            version,
+        }
+    }
+
+    /// A new lineage over the same dictionaries, each column holding
+    /// `codes(the column)`.
+    fn derive(&self, codes: impl Fn(&CodeColumn) -> Vec<u32>) -> Relation {
+        let columns = self
+            .columns
+            .iter()
+            .map(|col| CodeColumn::from_parts(col.dict().clone(), codes(col)))
+            .collect();
+        Relation::from_code_columns(self.schema.clone(), fresh_ident(), 0, columns)
     }
 
     /// The schema of the relation.
@@ -95,14 +122,6 @@ impl Relation {
         self.version
     }
 
-    /// Mark `self` as the next snapshot of `predecessor`'s lineage
-    /// (used by [`Relation::apply`](crate::ingest)).
-    pub(crate) fn into_successor_of(mut self, predecessor: &Relation) -> Relation {
-        self.ident = predecessor.ident;
-        self.version = predecessor.version + 1;
-        self
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows
@@ -113,91 +132,17 @@ impl Relation {
         self.rows == 0
     }
 
-    /// Reassemble a relation from parts decoded off the wire (see
-    /// [`crate::ship`]): a worker-side partition that must keep the
-    /// *coordinator's* lineage ident, version, and code space. The value
-    /// columns are decoded per row from the shipped dictionaries, and every
-    /// attribute's [`CodeColumn`] is installed hot — the codes are the
-    /// coordinator's, so code-keyed partials computed here merge with
-    /// coordinator partials code-wise.
-    pub(crate) fn from_shipped_parts(
-        schema: Arc<Schema>,
-        ident: u64,
-        version: u64,
-        code_columns: Vec<CodeColumn>,
-    ) -> Relation {
-        debug_assert_eq!(code_columns.len(), schema.arity());
-        let rows = code_columns.first().map_or(0, |c| c.len());
-        let columns: Vec<Vec<Value>> = code_columns
-            .iter()
-            .map(|col| {
-                col.codes()
-                    .iter()
-                    .map(|&code| col.dict().value(code).clone())
-                    .collect()
-            })
-            .collect();
-        let mut scan = ScanCache::default();
-        let arity = schema.arity();
-        for (index, col) in code_columns.into_iter().enumerate() {
-            scan.install(index, arity, col);
-        }
-        Relation {
-            schema,
-            columns,
-            rows,
-            ident,
-            version,
-            scan,
-        }
-    }
-
-    /// The full column for `attr`.
-    pub fn column(&self, attr: AttrId) -> &[Value] {
-        &self.columns[attr.index()]
-    }
-
-    /// The value at (`row`, `attr`).
+    /// The value at (`row`, `attr`), decoded through the column's dictionary.
     pub fn value(&self, row: usize, attr: AttrId) -> &Value {
-        &self.columns[attr.index()][row]
+        let column = &self.columns[attr.index()];
+        column.dict().value(column.code(row))
     }
 
-    /// The cached [`CodeColumn`] of `attr` — the scan-kernel backend of this
-    /// snapshot (dictionary, dense codes, run table, zone map). Built on
-    /// first use through the stable-code dictionary machinery, `Arc`-shared
-    /// so shard workers read it without locks. See [`crate::scan`].
+    /// The [`CodeColumn`] of `attr` — the storage of this snapshot
+    /// (dictionary, dense codes, run table, zone map), `Arc`-shared so
+    /// shard workers read it without locks. See [`crate::scan`].
     pub fn code_column(&self, attr: AttrId) -> Arc<CodeColumn> {
-        self.scan
-            .get_or_build(attr.index(), self.schema.arity(), || {
-                CodeColumn::build(self.column(attr))
-            })
-    }
-
-    /// Seed `next`'s scan cache from this relation's across an ingest: for
-    /// every column cached here, kept rows keep their codes (stable-code
-    /// dictionaries never renumber), inserted rows extend the dictionary,
-    /// and the run/zone tables rebuild in one linear pass — the successor
-    /// starts warm without re-sorting any surviving row.
-    pub(crate) fn patch_scan_cache_into(&self, next: &mut Relation, keep: &[usize]) {
-        for (index, cached) in self
-            .scan
-            .cached(self.schema.arity())
-            .into_iter()
-            .enumerate()
-        {
-            let Some(column) = cached else { continue };
-            let mut dict = column.dict().clone();
-            let mut codes: Vec<u32> = keep.iter().map(|&r| column.code(r)).collect();
-            let attr = AttrId(index);
-            for row in keep.len()..next.len() {
-                codes.push(dict.code_or_insert(next.value(row, attr)));
-            }
-            next.scan.install(
-                index,
-                self.schema.arity(),
-                CodeColumn::from_parts(dict, codes),
-            );
-        }
+        self.columns[attr.index()].clone()
     }
 
     /// Numeric value at (`row`, `attr`), erroring if non-numeric and non-null.
@@ -214,7 +159,9 @@ impl Relation {
             })
     }
 
-    /// Append a row; the row must match the schema arity.
+    /// Append a row; the row must match the schema arity. Each cell is
+    /// encoded in place (a column shared with another snapshot is copied on
+    /// first write), O(1) amortised.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.schema.arity() {
             return Err(RelationalError::ArityMismatch {
@@ -222,17 +169,18 @@ impl Relation {
                 got: row.len(),
             });
         }
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            col.push(v);
+        for (col, v) in self.columns.iter_mut().zip(&row) {
+            Arc::make_mut(col).write(self.rows, v);
         }
         self.rows += 1;
-        self.scan.invalidate();
         Ok(())
     }
 
     /// Extract one row as an owned vector of values.
     pub fn row(&self, row: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c[row].clone()).collect()
+        (0..self.columns.len())
+            .map(|a| self.value(row, AttrId(a)).clone())
+            .collect()
     }
 
     /// Iterate over row indices satisfying `pred`.
@@ -240,18 +188,15 @@ impl Relation {
         (0..self.rows).filter(|r| pred(*r)).collect()
     }
 
-    /// Materialise a new relation keeping only the given row indices.
+    /// Materialise a new relation keeping only the given row indices (same
+    /// dictionaries, so the same codes).
     pub fn take(&self, indices: &[usize]) -> Relation {
-        let mut out = Relation::empty(self.schema.clone());
-        out.rows = indices.len();
-        for (ci, col) in self.columns.iter().enumerate() {
-            out.columns[ci] = indices.iter().map(|&r| col[r].clone()).collect();
-        }
-        out
+        self.derive(|col| indices.iter().map(|&r| col.code(r)).collect())
     }
 
     /// Materialise the contiguous row range `[start, start + len)` as a new
-    /// relation (a row shard). Out-of-range requests panic.
+    /// relation (a row shard over the same dictionaries). Out-of-range
+    /// requests panic.
     pub fn take_range(&self, start: usize, len: usize) -> Relation {
         assert!(
             start + len <= self.rows,
@@ -259,52 +204,34 @@ impl Relation {
             start + len,
             self.rows
         );
-        let mut out = Relation::empty(self.schema.clone());
-        out.rows = len;
-        for (ci, col) in self.columns.iter().enumerate() {
-            out.columns[ci] = col[start..start + len].to_vec();
-        }
-        out
+        self.derive(|col| col.codes()[start..start + len].to_vec())
     }
 
     /// Partition the relation into `shards` contiguous row shards (balanced
     /// to within one row; `shards` is clamped to at least 1, and shards past
-    /// the row count are empty) that **share one dictionary per attribute**,
-    /// built over the *full* relation's column. Shared dictionaries are what
-    /// make per-shard encoded aggregates mergeable code-wise: a code means
-    /// the same value in every shard, so shard partials sum exactly (see
-    /// `reptile-factor`'s sharded aggregation).
+    /// the row count are empty) that **share the relation's dictionaries**.
+    /// Shared dictionaries are what make per-shard encoded aggregates
+    /// mergeable code-wise: a code means the same value in every shard, so
+    /// shard partials sum exactly (see `reptile-factor`'s sharded
+    /// aggregation).
     ///
     /// Concatenating the shards in order reproduces the relation's rows in
     /// row order — per-group accumulation over shard-merged data therefore
     /// visits rows in the original order.
     pub fn partition(&self, shards: usize) -> RelationShards {
         let shards = shards.max(1);
-        let dicts: Arc<Vec<ValueDict>> = Arc::new(
-            self.columns
-                .iter()
-                .map(|col| {
-                    ValueDict::from_column_with(col, &crate::parallel::Parallelism::serial())
-                })
-                .collect(),
-        );
         let base = self.rows / shards;
         let extra = self.rows % shards;
         let mut out = Vec::with_capacity(shards);
-        // Per-shard min/max code per attribute, read off the scan-cache code
-        // columns (the same columns predicates compile against, so zone
-        // tests and compiled terms always speak the same code space — even
-        // after an ingest patch appended out-of-sorted-order codes).
-        let code_columns: Vec<Arc<CodeColumn>> = (0..self.schema.arity())
-            .map(|a| self.code_column(AttrId(a)))
-            .collect();
+        // Per-shard min/max code per attribute, in the code space every
+        // shard and every compiled predicate share.
         let mut zones = Vec::with_capacity(shards);
         let mut start = 0usize;
         for s in 0..shards {
             let len = base + usize::from(s < extra);
             out.push(Arc::new(self.take_range(start, len)));
             zones.push(
-                code_columns
+                self.columns
                     .iter()
                     .map(|col| {
                         let codes = &col.codes()[start..start + len];
@@ -319,24 +246,31 @@ impl Relation {
         debug_assert_eq!(start, self.rows);
         RelationShards {
             shards: out,
-            dicts,
+            dicts: self.columns.iter().map(|col| col.dict().clone()).collect(),
             zones,
         }
     }
 
-    /// Distinct values of an attribute, sorted.
+    /// Distinct values some row of `attr` carries, sorted (a dictionary
+    /// can outlive the rows of a value; those values are not listed).
     pub fn distinct(&self, attr: AttrId) -> Vec<Value> {
-        let mut vals: Vec<Value> = self.column(attr).to_vec();
-        vals.sort();
-        vals.dedup();
-        vals
+        let column = &self.columns[attr.index()];
+        let mut present = vec![false; column.dict().len()];
+        for &code in column.codes() {
+            present[code as usize] = true;
+        }
+        let dict = column.dict();
+        let codes = dict.codes_by_value().iter();
+        codes
+            .filter(|&&code| present[code as usize])
+            .map(|&code| dict.value(code).clone())
+            .collect()
     }
 
-    /// Replace the measure value at a given row (used by error-injection and
-    /// repair simulation utilities).
+    /// Replace the value at a given row (used by error-injection and repair
+    /// simulation utilities): encoded in place, O(1) amortised.
     pub fn set_value(&mut self, row: usize, attr: AttrId, value: Value) {
-        self.columns[attr.index()][row] = value;
-        self.scan.invalidate();
+        Arc::make_mut(&mut self.columns[attr.index()]).write(row, &value);
     }
 
     /// Append all rows of `other` (schemas must match by arity; attribute
@@ -348,30 +282,33 @@ impl Relation {
                 got: other.schema.arity(),
             });
         }
-        for (dst, src) in self.columns.iter_mut().zip(&other.columns) {
-            dst.extend(src.iter().cloned());
+        for (a, col) in self.columns.iter_mut().enumerate() {
+            let col = Arc::make_mut(col);
+            for row in 0..other.rows {
+                col.write(self.rows + row, other.value(row, AttrId(a)));
+            }
         }
         self.rows += other.rows;
-        self.scan.invalidate();
         Ok(())
     }
 }
 
 /// The result of [`Relation::partition`]: contiguous row shards plus the
-/// per-attribute dictionaries every shard shares. Each shard is an ordinary
-/// [`Relation`] (its own lineage — shards are derived data, never aliased
-/// into lineage-keyed caches), and the dictionary vector is `Arc`-shared so
-/// fanning shards out to worker threads costs pointer bumps.
+/// per-attribute dictionaries every shard shares with the source relation.
+/// Each shard is an ordinary [`Relation`] (its own lineage — shards are
+/// derived data, never aliased into lineage-keyed caches), and the
+/// dictionaries are `Arc`-shared so fanning shards out to worker threads
+/// costs pointer bumps.
 ///
 /// Partitioning also records a **zone map**: the min/max code of every
-/// attribute within every shard, in the code space of the source relation's
-/// scan cache (see [`crate::scan`]). [`RelationShards::live_shards`] uses it
+/// attribute within every shard, in the source relation's code space (see
+/// [`crate::scan`]). [`RelationShards::live_shards`] uses it
 /// to prune shards a compiled predicate provably cannot match before any
 /// work is dispatched for them.
 #[derive(Debug, Clone)]
 pub struct RelationShards {
     shards: Vec<Arc<Relation>>,
-    dicts: Arc<Vec<ValueDict>>,
+    dicts: Vec<Arc<ValueDict>>,
     /// `zones[shard][attr]` = `(min, max)` code of `attr` within the shard,
     /// `None` for empty shards.
     zones: Vec<Vec<Option<(u32, u32)>>>,
@@ -396,9 +333,8 @@ impl RelationShards {
     }
 
     /// The shared per-attribute dictionaries, in schema attribute order —
-    /// one [`ValueDict`] over the **full** relation's column, so a code is
-    /// stable across every shard.
-    pub fn dicts(&self) -> &Arc<Vec<ValueDict>> {
+    /// the source relation's own, so a code is stable across every shard.
+    pub fn dicts(&self) -> &[Arc<ValueDict>] {
         &self.dicts
     }
 
@@ -408,7 +344,7 @@ impl RelationShards {
     }
 
     /// The `(min, max)` code of `attr` within shard `shard` (`None` for an
-    /// empty shard), in the source relation's scan-cache code space.
+    /// empty shard), in the source relation's code space.
     pub fn zone(&self, shard: usize, attr: AttrId) -> Option<(u32, u32)> {
         self.zones[shard][attr.index()]
     }
@@ -625,9 +561,13 @@ mod tests {
                     assert!(dict.code_of(&v).is_some(), "{v} missing from shared dict");
                 }
                 for shard in parts.shards() {
-                    for v in shard.column(attr) {
-                        assert!(dict.code_of(v).is_some());
+                    for row in 0..shard.len() {
+                        assert!(dict.code_of(shard.value(row, attr)).is_some());
                     }
+                    assert!(Arc::ptr_eq(
+                        shard.code_column(attr).dict(),
+                        &parts.dicts()[attr.index()]
+                    ));
                 }
             }
         }

@@ -5,19 +5,18 @@
 //! selection, drill-downs) evaluate conjunctive equality predicates. Doing
 //! that row-by-row on raw [`Value`]s pays a tag dispatch and (for strings) a
 //! pointer chase per row per term. This module compiles the predicate once
-//! per scan into dense `u32` comparisons against cached per-attribute code
-//! columns:
+//! per scan into dense `u32` comparisons against the relation's
+//! per-attribute code columns:
 //!
 //! * **Compilation rule** — each `attr = value` term resolves `value`
 //!   through the column's [`ValueDict`] exactly once. A value *absent* from
 //!   the dictionary cannot match any row, so the term — and therefore the
 //!   whole conjunction — selects nothing: the scan short-circuits to an
 //!   empty result without touching a single row. Present values become one
-//!   `u32` equality test per row against the cached code column. Code
-//!   equality is [`Value`] equality (a dictionary maps distinct values to
-//!   distinct codes under the same total order), so the compiled kernel is
-//!   bit-identical — `==`, not tolerance — to the row-at-a-time `Value`
-//!   scan.
+//!   `u32` equality test per row against the code column. Code equality is
+//!   [`Value`] equality (a dictionary maps distinct values to distinct
+//!   codes), so the compiled kernel is bit-identical — `==`, not tolerance —
+//!   to the row-at-a-time `Value` scan.
 //! * **Run skipping** — hierarchy level columns are run-length-ordered in
 //!   practice (the encoded backend exploits the same structure through
 //!   `level_runs_range`). Each [`CodeColumn`] carries its maximal-run table;
@@ -69,15 +68,16 @@
 //!   on where the partition was cut; code order does not, so reply bytes are
 //!   a function of partition and plan).
 //!
-//! Cached code columns are built lazily per relation snapshot through the
-//! stable-code dictionary machinery ([`ValueDict`]), invalidated by in-place
-//! mutation, and **patched across streaming ingest**
-//! ([`Relation::apply`](crate::ingest)): kept rows keep their codes (the
-//! dictionary only ever appends), deleted rows are filtered out, inserted
-//! rows extend the dictionary, and the run/zone tables are rebuilt in one
-//! linear pass — no re-sort of the surviving rows.
+//! The code columns are the relation itself: a [`Relation`] stores one
+//! `Arc<CodeColumn>` per attribute and no other copy of its cells, so the
+//! kernels read a snapshot's columns without a lock or a build step.
+//! Building a relation encodes each cell on arrival (first-appearance codes),
+//! in-place mutation re-derives the run and zone tables on the next scan,
+//! and [`Relation::apply`](crate::ingest) carries them across an ingest: kept
+//! rows keep their codes (a dictionary only ever appends), and the tables are
+//! copied up to the first changed row and rescanned from there.
 
-use crate::dict::ValueDict;
+use crate::dict::{code_or_append, ValueDict};
 use crate::error::RelationalError;
 use crate::predicate::Predicate;
 use crate::relation::Relation;
@@ -86,7 +86,7 @@ use crate::value::Value;
 use crate::Result;
 use reptile_obs::{add_counter, Counter};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Rows per zone-map block of a [`CodeColumn`]: small enough to prune
 /// meaningfully inside a single shard, large enough that the table stays
@@ -101,68 +101,113 @@ const RUN_SKIP_MIN_AVG: usize = 4;
 
 /// One attribute's dictionary-encoded column with its scan acceleration
 /// tables: the dense code column, the maximal-run table, and the per-block
-/// zone map. Immutable once built; `Arc`-shared out of the relation's scan
-/// cache so shard workers read it without locks.
-#[derive(Debug)]
+/// zone map. A [`Relation`] is one `Arc<CodeColumn>` per attribute: shard
+/// workers read the columns without locks, and snapshots share every column
+/// (and dictionary) they did not change.
+#[derive(Debug, Clone)]
 pub struct CodeColumn {
-    dict: ValueDict,
+    dict: Arc<ValueDict>,
     codes: Vec<u32>,
-    /// Start row of each maximal run, with a final sentinel equal to the row
-    /// count: run `i` spans `run_starts[i] .. run_starts[i + 1]` and every
-    /// row in it carries `codes[run_starts[i]]`.
-    run_starts: Vec<usize>,
-    /// Per-block `(min, max)` code over [`ZONE_BLOCK_ROWS`]-row blocks.
-    zones: Vec<(u32, u32)>,
+    /// The run and zone tables, derived on first use after the codes last
+    /// changed in place, or carried across an ingest.
+    tables: OnceLock<ScanTables>,
     /// The column read as a measure: the `f64` of every dictionary code, or
     /// the first row carrying a non-numeric, non-null value. Derived on the
-    /// first [`MeasureColumn::resolve`] and kept for the column's lifetime.
+    /// first [`MeasureColumn::resolve`] after the codes last changed.
     measure: OnceLock<std::result::Result<Arc<[f64]>, usize>>,
 }
 
-impl CodeColumn {
-    /// Encode `column` through a freshly built dictionary (sorted-rank
-    /// codes) and derive the run and zone tables.
-    pub fn build(column: &[Value]) -> Self {
-        let dict = ValueDict::from_values(column.to_vec());
-        let codes = column
-            .iter()
-            .map(|v| dict.code_of(v).expect("dictionary built over this column"))
-            .collect();
-        Self::from_parts(dict, codes)
-    }
+/// The derived scan tables of a [`CodeColumn`] (see
+/// [`CodeColumn::run_starts`] and [`CodeColumn::zones`]).
+#[derive(Debug, Clone)]
+struct ScanTables {
+    run_starts: Vec<usize>,
+    zones: Vec<(u32, u32)>,
+}
 
-    /// Assemble a column from an existing dictionary and pre-resolved codes
-    /// (the ingest patch path), rebuilding the run and zone tables in one
-    /// linear pass. Every code must be valid for `dict`.
-    pub fn from_parts(dict: ValueDict, codes: Vec<u32>) -> Self {
-        let mut run_starts = Vec::new();
-        let mut zones = Vec::with_capacity(codes.len().div_ceil(ZONE_BLOCK_ROWS));
-        let mut prev: Option<u32> = None;
-        for (row, &code) in codes.iter().enumerate() {
-            if prev != Some(code) {
-                run_starts.push(row);
-                prev = Some(code);
+impl ScanTables {
+    /// The tables of `codes` in linear passes. With `reuse = (prior, from)`
+    /// the rows before `from` carry the codes `prior` was derived over, so
+    /// `prior`'s entries are copied up to the block holding `from` and only
+    /// the rows from that block on are scanned.
+    fn derive(codes: &[u32], reuse: Option<(&ScanTables, usize)>) -> Self {
+        let (mut run_starts, mut zones, from) = match reuse {
+            Some((prior, from)) => {
+                let block = from / ZONE_BLOCK_ROWS;
+                let from = block * ZONE_BLOCK_ROWS;
+                let runs = prior.run_starts.partition_point(|&start| start < from);
+                (
+                    prior.run_starts[..runs].to_vec(),
+                    prior.zones[..block].to_vec(),
+                    from,
+                )
             }
-            if row % ZONE_BLOCK_ROWS == 0 {
-                zones.push((code, code));
-            } else {
-                let zone = zones.last_mut().expect("block opened above");
-                zone.0 = zone.0.min(code);
-                zone.1 = zone.1.max(code);
-            }
-        }
+            None => (Vec::new(), Vec::new(), 0),
+        };
+        let run_start = |&row: &usize| row == 0 || codes[row] != codes[row - 1];
+        run_starts.extend((from..codes.len()).filter(run_start));
         run_starts.push(codes.len());
+        zones.extend(codes[from..].chunks(ZONE_BLOCK_ROWS).map(|block| {
+            let lo = block.iter().fold(u32::MAX, |lo, &code| lo.min(code));
+            (lo, block.iter().fold(lo, |hi, &code| hi.max(code)))
+        }));
+        ScanTables { run_starts, zones }
+    }
+}
+
+impl CodeColumn {
+    /// Assemble a column from a dictionary and codes valid for it; the run
+    /// and zone tables are derived on first use.
+    pub fn from_parts(dict: impl Into<Arc<ValueDict>>, codes: Vec<u32>) -> Self {
         CodeColumn {
-            dict,
+            dict: dict.into(),
             codes,
-            run_starts,
-            zones,
+            tables: OnceLock::new(),
             measure: OnceLock::new(),
         }
     }
 
-    /// The column's dictionary.
-    pub fn dict(&self) -> &ValueDict {
+    /// The column of the next snapshot across an ingest: `codes` (valid for
+    /// `dict`, an extension of this column's dictionary) agree with this
+    /// column's on every row before `first_changed`, so derived tables are
+    /// copied up to there and rescanned only from there on.
+    pub(crate) fn successor(
+        &self,
+        dict: Arc<ValueDict>,
+        codes: Vec<u32>,
+        first_changed: usize,
+    ) -> Self {
+        let next = Self::from_parts(dict, codes);
+        if let Some(prior) = self.tables.get() {
+            let _ = next.tables.set(ScanTables::derive(
+                &next.codes,
+                Some((prior, first_changed)),
+            ));
+        }
+        next
+    }
+
+    /// Write `value` at `row` (`row == len()` appends), extending the
+    /// dictionary if unseen; the derived tables are re-derived on next use.
+    pub(crate) fn write(&mut self, row: usize, value: &Value) {
+        let code = code_or_append(&mut self.dict, value);
+        if row == self.codes.len() {
+            self.codes.push(code);
+        } else {
+            self.codes[row] = code;
+        }
+        self.tables.take();
+        self.measure.take();
+    }
+
+    fn tables(&self) -> &ScanTables {
+        self.tables
+            .get_or_init(|| ScanTables::derive(&self.codes, None))
+    }
+
+    /// The column's dictionary, `Arc`-shared with the other snapshots and
+    /// shards that carry it.
+    pub fn dict(&self) -> &Arc<ValueDict> {
         &self.dict
     }
 
@@ -187,15 +232,26 @@ impl CodeColumn {
         self.codes.is_empty()
     }
 
+    /// Start row of each maximal run, with a final sentinel equal to the
+    /// row count: run `i` spans `run_starts()[i] .. run_starts()[i + 1]`.
+    pub fn run_starts(&self) -> &[usize] {
+        &self.tables().run_starts
+    }
+
+    /// The zone map: `(min, max)` code of each [`ZONE_BLOCK_ROWS`]-row block.
+    pub fn zones(&self) -> &[(u32, u32)] {
+        &self.tables().zones
+    }
+
     /// Number of maximal runs.
     pub fn run_count(&self) -> usize {
-        self.run_starts.len() - 1
+        self.run_starts().len() - 1
     }
 
     /// Index of the run containing `row`.
     fn run_at(&self, row: usize) -> usize {
         debug_assert!(row < self.codes.len());
-        self.run_starts.partition_point(|&s| s <= row) - 1
+        self.run_starts().partition_point(|&s| s <= row) - 1
     }
 
     /// Whether any row of `[start, start + len)` *may* carry `code`,
@@ -207,15 +263,15 @@ impl CodeColumn {
         }
         let first = start / ZONE_BLOCK_ROWS;
         let last = (start + len - 1) / ZONE_BLOCK_ROWS;
-        self.zones[first..=last]
+        self.zones()[first..=last]
             .iter()
             .any(|&(lo, hi)| lo <= code && code <= hi)
     }
 
     /// The `f64` of every dictionary code (`Null` and values no row carries
     /// read `0.0`), or the first row whose value is neither numeric nor
-    /// null. A dictionary patched across ingest keeps the values of deleted
-    /// rows, so only codes still present in the column can be an error.
+    /// null. A dictionary keeps the values of deleted rows, so only codes
+    /// still present in the column can be an error.
     fn measure_table(&self) -> std::result::Result<Arc<[f64]>, usize> {
         let mut non_numeric: Option<Vec<bool>> = None;
         let by_code: Arc<[f64]> = self
@@ -239,7 +295,7 @@ impl CodeColumn {
 }
 
 /// A conjunctive equality predicate compiled against one relation snapshot's
-/// cached code columns (see the [module docs](self) for the compilation
+/// code columns (see the [module docs](self) for the compilation
 /// rule). Compile once per scan; the kernel methods are read-only and safe
 /// to call from shard workers.
 #[derive(Debug, Clone)]
@@ -254,8 +310,7 @@ pub struct CompiledPredicate {
 }
 
 impl CompiledPredicate {
-    /// Resolve every term of `predicate` through `relation`'s cached code
-    /// columns (building them on first use).
+    /// Resolve every term of `predicate` through `relation`'s code columns.
     pub fn compile(predicate: &Predicate, relation: &Relation) -> Self {
         let mut terms = Vec::with_capacity(predicate.len());
         let mut unsatisfiable = false;
@@ -329,10 +384,11 @@ impl CompiledPredicate {
         // Run-skipping pays once runs are long on average; degenerate
         // columns (every run a row or two) fall back to the dense loop.
         if drive.len() >= RUN_SKIP_MIN_AVG * drive.run_count() {
+            let run_starts = drive.run_starts();
             let mut run = drive.run_at(start);
             let mut lo = start;
             while lo < end {
-                let hi = drive.run_starts[run + 1].min(end);
+                let hi = run_starts[run + 1].min(end);
                 if drive.codes[lo] != *target {
                     runs_skipped += 1;
                 } else if rest.is_empty() {
@@ -411,13 +467,13 @@ fn emit_tested_ranges<F: FnMut(usize, usize)>(
 /// *distinct value* — once per [`CodeColumn`], not once per scan — and each
 /// row's `f64` is a pair of array reads. A non-numeric, non-null value that
 /// some row carries errors up front (no silent per-row `unwrap_or`); one that
-/// only lingers in a patched dictionary after its rows were deleted is never
-/// read and is not an error. `Null` contributes `0.0`, matching the serial
+/// only lingers in a dictionary after its rows were deleted is never read
+/// and is not an error. `Null` contributes `0.0`, matching the serial
 /// scan's historical behaviour.
 #[derive(Debug, Clone)]
 pub struct MeasureColumn {
     column: Arc<CodeColumn>,
-    /// `f64` per dictionary code, shared with the column's cache.
+    /// `f64` per dictionary code, derived once per column.
     by_code: Arc<[f64]>,
 }
 
@@ -696,58 +752,6 @@ pub(crate) fn scan_partial(
     )
 }
 
-/// The lazily built per-attribute [`CodeColumn`] cache of one relation
-/// snapshot. Interior-mutable (scans take `&Relation`); the lock is taken
-/// once per column resolution, never per row — kernels run on the `Arc`ed
-/// columns. A fresh relation (build, clone, shard) starts cold; in-place
-/// mutation resets it; [`Relation::apply`](crate::ingest) seeds the
-/// successor's cache by patching instead of rebuilding.
-#[derive(Debug, Default)]
-pub(crate) struct ScanCache {
-    columns: Mutex<Vec<Option<Arc<CodeColumn>>>>,
-}
-
-impl ScanCache {
-    /// Drop every cached column (after an in-place mutation).
-    pub(crate) fn invalidate(&mut self) {
-        self.columns.get_mut().expect("scan cache lock").clear();
-    }
-
-    /// The cached column at `index`, building it with `build` on first use.
-    /// The lock is held across the build so concurrent resolvers of the
-    /// same column do the work once.
-    pub(crate) fn get_or_build(
-        &self,
-        index: usize,
-        arity: usize,
-        build: impl FnOnce() -> CodeColumn,
-    ) -> Arc<CodeColumn> {
-        let mut columns = self.columns.lock().expect("scan cache lock");
-        if columns.len() < arity {
-            columns.resize(arity, None);
-        }
-        columns[index]
-            .get_or_insert_with(|| Arc::new(build()))
-            .clone()
-    }
-
-    /// Install a pre-built column (the ingest patch path).
-    pub(crate) fn install(&mut self, index: usize, arity: usize, column: CodeColumn) {
-        let columns = self.columns.get_mut().expect("scan cache lock");
-        if columns.len() < arity {
-            columns.resize(arity, None);
-        }
-        columns[index] = Some(Arc::new(column));
-    }
-
-    /// Snapshot of the cached columns (patch source), `None` where cold.
-    pub(crate) fn cached(&self, arity: usize) -> Vec<Option<Arc<CodeColumn>>> {
-        let mut columns = self.columns.lock().expect("scan cache lock").clone();
-        columns.resize(arity, None);
-        columns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,7 +796,7 @@ mod tests {
         assert_eq!(col.run_count(), 7);
         for row in 0..col.len() {
             let run = col.run_at(row);
-            assert!(col.run_starts[run] <= row && row < col.run_starts[run + 1]);
+            assert!(col.run_starts()[run] <= row && row < col.run_starts()[run + 1]);
             assert_eq!(
                 col.dict().value(col.code(row)),
                 r.value(row, AttrId(0)),

@@ -134,7 +134,7 @@ pub fn decode_partition(bytes: &[u8]) -> Result<ShippedPartition, CodecError> {
         code_columns.push(CodeColumn::from_parts(dict, codes));
     }
     r.finish()?;
-    let relation = Arc::new(Relation::from_shipped_parts(
+    let relation = Arc::new(Relation::from_code_columns(
         schema,
         ident,
         version,

@@ -44,7 +44,7 @@
 //! [`View::compute`] takes an [`Exec`] context that says *where* the scan
 //! runs — inline, on the in-process shard pool, over an exact shard count,
 //! or across worker processes — and every variant is **bit-exact** `==` the
-//! serial scan: every shard (or worker) reads the same cached code columns
+//! serial scan: every shard (or worker) reads the same code columns
 //! (the stable-code contract — a code means the same value in every shard),
 //! each accumulates its matching rows in row order, and the partial group
 //! tables merge in fixed shard order. Shards whose zone maps prove no row
@@ -129,7 +129,7 @@ pub struct View {
     predicate: Predicate,
     group_by: Vec<AttrId>,
     measure: AttrId,
-    /// The cached code column (dictionary) of each group-by attribute.
+    /// The code column (dictionary) of each group-by attribute.
     key_cols: Vec<Arc<CodeColumn>>,
     /// Every group's code tuple, row-major, groups in key order.
     codes: Vec<u32>,
@@ -526,7 +526,7 @@ impl View {
         &self.aggs
     }
 
-    /// The cached code column of each group-by attribute: the dictionaries
+    /// The code column of each group-by attribute: the dictionaries
     /// [`View::group_codes`] decode through.
     pub fn key_columns(&self) -> &[Arc<CodeColumn>] {
         &self.key_cols
