@@ -4,8 +4,8 @@
 //! The runtime experiment only depends on the hierarchy shape: 4 single-level
 //! hierarchies — county (100 values), party (6), week (53), gender (3) — and
 //! ~179K rows. This module generates a relation with exactly those
-//! cardinalities (scaled down by default so tests stay fast; the benchmark
-//! harness uses the full scale).
+//! cardinalities ([`AbsenteeConfig::paper_scale`], which the Figure 10 test
+//! drills).
 
 use crate::rng::SimRng;
 use reptile_relational::{Relation, Schema, Value};
@@ -37,18 +37,6 @@ impl AbsenteeConfig {
             weeks: 53,
             genders: 3,
             rows: 179_000,
-            seed: 20,
-        }
-    }
-
-    /// A reduced shape used by unit/integration tests.
-    pub fn test_scale() -> Self {
-        AbsenteeConfig {
-            counties: 12,
-            parties: 4,
-            weeks: 8,
-            genders: 3,
-            rows: 4_000,
             seed: 20,
         }
     }
@@ -99,9 +87,21 @@ pub fn generate(config: AbsenteeConfig) -> (Arc<Schema>, Arc<Relation>) {
 mod tests {
     use super::*;
 
+    /// A reduced shape, so the test stays fast.
+    fn test_scale() -> AbsenteeConfig {
+        AbsenteeConfig {
+            counties: 12,
+            parties: 4,
+            weeks: 8,
+            genders: 3,
+            rows: 4_000,
+            seed: 20,
+        }
+    }
+
     #[test]
     fn cardinalities_match_configuration() {
-        let config = AbsenteeConfig::test_scale();
+        let config = test_scale();
         let (schema, rel) = generate(config);
         assert_eq!(schema.hierarchies().len(), 4);
         assert!(rel.len() > config.rows / 2 && rel.len() < config.rows * 2);

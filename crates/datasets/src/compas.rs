@@ -44,20 +44,6 @@ impl CompasConfig {
             seed: 21,
         }
     }
-
-    /// Reduced shape for tests.
-    pub fn test_scale() -> Self {
-        CompasConfig {
-            years: 2,
-            months: 4,
-            days: 7,
-            age_ranges: 3,
-            races: 4,
-            degrees: 3,
-            rows: 3_000,
-            seed: 21,
-        }
-    }
 }
 
 /// Generate the simulated COMPAS relation. Schema: hierarchy
@@ -106,9 +92,23 @@ mod tests {
     use super::*;
     use reptile_relational::hierarchy::validate_hierarchy;
 
+    /// A reduced shape, so the test stays fast.
+    fn test_scale() -> CompasConfig {
+        CompasConfig {
+            years: 2,
+            months: 4,
+            days: 7,
+            age_ranges: 3,
+            races: 4,
+            degrees: 3,
+            rows: 3_000,
+            seed: 21,
+        }
+    }
+
     #[test]
     fn generated_relation_matches_shape_and_fds() {
-        let config = CompasConfig::test_scale();
+        let config = test_scale();
         let (schema, rel) = generate(config);
         assert_eq!(rel.len(), config.rows);
         // the time hierarchy satisfies day -> month -> year

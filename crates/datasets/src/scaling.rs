@@ -10,11 +10,10 @@
 //! districts → villages, days × geography), which is why the
 //! partition/merge decomposition pays off.
 //!
-//! Used by `benches/sharding.rs` (speedup vs the serial encoded path, with
-//! the CI smoke gate) and available to examples via `--shards N`.
+//! Used by the quickstart example's `--shards N` scaling run.
 
 use crate::rng::SimRng;
-use reptile_relational::{AggregateKind, GroupKey, Predicate, Relation, Schema, Value, View};
+use reptile_relational::{GroupKey, Predicate, Relation, Schema, Value, View};
 use std::sync::Arc;
 
 /// Shape of the scaling panel.
@@ -42,18 +41,6 @@ impl Default for ScalingConfig {
 }
 
 impl ScalingConfig {
-    /// A scaled-down shape for smoke runs — still wide enough that one
-    /// scatter's work comfortably dominates the shard pool's per-scatter
-    /// dispatch latency, so the CI gate measures scaling, not wake-up cost.
-    pub fn smoke() -> Self {
-        ScalingConfig {
-            days: 5,
-            districts: 24,
-            villages_per_district: 48,
-            seed: 7,
-        }
-    }
-
     /// Total rows of the panel (one per day × village).
     pub fn rows(&self) -> usize {
         self.days * self.districts * self.villages_per_district
@@ -157,16 +144,14 @@ pub fn scaling_panel(config: ScalingConfig) -> ScalingWorkload {
     }
 }
 
-/// The statistic the scaling complaint is posed over.
-pub const SCALING_STATISTIC: AggregateKind = AggregateKind::Mean;
-
 /// Shape of the *deep* scaling panel: a 3-level geography with **mixed
 /// fanouts** (regions own different district counts, districts own
 /// different village counts) crossed with a day hierarchy, carrying **two
 /// measures**. The deeper tree pushes the per-hierarchy `COF` tables and
 /// their shard merges beyond what the two-level panel exercises, and the
 /// second measure gives the view layer two distinct aggregation columns
-/// over one relation — the workload behind `benches/views.rs`.
+/// over one relation — the deep-panel view battery in
+/// `tests/property_tests.rs`.
 #[derive(Debug, Clone, Copy)]
 pub struct DeepScalingConfig {
     /// Number of days in the time hierarchy.
@@ -187,23 +172,8 @@ pub struct DeepScalingConfig {
     pub seed: u64,
 }
 
-impl Default for DeepScalingConfig {
-    fn default() -> Self {
-        DeepScalingConfig {
-            days: 10,
-            regions: 12,
-            districts_base: 10,
-            districts_spread: 9,
-            villages_base: 30,
-            villages_spread: 21,
-            seed: 11,
-        }
-    }
-}
-
 impl DeepScalingConfig {
-    /// A scaled-down shape for smoke runs: still deep (3 geo levels) and
-    /// mixed-fanout, small enough for a CI gate iteration.
+    /// A small shape, still deep (3 geo levels) and mixed-fanout.
     pub fn smoke() -> Self {
         DeepScalingConfig {
             days: 6,
@@ -440,10 +410,16 @@ mod tests {
 
     #[test]
     fn corruption_is_attributable_to_the_village() {
-        let workload = scaling_panel(ScalingConfig::smoke());
+        let config = ScalingConfig {
+            days: 5,
+            districts: 24,
+            villages_per_district: 48,
+            seed: 7,
+        };
+        let workload = scaling_panel(config);
         let village_attr = workload.schema.attr("village").unwrap();
         let day_attr = workload.schema.attr("day").unwrap();
-        let bad_day = ScalingConfig::smoke().days as i64 - 1;
+        let bad_day = config.days as i64 - 1;
         let mut bad = f64::INFINITY;
         let mut rest = f64::INFINITY;
         for row in 0..workload.relation.len() {

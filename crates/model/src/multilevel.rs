@@ -106,16 +106,7 @@ pub struct MultilevelModel {
 impl MultilevelModel {
     /// Fit with the default (factorised) backend.
     pub fn fit(design: &TrainingDesign, config: MultilevelConfig) -> Result<Self> {
-        Self::fit_with_backend(design, config, TrainingBackend::Factorized)
-    }
-
-    /// Fit with an explicit backend.
-    pub fn fit_with_backend(
-        design: &TrainingDesign,
-        config: MultilevelConfig,
-        backend: TrainingBackend,
-    ) -> Result<Self> {
-        Self::fit_exec(design, config, backend, &Exec::Serial)
+        Self::fit_exec(design, config, TrainingBackend::Factorized, &Exec::Serial)
     }
 
     /// Fit under an execution context. On the
@@ -124,8 +115,8 @@ impl MultilevelModel {
     /// the OLS residual) fan out over [`Exec::parallelism`]'s shards. Every
     /// sharded step runs the identical per-entry/per-cluster serial
     /// floating-point sequence and the EM loop itself is serial, so the
-    /// fitted model is **bit-identical** to
-    /// [`MultilevelModel::fit_with_backend`] — the shard-merge property
+    /// fitted model is **bit-identical** to the fit under
+    /// [`Exec::Serial`] — the shard-merge property
     /// tests assert `==` on `beta`, `sigma2`, `sigma_b`, `b` and the
     /// predictions. The fit always runs on the calling process:
     /// [`Exec::Remote`] fits at its coordinator-side budget, because the
@@ -523,11 +514,16 @@ mod tests {
             iterations: 10,
             ..Default::default()
         };
-        let fact = MultilevelModel::fit_with_backend(&design, config, TrainingBackend::Factorized)
-            .unwrap();
-        let dense =
-            MultilevelModel::fit_with_backend(&design, config, TrainingBackend::Materialized)
+        let fact =
+            MultilevelModel::fit_exec(&design, config, TrainingBackend::Factorized, &Exec::Serial)
                 .unwrap();
+        let dense = MultilevelModel::fit_exec(
+            &design,
+            config,
+            TrainingBackend::Materialized,
+            &Exec::Serial,
+        )
+        .unwrap();
         for (a, b) in fact.beta.iter().zip(&dense.beta) {
             assert!((a - b).abs() < 1e-6, "beta mismatch: {a} vs {b}");
         }
@@ -551,9 +547,13 @@ mod tests {
         let serial_design = DesignBuilder::new(&view, &schema, AggregateKind::Mean)
             .build()
             .unwrap();
-        let serial =
-            MultilevelModel::fit_with_backend(&serial_design, config, TrainingBackend::Factorized)
-                .unwrap();
+        let serial = MultilevelModel::fit_exec(
+            &serial_design,
+            config,
+            TrainingBackend::Factorized,
+            &Exec::Serial,
+        )
+        .unwrap();
         // Shard counts below, at, and above the cluster/thread sweet spot —
         // all must reproduce the serial fit exactly (==, not tolerance).
         for threads in [2usize, 3, 64] {
@@ -696,7 +696,8 @@ mod tests {
         BACKENDS
             .iter()
             .map(|&backend| {
-                let new = MultilevelModel::fit_with_backend(design, config, backend).unwrap();
+                let new =
+                    MultilevelModel::fit_exec(design, config, backend, &Exec::Serial).unwrap();
                 let old = crate::em_oracle::fit(design, config, backend).unwrap();
                 model_gap(&new, &old)
             })

@@ -647,8 +647,8 @@ impl StageSnapshot {
 }
 
 /// A plain, serializable copy of the whole registry: per-stage histograms,
-/// counters, and gauges. Serialization is the same hand-rolled JSON style as
-/// `reptile-bench` — no external dependencies.
+/// counters, and gauges. Serialization is hand-rolled JSON — no external
+/// dependencies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// One entry per [`Stage`], in [`Stage::ALL`] order.
@@ -702,10 +702,9 @@ impl MetricsSnapshot {
         &self.stages[stage.index()]
     }
 
-    /// The `"stages"` JSON object alone (embedded into `BENCH_*.json`):
-    /// `{"encode":{"count":..,"total_ns":..,"mean_ns":..,"min_ns":..,"max_ns":..},...}`.
-    pub fn stages_json(&self) -> String {
-        let mut out = String::from("{");
+    /// Full snapshot as a JSON object with `stages`, `counters`, `gauges`.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n  \"stages\": {");
         for (i, s) in self.stages.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -720,15 +719,7 @@ impl MetricsSnapshot {
                 s.max_ns
             ));
         }
-        out.push('}');
-        out
-    }
-
-    /// Full snapshot as a JSON object with `stages`, `counters`, `gauges`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"stages\": ");
-        out.push_str(&self.stages_json());
-        out.push_str(",\n  \"counters\": {");
+        out.push_str("},\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');

@@ -120,6 +120,7 @@ fn assert_identical(got: &WireRecommendation, want: &WireRecommendation) {
 /// connections, and the shutdown ledger conserves.
 #[test]
 fn pool_backed_serving_matches_serial_reference() {
+    let jobs_before = reptile_obs::counter_value(reptile_obs::Counter::PoolMayBlockJobs);
     let (rel, schema) = dataset();
     let engine = Arc::new(Reptile::new(rel.clone(), schema.clone()));
     let server = Server::bind(
@@ -175,6 +176,14 @@ fn pool_backed_serving_matches_serial_reference() {
     );
     assert!(ledger.conserved(), "{ledger:?}");
     assert_eq!(ledger.protocol_errors, 0);
+    // Every admitted request that did not join an in-flight one crossed the
+    // shard pool's queue as one may-block job (other tests in this binary
+    // dispatch too, so this is a lower bound).
+    let jobs = reptile_obs::counter_value(reptile_obs::Counter::PoolMayBlockJobs) - jobs_before;
+    assert!(
+        jobs >= ledger.admitted - ledger.dedup_joined,
+        "{jobs} pool jobs for {ledger:?}"
+    );
     // No assertion on `dedup_joined`: whether four free-running clients ever
     // collide on an in-flight key is a race. In-flight joining is asserted
     // deterministically below, with `sleep:` faults holding the leader.

@@ -71,8 +71,8 @@ impl CacheStats {
 /// the view cache, the model cache, and their counter-wise total. Returned
 /// by [`SharedCaches::stats_snapshot`] (and surfaced from `Session` /
 /// `BatchServer`), so one call answers "what did the caches do". Plain
-/// `Copy` data — serializable with [`CachesSnapshot::to_json`] in the same
-/// hand-rolled style as `reptile-bench`.
+/// `Copy` data — serializable with [`CachesSnapshot::to_json`] as
+/// hand-rolled JSON.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CachesSnapshot {
     /// View-cache counters.

@@ -115,6 +115,7 @@ fn ingest_epoch(rel: &Arc<Relation>) -> Arc<Relation> {
 fn remote_views_equal_sharded_equal_serial_across_epochs() {
     let fallbacks_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks);
     let rpcs_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteRpcs);
+    let bytes_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteBytesShipped);
     let (_workers, remote) = spawn_worker_set(2);
     let mut rel = sample_relation();
     let schema = rel.schema().clone();
@@ -162,6 +163,10 @@ fn remote_views_equal_sharded_equal_serial_across_epochs() {
         "a remote fallback means the wire path broke and was silently papered over"
     );
     assert!(reptile_obs::counter_value(reptile_obs::Counter::RemoteRpcs) > rpcs_before);
+    assert!(
+        reptile_obs::counter_value(reptile_obs::Counter::RemoteBytesShipped) > bytes_before,
+        "the remote views must have crossed the wire"
+    );
 }
 
 #[test]
@@ -364,6 +369,7 @@ fn remote_fit_is_bit_identical_to_serial_across_epochs() {
     let mut execs: Vec<(String, Exec)> = (1..=7)
         .map(|n| (format!("Shards({n})"), Exec::Shards(n)))
         .collect();
+    execs.push(("Pool(4)".to_string(), Exec::pool(4)));
     for n in 1..=3 {
         let loopback = Remote::new(Arc::new(LoopbackWorkers::undelayed(n)));
         execs.push((format!("{n} loopback workers"), Exec::Remote(loopback)));

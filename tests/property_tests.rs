@@ -352,8 +352,7 @@ fn random_path(rng: &mut Rng, name: &str, fanouts: &[usize]) -> Vec<Value> {
 /// Exact (`==`, not tolerance) equality of a delta-maintained encoded state
 /// and a cold rebuild, compared in *value* space via the shared
 /// [`encoded::semantic_diff`] contract (one source of truth, also used by
-/// the in-crate delta tests and the streaming benchmark's correctness
-/// gate), plus the row-count identity.
+/// the in-crate delta tests), plus the row-count identity.
 fn assert_delta_state_equals_cold(
     delta_fact: &EncodedFactorization,
     delta_aggs: &EncodedAggregates,
@@ -474,6 +473,54 @@ fn apply_delta_then_queries_equal_cold_rebuild_exactly() {
                 );
             }
         }
+    }
+}
+
+/// The same property driven by relation ingest instead of path sets: the
+/// covid panel replayed as daily batches, with periodic corrections that
+/// delete a past row and re-insert it. `PathCountIndex` turns each batch
+/// into path deltas, `apply_delta` maintains the encoded state, and after
+/// every batch the state equals a cold rebuild of the snapshot.
+#[test]
+fn covid_stream_delta_state_equals_cold_rebuild() {
+    use reptile_datasets::covid::{CovidCaseStudy, CovidConfig};
+    use reptile_datasets::{CovidStream, StreamConfig};
+    use reptile_factor::PathCountIndex;
+    use reptile_relational::Relation;
+
+    let cs = CovidCaseStudy::us(CovidConfig {
+        locations: 6,
+        sub_locations: 3,
+        days: 16,
+        seed: 42,
+    });
+    let stream = CovidStream::replay(
+        &cs,
+        StreamConfig {
+            warmup_days: 6,
+            correction_every: 3,
+        },
+    );
+    let schema = &cs.schema;
+    let levels = [
+        (schema.hierarchy("geo").unwrap(), 2),
+        (schema.hierarchy("time").unwrap(), 1),
+    ];
+    let cold = |relation: &Relation| {
+        let fact = EncodedFactorization::encode(&Factorization::from_relation(relation, &levels));
+        let aggs = EncodedAggregates::compute(&fact, &Exec::Serial);
+        (fact, aggs)
+    };
+    let (mut fact, mut aggs) = cold(&stream.warm);
+    let mut counts = PathCountIndex::build(&stream.warm, schema.hierarchies());
+    let mut relation = (*stream.warm).clone();
+    assert!(stream.batches.iter().any(|b| !b.batch.deletes().is_empty()));
+    for sb in &stream.batches {
+        let delta = counts.apply(&sb.batch, schema.hierarchies());
+        (fact, aggs) = aggs.apply_delta(&fact, &delta, &Exec::Serial);
+        relation = relation.apply(&sb.batch).unwrap();
+        let (cold_fact, cold_aggs) = cold(&relation);
+        assert_delta_state_equals_cold(&fact, &aggs, &cold_fact, &cold_aggs);
     }
 }
 
@@ -1488,12 +1535,91 @@ fn group_kernel_equals_value_keyed_oracle_in_every_context() {
     );
 }
 
+/// The view battery on the deep mixed-fanout panel (a three-level geography
+/// whose regions and districts own different numbers of children, two
+/// measures): every shape a drill-down scans — the full-depth group-by, a
+/// shallow one, a restricted drill, an unsatisfiable predicate, and the
+/// second measure — equals the `Value` scan serially, and every
+/// `Exec::Shards(n)` equals the serial view, including shard counts at and
+/// past the group count (empty shards merge as identities). The drill-down
+/// the engine issues is `==` under a pool as well.
+#[test]
+fn deep_panel_views_are_exact_under_every_shard_count() {
+    use reptile_datasets::scaling::{deep_scaling_panel, DeepScalingConfig};
+    use reptile_relational::{Predicate, View};
+
+    let workload = deep_scaling_panel(DeepScalingConfig::smoke());
+    let schema = &workload.schema;
+    let [region, district, day, m, m2] =
+        ["region", "district", "day", "m", "m2"].map(|n| schema.attr(n).unwrap());
+    let complained = Predicate::eq(region, workload.complaint_key.value(0).clone());
+    let shapes = [
+        (
+            "full depth",
+            Predicate::all(),
+            workload.training_view.group_by().to_vec(),
+            m,
+        ),
+        ("shallow", Predicate::all(), vec![region, day], m),
+        ("restricted drill", complained, vec![region, district], m),
+        (
+            "unsatisfiable",
+            Predicate::eq(region, Value::str("R-absent")),
+            vec![region, district],
+            m,
+        ),
+        (
+            "second measure",
+            Predicate::all(),
+            vec![region, district, day],
+            m2,
+        ),
+    ];
+    for (label, predicate, group_by, measure) in shapes {
+        let compute = |exec: &Exec| {
+            View::compute(
+                workload.relation.clone(),
+                predicate.clone(),
+                group_by.clone(),
+                measure,
+                exec,
+            )
+            .unwrap()
+        };
+        let serial = compute(&Exec::Serial);
+        assert_view_equals_value_scan(&serial, label);
+        for shards in [2, 3, 7, serial.len(), serial.len() + 5] {
+            assert_eq!(
+                serial,
+                compute(&Exec::Shards(shards)),
+                "{label}: {shards} shards"
+            );
+        }
+    }
+    let geo = schema.hierarchy("geo").unwrap();
+    let serial = workload
+        .complaint_view
+        .drill_down_parallel(geo, &Exec::Serial)
+        .unwrap();
+    for threads in [2, 4] {
+        let pooled = workload
+            .complaint_view
+            .drill_down_parallel(geo, &Exec::pool(threads))
+            .unwrap();
+        assert_eq!(
+            serial.view, pooled.view,
+            "drill-down on a {threads}-thread pool"
+        );
+    }
+}
+
 /// Observability has no observable effect on results: with the stage timers
 /// fully armed (the process-global flag *and* the per-engine `ObsConfig`),
-/// every recommendation and every view — serial and sharded alike — is
-/// bit-identical (`==`, not tolerance) to the instrumentation-off run. The
+/// every recommendation and every view — serial, sharded and remote alike —
+/// is bit-identical (`==`, not tolerance) to the instrumentation-off run. The
 /// timers read clocks and bump counters, but must never touch a number on
-/// the data path.
+/// the data path; that they did record (solve, scan and remote-merge spans)
+/// keeps the comparison from being vacuous.
 #[test]
 fn observability_never_changes_results() {
     use reptile::{Exec, MetricsSnapshot, ObsConfig, Reptile, ReptileConfig};
@@ -1590,35 +1716,42 @@ fn observability_never_changes_results() {
         }
     }
 
-    // Views too, serial and sharded: the scan/merge spans wrap the exact
-    // same group-by, so the computed views must be `==`.
-    let view_with = |obs_on: bool, shards: Option<usize>| {
+    // Views too, serial, sharded and remote: the scan/merge spans wrap the
+    // exact same group-by, so the computed views must be `==`.
+    let view_with = |obs_on: bool, exec: &Exec| {
         reptile_obs::set_enabled(obs_on);
-        let computed = match shards {
-            None => View::compute(
-                rel.clone(),
-                Predicate::all(),
-                group_by.clone(),
-                measure,
-                &reptile_relational::Exec::Serial,
-            ),
-            Some(n) => View::compute(
-                rel.clone(),
-                Predicate::all(),
-                group_by.clone(),
-                measure,
-                &reptile_relational::Exec::Shards(n),
-            ),
-        }
+        let computed = View::compute(
+            rel.clone(),
+            Predicate::all(),
+            group_by.clone(),
+            measure,
+            exec,
+        )
         .unwrap();
         reptile_obs::set_enabled(false);
         computed
     };
-    for shards in [None, Some(3), Some(7)] {
+    let fleet = reptile_relational::Remote::new(Arc::new(
+        reptile_wire::testing::LoopbackWorkers::undelayed(2),
+    ));
+    for exec in [
+        Exec::Serial,
+        Exec::Shards(3),
+        Exec::Shards(7),
+        Exec::Remote(fleet),
+    ] {
         assert_eq!(
-            view_with(false, shards),
-            view_with(true, shards),
-            "view deviated with observability enabled at {shards:?} shards"
+            view_with(false, &exec),
+            view_with(true, &exec),
+            "view deviated with observability enabled under {exec:?}"
+        );
+    }
+    // ... and the profiled views recorded their scan and remote-merge spans.
+    let snapshot = MetricsSnapshot::capture();
+    for stage in [reptile_obs::Stage::Scan, reptile_obs::Stage::RemoteMerge] {
+        assert!(
+            snapshot.stage(stage).count > 0,
+            "profiled views recorded no {stage:?} spans"
         );
     }
 }
