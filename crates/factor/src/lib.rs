@@ -40,13 +40,10 @@
 //!   bit-identical. The pool itself lives in
 //!   [`reptile_relational::parallel`] (so the relational layer's
 //!   [`View::compute`](reptile_relational::View::compute) can share it) and
-//!   is re-exported here unchanged. *Where* work runs — inline, pool,
-//!   exact shard count, or worker processes — is one [`Exec`] argument on
-//!   every compute surface;
-//! * [`payload`] — the byte codecs that ship encoded factors and aggregate
-//!   partials between coordinator and worker processes,
-//!   content-fingerprinted so stale remote state is impossible by
-//!   construction;
+//!   is re-exported here unchanged. *Where* work runs — inline, pool or
+//!   exact shard count — is one [`Exec`] argument on every compute surface;
+//!   factor work never crosses the wire, so an [`Exec::Remote`] runs it in
+//!   process at its local budget;
 //! * [`encoded::PathDelta`] / [`EncodedAggregates::apply_delta`] — streaming
 //!   delta maintenance of the encoded tables: stable-code dictionary
 //!   extension, spliced `Arc`-shared code columns, patched descendant
@@ -61,7 +58,6 @@ pub mod factorization;
 pub mod feature;
 pub mod lmfao;
 pub use reptile_relational::parallel;
-pub mod payload;
 
 pub use cluster::ClusterPartition;
 pub use drilldown::{

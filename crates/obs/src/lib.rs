@@ -192,14 +192,17 @@ pub enum Counter {
     /// Malformed frames / undecodable requests answered with a typed protocol
     /// error.
     ServeProtocolErrors,
-    /// Bytes of encoded payload shipped to remote workers (partitions, layer
-    /// state, and scatter plans — request side of the wire).
+    /// Bytes of frames sent to remote workers (relation partitions and view
+    /// plans — the request side of the wire).
     RemoteBytesShipped,
-    /// Scatter RPCs issued to remote workers (one per worker per scatter that
-    /// was not pruned away).
+    /// Frames sent to remote workers: one per worker per partition ship,
+    /// ping or shutdown, and one per worker per scatter that was not pruned
+    /// away.
     RemoteRpcs,
-    /// Remote scatters that fell back to local execution after a transport
-    /// error (distributed correctness tests gate this at zero).
+    /// Remote scatters that fell back to local execution. Nothing bumps it
+    /// any more: a remote failure is a typed error, and hierarchy
+    /// aggregates run on the coordinator under every execution context, so
+    /// it reads 0. It stays while the benchmark reports it.
     RemoteFallbacks,
     /// Remote partials folded into the coordinator merge while at least one
     /// later worker reply was still in flight — the overlap the streamed

@@ -13,15 +13,15 @@
 //!
 //! # The plan/transport split
 //!
-//! [`RemoteTransport`] is deliberately byte-oriented: the coordinator-side
-//! operators (view scans in this crate, hierarchy aggregates in
-//! `reptile-factor`) build *plans* and merge *partials*; the transport only
-//! ships opaque payloads and is implemented once, by `reptile-wire`'s
-//! `WorkerSet`, over `std::net`. Workers hold relation partitions and
-//! hierarchy factors, so only view scans and hierarchy aggregates go
-//! remote. Everything built from a training design — grams, cluster grams,
-//! the whole EM fit, predictions — runs on the coordinator at
-//! [`Exec::parallelism`], the local budget every variant carries.
+//! [`RemoteTransport`] is deliberately byte-oriented: the view scan builds
+//! a *plan* and merges *partials*; the transport only ships opaque payloads
+//! and is implemented once, by `reptile-wire`'s `WorkerSet`, over
+//! `std::net`. One rule says what runs remotely: workers hold relation
+//! partitions and nothing else, so relation scans scatter, and everything
+//! built from a view — hierarchy aggregates, grams, the whole EM fit,
+//! predictions — runs on the coordinator at [`Exec::parallelism`], the local
+//! budget every variant carries. A remote failure is a typed
+//! [`RelationalError::Remote`](crate::error::RelationalError::Remote).
 
 use crate::parallel::Parallelism;
 use crate::relation::Relation;
@@ -30,22 +30,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// State domain tag for shipped `EncodedFactor`s
-/// (`reptile-factor`'s hierarchy aggregate inputs).
-pub const DOMAIN_FACTOR: u8 = 1;
-
 /// Scatter op: code-keyed partial view table over a shipped partition
-/// (plan/partial codecs in [`crate::ship`]).
+/// (plan/partial codecs in [`crate::ship`]). The only op; `2` (hierarchy
+/// aggregates over a leaf range) is retired.
 pub const OP_VIEW_SCAN: u8 = 1;
 
-/// Scatter op: `EncodedHierarchyAggregates` partial over a leaf range
-/// (plan/partial codecs in `reptile-factor`).
-pub const OP_AGG_RANGE: u8 = 2;
-
 /// A remote execution failure, surfaced to callers as
-/// [`RelationalError::Remote`](crate::error::RelationalError::Remote) (views)
-/// or absorbed by a local fallback plus the `remote_fallbacks` counter
-/// (infallible aggregate signatures).
+/// [`RelationalError::Remote`](crate::error::RelationalError::Remote).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteError {
     /// The transport failed (connection refused, broken pipe, short read).
@@ -77,24 +68,15 @@ pub trait RemoteTransport: Send + Sync {
     /// requests and return exactly this many replies.
     fn workers(&self) -> usize;
 
-    /// Make sure every worker holds its partition of `relation`'s current
-    /// snapshot (idempotent, keyed by lineage ident + version: a post-ingest
-    /// version bump re-ships). Returns each worker's contiguous row range
-    /// `(start, len)` in worker order — ordered and disjoint, covering
-    /// `0..relation.len()`, so worker partials replay-merge exactly like
-    /// in-process shard partials.
+    /// Make sure every worker holds its partition of `relation`'s snapshot.
+    /// Workers hold one partition per lineage ident, so this is idempotent
+    /// per `(ident, version)` and re-ships whenever another version of the
+    /// lineage is asked for, newer or older. Returns each worker's
+    /// contiguous row range `(start, len)` in worker order — ordered and
+    /// disjoint, covering `0..relation.len()`, so worker partials
+    /// replay-merge exactly like in-process shard partials.
     fn ensure_relation(&self, relation: &Arc<Relation>)
         -> Result<Vec<(usize, usize)>, RemoteError>;
-
-    /// Make sure every worker holds the opaque state blob identified by
-    /// `(domain, key)`, calling `encode` only when a worker is missing it
-    /// (idempotent; `key` is a content fingerprint chosen by the layer).
-    fn ensure_state(
-        &self,
-        domain: u8,
-        key: u64,
-        encode: &dyn Fn() -> Vec<u8>,
-    ) -> Result<(), RemoteError>;
 
     /// Fan one scatter out: `requests[i]` goes to worker `i` (`None` = this
     /// worker is pruned, no RPC), replies come back in worker order with
@@ -193,7 +175,8 @@ pub fn scatter_fold_in_order(
 }
 
 /// A connected worker fleet plus the local thread budget used for
-/// coordinator-side work (merges, gram products, model solves).
+/// coordinator-side work (merges, hierarchy aggregates, gram products,
+/// model solves).
 #[derive(Clone)]
 pub struct Remote {
     transport: Arc<dyn RemoteTransport>,
@@ -310,14 +293,6 @@ mod tests {
         ) -> Result<Vec<(usize, usize)>, RemoteError> {
             Ok(Parallelism::shard_ranges(relation.len(), 2))
         }
-        fn ensure_state(
-            &self,
-            _domain: u8,
-            _key: u64,
-            _encode: &dyn Fn() -> Vec<u8>,
-        ) -> Result<(), RemoteError> {
-            Ok(())
-        }
         fn scatter(
             &self,
             _op: u8,
@@ -339,14 +314,6 @@ mod tests {
             relation: &Arc<Relation>,
         ) -> Result<Vec<(usize, usize)>, RemoteError> {
             Ok(Parallelism::shard_ranges(relation.len(), 3))
-        }
-        fn ensure_state(
-            &self,
-            _domain: u8,
-            _key: u64,
-            _encode: &dyn Fn() -> Vec<u8>,
-        ) -> Result<(), RemoteError> {
-            Ok(())
         }
         fn scatter(
             &self,
@@ -407,14 +374,6 @@ mod tests {
             ) -> Result<Vec<(usize, usize)>, RemoteError> {
                 Ok(Parallelism::shard_ranges(relation.len(), 3))
             }
-            fn ensure_state(
-                &self,
-                _domain: u8,
-                _key: u64,
-                _encode: &dyn Fn() -> Vec<u8>,
-            ) -> Result<(), RemoteError> {
-                Ok(())
-            }
             fn scatter(
                 &self,
                 _op: u8,
@@ -453,14 +412,6 @@ mod tests {
                 relation: &Arc<Relation>,
             ) -> Result<Vec<(usize, usize)>, RemoteError> {
                 Ok(Parallelism::shard_ranges(relation.len(), 2))
-            }
-            fn ensure_state(
-                &self,
-                _domain: u8,
-                _key: u64,
-                _encode: &dyn Fn() -> Vec<u8>,
-            ) -> Result<(), RemoteError> {
-                Ok(())
             }
             fn scatter(
                 &self,

@@ -1132,15 +1132,6 @@ mod tests {
             Ok(ranges)
         }
 
-        fn ensure_state(
-            &self,
-            _domain: u8,
-            _key: u64,
-            _encode: &dyn Fn() -> Vec<u8>,
-        ) -> std::result::Result<(), RemoteError> {
-            Ok(())
-        }
-
         fn scatter(
             &self,
             op: u8,
@@ -1210,14 +1201,6 @@ mod tests {
                 _relation: &Arc<Relation>,
             ) -> std::result::Result<Vec<(usize, usize)>, RemoteError> {
                 Err(RemoteError::Transport("connection refused".into()))
-            }
-            fn ensure_state(
-                &self,
-                _domain: u8,
-                _key: u64,
-                _encode: &dyn Fn() -> Vec<u8>,
-            ) -> std::result::Result<(), RemoteError> {
-                Ok(())
             }
             fn scatter(
                 &self,

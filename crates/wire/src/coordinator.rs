@@ -1,20 +1,16 @@
 //! The coordinator-side transport: a [`WorkerSet`] of connected worker
 //! processes implementing [`RemoteTransport`].
 //!
-//! The set owns one TCP connection per worker and does three things:
+//! The set owns one TCP connection per worker and does two things:
 //!
 //! * **Ship-once relations** — [`RemoteTransport::ensure_relation`]
 //!   partitions the relation over the workers ([`Parallelism::shard_ranges`],
 //!   the *same* contiguous split as in-process sharding, which is what makes
 //!   remote partial merges bit-identical) and ships each worker its rows
-//!   with the full dictionaries. Shipping is idempotent per snapshot epoch
-//!   `(ident, version)`: the first caller pays the bytes, every later plan
-//!   against that epoch pays nothing.
-//! * **Ship-once state** — [`RemoteTransport::ensure_state`] ships keyed
-//!   blobs (encoded factors under their content fingerprint) to every
-//!   worker, once per key. Content addressing makes staleness impossible:
-//!   post-ingest state has a different fingerprint, so it ships under a new
-//!   key instead of silently colliding with the old.
+//!   with the full dictionaries. A worker holds one partition per lineage,
+//!   so the ledger records, per lineage ident, the version the workers
+//!   hold: a plan against that version ships nothing, and a plan against
+//!   any other version of the lineage (newer or older) re-ships it.
 //! * **Overlapped scatters** — [`RemoteTransport::scatter_streamed`]
 //!   writes every un-pruned worker's request before reading any reply
 //!   (one round trip), then consumes replies **as they arrive**: one
@@ -32,15 +28,15 @@
 //! [`Counter::RemoteBytesReceived`].
 
 use crate::frame::{
-    KIND_ERROR, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING, KIND_RESULT,
-    KIND_SCATTER, KIND_SHUTDOWN, RW,
+    KIND_ERROR, KIND_LOAD_PARTITION, KIND_OK, KIND_PING, KIND_RESULT, KIND_SCATTER, KIND_SHUTDOWN,
+    RW,
 };
 use crate::worker::decode_error_body;
 use reptile_obs::{add_counter, Counter};
 use reptile_relational::codec::{read_frame, write_frame, Frame, StreamError};
 use reptile_relational::ship;
 use reptile_relational::{Parallelism, Relation, RemoteError, RemoteTransport};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -100,8 +96,45 @@ fn expect_ok(frame: &Frame) -> Result<(), RemoteError> {
 /// in-process shards.
 type ShardRange = (usize, usize);
 
+/// The ship-once ledger: per lineage ident, the version the workers hold
+/// and each worker's range within it.
+#[derive(Default)]
+pub(crate) struct ShipLedger(Mutex<HashMap<u64, (u64, Vec<ShardRange>)>>);
+
+impl ShipLedger {
+    /// The ranges the workers hold for `relation`'s exact snapshot, if any.
+    pub(crate) fn ranges(&self, relation: &Relation) -> Option<Vec<ShardRange>> {
+        match self
+            .0
+            .lock()
+            .expect("ship ledger lock")
+            .get(&relation.ident())
+        {
+            Some((version, ranges)) if *version == relation.version() => Some(ranges.clone()),
+            _ => None,
+        }
+    }
+
+    /// Forget what the workers hold of `relation`'s lineage: a ship that
+    /// fails part-way leaves it unknown.
+    pub(crate) fn forget(&self, relation: &Relation) {
+        self.0
+            .lock()
+            .expect("ship ledger lock")
+            .remove(&relation.ident());
+    }
+
+    /// Record that the workers hold `relation`'s snapshot, split as `ranges`.
+    pub(crate) fn record(&self, relation: &Relation, ranges: &[ShardRange]) {
+        self.0
+            .lock()
+            .expect("ship ledger lock")
+            .insert(relation.ident(), (relation.version(), ranges.to_vec()));
+    }
+}
+
 /// A connected set of worker processes. Cloneable handles share the
-/// connections and the ship-once ledgers; typically wrapped in
+/// connections and the ship-once ledger; typically wrapped in
 /// [`Remote::new`](reptile_relational::Remote::new) and carried by
 /// [`Exec::Remote`](reptile_relational::Exec).
 pub struct WorkerSet {
@@ -112,10 +145,8 @@ pub struct WorkerSet {
     /// Serialises whole operations (a scatter, a ship, a ping): frames of
     /// two concurrent operations must never interleave on the streams.
     op_gate: Mutex<()>,
-    /// Worker ranges per shipped snapshot epoch `(ident, version)`.
-    shipped_relations: Mutex<HashMap<(u64, u64), Vec<ShardRange>>>,
-    /// State keys already on every worker.
-    shipped_state: Mutex<HashSet<(u8, u64)>>,
+    /// The snapshot each lineage's workers hold.
+    shipped: ShipLedger,
     next_id: AtomicU64,
 }
 
@@ -155,8 +186,7 @@ impl WorkerSet {
         let set = WorkerSet {
             conns,
             op_gate: Mutex::new(()),
-            shipped_relations: Mutex::new(HashMap::new()),
-            shipped_state: Mutex::new(HashSet::new()),
+            shipped: ShipLedger::default(),
             next_id: AtomicU64::new(1),
         };
         set.ping()?;
@@ -171,7 +201,7 @@ impl WorkerSet {
         self.conns[i].lock().expect("worker conn lock")
     }
 
-    /// Pipelined send-to-all / expect-OK-from-all (ping, shutdown, ships).
+    /// Pipelined send-to-all / expect-OK-from-all (ping, shutdown).
     fn broadcast(&self, make_frame: impl Fn(u64) -> Frame) -> Result<(), RemoteError> {
         let _gate = self.op_gate.lock().expect("op gate");
         let id = self.fresh_id();
@@ -223,58 +253,23 @@ impl RemoteTransport for WorkerSet {
         &self,
         relation: &Arc<Relation>,
     ) -> Result<Vec<(usize, usize)>, RemoteError> {
-        let epoch = (relation.ident(), relation.version());
-        if let Some(ranges) = self
-            .shipped_relations
-            .lock()
-            .expect("shipped relations lock")
-            .get(&epoch)
-        {
-            return Ok(ranges.clone());
+        if let Some(ranges) = self.shipped.ranges(relation) {
+            return Ok(ranges);
         }
         let ranges = Parallelism::shard_ranges(relation.len(), self.conns.len().max(1));
-        {
-            let _gate = self.op_gate.lock().expect("op gate");
-            let id = self.fresh_id();
-            for (i, &(start, len)) in ranges.iter().enumerate() {
-                let body = ship::encode_partition(relation, start, len);
-                self.conn(i)
-                    .send(&Frame::new(KIND_LOAD_PARTITION, id, body))?;
-            }
-            for i in 0..self.conns.len() {
-                expect_ok(&self.conn(i).recv(id)?)?;
-            }
+        let _gate = self.op_gate.lock().expect("op gate");
+        self.shipped.forget(relation);
+        let id = self.fresh_id();
+        for (i, &(start, len)) in ranges.iter().enumerate() {
+            let body = ship::encode_partition(relation, start, len);
+            self.conn(i)
+                .send(&Frame::new(KIND_LOAD_PARTITION, id, body))?;
         }
-        self.shipped_relations
-            .lock()
-            .expect("shipped relations lock")
-            .insert(epoch, ranges.clone());
+        for i in 0..self.conns.len() {
+            expect_ok(&self.conn(i).recv(id)?)?;
+        }
+        self.shipped.record(relation, &ranges);
         Ok(ranges)
-    }
-
-    fn ensure_state(
-        &self,
-        domain: u8,
-        key: u64,
-        encode: &dyn Fn() -> Vec<u8>,
-    ) -> Result<(), RemoteError> {
-        if self
-            .shipped_state
-            .lock()
-            .expect("shipped state lock")
-            .contains(&(domain, key))
-        {
-            return Ok(());
-        }
-        let mut body = vec![domain];
-        body.extend_from_slice(&key.to_be_bytes());
-        body.extend_from_slice(&encode());
-        self.broadcast(|id| Frame::new(KIND_LOAD_STATE, id, body.clone()))?;
-        self.shipped_state
-            .lock()
-            .expect("shipped state lock")
-            .insert((domain, key));
-        Ok(())
     }
 
     fn scatter(

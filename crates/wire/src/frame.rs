@@ -6,11 +6,12 @@
 //! "RP". The two differ only in the constants here: their own magic, so a
 //! worker and a front door cross-connected fail typed instead of confused,
 //! and a cap far above the front door's, because worker frames carry whole
-//! relation partitions and encoded factors.
+//! relation partitions.
 //!
-//! Bodies are byte payloads produced by the `ship`/`payload` codecs
-//! (relation partitions, encoded factors, scatter plans, aggregate
-//! partials) — this layer moves them; it never interprets them.
+//! Bodies are byte payloads produced by the
+//! [`ship`](reptile_relational::ship) codecs (relation partitions, view
+//! plans, view partials) — this layer moves them; it never interprets
+//! them.
 
 use reptile_relational::codec::{FrameSpec, MAX_WIRE_PAYLOAD};
 
@@ -18,8 +19,6 @@ use reptile_relational::codec::{FrameSpec, MAX_WIRE_PAYLOAD};
 pub const KIND_PING: u8 = 0;
 /// Load one relation partition (body: `ship::encode_partition` bytes).
 pub const KIND_LOAD_PARTITION: u8 = 1;
-/// Load one keyed state blob (body: domain byte + key + payload).
-pub const KIND_LOAD_STATE: u8 = 2;
 /// Execute one scatter operation (body: op byte + request payload).
 pub const KIND_SCATTER: u8 = 3;
 /// Ask the worker process to exit after acknowledging.
@@ -35,7 +34,9 @@ pub const KIND_ERROR: u8 = 0x82;
 /// [`MAX_WIRE_PAYLOAD`] (64 MiB) — the same number encode-time payload
 /// validation checks against. Kinds `0x83` (worker-built gram partials)
 /// and `0x84` (per-iteration E-step partials) are retired with the remote
-/// fit: a frame of either kind reads as `UnknownKind`.
+/// fit, and `0x02` (load a keyed state blob: encoded factors) with the
+/// remote hierarchy aggregates: a frame of any of them reads as
+/// `UnknownKind`.
 pub const RW: FrameSpec = FrameSpec {
     magic: *b"RW",
     version: 1,
@@ -43,7 +44,6 @@ pub const RW: FrameSpec = FrameSpec {
     kinds: &[
         KIND_PING,
         KIND_LOAD_PARTITION,
-        KIND_LOAD_STATE,
         KIND_SCATTER,
         KIND_SHUTDOWN,
         KIND_OK,

@@ -1,11 +1,12 @@
 //! Distributed execution for Reptile: worker processes and the
 //! coordinator-side transport.
 //!
-//! **Paper map** (Huang & Wu, *Reptile*, SIGMOD 2022): the factorised
-//! aggregate computation of Sections 4.2–4.3 distributes because every
-//! merged quantity is an integer-count sum and every shard's output is
-//! disjoint — the properties the in-process shard pool already exploits.
-//! This crate moves the same shard plan across process boundaries:
+//! **Paper map** (Huang & Wu, *Reptile*, SIGMOD 2022): the group-by views
+//! every drill-down reads are the only O(rows) work, and their
+//! scan distributes because shards are contiguous and their partials
+//! replay-merge in fixed order — the properties the in-process shard pool
+//! already exploits. This crate moves the same shard plan across process
+//! boundaries:
 //!
 //! * [`frame`] — the worker protocol's [`RW`](frame::RW) constant (magic
 //!   `"RW"`, version 1, 64 MiB cap) and kind table, over the framing,
@@ -13,12 +14,16 @@
 //!   serving front door shares ([`reptile_relational::codec`]);
 //! * [`worker`] — the worker process: holds relation partitions (full
 //!   dictionaries in code order — the shared-dictionary contract, so codes
-//!   mean the same thing on every process) and content-fingerprinted
-//!   encoded factors, and answers view-scan and aggregate-range scatters
-//!   with exact partials or typed errors;
-//! * [`coordinator`] — [`WorkerSet`], the [`RemoteTransport`] the
-//!   relational and factor layers scatter through: ship-once partitions
-//!   and state, pipelined scatter RPCs, bytes/RPC observability counters.
+//!   mean the same thing on every process) and nothing else, and answers
+//!   view-scan scatters with exact partials or typed errors;
+//! * [`coordinator`] — [`WorkerSet`], the [`RemoteTransport`] view scans
+//!   scatter through: ship-once partitions, pipelined scatter RPCs,
+//!   bytes/RPC observability counters.
+//!
+//! Only relation scans cross the wire. Everything built from a view —
+//! hierarchy aggregates, the training design, the EM fit — runs on the
+//! coordinator at the [`Exec::Remote`](reptile_relational::Exec)'s local
+//! budget.
 //!
 //! The correctness bar is the workspace's standing one: an
 //! [`Exec::Remote`](reptile_relational::Exec) computation must equal the

@@ -1,4 +1,4 @@
-//! Deterministic in-process transport for overlap tests and benches.
+//! Deterministic in-process transport for overlap and exactness tests.
 //!
 //! [`LoopbackWorkers`] drives real [`WorkerState`]s (the same handlers a
 //! worker process runs) with **injectable per-worker reply delays** and a
@@ -10,34 +10,29 @@
 //! ones: worker 0's partial then folds while the others are still
 //! outstanding. (Descending delays would buffer everything until the
 //! slowest first worker lands and count zero overlaps.) This is what the
-//! exactness property tests and the distributed bench use to
-//! assert a non-zero `remote_overlapped_merges` without racing on real
-//! network timing.
+//! exactness tests use to assert a non-zero `remote_overlapped_merges`
+//! without racing on real network timing.
 //!
 //! This is production-adjacent test plumbing, not a toy: partials come
 //! from the real worker handlers, so a merged result must still be
 //! bit-identical to serial.
 
-use crate::frame::{KIND_ERROR, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_RESULT, KIND_SCATTER};
+use crate::coordinator::ShipLedger;
+use crate::frame::{KIND_ERROR, KIND_LOAD_PARTITION, KIND_RESULT, KIND_SCATTER};
 use crate::worker::{decode_error_body, WorkerState};
 use reptile_obs::{add_counter, Counter};
 use reptile_relational::codec::Frame;
 use reptile_relational::ship;
 use reptile_relational::{Parallelism, Relation, RemoteError, RemoteTransport};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
-
-/// Shard ranges already shipped, keyed by relation `(ident, version)`.
-type ShippedRelations = HashMap<(u64, u64), Vec<(usize, usize)>>;
 
 /// An in-process worker fleet with per-worker artificial reply delays.
 pub struct LoopbackWorkers {
     workers: Vec<Mutex<WorkerState>>,
     delays: Vec<Duration>,
-    shipped_relations: Mutex<ShippedRelations>,
-    shipped_state: Mutex<HashSet<(u8, u64)>>,
+    shipped: ShipLedger,
     next_id: AtomicU64,
 }
 
@@ -51,8 +46,7 @@ impl LoopbackWorkers {
         LoopbackWorkers {
             workers,
             delays,
-            shipped_relations: Mutex::new(HashMap::new()),
-            shipped_state: Mutex::new(HashSet::new()),
+            shipped: ShipLedger::default(),
             next_id: AtomicU64::new(1),
         }
     }
@@ -111,54 +105,18 @@ impl RemoteTransport for LoopbackWorkers {
         &self,
         relation: &std::sync::Arc<Relation>,
     ) -> Result<Vec<(usize, usize)>, RemoteError> {
-        let epoch = (relation.ident(), relation.version());
-        if let Some(ranges) = self
-            .shipped_relations
-            .lock()
-            .expect("shipped relations lock")
-            .get(&epoch)
-        {
-            return Ok(ranges.clone());
+        if let Some(ranges) = self.shipped.ranges(relation) {
+            return Ok(ranges);
         }
         let ranges = Parallelism::shard_ranges(relation.len(), self.workers.len().max(1));
+        self.shipped.forget(relation);
         let id = self.fresh_id();
         for (i, &(start, len)) in ranges.iter().enumerate() {
             let body = ship::encode_partition(relation, start, len);
             expect_ok(self.call(i, Frame::new(KIND_LOAD_PARTITION, id, body)))?;
         }
-        self.shipped_relations
-            .lock()
-            .expect("shipped relations lock")
-            .insert(epoch, ranges.clone());
+        self.shipped.record(relation, &ranges);
         Ok(ranges)
-    }
-
-    fn ensure_state(
-        &self,
-        domain: u8,
-        key: u64,
-        encode: &dyn Fn() -> Vec<u8>,
-    ) -> Result<(), RemoteError> {
-        if self
-            .shipped_state
-            .lock()
-            .expect("shipped state lock")
-            .contains(&(domain, key))
-        {
-            return Ok(());
-        }
-        let mut body = vec![domain];
-        body.extend_from_slice(&key.to_be_bytes());
-        body.extend_from_slice(&encode());
-        let id = self.fresh_id();
-        for i in 0..self.workers.len() {
-            expect_ok(self.call(i, Frame::new(KIND_LOAD_STATE, id, body.clone())))?;
-        }
-        self.shipped_state
-            .lock()
-            .expect("shipped state lock")
-            .insert((domain, key));
-        Ok(())
     }
 
     fn scatter(

@@ -1,24 +1,20 @@
-//! The worker process: holds one relation partition plus keyed state blobs
-//! and answers scatter RPCs.
+//! The worker process: holds relation partitions and answers view-scan
+//! scatters.
 //!
 //! A worker is deliberately dumb: it never plans, never merges, and never
 //! talks to another worker. The coordinator ships it a partition (full
 //! dictionaries in code order — the shared-dictionary contract, so the
-//! worker's codes mean exactly what the coordinator's do), ships keyed
-//! state blobs (encoded factors under their content fingerprint), and
-//! scatters operation payloads. Every answer is either the exact bytes the
-//! coordinator's merge expects or a typed error — a worker holding a stale
-//! snapshot epoch answers with an error, never a wrong-but-plausible
-//! partial.
+//! worker's codes mean exactly what the coordinator's do) and scatters view
+//! plans over it. Every answer is either the exact bytes the coordinator's
+//! merge expects or a typed error — a worker holding a stale snapshot
+//! epoch answers with an error, never a wrong-but-plausible partial.
 
 use crate::frame::{
-    KIND_ERROR, KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING, KIND_RESULT,
-    KIND_SCATTER, KIND_SHUTDOWN, RW,
+    KIND_ERROR, KIND_LOAD_PARTITION, KIND_OK, KIND_PING, KIND_RESULT, KIND_SCATTER, KIND_SHUTDOWN,
+    RW,
 };
-use reptile_factor::encoded::EncodedHierarchyAggregates;
-use reptile_factor::{payload, EncodedFactor};
 use reptile_relational::codec::{put_str, read_frame, write_frame, Frame, Reader, StreamError};
-use reptile_relational::exec::{DOMAIN_FACTOR, OP_AGG_RANGE, OP_VIEW_SCAN};
+use reptile_relational::exec::OP_VIEW_SCAN;
 use reptile_relational::ship::{self, ShippedPartition};
 use std::collections::HashMap;
 use std::io::BufWriter;
@@ -30,7 +26,7 @@ pub enum WorkerErrorKind {
     /// The request body did not decode (or referenced an unknown op).
     BadRequest,
     /// The worker does not hold the state the request needs (missing
-    /// partition, missing factor, stale snapshot epoch).
+    /// partition, stale snapshot epoch).
     MissingState,
     /// The operation itself failed.
     Compute,
@@ -87,14 +83,11 @@ pub fn decode_error_body(body: &[u8]) -> (WorkerErrorKind, String) {
 }
 
 /// Everything a worker process holds between requests: at most one
-/// partition per relation lineage (the newest shipped epoch wins) and one
-/// decoded state blob per `(domain, key)`.
+/// partition per relation lineage (the last shipped epoch wins).
 #[derive(Default)]
 pub struct WorkerState {
     /// Relation partitions by lineage ident.
     partitions: HashMap<u64, ShippedPartition>,
-    /// Decoded encoded-factor state by content fingerprint.
-    factors: HashMap<u64, EncodedFactor>,
 }
 
 impl WorkerState {
@@ -106,11 +99,6 @@ impl WorkerState {
     /// Number of partitions currently held (one per relation lineage).
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
-    }
-
-    /// Number of factor state blobs currently held.
-    pub fn factor_count(&self) -> usize {
-        self.factors.len()
     }
 
     /// Handle one request frame, producing the reply frame. `shutdown` is
@@ -125,8 +113,8 @@ impl WorkerState {
             }
             KIND_LOAD_PARTITION => match ship::decode_partition(&frame.body) {
                 Ok(part) => {
-                    // Newest epoch wins: a re-ship after ingest replaces the
-                    // stale partition for that lineage.
+                    // The last ship wins: a re-ship of another epoch
+                    // replaces the lineage's partition.
                     self.partitions.insert(part.relation.ident(), part);
                     Frame::new(KIND_OK, id, Vec::new())
                 }
@@ -136,7 +124,6 @@ impl WorkerState {
                     error_body(WorkerErrorKind::BadRequest, &format!("partition: {e}")),
                 ),
             },
-            KIND_LOAD_STATE => self.load_state(id, &frame.body),
             KIND_SCATTER => self.scatter(id, &frame.body),
             k => Frame::new(
                 KIND_ERROR,
@@ -146,44 +133,7 @@ impl WorkerState {
         }
     }
 
-    fn load_state(&mut self, id: u64, body: &[u8]) -> Frame {
-        let mut r = Reader::new(body);
-        let (domain, key) = match (r.u8(), r.u64()) {
-            (Ok(d), Ok(k)) => (d, k),
-            _ => {
-                return Frame::new(
-                    KIND_ERROR,
-                    id,
-                    error_body(WorkerErrorKind::BadRequest, "state header truncated"),
-                )
-            }
-        };
-        // Decode at load time so scatters never pay it and a bad payload
-        // fails loudly here, keyed to the exact ship.
-        match domain {
-            DOMAIN_FACTOR => match payload::decode_factor(&body[9..]) {
-                Ok(factor) => {
-                    self.factors.insert(key, factor);
-                    Frame::new(KIND_OK, id, Vec::new())
-                }
-                Err(e) => Frame::new(
-                    KIND_ERROR,
-                    id,
-                    error_body(WorkerErrorKind::BadRequest, &format!("factor state: {e}")),
-                ),
-            },
-            _ => Frame::new(
-                KIND_ERROR,
-                id,
-                error_body(
-                    WorkerErrorKind::BadRequest,
-                    &format!("unknown state domain {domain}"),
-                ),
-            ),
-        }
-    }
-
-    fn scatter(&mut self, id: u64, body: &[u8]) -> Frame {
+    fn scatter(&self, id: u64, body: &[u8]) -> Frame {
         let Some((&op, payload_bytes)) = body.split_first() else {
             return Frame::new(
                 KIND_ERROR,
@@ -193,7 +143,6 @@ impl WorkerState {
         };
         match op {
             OP_VIEW_SCAN => self.view_scan(id, payload_bytes),
-            OP_AGG_RANGE => self.agg_range(id, payload_bytes),
             _ => Frame::new(
                 KIND_ERROR,
                 id,
@@ -234,44 +183,6 @@ impl WorkerState {
                 error_body(WorkerErrorKind::Compute, &e.to_string()),
             ),
         }
-    }
-
-    fn agg_range(&self, id: u64, request: &[u8]) -> Frame {
-        let (key, start, len) = match payload::decode_agg_request(request) {
-            Ok(parts) => parts,
-            Err(e) => {
-                return Frame::new(
-                    KIND_ERROR,
-                    id,
-                    error_body(WorkerErrorKind::BadRequest, &format!("agg request: {e}")),
-                )
-            }
-        };
-        let Some(factor) = self.factors.get(&key) else {
-            return Frame::new(
-                KIND_ERROR,
-                id,
-                error_body(
-                    WorkerErrorKind::MissingState,
-                    &format!("no factor state under key {key:#018x}"),
-                ),
-            );
-        };
-        if start + len > factor.leaf_count() {
-            return Frame::new(
-                KIND_ERROR,
-                id,
-                error_body(
-                    WorkerErrorKind::Compute,
-                    &format!(
-                        "range {start}+{len} out of bounds for {} paths",
-                        factor.leaf_count()
-                    ),
-                ),
-            );
-        }
-        let partial = EncodedHierarchyAggregates::compute_range(factor, start, len);
-        Frame::new(KIND_RESULT, id, payload::encode_aggregates(&partial))
     }
 }
 
@@ -423,49 +334,5 @@ mod tests {
             WorkerErrorKind::BadRequest
         );
         assert!(!shutdown);
-    }
-
-    #[test]
-    fn factor_state_load_then_agg_range_round_trips() {
-        use reptile_factor::{Exec, HierarchyFactor};
-        let factor = HierarchyFactor::from_paths(
-            "geo".to_string(),
-            vec![reptile_relational::AttrId(0), reptile_relational::AttrId(1)],
-            vec![
-                vec![Value::str("D0"), Value::str("D0-V0")],
-                vec![Value::str("D0"), Value::str("D0-V1")],
-                vec![Value::str("D1"), Value::str("D1-V0")],
-            ],
-        );
-        let enc = EncodedFactor::encode(&factor, &Exec::Serial);
-        let key = enc.fingerprint();
-        let mut state = WorkerState::new();
-        let mut shutdown = false;
-        let mut body = vec![DOMAIN_FACTOR];
-        body.extend_from_slice(&key.to_be_bytes());
-        body.extend_from_slice(&payload::encode_factor(&enc));
-        let reply = state.handle(&Frame::new(KIND_LOAD_STATE, 1, body), &mut shutdown);
-        assert_eq!(reply.kind, KIND_OK, "{:?}", decode_error_body(&reply.body));
-        assert_eq!(state.factor_count(), 1);
-
-        let mut scatter = vec![OP_AGG_RANGE];
-        scatter.extend_from_slice(&payload::encode_agg_request(key, 1, 2));
-        let reply = state.handle(&Frame::new(KIND_SCATTER, 2, scatter), &mut shutdown);
-        assert_eq!(reply.kind, KIND_RESULT);
-        let partial = payload::decode_aggregates(&reply.body).unwrap();
-        assert_eq!(
-            partial,
-            EncodedHierarchyAggregates::compute_range(&enc, 1, 2)
-        );
-
-        // Unknown key is a typed MissingState error.
-        let mut scatter = vec![OP_AGG_RANGE];
-        scatter.extend_from_slice(&payload::encode_agg_request(key ^ 1, 0, 1));
-        let reply = state.handle(&Frame::new(KIND_SCATTER, 3, scatter), &mut shutdown);
-        assert_eq!(reply.kind, KIND_ERROR);
-        assert_eq!(
-            decode_error_body(&reply.body).0,
-            WorkerErrorKind::MissingState
-        );
     }
 }

@@ -2,13 +2,12 @@
 //! worker processes.
 //!
 //! Two `reptile-worker` binaries are spawned; the coordinator ships
-//! partitions and factor state, scatters plans, and merges partials. The
-//! bar is the workspace's bit-exactness contract: `Exec::Remote` equals
+//! partitions, scatters view plans, and merges partials. The bar is the
+//! workspace's bit-exactness contract: `Exec::Remote` equals
 //! `Exec::Shards` equals `Exec::Serial` under `==` — never tolerance — for
-//! view scans, hierarchy aggregates, and the full end-to-end
-//! recommendation, re-verified after an ingest epoch. Zero remote
-//! fallbacks are tolerated: a fallback would mask a broken wire path with
-//! a locally-computed (still correct) answer.
+//! view scans, the fit and the full end-to-end recommendation, re-verified
+//! after an ingest epoch. A remote failure is a typed error, never a
+//! silent local fallback, so `RemoteFallbacks` must not move.
 
 use reptile_relational::{
     AggregateKind, Exec, GroupKey, IngestBatch, Predicate, Relation, Remote, Schema, Value, View,
@@ -117,13 +116,16 @@ fn remote_views_equal_sharded_equal_serial_across_epochs() {
     let rpcs_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteRpcs);
     let bytes_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteBytesShipped);
     let (_workers, remote) = spawn_worker_set(2);
-    let mut rel = sample_relation();
-    let schema = rel.schema().clone();
+    let first = sample_relation();
+    let schema = first.schema().clone();
     let district = schema.attr("district").unwrap();
     let village = schema.attr("village").unwrap();
     let year = schema.attr("year").unwrap();
     let m = schema.attr("m").unwrap();
-    for epoch in 0..2 {
+    // Epoch 0, epoch 1, then epoch 0 again: the workers hold one partition
+    // per lineage, so going back must re-ship the older snapshot.
+    let second = ingest_epoch(&first);
+    for (epoch, rel) in [(0, &first), (1, &second), (0, &first)] {
         let group_bys = [vec![district, year], vec![village], vec![]];
         let predicates = [
             Predicate::all(),
@@ -155,7 +157,6 @@ fn remote_views_equal_sharded_equal_serial_across_epochs() {
                 assert_eq!(serial, distributed, "epoch {epoch}");
             }
         }
-        rel = ingest_epoch(&rel);
     }
     assert_eq!(
         reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks),
@@ -166,47 +167,6 @@ fn remote_views_equal_sharded_equal_serial_across_epochs() {
     assert!(
         reptile_obs::counter_value(reptile_obs::Counter::RemoteBytesShipped) > bytes_before,
         "the remote views must have crossed the wire"
-    );
-}
-
-#[test]
-fn remote_aggregates_equal_serial_across_epochs() {
-    use reptile_factor::encoded::EncodedHierarchyAggregates;
-    use reptile_factor::{EncodedFactor, HierarchyFactor};
-    let fallbacks_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks);
-    let (_workers, remote) = spawn_worker_set(2);
-    let Exec::Remote(ref r) = remote else {
-        unreachable!()
-    };
-    let rel = sample_relation();
-    let schema = rel.schema().clone();
-    for epoch in 0..2 {
-        let rel_now = if epoch == 0 {
-            rel.clone()
-        } else {
-            ingest_epoch(&rel)
-        };
-        for hierarchy in schema.hierarchies() {
-            for depth in 1..=hierarchy.levels.len() {
-                let factor = HierarchyFactor::from_relation(&rel_now, hierarchy, depth);
-                let enc = EncodedFactor::encode(&factor, &Exec::Serial);
-                let serial = EncodedHierarchyAggregates::compute(&enc, &Exec::Serial);
-                let distributed =
-                    EncodedHierarchyAggregates::compute_remote(&enc, r).expect("remote aggregates");
-                assert_eq!(
-                    serial, distributed,
-                    "epoch {epoch}: {}@{depth}",
-                    hierarchy.name
-                );
-                // The infallible surface agrees too (and must not have
-                // fallen back locally).
-                assert_eq!(serial, EncodedHierarchyAggregates::compute(&enc, &remote));
-            }
-        }
-    }
-    assert_eq!(
-        reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks),
-        fallbacks_before
     );
 }
 
@@ -293,21 +253,20 @@ fn remote_recommendation_equals_serial_across_epochs() {
 
 #[test]
 fn overlapped_scatter_merges_before_last_worker_reply() {
-    use reptile_factor::encoded::EncodedHierarchyAggregates;
-    use reptile_factor::{EncodedFactor, HierarchyFactor};
     use reptile_wire::testing::LoopbackWorkers;
     use std::time::Duration;
 
     let rel = sample_relation();
     let schema = rel.schema().clone();
-    let geo = schema
-        .hierarchies()
-        .iter()
-        .find(|h| h.name == "geo")
-        .unwrap();
-    let factor = HierarchyFactor::from_relation(&rel, geo, 2);
-    let enc = EncodedFactor::encode(&factor, &Exec::Serial);
-    let serial = EncodedHierarchyAggregates::compute(&enc, &Exec::Serial);
+    let group_by = vec![
+        schema.attr("district").unwrap(),
+        schema.attr("village").unwrap(),
+    ];
+    let m = schema.attr("m").unwrap();
+    let view_under = |exec: &Exec| {
+        View::compute(rel.clone(), Predicate::all(), group_by.clone(), m, exec).unwrap()
+    };
+    let serial = view_under(&Exec::Serial);
 
     // Deterministic overlap: worker 0 (first in fold order) answers
     // immediately, workers 1 and 2 lag far apart. Worker 0's partial MUST
@@ -315,14 +274,12 @@ fn overlapped_scatter_merges_before_last_worker_reply() {
     // two overlapped merges per scatter, by construction.
     let overlaps_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteOverlappedMerges);
     let fallbacks_before = reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks);
-    let transport = Arc::new(LoopbackWorkers::new(vec![
+    let remote = Exec::Remote(Remote::new(Arc::new(LoopbackWorkers::new(vec![
         Duration::ZERO,
         Duration::from_millis(80),
         Duration::from_millis(160),
-    ]));
-    let remote = Remote::new(transport);
-    let merged = EncodedHierarchyAggregates::compute_remote(&enc, &remote).unwrap();
-    assert_eq!(serial, merged);
+    ]))));
+    assert_eq!(serial, view_under(&remote));
     assert!(
         reptile_obs::counter_value(reptile_obs::Counter::RemoteOverlappedMerges)
             >= overlaps_before + 2,
@@ -341,9 +298,12 @@ fn overlapped_scatter_merges_before_last_worker_reply() {
                 .wrapping_add(1442695040888963407);
             delays.push(Duration::from_millis((seed >> 33) % 50));
         }
-        let remote = Remote::new(Arc::new(LoopbackWorkers::new(delays.clone())));
-        let merged = EncodedHierarchyAggregates::compute_remote(&enc, &remote).unwrap();
-        assert_eq!(serial, merged, "round {round} delays {delays:?}");
+        let remote = Exec::Remote(Remote::new(Arc::new(LoopbackWorkers::new(delays.clone()))));
+        assert_eq!(
+            serial,
+            view_under(&remote),
+            "round {round} delays {delays:?}"
+        );
     }
     assert_eq!(
         reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks),
@@ -354,8 +314,8 @@ fn overlapped_scatter_merges_before_last_worker_reply() {
 /// The fit runs where its design lives, so it is `==` field by field under
 /// every context: in process at any shard count, and under `Exec::Remote`
 /// over in-process loopback workers and over real worker processes (whose
-/// views and aggregates feed the design) — before and after an ingest
-/// epoch, with no fallback and no worker-side gram or E-step partial.
+/// views feed the design) — before and after an ingest epoch, with no
+/// fallback and no worker-side gram or E-step partial.
 #[test]
 fn remote_fit_is_bit_identical_to_serial_across_epochs() {
     use reptile_model::multilevel::{MultilevelConfig, MultilevelModel, TrainingBackend};
@@ -423,7 +383,7 @@ fn remote_fit_is_bit_identical_to_serial_across_epochs() {
     assert_eq!(
         reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks),
         fallbacks_before,
-        "a remote view or aggregate silently fell back to local compute"
+        "a remote view silently fell back to local compute"
     );
     assert_eq!(
         reptile_obs::counter_value(reptile_obs::Counter::RemoteGramPartials),

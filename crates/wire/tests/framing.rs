@@ -190,14 +190,15 @@ fn header_errors_are_typed() {
     }
 }
 
-/// RW's kind table is exactly its eight live kinds. `0x83` carried the
-/// worker-built gram partial and `0x84` the per-iteration E-step partial;
-/// both are gone with the remote fit, so a frame of either kind is now
-/// `UnknownKind`, read whole, with the stream still framed.
+/// RW's kind table is exactly its seven live kinds. `0x83` carried the
+/// worker-built gram partial and `0x84` the per-iteration E-step partial,
+/// both gone with the remote fit; `0x02` loaded keyed state blobs (encoded
+/// factors), gone with the remote hierarchy aggregates. A frame of any of
+/// them is now `UnknownKind`, read whole, with the stream still framed.
 #[test]
 fn rw_kind_table_has_no_e_step_partial() {
-    assert_eq!(RW.kinds, [0x00, 0x01, 0x02, 0x03, 0x04, 0x80, 0x81, 0x82]);
-    for retired in [0x83, 0x84] {
+    assert_eq!(RW.kinds, [0x00, 0x01, 0x03, 0x04, 0x80, 0x81, 0x82]);
+    for retired in [0x02, 0x83, 0x84] {
         let mut payload = RW.encode(&Frame::new(KIND_SCATTER, 7, vec![1, 2, 3]));
         payload[3] = retired;
         let mut stream = Vec::new();

@@ -1,4 +1,4 @@
-//! What a remote fit costs on the wire.
+//! What a remote design build and fit cost on the wire.
 //!
 //! One test, alone in its binary: [`Counter::RemoteRpcs`] is process-global,
 //! and pinning an exact delta needs no neighbour bumping it.
@@ -10,11 +10,11 @@ use reptile_relational::{AggregateKind, Exec, Predicate, Relation, Remote, Schem
 use reptile_wire::testing::LoopbackWorkers;
 use std::sync::Arc;
 
-/// A remote fit runs where its design lives, on the coordinator: no state
-/// ships and no scatter goes out, on the first fit of a design or any later
-/// one, whatever the fleet size.
+/// A remote design build and fit run where their view lives, on the
+/// coordinator: the hierarchy aggregates, the design and every fit of it
+/// send no RPC, whatever the fleet size.
 #[test]
-fn a_remote_fit_makes_no_rpcs() {
+fn a_remote_design_build_and_fit_make_no_rpcs() {
     let schema = Arc::new(
         Schema::builder()
             .hierarchy("time", ["year"])
@@ -64,13 +64,13 @@ fn a_remote_fit_makes_no_rpcs() {
             &exec,
         )
         .unwrap();
+        let before = counters();
         let design = DesignBuilder::new(&view, &schema, AggregateKind::Mean)
             .with_exec(exec.clone())
             .build()
             .unwrap();
         assert!(design.clusters().len() as u64 >= workers);
         for fit in ["first", "second"] {
-            let before = counters();
             let model =
                 MultilevelModel::fit_exec(&design, config, TrainingBackend::Factorized, &exec)
                     .unwrap();
@@ -80,7 +80,8 @@ fn a_remote_fit_makes_no_rpcs() {
             assert_eq!(
                 delta,
                 [0, 0, 0, 0],
-                "{fit} fit over {workers} workers: [rpcs, gram partials, e-step partials, fallbacks]"
+                "design build and {fit} fit over {workers} workers: \
+                 [rpcs, gram partials, e-step partials, fallbacks]"
             );
         }
     }

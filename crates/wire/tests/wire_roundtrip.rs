@@ -2,8 +2,8 @@
 //!
 //! The framing harness (`tests/framing.rs`) covers header-level hostility;
 //! this suite drives the *payload* codecs the worker protocol carries —
-//! shipped partitions, view plans, encoded factors, aggregate partials —
-//! plus a live worker fed hostile frames over a real socket. The
+//! shipped partitions, view plans, view partials — plus a live worker fed
+//! hostile frames over a real socket. The
 //! invariant everywhere: malformed input is a typed error, never a panic
 //! and never a giant allocation.
 
@@ -12,9 +12,7 @@ use reptile_relational::{
     ship, Exec, Predicate, Relation, RelationalError, Remote, RemoteError, RemoteTransport, Schema,
     Value, View,
 };
-use reptile_wire::frame::{
-    KIND_LOAD_PARTITION, KIND_LOAD_STATE, KIND_OK, KIND_PING, KIND_RESULT, KIND_SCATTER, RW,
-};
+use reptile_wire::frame::{KIND_LOAD_PARTITION, KIND_OK, KIND_PING, KIND_RESULT, KIND_SCATTER, RW};
 use reptile_wire::testing::LoopbackWorkers;
 use reptile_wire::WorkerState;
 use std::sync::Arc;
@@ -158,15 +156,6 @@ impl RemoteTransport for LyingWorkers {
         self.honest.ensure_relation(relation)
     }
 
-    fn ensure_state(
-        &self,
-        domain: u8,
-        key: u64,
-        encode: &dyn Fn() -> Vec<u8>,
-    ) -> Result<(), RemoteError> {
-        self.honest.ensure_state(domain, key, encode)
-    }
-
     fn scatter(
         &self,
         op: u8,
@@ -247,11 +236,13 @@ fn lying_view_replies_are_typed_errors() {
     }
 }
 
-/// The remote fit is retired: state domain 2 (its EM state blob) and
-/// scatter ops 3, 4 and 5 (gram cells, cluster grams, the E-step) are gone
-/// from the worker. Frames that still name them — well-formed, garbage or
-/// truncated — answer a typed `BadRequest` on a live connection, and
-/// nothing is retained.
+/// The remote fit and the remote hierarchy aggregates are retired: frame
+/// kind 0x02 (keyed state blobs: the EM state, encoded factors) and scatter
+/// ops 2, 3, 4 and 5 (aggregate ranges, gram cells, cluster grams, the
+/// E-step) are gone from the worker. A scatter that still names one of
+/// those ops — well-formed, garbage or truncated — answers a typed
+/// `BadRequest` on a live connection; a kind-0x02 frame ends its connection
+/// cleanly. The worker keeps accepting, and nothing is retained.
 #[test]
 fn worker_rejects_hostile_em_frames_over_a_live_socket() {
     use reptile_wire::worker::{decode_error_body, WorkerErrorKind};
@@ -260,57 +251,69 @@ fn worker_rejects_hostile_em_frames_over_a_live_socket() {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
         let mut state = WorkerState::new();
-        for stream in listener.incoming().take(1) {
+        for stream in listener.incoming().take(2) {
             let _ = reptile_wire::worker::serve_connection(&mut state, stream.unwrap());
         }
         state
     });
 
     let mut s = TcpStream::connect(addr).unwrap();
-    let mut em_state = vec![2u8];
-    em_state.extend_from_slice(&0x1234u64.to_be_bytes());
-    em_state.extend_from_slice(b"definitely not an EM state blob");
     let mut request = 0x9999u64.to_be_bytes().to_vec();
     request.extend_from_slice(&[0u8; 16]);
-    let mut hostile: Vec<(Frame, &str)> = vec![(
-        Frame::new(KIND_LOAD_STATE, 1, em_state),
-        "unknown state domain 2",
-    )];
-    let mut id = 2;
-    for op in [3u8, 4, 5] {
+    let mut id = 1;
+    for op in [2u8, 3, 4, 5] {
         // A well-formed range request, then every truncation of it down to
         // the bare op byte.
         for cut in [request.len(), 17, 9, 5, 0] {
-            let mut b = vec![op];
-            b.extend_from_slice(&request[..cut]);
-            hostile.push((Frame::new(KIND_SCATTER, id, b), "unknown scatter op"));
+            let mut body = vec![op];
+            body.extend_from_slice(&request[..cut]);
+            let frame = Frame::new(KIND_SCATTER, id, body);
             id += 1;
+            write_frame(&mut s, &frame);
+            let reply = read_frame(&mut s).expect("reply");
+            assert_eq!(reply.id, frame.id);
+            assert_eq!(
+                reply.kind,
+                reptile_wire::frame::KIND_ERROR,
+                "retired op {op} (cut {cut}) got kind {:#04x}",
+                reply.kind
+            );
+            let (kind, msg) = decode_error_body(&reply.body);
+            assert_eq!(kind, WorkerErrorKind::BadRequest, "op {op}, cut {cut}");
+            assert!(
+                msg.contains("unknown scatter op"),
+                "op {op}, cut {cut}: {msg}"
+            );
         }
-    }
-    for (frame, expected) in &hostile {
-        write_frame(&mut s, frame);
-        let reply = read_frame(&mut s).expect("reply");
-        assert_eq!(reply.id, frame.id);
-        assert_eq!(
-            reply.kind,
-            reptile_wire::frame::KIND_ERROR,
-            "retired EM frame id {} got kind {:#04x}",
-            frame.id,
-            reply.kind
-        );
-        let (kind, msg) = decode_error_body(&reply.body);
-        assert_eq!(kind, WorkerErrorKind::BadRequest, "frame id {}", frame.id);
-        assert!(msg.contains(expected), "frame id {}: {msg}", frame.id);
     }
     // The connection survived all of it.
     write_frame(&mut s, &Frame::new(KIND_PING, 99, Vec::new()));
+    assert_eq!(read_frame(&mut s).unwrap().kind, KIND_OK);
+
+    // A kind-0x02 state blob is not an RW frame any more: the worker ends
+    // the connection instead of answering.
+    let mut state_blob = vec![1u8];
+    state_blob.extend_from_slice(&0x1234u64.to_be_bytes());
+    state_blob.extend_from_slice(b"definitely not an encoded factor");
+    write_frame(&mut s, &Frame::new(0x02, 100, state_blob));
+    assert!(
+        reptile_relational::codec::read_frame(&mut s, &RW)
+            .unwrap()
+            .is_none(),
+        "a retired kind must end the connection cleanly"
+    );
+    drop(s);
+
+    // The worker keeps accepting.
+    let mut s = TcpStream::connect(addr).unwrap();
+    write_frame(&mut s, &Frame::new(KIND_PING, 101, Vec::new()));
     assert_eq!(read_frame(&mut s).unwrap().kind, KIND_OK);
     drop(s);
 
     let state = server.join().unwrap();
     assert_eq!(
-        (state.partition_count(), state.factor_count()),
-        (0, 0),
+        state.partition_count(),
+        0,
         "no hostile blob may be retained"
     );
 }
@@ -343,7 +346,11 @@ fn worker_rejects_hostile_frames_over_a_live_socket() {
     let mut s = TcpStream::connect(addr).unwrap();
     let hostile = [
         Frame::new(KIND_LOAD_PARTITION, 1, b"not a partition".to_vec()),
-        Frame::new(KIND_LOAD_STATE, 2, vec![7u8; 3]),
+        Frame::new(
+            KIND_SCATTER,
+            2,
+            vec![reptile_relational::exec::OP_VIEW_SCAN, 7, 7, 7],
+        ),
         Frame::new(KIND_SCATTER, 3, Vec::new()),
         Frame::new(KIND_SCATTER, 4, vec![0x77, 1, 2, 3]),
     ];
