@@ -220,10 +220,15 @@ pub enum Counter {
     /// Bytes of reply frames read back from remote workers (acks, view and
     /// aggregate partials, typed errors — reply side of the wire).
     RemoteBytesReceived,
+    /// Group tables that left their dense arm for the hashed one mid-scan:
+    /// two key tuples shared an address, so some grouped hierarchy level is
+    /// not functionally determined by its deepest grouped level in the
+    /// scanned rows. Stays 0 on strict data.
+    DenseDemotions,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 25;
+pub const COUNTER_COUNT: usize = 26;
 
 impl Counter {
     /// All counters, in registry order.
@@ -253,6 +258,7 @@ impl Counter {
         Counter::RemoteGramPartials,
         Counter::RemoteEStepPartials,
         Counter::RemoteBytesReceived,
+        Counter::DenseDemotions,
     ];
 
     /// Stable snake_case name used as the JSON key.
@@ -283,6 +289,7 @@ impl Counter {
             Counter::RemoteGramPartials => "remote_gram_partials",
             Counter::RemoteEStepPartials => "remote_e_step_partials",
             Counter::RemoteBytesReceived => "remote_bytes_received",
+            Counter::DenseDemotions => "dense_demotions",
         }
     }
 
@@ -313,6 +320,7 @@ impl Counter {
             Counter::RemoteGramPartials => 22,
             Counter::RemoteEStepPartials => 23,
             Counter::RemoteBytesReceived => 24,
+            Counter::DenseDemotions => 25,
         }
     }
 }

@@ -25,7 +25,7 @@ use crate::codec::{put_str, put_u32, put_u64, put_value, CodecError, Reader};
 use crate::dict::ValueDict;
 use crate::predicate::Predicate;
 use crate::relation::Relation;
-use crate::scan::{scan_partial, CodeColumn, CompiledPredicate, Grouped, MeasureColumn};
+use crate::scan::{scan_partial, CodeColumn, CompiledPredicate, GroupKeys, Grouped, MeasureColumn};
 use crate::schema::{AttrId, Schema};
 use std::sync::Arc;
 
@@ -239,22 +239,19 @@ pub fn answer_view_scan(partition: &ShippedPartition, plan: &[u8]) -> Result<Vec
         }
     }
     let compiled = CompiledPredicate::compile(&plan.predicate, relation);
-    let key_cols: Vec<Arc<CodeColumn>> = plan
-        .group_by
-        .iter()
-        .map(|a| relation.code_column(*a))
-        .collect();
     let groups = if compiled.is_unsatisfiable() {
-        Grouped::empty(key_cols.len())
+        Grouped::empty(plan.group_by.len())
     } else {
         let measure_col = MeasureColumn::resolve(relation, plan.measure)
             .map_err(|e| CodecError::Invalid(e.to_string()))?;
-        scan_partial(&compiled, &key_cols, &measure_col, (0, relation.len()))
+        let keys = GroupKeys::resolve(relation, &plan.group_by);
+        scan_partial(&compiled, &keys, &measure_col, (0, relation.len()))
     };
     // The kernel's first-appearance order depends on where the partition
-    // was cut; the reply is emitted in code order, which does not.
+    // was cut; the reply is emitted in code order, which does not. Tuples
+    // are distinct, so the run-adaptive stable sort has the one outcome.
     let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_unstable_by(|&a, &b| groups.codes(a).cmp(groups.codes(b)));
+    order.sort_by(|&a, &b| groups.codes(a).cmp(groups.codes(b)));
     let mut buf = Vec::new();
     put_u32(&mut buf, plan.group_by.len() as u32);
     put_u32(&mut buf, groups.len() as u32);

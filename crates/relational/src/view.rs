@@ -21,8 +21,9 @@
 //! runs: it walks them as segments of consecutive rows sharing a key, so a
 //! row that repeats its predecessor's key — the common case on
 //! hierarchy-ordered data — costs a code comparison per key column, and
-//! only a key change looks the packed code tuple up in a transient slot
-//! table. The measure column's numeric-ness is resolved up front
+//! only a key change looks the code tuple up in a transient slot table
+//! (addressed by the deepest grouped level of each hierarchy and verified
+//! on every hit, or hashed). The measure column's numeric-ness is resolved up front
 //! ([`MeasureColumn`], cached per code column) — a non-numeric, non-null
 //! measure on any row errors immediately instead of per-row `Result`
 //! plumbing.
@@ -69,7 +70,7 @@ use crate::predicate::Predicate;
 use crate::relation::Relation;
 use crate::scan::{
     group_matching_rows, pack, packing_radices, scan_partial, CodeColumn, CompiledPredicate,
-    GroupTable, Grouped, MeasureColumn,
+    GroupKeys, GroupTable, Grouped, MeasureColumn,
 };
 use crate::schema::{AttrId, Hierarchy};
 use crate::ship;
@@ -156,19 +157,21 @@ enum Site<'a> {
 /// merge span, which stays open through assembly.
 struct Scan<'a> {
     compiled: &'a CompiledPredicate,
-    key_cols: &'a [Arc<CodeColumn>],
+    keys: &'a GroupKeys,
     measure: &'a MeasureColumn,
+    /// The relation's row count: what a merge table is sized for.
+    rows: usize,
 }
 
 impl Scan<'_> {
     /// The single serial scan: the kernel folds every segment straight into
     /// the group's [`AggState`], in row order.
-    fn serial(&self, rows: usize) -> Grouped<AggState> {
+    fn serial(&self) -> Grouped<AggState> {
         group_matching_rows(
             self.compiled,
-            self.key_cols,
+            self.keys,
             0,
-            rows,
+            self.rows,
             |agg: &mut AggState, first, n| {
                 for value in self.measure.values(first, n) {
                     agg.push(value);
@@ -208,13 +211,13 @@ impl Scan<'_> {
             // count, so a profile shows both the fan-out width and the
             // per-shard balance.
             let _span = StageTimer::start(Stage::Scan);
-            scan_partial(self.compiled, self.key_cols, self.measure, (start, len))
+            scan_partial(self.compiled, self.keys, self.measure, (start, len))
         });
         // Merge in fixed shard order. Shards are contiguous and ordered, so
         // per group this replays AggState::push over the measure values in
         // exactly the serial row order — the FP sequence is identical.
         let span = StageTimer::start(Stage::Merge);
-        let mut merged: GroupTable<AggState> = GroupTable::new(self.key_cols);
+        let mut merged: GroupTable<AggState> = GroupTable::new(self.keys, self.rows);
         for partial in partials {
             partial.for_each(|codes, values| replay(merged.group(codes), &values));
         }
@@ -265,21 +268,23 @@ impl Scan<'_> {
         // group's value sequence) never changes. The overlap span covers
         // the whole scatter+fold window.
         let span = StageTimer::start(Stage::RemoteMerge);
-        let mut merged: GroupTable<AggState> = GroupTable::new(self.key_cols);
+        let mut merged: GroupTable<AggState> = GroupTable::new(self.keys, self.rows);
         exec::scatter_fold_in_order(
             remote.transport().as_ref(),
             OP_VIEW_SCAN,
             requests,
             &mut |_, reply| {
-                let partial = ship::decode_view_partial(&reply, self.key_cols.len())
+                let key_cols = self.keys.cols();
+                let partial = ship::decode_view_partial(&reply, key_cols.len())
                     .map_err(|e| RemoteError::Protocol(e.to_string()))?;
                 for (key, values) in partial {
                     // The table addresses slots by codes below each column's
-                    // dictionary size; a worker answering outside the shared
-                    // code space is lying, not merely late.
+                    // dictionary size (the dense arm indexes an array by
+                    // them); a worker answering outside the shared code
+                    // space is lying, not merely late.
                     if let Some((code, _)) = key
                         .iter()
-                        .zip(self.key_cols)
+                        .zip(key_cols)
                         .find(|(code, col)| **code as usize >= col.dict().len())
                     {
                         return Err(RemoteError::Protocol(format!(
@@ -301,8 +306,10 @@ impl Scan<'_> {
 /// first-appearance order already is ascending. Each slot is ranked once, by
 /// its value-ranks packed mixed-radix into a `u64` (packed order is tuple
 /// order); a key domain too wide to pack — the rule, and so the choice, is
-/// the slot index's, a property of the key columns — compares rank tuples.
-/// Keys are distinct, so the unstable sorts have one possible outcome.
+/// the hashed slot index's, a property of the key columns — compares rank
+/// tuples. Keys are distinct, so either sort has one possible outcome; the
+/// stable sorts are run-adaptive, and first-appearance order on time-major
+/// rows is a few ascending runs, which they merge instead of re-sorting.
 fn rank_order(key_cols: &[Arc<CodeColumn>], codes: &[u32], groups: usize) -> Option<Vec<usize>> {
     let arity = key_cols.len();
     let ranks: Vec<Vec<u32>> = key_cols.iter().map(|c| c.dict().ranks()).collect();
@@ -318,7 +325,7 @@ fn rank_order(key_cols: &[Arc<CodeColumn>], codes: &[u32], groups: usize) -> Opt
             if packed.windows(2).all(|w| w[0].0 < w[1].0) {
                 return None;
             }
-            packed.sort_unstable();
+            packed.sort();
             Some(packed.into_iter().map(|(_, slot)| slot).collect())
         }
         None => {
@@ -329,7 +336,7 @@ fn rank_order(key_cols: &[Arc<CodeColumn>], codes: &[u32], groups: usize) -> Opt
             {
                 return None;
             }
-            order.sort_unstable_by(|&a, &b| rank_tuple(a).cmp(rank_tuple(b)));
+            order.sort_by(|&a, &b| rank_tuple(a).cmp(rank_tuple(b)));
             Some(order)
         }
     }
@@ -408,26 +415,31 @@ impl View {
         // contract — a code means the same value in every shard and on every
         // worker, so partial tables keyed by code tuples merge code-wise.
         let compiled = CompiledPredicate::compile(&predicate, &relation);
-        let key_cols: Vec<Arc<CodeColumn>> =
-            group_by.iter().map(|a| relation.code_column(*a)).collect();
+        let keys = GroupKeys::resolve(&relation, &group_by);
         if compiled.is_unsatisfiable() {
             // A term's value is absent from its column: nothing can match.
             // Short-circuit before resolving the measure, testing a row or
             // sending an RPC.
-            let none = Grouped::empty(key_cols.len());
+            let none = Grouped::empty(group_by.len());
             return Ok(View::assemble(
-                relation, predicate, group_by, measure, key_cols, none,
+                relation,
+                predicate,
+                group_by,
+                measure,
+                keys.into_cols(),
+                none,
             ));
         }
         // A non-numeric measure fails with the same typed error in every
         // context (for `Exec::Remote`, before any byte is shipped).
         let scan = Scan {
             compiled: &compiled,
-            key_cols: &key_cols,
+            keys: &keys,
             measure: &MeasureColumn::resolve(&relation, measure)?,
+            rows: relation.len(),
         };
         let (groups, _merge_span) = match site {
-            Site::Inline => (scan.serial(relation.len()), None),
+            Site::Inline => (scan.serial(), None),
             Site::Shards(ranges, parallelism) => scan.sharded(&ranges, &parallelism),
             Site::Remote(remote) => {
                 let plan = ship::encode_view_plan(
@@ -441,7 +453,12 @@ impl View {
             }
         };
         Ok(View::assemble(
-            relation, predicate, group_by, measure, key_cols, groups,
+            relation,
+            predicate,
+            group_by,
+            measure,
+            keys.into_cols(),
+            groups,
         ))
     }
 
@@ -461,11 +478,11 @@ impl View {
         let arity = key_cols.len();
         let (mut codes, mut aggs) = grouped.into_parts();
         if let Some(order) = rank_order(&key_cols, &codes, aggs.len()) {
-            codes = order
-                .iter()
-                .flat_map(|&slot| &codes[slot * arity..(slot + 1) * arity])
-                .copied()
-                .collect();
+            let mut sorted = Vec::with_capacity(codes.len());
+            for &slot in &order {
+                sorted.extend_from_slice(&codes[slot * arity..(slot + 1) * arity]);
+            }
+            codes = sorted;
             aggs = order.iter().map(|&slot| aggs[slot]).collect();
         }
         let total = aggs
@@ -1223,6 +1240,155 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, RelationalError::Remote(_)));
         assert!(err.to_string().contains("connection refused"));
+    }
+
+    /// Villages repeat across districts (`V{r / 3 % 4}` under `D{r / 20}`),
+    /// so a village does not name its district: a table addressed by the
+    /// village alone meets two districts at one address and must demote.
+    fn non_strict_relation() -> Arc<Relation> {
+        let schema = fist_relation().schema().clone();
+        let mut b = Relation::builder(schema);
+        for r in 0..150usize {
+            b = b
+                .row([
+                    Value::str(format!("D{}", r / 20)),
+                    Value::str(format!("V{}", r / 3 % 4)),
+                    Value::int(1990 + (r % 4) as i64),
+                    Value::float(r as f64 * 0.37 - 11.0),
+                ])
+                .unwrap();
+        }
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn non_strict_villages_demote_and_views_stay_exact() {
+        use std::collections::BTreeMap;
+        let r = non_strict_relation();
+        let s = schema_of(&r);
+        let [district, village, year, measure] =
+            ["district", "village", "year", "severity"].map(|n| s.attr(n).unwrap());
+        let demotions = reptile_obs::counter_value(Counter::DenseDemotions);
+        for predicate in [Predicate::all(), Predicate::eq(year, Value::int(1991))] {
+            for group_by in [vec![district, village], vec![year, village, district]] {
+                let label = format!("{predicate:?} by {group_by:?}");
+                let keys = GroupKeys::resolve(&r, &group_by);
+                assert!(
+                    GroupTable::<AggState>::new(&keys, r.len()).is_dense(),
+                    "{label}: the scan starts dense"
+                );
+                let compute = |exec: &Exec| {
+                    View::compute(
+                        r.clone(),
+                        predicate.clone(),
+                        group_by.clone(),
+                        measure,
+                        exec,
+                    )
+                    .unwrap()
+                };
+                let serial = compute(&Exec::Serial);
+                // The `Value` oracle: every matching row pushed in row order.
+                let mut oracle: BTreeMap<Vec<Value>, AggState> = BTreeMap::new();
+                for row in (0..r.len()).filter(|&row| predicate.matches(&r, row)) {
+                    let key = group_by.iter().map(|a| r.value(row, *a).clone()).collect();
+                    let value = r.numeric(row, measure).unwrap().unwrap_or(0.0);
+                    oracle
+                        .entry(key)
+                        .or_insert_with(AggState::empty)
+                        .push(value);
+                }
+                let got: Vec<(Vec<Value>, AggState)> = serial
+                    .groups()
+                    .map(|(key, agg)| (key.values().to_vec(), *agg))
+                    .collect();
+                assert_eq!(got, oracle.into_iter().collect::<Vec<_>>(), "{label}");
+                for shards in 1..=7 {
+                    assert_eq!(serial, compute(&Exec::Shards(shards)), "{label}: {shards}");
+                }
+                for workers in 1..=3 {
+                    let remote = Exec::Remote(Remote::new(Arc::new(Loopback::new(workers))));
+                    assert_eq!(serial, compute(&remote), "{label}: {workers} workers");
+                }
+            }
+        }
+        assert!(reptile_obs::counter_value(Counter::DenseDemotions) > demotions);
+    }
+
+    /// A transport whose first worker answers honestly and whose last
+    /// claims a group keyed `lie` — a code tuple outside the shipped
+    /// dictionaries.
+    struct Lying {
+        honest: Loopback,
+        lie: Vec<u32>,
+    }
+
+    impl crate::exec::RemoteTransport for Lying {
+        fn workers(&self) -> usize {
+            self.honest.workers
+        }
+
+        fn ensure_relation(
+            &self,
+            relation: &Arc<Relation>,
+        ) -> std::result::Result<Vec<(usize, usize)>, RemoteError> {
+            self.honest.ensure_relation(relation)
+        }
+
+        fn scatter(
+            &self,
+            op: u8,
+            requests: Vec<Option<Vec<u8>>>,
+        ) -> std::result::Result<Vec<Option<Vec<u8>>>, RemoteError> {
+            let mut replies = self.honest.scatter(op, requests)?;
+            let mut lie = Vec::new();
+            crate::codec::put_u32(&mut lie, self.lie.len() as u32);
+            crate::codec::put_u32(&mut lie, 1);
+            for &code in &self.lie {
+                crate::codec::put_u32(&mut lie, code);
+            }
+            crate::codec::put_u32(&mut lie, 1);
+            crate::codec::put_f64(&mut lie, 1.0);
+            *replies.last_mut().unwrap() = Some(lie);
+            Ok(replies)
+        }
+    }
+
+    #[test]
+    fn a_lying_worker_is_a_typed_error_not_a_merged_group() {
+        let r = fist_relation();
+        let s = schema_of(&r);
+        let group_by = vec![s.attr("district").unwrap(), s.attr("year").unwrap()];
+        let keys = GroupKeys::resolve(&r, &group_by);
+        // District and year address the merge table in its dense arm: a code
+        // past a dictionary would alias another group's address or index
+        // past the directory.
+        assert!(GroupTable::<AggState>::new(&keys, r.len()).is_dense());
+        let sizes: Vec<u32> = keys.cols().iter().map(|c| c.dict().len() as u32).collect();
+        for lie in [
+            vec![sizes[0], 0],
+            vec![u32::MAX, 0],
+            vec![0, sizes[1]],
+            vec![1, u32::MAX],
+        ] {
+            let remote = Exec::Remote(Remote::new(Arc::new(Lying {
+                honest: Loopback::new(2),
+                lie: lie.clone(),
+            })));
+            let err = View::compute(
+                r.clone(),
+                Predicate::all(),
+                group_by.clone(),
+                s.attr("severity").unwrap(),
+                &remote,
+            )
+            .unwrap_err();
+            assert!(matches!(err, RelationalError::Remote(_)), "{lie:?}: {err}");
+            assert!(
+                err.to_string().contains("outside the shipped dictionary"),
+                "{lie:?}: {err}"
+            );
+        }
     }
 
     #[test]

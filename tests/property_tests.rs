@@ -1535,84 +1535,6 @@ fn group_kernel_equals_value_keyed_oracle_in_every_context() {
     );
 }
 
-/// The view battery on the deep mixed-fanout panel (a three-level geography
-/// whose regions and districts own different numbers of children, two
-/// measures): every shape a drill-down scans — the full-depth group-by, a
-/// shallow one, a restricted drill, an unsatisfiable predicate, and the
-/// second measure — equals the `Value` scan serially, and every
-/// `Exec::Shards(n)` equals the serial view, including shard counts at and
-/// past the group count (empty shards merge as identities). The drill-down
-/// the engine issues is `==` under a pool as well.
-#[test]
-fn deep_panel_views_are_exact_under_every_shard_count() {
-    use reptile_datasets::scaling::{deep_scaling_panel, DeepScalingConfig};
-    use reptile_relational::{Predicate, View};
-
-    let workload = deep_scaling_panel(DeepScalingConfig::smoke());
-    let schema = &workload.schema;
-    let [region, district, day, m, m2] =
-        ["region", "district", "day", "m", "m2"].map(|n| schema.attr(n).unwrap());
-    let complained = Predicate::eq(region, workload.complaint_key.value(0).clone());
-    let shapes = [
-        (
-            "full depth",
-            Predicate::all(),
-            workload.training_view.group_by().to_vec(),
-            m,
-        ),
-        ("shallow", Predicate::all(), vec![region, day], m),
-        ("restricted drill", complained, vec![region, district], m),
-        (
-            "unsatisfiable",
-            Predicate::eq(region, Value::str("R-absent")),
-            vec![region, district],
-            m,
-        ),
-        (
-            "second measure",
-            Predicate::all(),
-            vec![region, district, day],
-            m2,
-        ),
-    ];
-    for (label, predicate, group_by, measure) in shapes {
-        let compute = |exec: &Exec| {
-            View::compute(
-                workload.relation.clone(),
-                predicate.clone(),
-                group_by.clone(),
-                measure,
-                exec,
-            )
-            .unwrap()
-        };
-        let serial = compute(&Exec::Serial);
-        assert_view_equals_value_scan(&serial, label);
-        for shards in [2, 3, 7, serial.len(), serial.len() + 5] {
-            assert_eq!(
-                serial,
-                compute(&Exec::Shards(shards)),
-                "{label}: {shards} shards"
-            );
-        }
-    }
-    let geo = schema.hierarchy("geo").unwrap();
-    let serial = workload
-        .complaint_view
-        .drill_down_parallel(geo, &Exec::Serial)
-        .unwrap();
-    for threads in [2, 4] {
-        let pooled = workload
-            .complaint_view
-            .drill_down_parallel(geo, &Exec::pool(threads))
-            .unwrap();
-        assert_eq!(
-            serial.view, pooled.view,
-            "drill-down on a {threads}-thread pool"
-        );
-    }
-}
-
 /// Observability has no observable effect on results: with the stage timers
 /// fully armed (the process-global flag *and* the per-engine `ObsConfig`),
 /// every recommendation and every view — serial, sharded and remote alike —
