@@ -18,10 +18,7 @@ use crate::cache::{
 };
 use crate::complaint::Complaint;
 use crate::{ReptileError, Result};
-use reptile_factor::{
-    AggregateSource, DrilldownMode, DrilldownSession, EncodedAggregates, EncodedFactor,
-    EncodedFactorization, Exec, PathCountIndex,
-};
+use reptile_factor::{Exec, SessionStats};
 use reptile_model::{
     DesignBuilder, EmptyGroupPolicy, FeaturePlan, LinearModel, MultilevelConfig, MultilevelModel,
     TrainingBackend,
@@ -32,7 +29,8 @@ use reptile_relational::{
     View,
 };
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// Whole nanoseconds since `t0`, saturating (for the stage-breakdown fields).
@@ -64,19 +62,18 @@ pub struct ReptileConfig {
     pub empty_groups: EmptyGroupPolicy,
     /// Where the engine's factorised work runs: inline, on the shared
     /// thread pool, over an exact shard count, or scattered to worker
-    /// processes. Governs cold encoded factor builds and ingest delta
-    /// patches (via the engine's [`DrilldownSession`]), view scans, design
-    /// construction, and the multi-level fit's gram/cluster/E-step
+    /// processes. Governs view scans, design construction (its hierarchy
+    /// aggregates included), and the multi-level fit's gram/cluster/E-step
     /// fan-outs. Serial by default. Every context is **bit-identical** to
     /// serial, so this knob is deliberately *not* part of
     /// [`config_fingerprint`] — engines with different execution contexts
     /// share cache entries.
     pub exec: Exec,
-    /// Per-engine stage timing (design builds, ingest stage breakdowns,
-    /// session stage durations). Off by default; results are
-    /// **bit-identical** either way, so — like `exec` — this knob is
-    /// deliberately *not* part of [`config_fingerprint`]: a profiled and an
-    /// unprofiled engine share cache entries.
+    /// Per-engine stage timing (design builds, ingest stage breakdowns).
+    /// Off by default; results are **bit-identical** either way, so — like
+    /// `exec` — this knob is deliberately *not* part of
+    /// [`config_fingerprint`]: a profiled and an unprofiled engine share
+    /// cache entries.
     pub obs: ObsConfig,
 }
 
@@ -152,20 +149,6 @@ impl Recommendation {
     }
 }
 
-/// [`AggregateSource`] over the engine's shared [`DrilldownSession`]: locks
-/// the mutex per aggregate call only, so a design build does not hold the
-/// session across its view scans.
-struct SharedSession<'a>(&'a Mutex<DrilldownSession>);
-
-impl AggregateSource for SharedSession<'_> {
-    fn encoded_aggregates(
-        &mut self,
-        factors: Vec<Arc<EncodedFactor>>,
-    ) -> (EncodedFactorization, EncodedAggregates) {
-        self.0.lock().unwrap().encoded(factors)
-    }
-}
-
 /// Per-stage wall-clock breakdown of one [`Reptile::ingest`] call. All
 /// zeros unless stage timing was on ([`ReptileConfig::obs`] or the
 /// process-wide `reptile_obs` flag) — timing never changes what the ingest
@@ -174,12 +157,6 @@ impl AggregateSource for SharedSession<'_> {
 pub struct IngestStages {
     /// Applying the batch to the relation snapshot (insert/delete replay).
     pub apply_ns: u64,
-    /// Folding the batch into the path-count index and deriving the
-    /// per-hierarchy distinct-path deltas (includes the index's lazy first
-    /// build).
-    pub path_delta_ns: u64,
-    /// Bumping the drill-down session epochs of the touched hierarchies.
-    pub epoch_ns: u64,
 }
 
 /// A unified ingest surface: anything that can apply an [`IngestBatch`]
@@ -196,8 +173,7 @@ pub struct IngestStages {
 /// `ingest` takes `&self` simply delegate.
 pub trait IngestSink {
     /// Apply `batch` as one atomic ingest: one new relation snapshot
-    /// version, delta-maintained derived state, and a report of what
-    /// changed.
+    /// version and a report of what changed.
     fn apply_batch(&mut self, batch: &IngestBatch) -> Result<IngestReport>;
 }
 
@@ -208,9 +184,7 @@ impl IngestSink for Reptile {
 }
 
 /// What one [`Reptile::ingest`] did: the new relation snapshot, the change
-/// counts, which hierarchies' distinct path sets changed (their session
-/// epochs were bumped), and the exact invalidation rule for view/model
-/// caches.
+/// counts, and the exact invalidation rule for view/model caches.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
     /// The post-ingest relation snapshot (same lineage ident, next version).
@@ -219,10 +193,6 @@ pub struct IngestReport {
     pub inserted: usize,
     /// Rows deleted by the batch.
     pub deleted: usize,
-    /// Hierarchies whose distinct full-depth path set changed. The engine
-    /// already bumped their [`DrilldownSession`] epochs; serving layers use
-    /// this to know an ingest happened at all.
-    pub touched_hierarchies: Vec<String>,
     /// Per-stage wall-clock breakdown (zeros unless stage timing was on).
     pub stages: IngestStages,
     /// Every inserted or deleted tuple (the predicate-matching set),
@@ -252,22 +222,18 @@ impl IngestReport {
 ///
 /// The engine holds the registered relation behind an `RwLock` (the current
 /// snapshot; [`Reptile::ingest`] swaps in the next one while readers keep
-/// serving from the views they already hold) and an internal
-/// [`DrilldownSession`] (behind a mutex, so shared references can serve
-/// concurrent complaints) that carries the decomposed aggregates of
-/// unchanged hierarchies across successive invocations — the `CachedDynamic`
-/// maintenance of Section 4.4, extended with per-hierarchy ingest epochs and
-/// delta maintenance. View- and model-level reuse is delegated to an
-/// [`EngineCache`] passed to [`Reptile::recommend_with_cache`].
+/// serving from the views they already hold). Each design build computes
+/// its hierarchy aggregates from its own path tables; view- and model-level
+/// reuse is delegated to an [`EngineCache`] passed to
+/// [`Reptile::recommend_with_cache`].
 #[derive(Debug)]
 pub struct Reptile {
     relation: RwLock<Arc<Relation>>,
     schema: Arc<Schema>,
     config: ReptileConfig,
     plan: FeaturePlan,
-    session: Mutex<DrilldownSession>,
-    /// Lazily built path-count index behind ingest delta detection.
-    path_index: Mutex<Option<PathCountIndex>>,
+    /// Hierarchies whose aggregates design builds computed, since creation.
+    recomputed: AtomicUsize,
 }
 
 impl Reptile {
@@ -278,20 +244,12 @@ impl Reptile {
             schema,
             config: ReptileConfig::default(),
             plan: FeaturePlan::none(),
-            session: Mutex::new(DrilldownSession::new(DrilldownMode::CachedDynamic)),
-            path_index: Mutex::new(None),
+            recomputed: AtomicUsize::new(0),
         }
     }
 
-    /// Override the configuration. The drill-down session's shard budget
-    /// follows the configured [`ReptileConfig::exec`], and its
-    /// stage-timing switch follows [`ReptileConfig::obs`].
+    /// Override the configuration.
     pub fn with_config(mut self, config: ReptileConfig) -> Self {
-        {
-            let mut session = self.session.lock().expect("session lock");
-            session.set_exec(config.exec.clone());
-            session.set_profile(config.obs.enabled);
-        }
         self.config = config;
         self
     }
@@ -317,25 +275,19 @@ impl Reptile {
         &self.config
     }
 
-    /// Running totals of the engine's internal drill-down session across
-    /// every call since creation: factor-state recomputes vs reuses, delta
-    /// patches absorbed, and (when profiling is on) the encode /
-    /// delta-patch stage durations.
-    pub fn session_stats(&self) -> reptile_factor::SessionStats {
-        self.session
-            .lock()
-            .expect("session lock")
-            .cumulative_stats()
+    /// Running totals since creation: `recomputed` counts the hierarchies
+    /// whose aggregates design builds computed; `reused` and
+    /// `delta_patched` are always 0.
+    pub fn session_stats(&self) -> SessionStats {
+        SessionStats {
+            recomputed: self.recomputed.load(Ordering::Relaxed),
+            ..SessionStats::default()
+        }
     }
 
-    /// Apply a streaming [`IngestBatch`] to the registered relation with
-    /// *delta maintenance* instead of a cold rebuild: the relation advances
-    /// to its next snapshot (old views keep serving their old snapshot), the
-    /// engine's path index detects which hierarchies' distinct path sets
-    /// changed, and only those hierarchies have their [`DrilldownSession`]
-    /// epochs bumped — cached factor state for untouched hierarchies stays
-    /// warm, and the touched ones are patched forward from their latest
-    /// snapshot on next use.
+    /// Apply a streaming [`IngestBatch`] to the registered relation: the
+    /// relation advances to its next snapshot (old views keep serving their
+    /// old snapshot).
     ///
     /// The returned [`IngestReport`] carries the exact invalidation rule for
     /// view/model caches ([`IngestReport::invalidates_view`]). Callers that
@@ -376,8 +328,6 @@ impl Reptile {
     /// }
     /// let report = engine.ingest(&batch).unwrap();
     /// assert_eq!(report.inserted, 4);
-    /// // day 2 is a new time path; every geo path already existed
-    /// assert_eq!(report.touched_hierarchies, vec!["time".to_string()]);
     ///
     /// // Recommending over the new snapshot drills into the faulty village.
     /// let view = View::compute(
@@ -401,9 +351,8 @@ impl Reptile {
     /// assert!(best.key.to_string().contains("D1-b"));
     /// ```
     pub fn ingest(&self, batch: &IngestBatch) -> Result<IngestReport> {
-        // Per-stage breakdown for the report (apply / path-delta / epoch),
-        // measured only when timing is on; the ingest itself is identical
-        // either way.
+        // The apply is timed only when timing is on; the ingest itself is
+        // identical either way.
         let timing = self.config.obs.enabled || reptile_obs::enabled();
         let mut stages = IngestStages::default();
         let mut relation = self.relation.write().expect("relation lock");
@@ -412,40 +361,12 @@ impl Reptile {
         if let Some(t0) = t0 {
             stages.apply_ns = elapsed_ns(t0);
         }
-        let t0 = timing.then(Instant::now);
-        let touched = {
-            let mut index = self.path_index.lock().expect("path index lock");
-            let index = index
-                .get_or_insert_with(|| PathCountIndex::build(&relation, self.schema.hierarchies()));
-            let delta = index.apply(batch, self.schema.hierarchies());
-            self.schema
-                .hierarchies()
-                .iter()
-                .zip(&delta.per_hierarchy)
-                .filter(|(_, d)| d.as_ref().is_some_and(|d| !d.is_empty()))
-                .map(|(h, _)| h.name.clone())
-                .collect::<Vec<String>>()
-        };
-        if let Some(t0) = t0 {
-            stages.path_delta_ns = elapsed_ns(t0);
-        }
         *relation = next.clone();
         drop(relation);
-        {
-            let t0 = timing.then(Instant::now);
-            let mut session = self.session.lock().expect("session lock");
-            for hierarchy in &touched {
-                session.bump_epoch(hierarchy);
-            }
-            if let Some(t0) = t0 {
-                stages.epoch_ns = elapsed_ns(t0);
-            }
-        }
         Ok(IngestReport {
             relation: next,
             inserted: batch.inserts().len(),
             deleted: batch.deletes().len(),
-            touched_hierarchies: touched,
             stages,
             changed_rows: batch
                 .changed_rows()
@@ -726,10 +647,7 @@ impl Reptile {
     }
 
     /// Serve the trained model for `(view ⤵ hierarchy, statistic)` from
-    /// `cache`, or assemble the design, fit, and insert it. The aggregate
-    /// computation inside the design build goes through the engine's
-    /// [`DrilldownSession`], so hierarchies unchanged since earlier
-    /// invocations are not recomputed even on a model-cache miss.
+    /// `cache`, or assemble the design, fit, and insert it.
     fn fit_and_predict(
         &self,
         view: &View,
@@ -750,20 +668,17 @@ impl Reptile {
             let parallel = self.view_via_cache(&parallel_key, cache, || {
                 Ok(view.drill_down_parallel(hierarchy, &self.config.exec)?.view)
             })?;
-            // The engine's drill-down session serves cached per-hierarchy
-            // state (encoded factors + aggregates) to the design build. The
-            // session mutex is taken per aggregate call, not across the
-            // whole design build, so concurrent batch-served complaints only
-            // serialize the (cached) aggregate step.
-            let mut source = SharedSession(&self.session);
             let design_span = StageTimer::start_if(Stage::DesignBuild, self.config.obs.enabled);
             let design = DesignBuilder::new(&parallel, &self.schema, complaint.statistic)
                 .with_plan(self.plan.clone())
                 .empty_groups(self.config.empty_groups)
                 .with_exec(self.config.exec.clone())
-                .with_aggregate_source(&mut source)
                 .build()?;
             drop(design_span);
+            self.recomputed.fetch_add(
+                design.encoded().factorization.factors().len(),
+                Ordering::Relaxed,
+            );
             let (model, predictions) = match self.config.model {
                 RepairModelKind::MultiLevel => {
                     let model = MultilevelModel::fit_exec(
@@ -1369,11 +1284,10 @@ mod tests {
     }
 
     #[test]
-    fn ingest_tracks_touched_hierarchies_and_invalidation() {
+    fn ingest_reports_changes_and_invalidation() {
         let (rel, schema) = dataset("D1-V2", -4.0);
         let engine = Reptile::new(rel.clone(), schema.clone());
-        // Appending more rows for existing (village, year) paths touches no
-        // hierarchy's distinct path set.
+        // More rows for an existing (village, year) path.
         let batch = IngestBatch::new().insert([
             Value::str("D1"),
             Value::str("D1-V2"),
@@ -1383,12 +1297,11 @@ mod tests {
         let report = engine.ingest(&batch).unwrap();
         assert_eq!(report.inserted, 1);
         assert_eq!(report.deleted, 0);
-        assert!(report.touched_hierarchies.is_empty());
         assert_eq!(report.relation.ident(), rel.ident());
         assert_eq!(report.relation.version(), rel.version() + 1);
         assert_eq!(engine.relation().len(), rel.len() + 1);
 
-        // A new year path touches only the time hierarchy.
+        // A new year path.
         let batch = IngestBatch::new().insert([
             Value::str("D1"),
             Value::str("D1-V2"),
@@ -1396,7 +1309,7 @@ mod tests {
             Value::float(6.0),
         ]);
         let report = engine.ingest(&batch).unwrap();
-        assert_eq!(report.touched_hierarchies, vec!["time".to_string()]);
+        assert_eq!((report.inserted, report.deleted), (1, 0));
 
         // Deleting the only 1988 row removes the path again.
         let batch = IngestBatch::new().delete([
@@ -1406,7 +1319,9 @@ mod tests {
             Value::float(6.0),
         ]);
         let report = engine.ingest(&batch).unwrap();
-        assert_eq!(report.touched_hierarchies, vec!["time".to_string()]);
+        assert_eq!((report.inserted, report.deleted), (0, 1));
+        assert_eq!(report.relation.version(), rel.version() + 3);
+        assert_eq!(engine.relation().len(), rel.len() + 1);
 
         // The invalidation rule is predicate-based: a 1986 view is stale,
         // a 1987-only view is not, and a view over an unrelated relation
@@ -1458,7 +1373,7 @@ mod tests {
             }
         }
         let report = engine.ingest(&batch).unwrap();
-        assert!(report.touched_hierarchies.is_empty(), "no path changed");
+        assert_eq!(report.inserted, report.deleted);
         let refreshed = engine.refresh_view(&view).unwrap();
         let complaint = Complaint::new(
             GroupKey(vec![Value::str("D1"), Value::int(1986)]),

@@ -65,8 +65,8 @@
 //! ```
 //!
 //! The heavy lifting lives in the companion crates:
-//! `reptile-relational` (data model), `reptile-factor` (factorised matrices,
-//! decomposed aggregates and drill-down maintenance), `reptile-linalg`
+//! `reptile-relational` (data model), `reptile-factor` (factorised matrices
+//! and decomposed aggregates), `reptile-linalg`
 //! (dense substrate), `reptile-model` (multi-level EM model),
 //! `reptile-datasets` (workload simulators for the paper's experiments), and
 //! `reptile-session` (cached interactive explanation sessions and the

@@ -3,8 +3,8 @@
 //! **Paper map** (Huang & Wu, *Reptile*, SIGMOD 2022): the evaluation
 //! workloads of **Section 5** — synthetic hierarchies (§5.1–5.2), the
 //! covid/FIST/absentee/COMPAS/election case studies (§5.3, Tables 1–2),
-//! plus a streaming replay of the covid panel ([`stream`]) feeding the
-//! engine's delta-maintained ingest (the maintenance direction of §4.3).
+//! plus a streaming replay of the covid panel ([`stream`]) as ingest
+//! batches.
 //!
 //! The paper evaluates on a mix of synthetic data (Sections 5.1–5.2) and real
 //! datasets (JHU COVID-19, FIST drought surveys, NC absentee ballots, COMPAS,

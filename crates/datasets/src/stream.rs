@@ -10,12 +10,7 @@
 //! [`IngestBatch`] per remaining day.
 //!
 //! Each daily batch adds a new `day` path to the time hierarchy and (almost
-//! always) no path to the geo hierarchy — the asymmetry the engine's
-//! delta-maintained encoded aggregates exploit: geo factor state survives
-//! every batch untouched, and the time factor is patched forward by one
-//! path instead of rebuilt. `covid_stream_delta_state_equals_cold_rebuild`
-//! (`tests/property_tests.rs`) holds that maintained state `==` a cold
-//! rebuild after every batch.
+//! always) no path to the geo hierarchy.
 
 use crate::covid::CovidCaseStudy;
 use reptile_relational::{IngestBatch, Relation, Value};

@@ -9,7 +9,8 @@
 //!   [`ValueDict`] (sorted domain → dense `u32` codes) and the level's code
 //!   column in path order;
 //! * [`EncodedFactorization`] — the ordered hierarchy factors plus column
-//!   offsets, `Arc`-shared so drill-down caches reuse them without copies;
+//!   offsets, `Arc`-shared so a trained model's row resolver keeps them
+//!   without copies;
 //! * [`EncodedHierarchyAggregates`] / [`EncodedAggregates`] — the
 //!   `TOTAL`/`COUNT`/`COF` batch of Section 4.2.1 as code-indexed `Vec<f64>`
 //!   descendant tables and run/COF tables of `(u32, f64)` pairs;
@@ -21,8 +22,7 @@
 //! and every table below iterates in path (= value) order. The aggregates
 //! are integer counts, equal (`==`) to the serial LMFAO-style baseline
 //! ([`crate::lmfao::compute_serial`]); every [`Exec`] context is `==` the
-//! serial computation, and a delta-maintained state is `==` a cold rebuild
-//! ([`semantic_diff`]). Decoding back to [`Value`] happens only at the
+//! serial computation. Decoding back to [`Value`] happens only at the
 //! explanation/API boundary via the per-level dictionaries.
 
 use crate::factorization::{AttrPosition, Factorization, HierarchyFactor};
@@ -30,31 +30,30 @@ use crate::feature::FeatureMap;
 use crate::parallel::Parallelism;
 use reptile_linalg::{Matrix, PrefixSum};
 use reptile_obs::{Stage, StageTimer};
-use reptile_relational::codec::{put_str, put_u32, put_u64, put_value};
 use reptile_relational::{AttrId, Exec, Value, ValueDict};
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One level of an encoded hierarchy: its domain dictionary and the dense
 /// code column in (value-sorted) path order.
 ///
-/// The code column is `Arc`-shared so that [`EncodedFactor::apply_delta`]
-/// can hand untouched columns to the next snapshot without copying them, and
-/// cloning a factor (e.g. into a cache entry) costs pointer bumps per level.
+/// The code column is `Arc`-shared, so cloning a factor costs a pointer
+/// bump per level.
 #[derive(Debug, Clone)]
 pub struct EncodedLevel {
-    /// Domain of the level; sorted-rank codes at construction, with appended
-    /// codes for values first seen by a later delta (see
-    /// [`ValueDict::extend_with`]).
+    /// Domain of the level. [`EncodedFactor::encode`] and the design build
+    /// assign sorted-rank codes over the values present; a level assembled
+    /// by [`EncodedFactor::from_levels`] may carry any dictionary, codes out
+    /// of value order included.
     pub dict: ValueDict,
     /// The level's value codes, one per path, in path order.
     pub codes: Arc<Vec<u32>>,
 }
 
 impl EncodedLevel {
-    /// Per code, whether some path carries it. Every code of a freshly
-    /// built level is carried; a delta-maintained dictionary also keeps the
-    /// codes of values whose last path vanished.
+    /// Per code, whether some path carries it. Every code of an encoded or
+    /// design-built level is carried; a dictionary handed to
+    /// [`EncodedFactor::from_levels`] may hold values no path carries.
     pub fn carried_codes(&self) -> Vec<bool> {
         let mut carried = vec![false; self.dict.len()];
         for &code in self.codes.iter() {
@@ -65,7 +64,7 @@ impl EncodedLevel {
 }
 
 /// A dictionary-encoded hierarchy factor (columnar layout).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EncodedFactor {
     /// Name of the hierarchy (for diagnostics).
     pub name: String,
@@ -80,30 +79,6 @@ pub struct EncodedFactor {
     /// search plus a walk over the runs actually present in the range,
     /// instead of an `O(len)` re-detection per call per level per shard.
     run_starts: Vec<Arc<Vec<usize>>>,
-    /// Lazily computed content fingerprint ([`EncodedFactor::fingerprint`]).
-    fingerprint: OnceLock<u64>,
-}
-
-impl Clone for EncodedFactor {
-    fn clone(&self) -> Self {
-        EncodedFactor {
-            name: self.name.clone(),
-            attrs: self.attrs.clone(),
-            levels: self.levels.clone(),
-            leaf_count: self.leaf_count,
-            run_starts: self.run_starts.clone(),
-            // `OnceLock` is not `Clone`; carry the computed value over so a
-            // cached clone never re-hashes.
-            fingerprint: match self.fingerprint.get() {
-                Some(&fp) => {
-                    let lock = OnceLock::new();
-                    let _ = lock.set(fp);
-                    lock
-                }
-                None => OnceLock::new(),
-            },
-        }
-    }
 }
 
 /// The sorted start indices of `codes`' maximal runs, with a final
@@ -119,16 +94,6 @@ fn run_start_table(codes: &[u32]) -> Vec<usize> {
     }
     starts.push(codes.len());
     starts
-}
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
 }
 
 impl EncodedFactor {
@@ -186,7 +151,6 @@ impl EncodedFactor {
             levels,
             leaf_count,
             run_starts,
-            fingerprint: OnceLock::new(),
         }
     }
 
@@ -205,44 +169,7 @@ impl EncodedFactor {
             levels,
             leaf_count,
             run_starts,
-            fingerprint: OnceLock::new(),
         }
-    }
-
-    /// The factor's content fingerprint, computed once and cached: a cache
-    /// key ([`DrilldownSession`](crate::DrilldownSession) keys its
-    /// aggregates by it). Equal content gives equal fingerprints; a
-    /// post-ingest snapshot is a different factor with a different one.
-    pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| fnv1a(&self.content_bytes()))
-    }
-
-    /// The bytes [`EncodedFactor::fingerprint`] hashes: name, level
-    /// attributes, leaf count, then per level the dictionary in code order
-    /// and the code column. The layout is frozen, so fingerprints stay
-    /// stable across releases.
-    fn content_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_str(&mut buf, &self.name);
-        put_u32(&mut buf, self.attrs.len() as u32);
-        for attr in &self.attrs {
-            put_u64(&mut buf, attr.index() as u64);
-        }
-        put_u64(&mut buf, self.leaf_count as u64);
-        put_u32(&mut buf, self.levels.len() as u32);
-        for level in &self.levels {
-            put_u32(&mut buf, level.dict.len() as u32);
-            for value in level.dict.values() {
-                put_value(&mut buf, value);
-            }
-            put_u32(&mut buf, level.codes.len() as u32);
-            for &code in level.codes.iter() {
-                put_u32(&mut buf, code);
-            }
-        }
-        buf
     }
 
     /// Number of levels present.
@@ -366,185 +293,11 @@ impl EncodedFactor {
         }
         None
     }
-
-    /// Apply a path delta, producing the next snapshot of this factor.
-    ///
-    /// Dictionaries are extended in place (stable codes for existing values,
-    /// appended codes for unseen ones — see [`ValueDict::extend_with`]), and
-    /// the code columns are spliced by a single merge pass that keeps the
-    /// path table in value-sorted order. Compared to a cold re-encode this
-    /// skips the per-level dictionary rebuild and the `O(n log |domain|)`
-    /// code lookups; only the delta's own paths touch a dictionary.
-    ///
-    /// `delta.removed` paths must be present and `delta.added` paths absent
-    /// (both sorted and distinct) — [`PathDelta::between`] produces exactly
-    /// this shape. Violations are caught by debug assertions.
-    pub fn apply_delta(&self, delta: &PathDelta) -> EncodedFactor {
-        let depth = self.depth();
-        debug_assert!(delta.added.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(delta.removed.windows(2).all(|w| w[0] < w[1]));
-        // 1. Extend the dictionaries with any unseen values.
-        let mut dicts: Vec<ValueDict> = self.levels.iter().map(|l| l.dict.clone()).collect();
-        for path in &delta.added {
-            debug_assert_eq!(path.len(), depth);
-            for (level, dict) in dicts.iter_mut().enumerate() {
-                dict.code_or_insert(&path[level]);
-            }
-        }
-        // 2. Merge-splice the code columns in one pass over the old table.
-        let target = self.leaf_count + delta.added.len() - delta.removed.len();
-        let mut columns: Vec<Vec<u32>> = (0..depth).map(|_| Vec::with_capacity(target)).collect();
-        let push_value_path = |columns: &mut Vec<Vec<u32>>, path: &[Value]| {
-            for (level, col) in columns.iter_mut().enumerate() {
-                col.push(dicts[level].code_of(&path[level]).expect("extended above"));
-            }
-        };
-        let mut add = delta.added.iter().peekable();
-        let mut rem = delta.removed.iter().peekable();
-        for idx in 0..self.leaf_count {
-            while let Some(a) = add.peek() {
-                match self.cmp_path(idx, a.iter()) {
-                    Ordering::Greater => {
-                        push_value_path(&mut columns, a);
-                        add.next();
-                    }
-                    cmp => {
-                        debug_assert_ne!(cmp, Ordering::Equal, "added path already present");
-                        break;
-                    }
-                }
-            }
-            if let Some(r) = rem.peek() {
-                if self.cmp_path(idx, r.iter()) == Ordering::Equal {
-                    rem.next();
-                    continue;
-                }
-            }
-            for (level, col) in columns.iter_mut().enumerate() {
-                col.push(self.levels[level].codes[idx]);
-            }
-        }
-        for a in add {
-            push_value_path(&mut columns, a);
-        }
-        debug_assert!(rem.peek().is_none(), "removed path not present in factor");
-        let leaf_count = columns.first().map_or(target, Vec::len);
-        let levels: Vec<EncodedLevel> = dicts
-            .into_iter()
-            .zip(columns)
-            .map(|(dict, codes)| EncodedLevel {
-                dict,
-                codes: Arc::new(codes),
-            })
-            .collect();
-        let run_starts = levels
-            .iter()
-            .map(|l| Arc::new(run_start_table(&l.codes)))
-            .collect();
-        EncodedFactor {
-            name: self.name.clone(),
-            attrs: self.attrs.clone(),
-            levels,
-            leaf_count,
-            run_starts,
-            fingerprint: OnceLock::new(),
-        }
-    }
-}
-
-/// The distinct-path changes of one hierarchy between two snapshots: paths
-/// that appeared and paths that vanished, both in sorted order. This is the
-/// unit [`EncodedFactor::apply_delta`] and
-/// [`EncodedAggregates::apply_delta`] maintain encoded state from — note it
-/// is a *path* delta, not a row delta: a row insert only shows up here if it
-/// created a previously-absent path (and a delete only if it removed the
-/// last row of one).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PathDelta {
-    /// Paths present after but not before, sorted.
-    pub added: Vec<Vec<Value>>,
-    /// Paths present before but not after, sorted.
-    pub removed: Vec<Vec<Value>>,
-}
-
-impl PathDelta {
-    /// Diff an encoded factor against the next snapshot of the same
-    /// hierarchy (both path tables are value-sorted). One merge pass; both
-    /// sides compare through their level dictionaries and only the paths
-    /// of the delta are decoded.
-    pub fn between(factor: &EncodedFactor, next: &EncodedFactor) -> PathDelta {
-        let mut delta = PathDelta::default();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < factor.leaf_count() && j < next.leaf_count() {
-            match factor.cmp_path(i, next.path_values(j)) {
-                Ordering::Less => {
-                    delta.removed.push(factor.decode_path(i));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    delta.added.push(next.decode_path(j));
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        delta
-            .removed
-            .extend((i..factor.leaf_count()).map(|i| factor.decode_path(i)));
-        delta
-            .added
-            .extend((j..next.leaf_count()).map(|j| next.decode_path(j)));
-        delta
-    }
-
-    /// Number of path changes.
-    pub fn len(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-
-    /// Whether the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
-/// Per-hierarchy path deltas for a whole factorisation; `None` marks a
-/// hierarchy whose distinct path set did not change (its factor and
-/// aggregates are re-shared by `Arc` instead of recomputed).
-#[derive(Debug, Clone, Default)]
-pub struct FactorizationDelta {
-    /// One optional delta per hierarchy, in factorisation order.
-    pub per_hierarchy: Vec<Option<PathDelta>>,
-}
-
-impl FactorizationDelta {
-    /// A delta touching none of `hierarchies` hierarchies.
-    pub fn none(hierarchies: usize) -> Self {
-        FactorizationDelta {
-            per_hierarchy: vec![None; hierarchies],
-        }
-    }
-
-    /// Set hierarchy `h`'s path delta (builder style).
-    pub fn with(mut self, h: usize, delta: PathDelta) -> Self {
-        self.per_hierarchy[h] = Some(delta);
-        self
-    }
-
-    /// Whether no hierarchy has a (non-empty) delta.
-    pub fn is_empty(&self) -> bool {
-        self.per_hierarchy
-            .iter()
-            .all(|d| d.as_ref().is_none_or(PathDelta::is_empty))
-    }
 }
 
 /// The dictionary-encoded factorised matrix: ordered encoded hierarchy
-/// factors plus column offsets. Factors are `Arc`-shared so that the
-/// drill-down session cache can hand them out without copying code columns.
+/// factors plus column offsets. Factors are `Arc`-shared, so a design's row
+/// resolver keeps them without copying code columns.
 #[derive(Debug, Clone)]
 pub struct EncodedFactorization {
     factors: Vec<Arc<EncodedFactor>>,
@@ -802,13 +555,9 @@ impl EncodedHierarchyAggregates {
         }
     }
 
-    /// Same-hierarchy `COF` tables for every (shallower, deeper) level pair,
-    /// from one linear scan of the code columns per pair.
-    fn cof_tables(factor: &EncodedFactor) -> Vec<Vec<(u32, u32, f64)>> {
-        Self::cof_tables_range(factor, 0, factor.leaf_count())
-    }
-
-    /// The `COF` scans restricted to the path shard `[start, start + len)`.
+    /// Same-hierarchy `COF` tables for every (shallower, deeper) level pair
+    /// over the path shard `[start, start + len)`, from one linear scan of
+    /// the code columns per pair.
     fn cof_tables_range(
         factor: &EncodedFactor,
         start: usize,
@@ -835,95 +584,6 @@ impl EncodedHierarchyAggregates {
             }
         }
         cofs
-    }
-
-    /// The `COF` tables of a whole factor, sharded over `par` and
-    /// boundary-merged — used by the delta-patch path, whose table rebuild is
-    /// the dominant linear scan.
-    fn cof_tables_with(factor: &EncodedFactor, par: &Parallelism) -> Vec<Vec<(u32, u32, f64)>> {
-        let ranges = par.ranges_for(factor.leaf_count());
-        if ranges.len() <= 1 {
-            return Self::cof_tables(factor);
-        }
-        let chunks = par.run_shards(&ranges, |start, len| {
-            Self::cof_tables_range(factor, start, len)
-        });
-        let depth = factor.depth();
-        (0..depth * depth)
-            .map(|pair| merge_boundary_cofs(chunks.iter().map(|c| &c[pair])))
-            .collect()
-    }
-
-    /// Maintain the aggregates across a path delta instead of recomputing
-    /// from scratch: `new_factor` must be `old_factor.apply_delta(delta)`.
-    ///
-    /// The descendant tables are *patched* — every added (removed) path
-    /// increments (decrements) its value's count at each level, `O(|delta| ·
-    /// depth)` dictionary probes, exact because the counts are integers. The
-    /// run and `COF` tables are re-derived from the spliced code columns in
-    /// linear `u32` scans (their entries are positional, so a single
-    /// mid-table insertion shifts every later entry anyway). What the delta
-    /// path never pays is the cold path's relation scan, path sort and
-    /// dictionary rebuild.
-    ///
-    /// Codes of values whose last path vanished stay in the dictionaries
-    /// with a descendant count of zero — they no longer appear in any run or
-    /// `COF` entry, so every aggregate query is unaffected.
-    ///
-    /// The linear run/`COF` rebuild scans fan out over `exec`'s *local*
-    /// thread budget (boundary-merged back, so the result is bit-identical
-    /// to the serial patch); the patch never goes remote — it reads the
-    /// coordinator's own delta, and the `O(|delta| · depth)` descendant
-    /// patch is already sub-linear in the factor.
-    pub fn apply_delta(&self, new_factor: &EncodedFactor, delta: &PathDelta, exec: &Exec) -> Self {
-        let par = &exec.parallelism();
-        let depth = new_factor.depth();
-        let mut desc = self.desc.clone();
-        for (level, table) in desc.iter_mut().enumerate() {
-            table.resize(new_factor.cardinality(level), 0.0);
-        }
-        let mut patch = |path: &[Value], step: f64| {
-            for (level, table) in desc.iter_mut().enumerate() {
-                let code = new_factor.levels[level]
-                    .dict
-                    .code_of(&path[level])
-                    .expect("delta value present in extended dictionary");
-                table[code as usize] += step;
-            }
-        };
-        for path in &delta.added {
-            patch(path, 1.0);
-        }
-        for path in &delta.removed {
-            patch(path, -1.0);
-        }
-        let level_runs_f64 = |level: usize, start: usize, len: usize| -> Vec<(u32, f64)> {
-            new_factor
-                .level_runs_range(level, start, len)
-                .into_iter()
-                .map(|(c, n)| (c, n as f64))
-                .collect()
-        };
-        let ranges = par.ranges_for(new_factor.leaf_count());
-        let runs = if ranges.len() <= 1 {
-            (0..depth)
-                .map(|level| level_runs_f64(level, 0, new_factor.leaf_count()))
-                .collect()
-        } else {
-            (0..depth)
-                .map(|level| {
-                    let chunks =
-                        par.run_shards(&ranges, |start, len| level_runs_f64(level, start, len));
-                    merge_boundary_runs(chunks.iter())
-                })
-                .collect()
-        };
-        EncodedHierarchyAggregates {
-            leaf_count: new_factor.leaf_count() as f64,
-            desc,
-            runs,
-            cofs: Self::cof_tables_with(new_factor, par),
-        }
     }
 }
 
@@ -1015,80 +675,21 @@ impl EncodedAggregates {
     /// (serial, pool, exact shards, worker processes) are available and
     /// bit-identical.
     pub fn compute(fact: &EncodedFactorization, exec: &Exec) -> Self {
-        let per_hierarchy = fact
+        let per_hierarchy: Vec<Arc<EncodedHierarchyAggregates>> = fact
             .factors()
             .iter()
             .map(|f| Arc::new(EncodedHierarchyAggregates::compute(f, exec)))
             .collect();
-        Self::from_parts(fact, per_hierarchy)
-    }
-
-    /// Assemble from precomputed per-hierarchy aggregates (used by the
-    /// drill-down cache, which recomputes only the drilled hierarchy).
-    pub fn from_parts(
-        fact: &EncodedFactorization,
-        per_hierarchy: Vec<Arc<EncodedHierarchyAggregates>>,
-    ) -> Self {
-        let positions = (0..fact.n_cols()).map(|c| fact.position(c)).collect();
-        let leaf_counts = per_hierarchy.iter().map(|h| h.leaf_count).collect();
         EncodedAggregates {
-            positions,
+            positions: (0..fact.n_cols()).map(|c| fact.position(c)).collect(),
+            leaf_counts: per_hierarchy.iter().map(|h| h.leaf_count).collect(),
             per_hierarchy,
-            leaf_counts,
         }
     }
 
-    /// Per-hierarchy aggregates (exposed for the drill-down cache).
+    /// Per-hierarchy aggregates, in factorisation order.
     pub fn per_hierarchy(&self) -> &[Arc<EncodedHierarchyAggregates>] {
         &self.per_hierarchy
-    }
-
-    /// Maintain the factorisation and its aggregates across an ingest's path
-    /// deltas instead of recomputing: `fact` must be the factorisation these
-    /// aggregates were computed over, with one optional [`PathDelta`] per
-    /// hierarchy. Hierarchies without a (non-empty) delta re-share their
-    /// encoded factor *and* per-hierarchy aggregate state by `Arc` — the
-    /// common streaming case, where a day of appended rows touches the time
-    /// hierarchy and leaves every other hierarchy's state byte-identical at
-    /// zero cost. Changed hierarchies flow through
-    /// [`EncodedFactor::apply_delta`] and
-    /// [`EncodedHierarchyAggregates::apply_delta`], whose table rebuilds fan
-    /// out over `exec`'s local thread budget (bit-identical to the serial
-    /// patch).
-    pub fn apply_delta(
-        &self,
-        fact: &EncodedFactorization,
-        delta: &FactorizationDelta,
-        exec: &Exec,
-    ) -> (EncodedFactorization, EncodedAggregates) {
-        assert_eq!(
-            delta.per_hierarchy.len(),
-            fact.factors().len(),
-            "one delta slot per hierarchy"
-        );
-        let mut factors = Vec::with_capacity(fact.factors().len());
-        let mut parts = Vec::with_capacity(fact.factors().len());
-        for ((factor, part), d) in fact
-            .factors()
-            .iter()
-            .zip(&self.per_hierarchy)
-            .zip(&delta.per_hierarchy)
-        {
-            match d {
-                Some(d) if !d.is_empty() => {
-                    let next = Arc::new(factor.apply_delta(d));
-                    parts.push(Arc::new(part.apply_delta(&next, d, exec)));
-                    factors.push(next);
-                }
-                _ => {
-                    factors.push(factor.clone());
-                    parts.push(part.clone());
-                }
-            }
-        }
-        let next_fact = EncodedFactorization::new(factors);
-        let aggregates = EncodedAggregates::from_parts(&next_fact, parts);
-        (next_fact, aggregates)
     }
 
     /// Number of columns covered.
@@ -1204,130 +805,6 @@ impl EncodedAggregates {
     }
 }
 
-/// Compare two encoded aggregate states for *semantic* equality in value
-/// space, returning `None` when equal or `Some(description)` of the first
-/// mismatch.
-///
-/// This is the equality contract behind delta maintenance: a
-/// delta-maintained dictionary keeps stable codes (with appended codes for
-/// values first seen mid-stream, and zero-count codes for values whose
-/// paths vanished), so code *numbering* is the one representational freedom
-/// between a maintained state and a cold rebuild. Everything else — grand
-/// total, per-column `TOTAL`/repetitions, per-value `COUNT`s (checked in
-/// both directions), decoded block-run sequences and decoded same-hierarchy
-/// `COF` entry sequences — must match exactly (`==`, not tolerance: every
-/// compared quantity is an integer count, or a product of integer counts
-/// accumulated in identical path order). Used by the in-crate delta tests,
-/// the workspace property tests and the streaming benchmark's correctness
-/// gate, so there is one source of truth for "delta equals cold".
-pub fn semantic_diff(
-    a_fact: &EncodedFactorization,
-    a: &EncodedAggregates,
-    b_fact: &EncodedFactorization,
-    b: &EncodedAggregates,
-) -> Option<String> {
-    if a.grand_total() != b.grand_total() {
-        return Some(format!(
-            "grand_total {} != {}",
-            a.grand_total(),
-            b.grand_total()
-        ));
-    }
-    if a.n_cols() != b.n_cols() {
-        return Some(format!("n_cols {} != {}", a.n_cols(), b.n_cols()));
-    }
-    for c in 0..a.n_cols() {
-        if a.total(c) != b.total(c) {
-            return Some(format!("TOTAL col {c}: {} != {}", a.total(c), b.total(c)));
-        }
-        if a.repetitions(c) != b.repetitions(c) {
-            return Some(format!("repetitions col {c}"));
-        }
-        // COUNT per decoded value, both directions (either dictionary may
-        // hold values the other never saw — their counts must be zero).
-        let (a_desc, a_scale) = a.counts_raw(c);
-        let (b_desc, b_scale) = b.counts_raw(c);
-        let count_of = |fact: &EncodedFactorization, desc: &[f64], scale: f64, value: &Value| {
-            fact.dict(c)
-                .code_of(value)
-                .map(|code| desc[code as usize] * scale)
-                .unwrap_or(0.0)
-        };
-        for (code, count) in a_desc.iter().enumerate() {
-            let value = a_fact.dict(c).value(code as u32);
-            let other = count_of(b_fact, b_desc, b_scale, value);
-            if count * a_scale != other {
-                return Some(format!(
-                    "COUNT col {c} value {value}: {} != {other}",
-                    count * a_scale
-                ));
-            }
-        }
-        for (code, count) in b_desc.iter().enumerate() {
-            let value = b_fact.dict(c).value(code as u32);
-            let other = count_of(a_fact, a_desc, a_scale, value);
-            if count * b_scale != other {
-                return Some(format!(
-                    "COUNT col {c} value {value}: {other} != {}",
-                    count * b_scale
-                ));
-            }
-        }
-        // Block runs: identical decoded (value, scaled count) sequence —
-        // path order is value order on both sides.
-        let (a_runs, ar_scale) = a.block_runs_raw(c);
-        let (b_runs, br_scale) = b.block_runs_raw(c);
-        if a_runs.len() != b_runs.len() {
-            return Some(format!(
-                "run count col {c}: {} != {}",
-                a_runs.len(),
-                b_runs.len()
-            ));
-        }
-        for (i, (&(ac, an), &(bc, bn))) in a_runs.iter().zip(b_runs).enumerate() {
-            if a_fact.dict(c).value(ac) != b_fact.dict(c).value(bc)
-                || an * ar_scale != bn * br_scale
-            {
-                return Some(format!("run {i} col {c} differs"));
-            }
-        }
-    }
-    // Same-hierarchy COF tables: identical decoded entry sequences. The
-    // cross-hierarchy (Independent) case is fully determined by the
-    // per-column counts compared above.
-    for left in 0..a.n_cols() {
-        for right in (left + 1)..a.n_cols() {
-            match (a.cof(left, right), b.cof(left, right)) {
-                (
-                    EncodedCofPairs::Materialized {
-                        entries: ae,
-                        scale: asc,
-                    },
-                    EncodedCofPairs::Materialized {
-                        entries: be,
-                        scale: bsc,
-                    },
-                ) => {
-                    if ae.len() != be.len() {
-                        return Some(format!("COF ({left},{right}) entry count"));
-                    }
-                    for (i, (&(a1, a2, an), &(b1, b2, bn))) in ae.iter().zip(be).enumerate() {
-                        if a_fact.dict(left).value(a1) != b_fact.dict(left).value(b1)
-                            || a_fact.dict(right).value(a2) != b_fact.dict(right).value(b2)
-                            || an * asc != bn * bsc
-                        {
-                            return Some(format!("COF ({left},{right}) entry {i} differs"));
-                        }
-                    }
-                }
-                (EncodedCofPairs::Independent { .. }, EncodedCofPairs::Independent { .. }) => {}
-                _ => return Some(format!("COF ({left},{right}) shape mismatch")),
-            }
-        }
-    }
-    None
-}
-
 /// Code-indexed feature columns: the flat mirror of [`FeatureMap`].
 #[derive(Debug, Clone, Default)]
 pub struct EncodedFeatureMap {
@@ -1352,8 +829,8 @@ impl EncodedFeatureMap {
 
     /// The `Value`-keyed feature map of these columns over `fact`'s
     /// dictionaries (what the dense baselines materialise): one entry per
-    /// value some path carries — codes a delta-maintained dictionary keeps
-    /// for vanished values are left to the map's default.
+    /// value some path carries; codes no path carries are left to the
+    /// map's default.
     pub fn decode(&self, fact: &EncodedFactorization) -> FeatureMap {
         let mut features = FeatureMap::zeros(self.columns.len());
         for (c, column) in self.columns.iter().enumerate() {
@@ -1808,103 +1285,6 @@ mod tests {
         }
     }
 
-    /// Semantic (decoded) equality of two aggregate states whose dictionaries
-    /// may number codes differently — delegates to [`semantic_diff`], the
-    /// shared delta-vs-cold equality contract.
-    fn assert_semantically_equal(
-        a_fact: &EncodedFactorization,
-        a: &EncodedAggregates,
-        b_fact: &EncodedFactorization,
-        b: &EncodedAggregates,
-    ) {
-        assert_eq!(semantic_diff(a_fact, a, b_fact, b), None);
-    }
-
-    #[test]
-    fn apply_delta_matches_recompute_with_new_values_and_removals() {
-        let (fact, _) = paper_example();
-        let enc = EncodedFactorization::encode(&fact);
-        let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
-        // geo: remove (d1, v2), add (d1, v0) (new leaf value sorting first)
-        // and (d3, v9) (new district and new leaf).
-        let delta = FactorizationDelta::none(2).with(
-            1,
-            PathDelta {
-                added: vec![
-                    vec![Value::str("d1"), Value::str("v0")],
-                    vec![Value::str("d3"), Value::str("v9")],
-                ],
-                removed: vec![vec![Value::str("d1"), Value::str("v2")]],
-            },
-        );
-        let (next_fact, next_aggs) = aggs.apply_delta(&enc, &delta, &Exec::Serial);
-        // the untouched time hierarchy is re-shared, not copied
-        assert!(Arc::ptr_eq(&enc.factors()[0], &next_fact.factors()[0]));
-        assert!(Arc::ptr_eq(
-            &aggs.per_hierarchy()[0],
-            &next_aggs.per_hierarchy()[0]
-        ));
-        // existing codes stayed stable: d1 and d2 keep their old codes
-        for v in ["d1", "d2"] {
-            assert_eq!(
-                enc.dict(1).code_of(&Value::str(v)),
-                next_fact.dict(1).code_of(&Value::str(v))
-            );
-        }
-        // cold rebuild of the same post-delta path set
-        let geo = HierarchyFactor::from_paths(
-            "geo",
-            vec![AttrId(1), AttrId(2)],
-            vec![
-                vec![Value::str("d1"), Value::str("v0")],
-                vec![Value::str("d1"), Value::str("v1")],
-                vec![Value::str("d2"), Value::str("v3")],
-                vec![Value::str("d3"), Value::str("v9")],
-            ],
-        );
-        let time = HierarchyFactor::from_paths(
-            "time",
-            vec![AttrId(0)],
-            vec![vec![Value::str("t1")], vec![Value::str("t2")]],
-        );
-        let cold_fact = EncodedFactorization::encode(&Factorization::new(vec![time, geo]));
-        let cold_aggs = EncodedAggregates::compute(&cold_fact, &Exec::Serial);
-        assert_semantically_equal(&next_fact, &next_aggs, &cold_fact, &cold_aggs);
-    }
-
-    #[test]
-    fn path_delta_between_diffs_sorted_tables() {
-        let (fact, _) = paper_example();
-        let geo = EncodedFactor::encode(&fact.hierarchies()[1], &Exec::Serial);
-        let new_paths = vec![
-            vec![Value::str("d1"), Value::str("v1")],
-            vec![Value::str("d2"), Value::str("v3")],
-            vec![Value::str("d2"), Value::str("v4")],
-        ];
-        let new_geo = EncodedFactor::encode(
-            &HierarchyFactor::from_paths("geo", geo.attrs.clone(), new_paths.clone()),
-            &Exec::Serial,
-        );
-        let delta = PathDelta::between(&geo, &new_geo);
-        assert_eq!(delta.added, vec![vec![Value::str("d2"), Value::str("v4")]]);
-        assert_eq!(
-            delta.removed,
-            vec![vec![Value::str("d1"), Value::str("v2")]]
-        );
-        assert_eq!(delta.len(), 2);
-        assert!(!delta.is_empty());
-        // applying the diff reproduces the new table exactly
-        let next = geo.apply_delta(&delta);
-        assert_eq!(next.leaf_count(), 3);
-        for (i, path) in new_paths.iter().enumerate() {
-            assert_eq!(next.cmp_path(i, path), std::cmp::Ordering::Equal);
-            assert_eq!(&next.decode_path(i), path);
-        }
-        // empty diff shares the code columns
-        let noop = PathDelta::between(&next, &new_geo);
-        assert!(noop.is_empty());
-    }
-
     #[test]
     fn empty_factor_is_handled() {
         let empty = HierarchyFactor::from_paths("empty", vec![AttrId(0)], Vec::new());
@@ -1962,20 +1342,43 @@ mod tests {
 
     /// Hierarchy aggregates never touch the transport: under a `Remote`
     /// whose every call fails they are `==` serial, at any local budget and
-    /// after a delta epoch, and nothing falls back.
+    /// over a later epoch whose dictionaries appended codes out of value
+    /// order (as a relation's ingest does), and nothing falls back.
     #[test]
     fn remote_aggregates_run_in_process_and_never_touch_the_transport() {
         let (fact, _) = paper_example();
         let enc = EncodedFactorization::encode(&fact);
-        let delta = FactorizationDelta::none(2).with(
-            1,
-            PathDelta {
-                added: vec![vec![Value::str("a0"), Value::str("v9")]],
-                removed: vec![vec![Value::str("d1"), Value::str("v2")]],
-            },
+        // geo's next epoch: (d1, v2) is gone and (a0, v9) arrived. "a0"
+        // sorts first but takes the next free district code; "v2" keeps its
+        // code although no path carries it.
+        let geo = &enc.factors()[1];
+        let mut districts = geo.levels[0].dict.clone();
+        let mut villages = geo.levels[1].dict.clone();
+        let a0 = districts.code_or_insert(&Value::str("a0"));
+        let v9 = villages.code_or_insert(&Value::str("v9"));
+        assert_eq!(
+            districts.ranks()[a0 as usize],
+            0,
+            "appended out of value order"
         );
-        let aggs = EncodedAggregates::compute(&enc, &Exec::Serial);
-        let (next, _) = aggs.apply_delta(&enc, &delta, &Exec::Serial);
+        let code = |dict: &ValueDict, v: &str| dict.code_of(&Value::str(v)).unwrap();
+        let district_codes = vec![a0, code(&districts, "d1"), code(&districts, "d2")];
+        let village_codes = vec![v9, code(&villages, "v1"), code(&villages, "v3")];
+        let next_geo = EncodedFactor::from_levels(
+            geo.name.clone(),
+            geo.attrs.clone(),
+            vec![
+                EncodedLevel {
+                    dict: districts,
+                    codes: Arc::new(district_codes),
+                },
+                EncodedLevel {
+                    dict: villages,
+                    codes: Arc::new(village_codes),
+                },
+            ],
+        );
+        let next = EncodedFactorization::new(vec![enc.factors()[0].clone(), Arc::new(next_geo)]);
         let before = reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks);
         for local in [1, 2, 4] {
             let exec = Exec::Remote(
@@ -1992,49 +1395,12 @@ mod tests {
                 }
                 let serial_all = EncodedAggregates::compute(enc, &Exec::Serial);
                 let remote_all = EncodedAggregates::compute(enc, &exec);
-                assert_eq!(semantic_diff(enc, &serial_all, enc, &remote_all), None);
+                assert_eq!(serial_all.per_hierarchy(), remote_all.per_hierarchy());
             }
         }
         assert_eq!(
             reptile_obs::counter_value(reptile_obs::Counter::RemoteFallbacks),
             before
         );
-    }
-
-    #[test]
-    fn fingerprint_tracks_content_across_epochs() {
-        let (fact, _) = paper_example();
-        let geo = EncodedFactor::encode(&fact.hierarchies()[1], &Exec::Serial);
-        let clone = geo.clone();
-        assert_eq!(geo.fingerprint(), clone.fingerprint());
-        // A delta produces a *different* factor with a different
-        // fingerprint, so a cache keyed by it never serves the old epoch.
-        let delta = PathDelta {
-            added: vec![vec![Value::str("d9"), Value::str("v9")]],
-            removed: vec![],
-        };
-        let next = geo.apply_delta(&delta);
-        assert_ne!(geo.fingerprint(), next.fingerprint());
-        // Same content reassembled -> same fingerprint.
-        let rebuilt =
-            EncodedFactor::from_levels(next.name.clone(), next.attrs.clone(), next.levels.clone());
-        assert_eq!(next.fingerprint(), rebuilt.fingerprint());
-    }
-
-    /// The fingerprint's byte layout and hash are frozen, so a cache keyed
-    /// by it keeps its keys. The delta appends a code out of value order,
-    /// so the dictionary's code order is part of the check.
-    #[test]
-    fn fingerprint_values_are_frozen() {
-        let (fact, _) = paper_example();
-        let time = EncodedFactor::encode(&fact.hierarchies()[0], &Exec::Serial);
-        let geo = EncodedFactor::encode(&fact.hierarchies()[1], &Exec::Serial);
-        let next = geo.apply_delta(&PathDelta {
-            added: vec![vec![Value::str("a0"), Value::str("v9")]],
-            removed: vec![],
-        });
-        assert_eq!(time.fingerprint(), 0x287691d5cd72a508);
-        assert_eq!(geo.fingerprint(), 0x0c188538b127bc3c);
-        assert_eq!(next.fingerprint(), 0x067873714739556c);
     }
 }

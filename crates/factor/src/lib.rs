@@ -2,9 +2,11 @@
 //!
 //! **Paper map** (Huang & Wu, *Reptile*, SIGMOD 2022): the factorised
 //! operators and decomposed aggregates of **Sections 4.2–4.3** (Algorithms
-//! 1–4, 10), the drill-down maintenance of **Section 4.4** — extended here
-//! with streaming delta maintenance (`apply_delta`, ingest epochs) — and
-//! the per-cluster operators of Appendices E/F behind the §5 model's EM.
+//! 1–4, 10) and the per-cluster operators of Appendices E/F behind the §5
+//! model's EM. The drill-down reuse of **Section 4.4** (Figure 9) is not
+//! kept: every design build computes its aggregates from its own path
+//! tables in O(paths), the same order as any key that could identify them,
+//! and the model cache above skips repeated builds.
 //!
 //! The paper's key systems contribution is that the feature matrix used to
 //! train the multi-level repair model never needs to be materialised: its
@@ -28,10 +30,6 @@
 //!   the EM algorithm's random-effect updates;
 //! * [`lmfao`] — an LMFAO-style baseline that computes the same aggregate
 //!   batch without cross-hierarchy independence or work sharing (Figure 8);
-//! * [`drilldown`] — the O(1) cross-hierarchy updates and caching performed
-//!   when the user drills down (Section 4.4, Appendix J, Figure 9), with
-//!   per-hierarchy ingest epochs and delta patching so a live feed
-//!   maintains cached state instead of invalidating it wholesale;
 //! * [`parallel`] — the sharding primitive ([`Parallelism`]) behind the
 //!   shard-parallel builders and operators: the aggregate batch fans out
 //!   over contiguous path shards onto a process-wide pool of persistent
@@ -43,16 +41,11 @@
 //!   is re-exported here unchanged. *Where* work runs — inline, pool or
 //!   exact shard count — is one [`Exec`] argument on every compute surface;
 //!   factor work never crosses the wire, so an [`Exec::Remote`] runs it in
-//!   process at its local budget;
-//! * [`encoded::PathDelta`] / [`EncodedAggregates::apply_delta`] — streaming
-//!   delta maintenance of the encoded tables: stable-code dictionary
-//!   extension, spliced `Arc`-shared code columns, patched descendant
-//!   counts.
+//!   process at its local budget.
 
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod drilldown;
 pub mod encoded;
 pub mod factorization;
 pub mod feature;
@@ -60,17 +53,26 @@ pub mod lmfao;
 pub use reptile_relational::parallel;
 
 pub use cluster::ClusterPartition;
-pub use drilldown::{
-    AggregateSource, DrilldownMode, DrilldownSession, FreshAggregates, PathCountIndex, SessionStats,
-};
 pub use encoded::{
     EncodedAggregates, EncodedDesign, EncodedFactor, EncodedFactorization, EncodedFeatureMap,
-    EncodedHierarchyAggregates, EncodedRowIter, FactorizationDelta, PathDelta,
+    EncodedHierarchyAggregates, EncodedRowIter,
 };
 pub use factorization::{AttrPosition, Factorization, HierarchyFactor};
 pub use feature::FeatureMap;
 pub use parallel::Parallelism;
 pub use reptile_relational::{Exec, Remote, RemoteError, RemoteTransport};
+
+/// Running counts of hierarchy aggregate computations (see
+/// `reptile::Reptile::session_stats`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionStats {
+    /// Hierarchies whose aggregates a design build computed.
+    pub recomputed: usize,
+    /// Always 0: aggregates are never reused across design builds.
+    pub reused: usize,
+    /// Always 0: aggregates are never patched across ingests.
+    pub delta_patched: usize,
+}
 
 #[cfg(test)]
 mod fixtures;

@@ -13,8 +13,8 @@ use crate::features::{main_effects, normalize, FeaturePlan};
 use crate::{ModelError, Result};
 use reptile_factor::encoded::EncodedLevel;
 use reptile_factor::{
-    AggregateSource, ClusterPartition, EncodedDesign, EncodedFactor, EncodedFeatureMap, Exec,
-    Factorization, FeatureMap, FreshAggregates,
+    ClusterPartition, EncodedAggregates, EncodedDesign, EncodedFactor, EncodedFactorization,
+    EncodedFeatureMap, Exec, Factorization, FeatureMap,
 };
 use reptile_relational::{AggregateKind, AttrId, GroupKey, Schema, ValueDict, View};
 use std::sync::{Arc, OnceLock};
@@ -51,8 +51,8 @@ struct ColumnSpec {
 /// Resolves group keys of a drill-down view shaped like the training view
 /// to design rows: the design's path tables plus, per path-table level, the
 /// group-by position that feeds it. Small and `Arc`-shared — the path tables
-/// are the ones the drill-down session caches — so a trained model can keep
-/// it without keeping the design.
+/// are the design's own, behind `Arc`s — so a trained model can keep it
+/// without keeping the design.
 #[derive(Debug)]
 pub struct DesignRows {
     factors: Vec<Arc<EncodedFactor>>,
@@ -93,9 +93,9 @@ impl DesignRows {
 /// A complete training design: factorised feature matrix, response, clusters.
 ///
 /// The encoded factorisation, features and aggregates the factorised
-/// operators run on are built eagerly (through the drill-down session cache
-/// when one is threaded in); the `Value`-keyed factorisation and feature map
-/// the dense baselines materialise are decoded lazily on first access.
+/// operators run on are built eagerly, the aggregates from the design's own
+/// path tables; the `Value`-keyed factorisation and feature map the dense
+/// baselines materialise are decoded lazily on first access.
 #[derive(Debug, Clone)]
 pub struct TrainingDesign {
     rows: Arc<DesignRows>,
@@ -279,17 +279,16 @@ fn encoded_level(path_ranks: impl Iterator<Item = u32> + Clone, dict: &ValueDict
 }
 
 /// Builder that assembles a [`TrainingDesign`] from a parallel-groups view.
-pub struct DesignBuilder<'a, 'g> {
+pub struct DesignBuilder<'a> {
     view: &'a View,
     schema: &'a Schema,
     statistic: AggregateKind,
     plan: FeaturePlan,
     empty_policy: EmptyGroupPolicy,
     exec: Exec,
-    aggregate_source: Option<&'g mut dyn AggregateSource>,
 }
 
-impl<'a, 'g> DesignBuilder<'a, 'g> {
+impl<'a> DesignBuilder<'a> {
     /// Create a builder for `view` (the result of a *parallel* drill-down,
     /// i.e. grouped by the original attributes plus the drilled attribute,
     /// over the complaint view's provenance).
@@ -301,18 +300,15 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
             plan: FeaturePlan::none(),
             empty_policy: EmptyGroupPolicy::GlobalMean,
             exec: Exec::Serial,
-            aggregate_source: None,
         }
     }
 
-    /// Run the heavy build phases (the aggregate batch when no aggregate
-    /// source is threaded in, the path tables and the cluster partition) on
-    /// an execution context. Every context is bit-identical to serial, so
-    /// this only changes *where* the work runs, never the design. A
-    /// threaded-in [`reptile_factor::DrilldownSession`] carries its *own*
-    /// context for the aggregate step; build phases whose operands live on
-    /// the coordinator (path tables, feature baking, the cluster partition)
-    /// use the context's local thread budget.
+    /// Run the heavy build phases (the path tables, the aggregate batch,
+    /// feature baking and the cluster partition) on an execution context.
+    /// Every context is bit-identical to serial, so this only changes
+    /// *where* the work runs, never the design. Every phase's operands live
+    /// on the coordinator, so an [`Exec::Remote`] runs them at its local
+    /// thread budget.
     pub fn with_exec(mut self, exec: Exec) -> Self {
         self.exec = exec;
         self
@@ -331,17 +327,8 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
         self
     }
 
-    /// Obtain the decomposed aggregates from `source` instead of computing
-    /// them from scratch. Engines use this to thread a
-    /// [`reptile_factor::DrilldownSession`] through successive invocations so
-    /// that unchanged hierarchies are served from its cache.
-    pub fn with_aggregate_source(mut self, source: &'g mut dyn AggregateSource) -> Self {
-        self.aggregate_source = Some(source);
-        self
-    }
-
     /// Build the design.
-    pub fn build(mut self) -> Result<TrainingDesign> {
+    pub fn build(self) -> Result<TrainingDesign> {
         let view = self.view;
         if view.is_empty() {
             return Err(ModelError::EmptyTrainingData);
@@ -512,24 +499,18 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
             .map(|(i, _)| i)
             .collect();
 
-        // The decomposed aggregates come from the aggregate source, which
-        // may also swap a path table for an earlier snapshot's
-        // delta-maintained one (same paths, same order, other code
-        // numbering) — features are baked against what it returns.
-        let mut fresh = FreshAggregates::with_exec(self.exec.clone());
-        let source: &mut dyn AggregateSource = match self.aggregate_source.as_mut() {
-            Some(source) => *source,
-            None => &mut fresh,
-        };
-        let (enc_fact, enc_aggs) = source.encoded_aggregates(built);
+        let enc_fact = EncodedFactorization::new(built);
+        let enc_aggs = EncodedAggregates::compute(&enc_fact, &self.exec);
 
         // Feature columns by code: main effects for base columns,
         // normalised auxiliary values for extra columns. The drilled
         // attribute itself is given a constant (intercept-like) feature: its
         // main effect would be the group's own statistic, which would leak
         // the anomaly into the model and make every group look "expected".
-        // Codes no path carries keep feature 0. Columns are independent, so
-        // they fan out over the thread budget and are gathered in order.
+        // A level's dictionary holds exactly the values its paths carry, in
+        // value order, so code order is the order the normalisation sums run
+        // in. Columns are independent, so they fan out over the thread
+        // budget and are gathered in order.
         let drilled_gb_index = arity - 1;
         let plan = &self.plan;
         let baked = EncodedFeatureMap::from_columns(local.map_items(m, |c| {
@@ -537,11 +518,9 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
             let pos = enc_fact.position(c);
             let level = &enc_fact.factors()[pos.hierarchy].levels[pos.level];
             match &spec.kind {
-                ColumnKind::Base if spec.gb_index == drilled_gb_index => level
-                    .carried_codes()
-                    .into_iter()
-                    .map(|carried| if carried { 1.0 } else { 0.0 })
-                    .collect(),
+                ColumnKind::Base if spec.gb_index == drilled_gb_index => {
+                    vec![1.0; level.dict.len()]
+                }
                 ColumnKind::Base => {
                     let paths = &path_of_group[pos.hierarchy];
                     let codes = paths.iter().map(|&p| level.codes[p as usize]);
@@ -550,28 +529,13 @@ impl<'a, 'g> DesignBuilder<'a, 'g> {
                 ColumnKind::Extra(e_idx) => {
                     let extra = &plan.extras[*e_idx];
                     let fallback = extra.fallback();
-                    // carried codes in value order, the order the
-                    // normalisation sums run in
-                    let carried = level.carried_codes();
-                    let codes: Vec<u32> = level
+                    let mut column: Vec<f64> = level
                         .dict
-                        .codes_by_value()
+                        .values()
                         .iter()
-                        .copied()
-                        .filter(|&code| carried[code as usize])
+                        .map(|value| extra.values.get(value).copied().unwrap_or(fallback))
                         .collect();
-                    let mut normalized: Vec<f64> = codes
-                        .iter()
-                        .map(|&code| {
-                            let value = level.dict.value(code);
-                            extra.values.get(value).copied().unwrap_or(fallback)
-                        })
-                        .collect();
-                    normalize(&mut normalized);
-                    let mut column = vec![0.0; level.dict.len()];
-                    for (code, feature) in codes.into_iter().zip(normalized) {
-                        column[code as usize] = feature;
-                    }
+                    normalize(&mut column);
                     column
                 }
             }

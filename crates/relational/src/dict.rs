@@ -19,8 +19,8 @@
 //! that arrives out of order builds an open-addressing hash index of codes,
 //! and lookups go through it from then on, so an insertion costs O(log d)
 //! amortised whatever order values arrive in. [`ValueDict::codes_by_value`]
-//! (and [`ValueDict::ranks`]) recover value order, derived by one sort the
-//! first time a grown domain asks for it.
+//! and its inverse [`ValueDict::ranks`] recover value order, derived together
+//! by one sort the first time a grown domain asks for either.
 
 use crate::value::Value;
 use std::hash::{BuildHasher, RandomState};
@@ -41,9 +41,18 @@ pub struct ValueDict {
     /// `None` while code order is value order (lookups binary-search
     /// `values`), else the hash index lookups go through.
     index: Option<HashIndex>,
-    /// Codes ordered by their value, derived on first use after the domain
-    /// last grew.
-    by_value: OnceLock<Vec<u32>>,
+    /// Value order of the codes, derived on first use after the domain last
+    /// grew.
+    by_value: OnceLock<ValueOrder>,
+}
+
+/// The codes of a dictionary ordered by their value, and its inverse.
+#[derive(Debug, Clone)]
+struct ValueOrder {
+    /// `codes[r]` is the code of the `r`-th smallest value.
+    codes: Vec<u32>,
+    /// `ranks[code]` is the value-rank of `code`.
+    ranks: Vec<u32>,
 }
 
 impl PartialEq for ValueDict {
@@ -153,17 +162,6 @@ impl ValueDict {
         code
     }
 
-    /// Extend the domain in place with every unseen value of `values`,
-    /// keeping existing codes stable and appending fresh codes for new
-    /// values. Returns the number of values appended.
-    pub fn extend_with<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) -> usize {
-        let before = self.values.len();
-        for value in values {
-            self.code_or_insert(value);
-        }
-        self.values.len() - before
-    }
-
     /// Decode a code back to its value.
     ///
     /// # Panics
@@ -181,27 +179,33 @@ impl ValueDict {
     /// The codes ordered by their value: `codes_by_value()[r]` is the code
     /// of the domain's `r`-th smallest value.
     pub fn codes_by_value(&self) -> &[u32] {
-        self.by_value.get_or_init(|| {
-            let mut codes: Vec<u32> = (0..self.values.len() as u32).collect();
-            if self.index.is_some() {
-                codes.sort_unstable_by(|&a, &b| {
-                    self.values[a as usize].cmp(&self.values[b as usize])
-                });
-            }
-            codes
-        })
+        &self.value_order().codes
     }
 
     /// The value-rank of every code (the inverse of
     /// [`ValueDict::codes_by_value`]): comparing `ranks()[a]` with
     /// `ranks()[b]` orders like comparing the values of codes `a` and `b`,
     /// whatever order the codes were assigned in.
-    pub fn ranks(&self) -> Vec<u32> {
-        let mut ranks = vec![0u32; self.values.len()];
-        for (rank, &code) in self.codes_by_value().iter().enumerate() {
-            ranks[code as usize] = rank as u32;
-        }
-        ranks
+    pub fn ranks(&self) -> &[u32] {
+        &self.value_order().ranks
+    }
+
+    fn value_order(&self) -> &ValueOrder {
+        self.by_value.get_or_init(|| {
+            let mut codes: Vec<u32> = (0..self.values.len() as u32).collect();
+            if self.index.is_none() {
+                return ValueOrder {
+                    ranks: codes.clone(),
+                    codes,
+                };
+            }
+            codes.sort_unstable_by(|&a, &b| self.values[a as usize].cmp(&self.values[b as usize]));
+            let mut ranks = vec![0u32; codes.len()];
+            for (rank, &code) in codes.iter().enumerate() {
+                ranks[code as usize] = rank as u32;
+            }
+            ValueOrder { codes, ranks }
+        })
     }
 
     /// Iterate `(code, value)` pairs in code order.
@@ -321,7 +325,9 @@ mod tests {
             Value::str("f"),
             Value::str("c"),
         ];
-        assert_eq!(dict.extend_with(extra.iter()), 3);
+        for value in &extra {
+            dict.code_or_insert(value);
+        }
         assert_eq!(dict.len(), 6);
         for (code, value) in before {
             assert_eq!(dict.code_of(&value), Some(code), "stable code for {value}");
@@ -414,5 +420,18 @@ mod tests {
             );
         }
         assert_eq!(dict.code_of(&Value::str("absent")), None);
+    }
+
+    #[test]
+    fn ranks_follow_an_insert_that_sorts_before_every_value() {
+        let mut dict =
+            ValueDict::from_values(vec![Value::str("b"), Value::str("d"), Value::str("f")]);
+        assert_eq!(dict.ranks(), &[0, 1, 2]);
+        assert_eq!(dict.code_or_insert(&Value::str("a")), 3);
+        assert_eq!(dict.codes_by_value(), &[3, 0, 1, 2]);
+        assert_eq!(dict.ranks(), &[1, 2, 3, 0]);
+        for (rank, &code) in dict.codes_by_value().iter().enumerate() {
+            assert_eq!(dict.ranks()[code as usize] as usize, rank);
+        }
     }
 }

@@ -23,8 +23,8 @@
 //!   run skipping and per-shard zone maps, bit-identical to the serial
 //!   `Value` scan (see the [`scan`] module docs for the compilation rule),
 //! * streaming ingest ([`IngestBatch`], [`Relation::apply`]) — snapshot
-//!   semantics for live feeds, the substrate of the engine's delta-maintained
-//!   aggregates (the maintenance direction of §4.3/§4.4),
+//!   semantics for live feeds, with dictionaries that keep existing codes
+//!   and append new values,
 //! * row sharding ([`Relation::partition`]) — contiguous row shards that
 //!   share one per-attribute [`ValueDict`] (stable codes across shards):
 //!   the relation-level entry point for distributing a workload, carrying

@@ -312,7 +312,7 @@ impl Scan<'_> {
 /// rows is a few ascending runs, which they merge instead of re-sorting.
 fn rank_order(key_cols: &[Arc<CodeColumn>], codes: &[u32], groups: usize) -> Option<Vec<usize>> {
     let arity = key_cols.len();
-    let ranks: Vec<Vec<u32>> = key_cols.iter().map(|c| c.dict().ranks()).collect();
+    let ranks: Vec<&[u32]> = key_cols.iter().map(|c| c.dict().ranks()).collect();
     let rank_tuple = |slot: usize| {
         let tuple = codes[slot * arity..(slot + 1) * arity].iter().zip(&ranks);
         tuple.map(|(code, rank)| rank[*code as usize])

@@ -29,10 +29,10 @@ const KIND_RECOMMENDATION: u8 = 0x81;
 const KIND_ERROR: u8 = 0x82;
 const KIND_INGEST_REPORT: u8 = 0x83;
 
-/// The front door's frames: magic `"RP"`, version 1, payloads up to 1 MiB.
+/// The front door's frames: magic `"RP"`, version 2, payloads up to 1 MiB.
 pub const RP: FrameSpec = FrameSpec {
     magic: *b"RP",
-    version: 1,
+    version: 2,
     max_len: 1 << 20,
     kinds: &[
         KIND_PING,
@@ -246,8 +246,6 @@ pub struct WireIngestReport {
     pub deleted: u64,
     /// The post-ingest relation snapshot version.
     pub relation_version: u64,
-    /// Hierarchies whose distinct full-depth path set changed.
-    pub touched_hierarchies: Vec<String>,
 }
 
 impl WireIngestReport {
@@ -257,7 +255,6 @@ impl WireIngestReport {
             inserted: report.inserted as u64,
             deleted: report.deleted as u64,
             relation_version: report.relation.version(),
-            touched_hierarchies: report.touched_hierarchies.clone(),
         }
     }
 }
@@ -435,10 +432,6 @@ pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
             put_u64(&mut out, report.inserted);
             put_u64(&mut out, report.deleted);
             put_u64(&mut out, report.relation_version);
-            put_u32(&mut out, report.touched_hierarchies.len() as u32);
-            for name in &report.touched_hierarchies {
-                put_str(&mut out, name);
-            }
             out
         }
     }
@@ -545,7 +538,6 @@ pub fn decode_response(frame: &Frame) -> Result<ResponseFrame, CodecError> {
             inserted: r.u64()?,
             deleted: r.u64()?,
             relation_version: r.u64()?,
-            touched_hierarchies: read_seq(&mut r, 4, read_string)?,
         }),
         k => {
             return Err(CodecError::Invalid(format!(

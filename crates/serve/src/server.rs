@@ -757,7 +757,7 @@ impl Server {
     }
 
     /// Stream an ingest batch into the engine while serving continues:
-    /// delta maintenance plus exact cache invalidation, like
+    /// a new relation snapshot plus exact cache invalidation, like
     /// [`BatchServer::ingest`]. Ingest is an operator-side action, not a
     /// wire request — the front door serves reads.
     pub fn ingest(&self, batch: &IngestBatch) -> EngineResult<IngestReport> {

@@ -122,7 +122,6 @@ fn random_response_frame(rng: &mut SimRng) -> ResponseFrame {
             inserted: random_bits(rng),
             deleted: random_bits(rng),
             relation_version: random_bits(rng),
-            touched_hierarchies: (0..rng.below(4)).map(|_| random_string(rng)).collect(),
         }),
         _ => Response::Recommendation(WireRecommendation {
             original_value: random_f64(rng),
@@ -262,6 +261,12 @@ fn header_mutations_are_typed() {
         frame(&bad_version),
         Err(FrameError::UnsupportedVersion(RP.version + 1))
     );
+
+    // Version 1 ingest reports carried a hierarchy list that version 2
+    // dropped: a v1 frame is refused by its header, never misread.
+    let mut v1 = valid.clone();
+    v1[2] = 1;
+    assert_eq!(frame(&v1), Err(FrameError::UnsupportedVersion(1)));
 
     let mut bad_kind = valid.clone();
     bad_kind[3] = 0x7F;

@@ -120,10 +120,8 @@ impl Session {
     /// Stream an [`IngestBatch`] into the session's engine and bring the
     /// session up to date with versioned invalidation:
     ///
-    /// 1. the engine applies the batch with delta maintenance
-    ///    ([`Reptile::ingest`] — untouched hierarchies keep their cached
-    ///    factor state, touched ones get their epoch bumped and are patched
-    ///    forward on next use);
+    /// 1. the engine advances its relation to the next snapshot
+    ///    ([`Reptile::ingest`]);
     /// 2. exactly the cached views/models whose predicate selects a changed
     ///    row are evicted ([`SharedCaches::invalidate_ingest`]) — warm
     ///    entries over untouched subtrees survive;

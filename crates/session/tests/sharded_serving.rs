@@ -243,10 +243,10 @@ fn batch_serving_dispatches_requests_onto_the_shard_pool() {
 
 #[test]
 fn ingest_delta_patching_is_exact_per_shard() {
-    // Stream a new day (a path delta on the time hierarchy) into a serial
-    // and a sharded engine: the sharded engine patches its cached factor
-    // state forward with sharded run/COF rebuild scans, and the post-ingest
-    // recommendations must still match bit-for-bit.
+    // Stream a new day (a new path on the time hierarchy) into a serial
+    // and a sharded engine that both served before it: the post-ingest
+    // recommendations, whose designs the sharded engine builds with
+    // sharded aggregate scans, must still match bit-for-bit.
     let (rel, schema) = dataset();
     let serial_server = BatchServer::new(Arc::new(Reptile::new(rel.clone(), schema.clone())));
     let sharded_engine = Reptile::new(rel.clone(), schema.clone()).with_config(ReptileConfig {
@@ -255,7 +255,7 @@ fn ingest_delta_patching_is_exact_per_shard() {
     });
     let sharded_server = BatchServer::new(Arc::new(sharded_engine));
 
-    // Warm both servers so the ingest has cached factor state to patch.
+    // Warm both servers' caches before the ingest.
     let view = district_day_view(&rel, &schema);
     let reqs = requests(&view);
     for server in [&serial_server, &sharded_server] {
@@ -278,8 +278,12 @@ fn ingest_delta_patching_is_exact_per_shard() {
     let serial_report = serial_server.ingest(&batch).unwrap();
     let sharded_report = sharded_server.ingest(&batch.clone()).unwrap();
     assert_eq!(
-        serial_report.touched_hierarchies,
-        sharded_report.touched_hierarchies
+        (serial_report.inserted, serial_report.deleted),
+        (sharded_report.inserted, sharded_report.deleted)
+    );
+    assert_eq!(
+        serial_report.relation.version(),
+        sharded_report.relation.version()
     );
 
     let serial_view = district_day_view(&serial_report.relation, &schema);

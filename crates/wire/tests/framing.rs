@@ -313,7 +313,7 @@ fn rp_recommend_request_bytes_are_unchanged() {
     assert_eq!(
         framed(&RP, &encode_request(&request)),
         hex(concat!(
-            "0000009f5250010101020304050607080000000400000008646973747269637403000000044f66",
+            "0000009f5250020101020304050607080000000400000008646973747269637403000000044f66",
             "6c61000000047965617201fffffffffffff83e000000047261696e02bfe0000000000000000000",
             "046e6f746500000000020000000864697374726963740000000776696c6c616765000000087365",
             "7665726974790000000203000000044f666c6103000000045a61746102024004000000000000",
@@ -356,7 +356,7 @@ fn rp_recommendation_response_bytes_are_unchanged() {
     assert_eq!(
         framed(&RP, &encode_response(&response)),
         hex(concat!(
-            "000000bf52500181000000000000002a3ff40000000000000000000000000007000000020000",
+            "000000bf52500281000000000000002a3ff40000000000000000000000000007000000020000",
             "000367656f0000000776696c6c6167650000000203000000044f666c6103000000045a617461",
             "3fe8000000000000400000000000000080000000000000003fc0000000000000400c00000000",
             "00000000000474696d65000000056d6f6e7468000000020100000000000007c2010000000000",

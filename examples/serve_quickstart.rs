@@ -136,8 +136,8 @@ fn main() {
         })
         .collect();
 
-    // 3. Meanwhile, the 1989 survey streams in: delta maintenance plus
-    //    exact cache invalidation, concurrent with the serving above.
+    // 3. Meanwhile, the 1989 survey streams in: a new relation snapshot
+    //    plus exact cache invalidation, concurrent with the serving above.
     let mut batch = IngestBatch::new();
     for (vi, village) in ["Adishim", "Darube", "Dinka", "Fala", "Zata"]
         .iter()

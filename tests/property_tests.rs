@@ -12,8 +12,7 @@
 use reptile::{Complaint, Direction};
 use reptile_factor::{
     encoded, lmfao, ClusterPartition, EncodedAggregates, EncodedFactor, EncodedFactorization,
-    EncodedFeatureMap, Exec, Factorization, FactorizationDelta, FeatureMap, HierarchyFactor,
-    Parallelism, PathDelta,
+    EncodedFeatureMap, Exec, Factorization, FeatureMap, HierarchyFactor, Parallelism,
 };
 use reptile_linalg::{naive, Matrix};
 use reptile_relational::{
@@ -331,196 +330,6 @@ fn encoded_backend_equals_lmfao_and_naive() {
                 assert!((r - exp.get(0, j)).abs() < 1e-7);
             }
         }
-    }
-}
-
-/// Generate a random FD-consistent path for a hierarchy built by
-/// [`build_hierarchy`]: per-level indices drawn from a range *wider* than
-/// the original fanout, so additions regularly introduce previously-unseen
-/// domain values at every level.
-fn random_path(rng: &mut Rng, name: &str, fanouts: &[usize]) -> Vec<Value> {
-    let mut prefix = String::new();
-    let mut path = Vec::with_capacity(fanouts.len());
-    for f in fanouts {
-        let idx = rng.range_usize(0, f + 2);
-        prefix.push_str(&format!("/{idx}"));
-        path.push(Value::str(format!("{name}{prefix}")));
-    }
-    path
-}
-
-/// Exact (`==`, not tolerance) equality of a delta-maintained encoded state
-/// and a cold rebuild, compared in *value* space via the shared
-/// [`encoded::semantic_diff`] contract (one source of truth, also used by
-/// the in-crate delta tests), plus the row-count identity.
-fn assert_delta_state_equals_cold(
-    delta_fact: &EncodedFactorization,
-    delta_aggs: &EncodedAggregates,
-    cold_fact: &EncodedFactorization,
-    cold_aggs: &EncodedAggregates,
-) {
-    assert_eq!(delta_fact.n_rows(), cold_fact.n_rows());
-    assert_eq!(
-        encoded::semantic_diff(delta_fact, delta_aggs, cold_fact, cold_aggs),
-        None
-    );
-}
-
-/// The tentpole property: streaming `apply_delta` over random insert/delete
-/// path batches — including batches introducing previously-unseen domain
-/// values and batches emptying a hierarchy — stays exactly (`==`) equal to a
-/// cold rebuild of `EncodedAggregates` after every step, and the factorised
-/// operators over the maintained state are bit-identical to the cold ones.
-#[test]
-fn apply_delta_then_queries_equal_cold_rebuild_exactly() {
-    let mut rng = Rng(131);
-    for _round in 0..10 {
-        let fanouts: Vec<Vec<usize>> = vec![
-            (0..rng.range_usize(1, 4))
-                .map(|_| rng.range_usize(1, 4))
-                .collect(),
-            (0..rng.range_usize(1, 3))
-                .map(|_| rng.range_usize(1, 4))
-                .collect(),
-        ];
-        let names = ["A", "B"];
-        let attr_base = [0usize, 10];
-        // current sorted distinct path set per hierarchy
-        let mut current: Vec<Vec<Vec<Value>>> = (0..2)
-            .map(|h| build_hierarchy(names[h], attr_base[h], &fanouts[h]).paths)
-            .collect();
-        let factors: Vec<HierarchyFactor> = (0..2)
-            .map(|h| {
-                HierarchyFactor::from_paths(
-                    names[h],
-                    (0..fanouts[h].len())
-                        .map(|i| AttrId(attr_base[h] + i))
-                        .collect(),
-                    current[h].clone(),
-                )
-            })
-            .collect();
-        let mut enc_fact = EncodedFactorization::encode(&Factorization::new(factors));
-        let mut enc_aggs = EncodedAggregates::compute(&enc_fact, &Exec::Serial);
-
-        for _step in 0..4 {
-            // Random path batch per hierarchy: drop ~1/4 of the existing
-            // paths, add 0..3 random (possibly brand-new-valued) paths.
-            let mut delta = FactorizationDelta::none(2);
-            for h in 0..2 {
-                if rng.range_usize(0, 4) == 0 {
-                    continue; // hierarchy untouched this step
-                }
-                let mut next: Vec<Vec<Value>> = current[h]
-                    .iter()
-                    .filter(|_| rng.range_usize(0, 4) != 0)
-                    .cloned()
-                    .collect();
-                for _ in 0..rng.range_usize(0, 4) {
-                    next.push(random_path(&mut rng, names[h], &fanouts[h]));
-                }
-                next.sort();
-                next.dedup();
-                let base = &enc_fact.factors()[h];
-                let next_factor = EncodedFactor::encode(
-                    &HierarchyFactor::from_paths(names[h], base.attrs.clone(), next.clone()),
-                    &Exec::Serial,
-                );
-                let path_delta = PathDelta::between(base, &next_factor);
-                current[h] = next;
-                delta = delta.with(h, path_delta);
-            }
-            let (next_fact, next_aggs) = enc_aggs.apply_delta(&enc_fact, &delta, &Exec::Serial);
-            enc_fact = next_fact;
-            enc_aggs = next_aggs;
-
-            // Cold rebuild of the same path sets.
-            let cold_factors: Vec<HierarchyFactor> = (0..2)
-                .map(|h| {
-                    HierarchyFactor::from_paths(
-                        names[h],
-                        (0..fanouts[h].len())
-                            .map(|i| AttrId(attr_base[h] + i))
-                            .collect(),
-                        current[h].clone(),
-                    )
-                })
-                .collect();
-            let cold = Factorization::new(cold_factors);
-            let cold_fact = EncodedFactorization::encode(&cold);
-            let cold_aggs = EncodedAggregates::compute(&cold_fact, &Exec::Serial);
-
-            assert_delta_state_equals_cold(&enc_fact, &enc_aggs, &cold_fact, &cold_aggs);
-
-            // Operators that consume the state in path/row order must be
-            // bit-identical too: same features (keyed by value, encoded
-            // through each side's own dictionary), same outputs.
-            if enc_fact.n_rows() > 0 && enc_fact.n_rows() <= 4096 {
-                let features = random_features(&cold, rng.next_u64());
-                let delta_features = EncodedFeatureMap::encode(&features, &enc_fact);
-                let cold_features = EncodedFeatureMap::encode(&features, &cold_fact);
-                let a = Matrix::from_fn(2, enc_fact.n_rows(), |r, c| {
-                    ((r * 31 + c * 7) % 13) as f64 * 0.25 - 1.0
-                });
-                assert_eq!(
-                    encoded::left_mult(&a, &enc_aggs, &delta_features),
-                    encoded::left_mult(&a, &cold_aggs, &cold_features)
-                );
-                let b = Matrix::from_fn(enc_fact.n_cols(), 2, |r, c| (r as f64) - (c as f64) * 0.5);
-                assert_eq!(
-                    encoded::right_mult(&enc_fact, &delta_features, &b),
-                    encoded::right_mult(&cold_fact, &cold_features, &b)
-                );
-            }
-        }
-    }
-}
-
-/// The same property driven by relation ingest instead of path sets: the
-/// covid panel replayed as daily batches, with periodic corrections that
-/// delete a past row and re-insert it. `PathCountIndex` turns each batch
-/// into path deltas, `apply_delta` maintains the encoded state, and after
-/// every batch the state equals a cold rebuild of the snapshot.
-#[test]
-fn covid_stream_delta_state_equals_cold_rebuild() {
-    use reptile_datasets::covid::{CovidCaseStudy, CovidConfig};
-    use reptile_datasets::{CovidStream, StreamConfig};
-    use reptile_factor::PathCountIndex;
-    use reptile_relational::Relation;
-
-    let cs = CovidCaseStudy::us(CovidConfig {
-        locations: 6,
-        sub_locations: 3,
-        days: 16,
-        seed: 42,
-    });
-    let stream = CovidStream::replay(
-        &cs,
-        StreamConfig {
-            warmup_days: 6,
-            correction_every: 3,
-        },
-    );
-    let schema = &cs.schema;
-    let levels = [
-        (schema.hierarchy("geo").unwrap(), 2),
-        (schema.hierarchy("time").unwrap(), 1),
-    ];
-    let cold = |relation: &Relation| {
-        let fact = EncodedFactorization::encode(&Factorization::from_relation(relation, &levels));
-        let aggs = EncodedAggregates::compute(&fact, &Exec::Serial);
-        (fact, aggs)
-    };
-    let (mut fact, mut aggs) = cold(&stream.warm);
-    let mut counts = PathCountIndex::build(&stream.warm, schema.hierarchies());
-    let mut relation = (*stream.warm).clone();
-    assert!(stream.batches.iter().any(|b| !b.batch.deletes().is_empty()));
-    for sb in &stream.batches {
-        let delta = counts.apply(&sb.batch, schema.hierarchies());
-        (fact, aggs) = aggs.apply_delta(&fact, &delta, &Exec::Serial);
-        relation = relation.apply(&sb.batch).unwrap();
-        let (cold_fact, cold_aggs) = cold(&relation);
-        assert_delta_state_equals_cold(&fact, &aggs, &cold_fact, &cold_aggs);
     }
 }
 
