@@ -31,12 +31,6 @@ use reptile_relational::{
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
-
-/// Whole nanoseconds since `t0`, saturating (for the stage-breakdown fields).
-fn elapsed_ns(t0: Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
 
 /// Which repair model the engine fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,16 +143,6 @@ impl Recommendation {
     }
 }
 
-/// Per-stage wall-clock breakdown of one [`Reptile::ingest`] call. All
-/// zeros unless stage timing was on ([`ReptileConfig::obs`] or the
-/// process-wide `reptile_obs` flag) — timing never changes what the ingest
-/// does, only whether clocks are read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestStages {
-    /// Applying the batch to the relation snapshot (insert/delete replay).
-    pub apply_ns: u64,
-}
-
 /// A unified ingest surface: anything that can apply an [`IngestBatch`]
 /// atomically and report what changed. Every ingest entry point in the
 /// workspace — [`Reptile::ingest`], `Session::ingest`,
@@ -193,8 +177,6 @@ pub struct IngestReport {
     pub inserted: usize,
     /// Rows deleted by the batch.
     pub deleted: usize,
-    /// Per-stage wall-clock breakdown (zeros unless stage timing was on).
-    pub stages: IngestStages,
     /// Every inserted or deleted tuple (the predicate-matching set),
     /// `Arc`-shared with the ingest logs that record it.
     changed_rows: Arc<[Vec<Value>]>,
@@ -351,23 +333,14 @@ impl Reptile {
     /// assert!(best.key.to_string().contains("D1-b"));
     /// ```
     pub fn ingest(&self, batch: &IngestBatch) -> Result<IngestReport> {
-        // The apply is timed only when timing is on; the ingest itself is
-        // identical either way.
-        let timing = self.config.obs.enabled || reptile_obs::enabled();
-        let mut stages = IngestStages::default();
         let mut relation = self.relation.write().expect("relation lock");
-        let t0 = timing.then(Instant::now);
         let next = Arc::new(relation.apply(batch).map_err(ReptileError::from)?);
-        if let Some(t0) = t0 {
-            stages.apply_ns = elapsed_ns(t0);
-        }
         *relation = next.clone();
         drop(relation);
         Ok(IngestReport {
             relation: next,
             inserted: batch.inserts().len(),
             deleted: batch.deletes().len(),
-            stages,
             changed_rows: batch
                 .changed_rows()
                 .map(<[Value]>::to_vec)
@@ -376,13 +349,20 @@ impl Reptile {
         })
     }
 
-    /// Recompute `view`'s definition (same predicate, group-by and measure)
-    /// over the engine's *current* relation snapshot — how serving layers
-    /// move a held view forward after an ingest invalidated it. The scan
-    /// fans out over the configured shard budget (bit-identically).
+    /// `view`'s definition (same predicate, group-by and measure) over the
+    /// engine's *current* relation snapshot — how serving layers move a
+    /// held view forward after an ingest invalidated it. When the current
+    /// snapshot is the one the last ingest made from `view`'s, the view
+    /// advances by that batch ([`View::advance`], O(batch) plus the groups
+    /// it touched); otherwise the scan fans out over the configured shard
+    /// budget. Both are `==` a fresh compute.
     pub fn refresh_view(&self, view: &View) -> Result<Arc<View>> {
+        let relation = self.relation();
+        if let Some(advanced) = view.advance(&relation) {
+            return Ok(Arc::new(advanced));
+        }
         Ok(Arc::new(View::compute(
-            self.relation(),
+            relation,
             view.predicate().clone(),
             view.group_by().to_vec(),
             view.measure(),

@@ -84,8 +84,8 @@ pub use cache::{
 };
 pub use complaint::{Complaint, Direction};
 pub use engine::{
-    HierarchyRecommendation, IngestReport, IngestSink, IngestStages, Recommendation,
-    RepairModelKind, Reptile, ReptileConfig, ScoredGroup,
+    HierarchyRecommendation, IngestReport, IngestSink, Recommendation, RepairModelKind, Reptile,
+    ReptileConfig, ScoredGroup,
 };
 pub use reptile_factor::{Exec, Parallelism, Remote, RemoteError, RemoteTransport, SessionStats};
 pub use reptile_obs::{MetricsSnapshot, ObsConfig};

@@ -1,10 +1,8 @@
 //! Workload generators for the Reptile reproduction.
 //!
 //! **Paper map** (Huang & Wu, *Reptile*, SIGMOD 2022): the evaluation
-//! workloads of **Section 5** — synthetic hierarchies (§5.1–5.2), the
-//! covid/FIST/absentee/COMPAS/election case studies (§5.3, Tables 1–2),
-//! plus a streaming replay of the covid panel ([`stream`]) as ingest
-//! batches.
+//! workloads of **Section 5** — synthetic hierarchies (§5.1–5.2) and the
+//! covid/FIST/absentee/COMPAS/election case studies (§5.3, Tables 1–2).
 //!
 //! The paper evaluates on a mix of synthetic data (Sections 5.1–5.2) and real
 //! datasets (JHU COVID-19, FIST drought surveys, NC absentee ballots, COMPAS,
@@ -25,11 +23,9 @@ pub mod fist;
 pub mod hiergen;
 pub mod rng;
 pub mod scaling;
-pub mod stream;
 pub mod synthetic;
 pub mod vote;
 
 pub use errors::{ErrorKind, InjectedError};
 pub use rng::SimRng;
 pub use scaling::{scaling_panel, ScalingConfig, ScalingWorkload};
-pub use stream::{CovidStream, StreamBatch, StreamConfig};

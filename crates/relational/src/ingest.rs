@@ -116,8 +116,10 @@ impl Relation {
     /// matched against a distinct row) and applied all-or-nothing. Deleted
     /// rows are removed, then inserts are appended in batch order. The
     /// receiver is untouched — callers holding an `Arc` of the old snapshot
-    /// keep a consistent pre-ingest view of the data. See the
-    /// [module docs](self) for how the successor's columns are built.
+    /// keep a consistent pre-ingest view of the data. The successor records
+    /// the deleted rows and where the inserts start, so views over the
+    /// receiver can [advance](crate::View::advance) to it by the batch. See
+    /// the [module docs](self) for how the successor's columns are built.
     pub fn apply(&self, batch: &IngestBatch) -> Result<Relation> {
         let arity = self.schema().arity();
         for row in batch.inserts().iter().chain(batch.deletes()) {
@@ -153,12 +155,14 @@ impl Relation {
                 col.successor(dict, codes, first_changed)
             })
             .collect();
+        let kept = self.len() - deleted.len();
         Ok(Relation::from_code_columns(
             self.schema().clone(),
             self.ident(),
             self.version() + 1,
             next,
-        ))
+        )
+        .with_delta(self, deleted, kept))
     }
 
     /// Resolve every delete tuple to a distinct row, earliest first, by one

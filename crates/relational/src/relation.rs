@@ -8,9 +8,10 @@ use crate::value::Value;
 use crate::Result;
 use reptile_obs::{add_counter, Counter};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Source of fresh lineage identifiers (see [`Relation::ident`]).
+/// Source of fresh lineage identifiers (see [`Relation::ident`]) and of
+/// snapshot identities (see [`Delta`]).
 static NEXT_IDENT: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_ident() -> u64 {
@@ -38,6 +39,43 @@ pub struct Relation {
     rows: usize,
     ident: u64,
     version: u64,
+    /// This value's identity as a snapshot: drawn on first use (a batch
+    /// applied to it, or a successor checked against it), dropped by every
+    /// in-place mutation.
+    snapshot: OnceLock<u64>,
+    /// How [`Relation::apply`](crate::ingest) made this snapshot from its
+    /// predecessor; `None` for any other relation, and after an in-place
+    /// mutation.
+    delta: Option<Delta>,
+}
+
+/// What one [`Relation::apply`](crate::ingest) changed, recorded on the
+/// snapshot it made: the predecessor's rows it deleted, and where the
+/// inserts start. The surviving rows keep their order and their codes, and
+/// the inserts follow them — what lets [`View::advance`](crate::View::advance)
+/// move a view by the batch instead of rescanning the snapshot.
+#[derive(Debug)]
+pub(crate) struct Delta {
+    /// The snapshot identity of the predecessor.
+    predecessor: u64,
+    /// The predecessor's deleted rows, ascending.
+    deleted: Vec<usize>,
+    /// This snapshot's rows before the first insert: the predecessor's
+    /// surviving rows, in their order.
+    kept: usize,
+}
+
+impl Delta {
+    /// The predecessor's deleted rows, ascending.
+    pub(crate) fn deleted(&self) -> &[usize] {
+        &self.deleted
+    }
+
+    /// The first inserted row; every row before it survived from the
+    /// predecessor, in order.
+    pub(crate) fn kept(&self) -> usize {
+        self.kept
+    }
 }
 
 impl Clone for Relation {
@@ -52,6 +90,8 @@ impl Clone for Relation {
             rows: self.rows,
             ident: fresh_ident(),
             version: 0,
+            snapshot: OnceLock::new(),
+            delta: None,
         }
     }
 }
@@ -90,7 +130,53 @@ impl Relation {
             columns: columns.into_iter().map(Arc::new).collect(),
             ident,
             version,
+            snapshot: OnceLock::new(),
+            delta: None,
         }
+    }
+
+    /// This value's snapshot identity, drawn on first use.
+    pub(crate) fn snapshot_id(&self) -> u64 {
+        *self.snapshot.get_or_init(fresh_ident)
+    }
+
+    /// Record that this relation is `predecessor` with `deleted` rows
+    /// removed and the inserts appended from row `kept` on.
+    pub(crate) fn with_delta(
+        mut self,
+        predecessor: &Relation,
+        deleted: Vec<usize>,
+        kept: usize,
+    ) -> Relation {
+        self.delta = Some(Delta {
+            predecessor: predecessor.snapshot_id(),
+            deleted,
+            kept,
+        });
+        self
+    }
+
+    /// The delta that made this relation from `predecessor`, if it is the
+    /// snapshot [`Relation::apply`](crate::ingest) made from exactly that
+    /// value and neither was mutated in place since.
+    pub(crate) fn delta_from(&self, predecessor: &Relation) -> Option<&Delta> {
+        self.delta
+            .as_ref()
+            .filter(|delta| delta.predecessor == predecessor.snapshot_id())
+    }
+
+    /// Whether this relation is the snapshot [`Relation::apply`](crate::ingest)
+    /// made from `predecessor`, so that a view over `predecessor` can
+    /// [advance](crate::View::advance) to it.
+    pub fn succeeds(&self, predecessor: &Relation) -> bool {
+        self.delta_from(predecessor).is_some()
+    }
+
+    /// Forget this value's snapshot identity and delta: an in-place
+    /// mutation makes it a different snapshot under the same version.
+    fn mutated(&mut self) {
+        self.snapshot = OnceLock::new();
+        self.delta = None;
     }
 
     /// A new lineage over the same dictionaries, each column holding
@@ -169,6 +255,7 @@ impl Relation {
                 got: row.len(),
             });
         }
+        self.mutated();
         for (col, v) in self.columns.iter_mut().zip(&row) {
             Arc::make_mut(col).write(self.rows, v);
         }
@@ -270,6 +357,7 @@ impl Relation {
     /// Replace the value at a given row (used by error-injection and repair
     /// simulation utilities): encoded in place, O(1) amortised.
     pub fn set_value(&mut self, row: usize, attr: AttrId, value: Value) {
+        self.mutated();
         Arc::make_mut(&mut self.columns[attr.index()]).write(row, &value);
     }
 
@@ -282,6 +370,7 @@ impl Relation {
                 got: other.schema.arity(),
             });
         }
+        self.mutated();
         for (a, col) in self.columns.iter_mut().enumerate() {
             let col = Arc::make_mut(col);
             for row in 0..other.rows {

@@ -439,6 +439,15 @@ impl CompiledPredicate {
         }
     }
 
+    /// Whether `row` satisfies every term — [`Predicate::matches`] on codes.
+    pub(crate) fn matches_row(&self, row: usize) -> bool {
+        !self.unsatisfiable
+            && self
+                .terms
+                .iter()
+                .all(|(_, column, code)| column.codes[row] == *code)
+    }
+
     /// The matching row indices of `[0, rows)`, ascending — identical to
     /// filtering by [`Predicate::matches`].
     pub fn select_rows(&self, rows: usize) -> Vec<usize> {
@@ -538,6 +547,16 @@ impl<G> Grouped<G> {
             key_len,
             codes: Vec::new(),
             groups: Vec::new(),
+        }
+    }
+
+    /// Groups over `key_len` key columns from their slot-major code tuples.
+    pub(crate) fn from_parts(key_len: usize, codes: Vec<u32>, groups: Vec<G>) -> Self {
+        debug_assert_eq!(codes.len(), key_len * groups.len());
+        Grouped {
+            key_len,
+            codes,
+            groups,
         }
     }
 

@@ -61,6 +61,17 @@
 //! exactness-safe because a pruned shard's partial would have been empty.
 //! Remote partials arrive as bytes (see [`crate::ship`]) and merge by the
 //! same replay rule under the [`Stage::RemoteMerge`] span.
+//!
+//! # Advancing across an ingest
+//!
+//! [`View::advance`] moves a view to the snapshot [`Relation::apply`] made
+//! from its relation by the batch alone, and is `==` a compute over that
+//! snapshot for every measure. `apply` keeps the surviving rows in their
+//! order, with their codes, and appends the inserts after them, so a group
+//! the batch does not touch keeps its rows and its aggregate; a group that
+//! only gains rows continues its serial fold with the inserted rows' values;
+//! and a group that lost a row is refolded by the restricted scan of its
+//! provenance predicate. No aggregate is ever subtracted.
 
 use crate::aggregate::{AggState, AggregateKind};
 use crate::error::RelationalError;
@@ -501,6 +512,130 @@ impl View {
         }
     }
 
+    /// This view over `next`, the snapshot [`Relation::apply`] made from
+    /// this view's relation, found from the batch instead of a scan of
+    /// `next`: `==` [`View::compute`] over `next` under every [`Exec`].
+    /// `None` when `next` is not that snapshot (see
+    /// [`Relation::succeeds`]) or its measure column is not numeric;
+    /// callers then compute, which surfaces the error.
+    ///
+    /// The surviving rows keep their order and codes and the inserts follow
+    /// them (see the [module docs](self)), so per group:
+    /// - a group the batch does not touch keeps its aggregate bit for bit;
+    /// - a group that only gains rows replays the inserted rows' values in
+    ///   row order onto its aggregate — the serial fold's own sequence;
+    /// - a group that lost a row is refolded by the restricted scan of its
+    ///   [`View::provenance_predicate`] over `next`;
+    /// - new groups are merged in by value rank through `next`'s
+    ///   dictionaries, groups left empty are dropped, and the total is
+    ///   refolded in key order, as [`View::compute`] does.
+    pub fn advance(&self, next: &Arc<Relation>) -> Option<View> {
+        let delta = next.delta_from(&self.relation)?;
+        let measure = MeasureColumn::resolve(next, self.measure).ok()?;
+        let keys = GroupKeys::resolve(next, &self.group_by);
+        // `next`'s dictionaries extend this view's, so its groups are in
+        // value-rank order under `next`'s ranks too.
+        let ranks: Vec<&[u32]> = keys.cols().iter().map(|c| c.dict().ranks()).collect();
+        let mut aggs = self.aggs.clone();
+        let mut lost = vec![false; aggs.len()];
+        let before = CompiledPredicate::compile(&self.predicate, &self.relation);
+        let mut key = Vec::with_capacity(self.key_cols.len());
+        for &row in delta.deleted() {
+            if before.matches_row(row) {
+                key.clear();
+                key.extend(self.key_cols.iter().map(|col| col.code(row)));
+                lost[self.position(&ranks, &key)?] = true;
+            }
+        }
+        let mut touched = lost.contains(&true);
+        let mut codes = self.codes.clone();
+        let compiled = CompiledPredicate::compile(&self.predicate, next);
+        let inserted = (delta.kept(), next.len() - delta.kept());
+        scan_partial(&compiled, &keys, &measure, inserted).for_each(|key, values| {
+            touched = true;
+            match self.position(&ranks, key) {
+                // A refolded group reads its inserted rows below.
+                Some(i) if lost[i] => {}
+                Some(i) => replay(&mut aggs[i], &values),
+                None => {
+                    codes.extend_from_slice(key);
+                    let mut agg = AggState::empty();
+                    replay(&mut agg, &values);
+                    aggs.push(agg);
+                }
+            }
+        });
+        if !touched {
+            // The batch missed the view: same groups, same aggregates.
+            return Some(View {
+                relation: next.clone(),
+                predicate: self.predicate.clone(),
+                group_by: self.group_by.clone(),
+                measure: self.measure,
+                key_cols: keys.into_cols(),
+                codes,
+                aggs,
+                keys: OnceLock::new(),
+                total: self.total,
+            });
+        }
+        for i in (0..lost.len()).filter(|&i| lost[i]) {
+            let provenance = self.provenance_predicate(&self.key_of(i));
+            let mut agg = AggState::empty();
+            CompiledPredicate::compile(&provenance, next).for_each_matching_range(
+                0,
+                next.len(),
+                |first, n| {
+                    for value in measure.values(first, n) {
+                        agg.push(value);
+                    }
+                },
+            );
+            aggs[i] = agg;
+        }
+        // A group that lost every row is no group of `next`.
+        let arity = self.key_cols.len();
+        if aggs.iter().any(|agg| agg.count() == 0.0) {
+            let live: Vec<usize> = (0..aggs.len()).filter(|&i| aggs[i].count() > 0.0).collect();
+            codes = live
+                .iter()
+                .flat_map(|&i| &codes[i * arity..(i + 1) * arity])
+                .copied()
+                .collect();
+            aggs = live.iter().map(|&i| aggs[i]).collect();
+        }
+        Some(View::assemble(
+            next.clone(),
+            self.predicate.clone(),
+            self.group_by.clone(),
+            self.measure,
+            keys.into_cols(),
+            Grouped::from_parts(arity, codes, aggs),
+        ))
+    }
+
+    /// The index of the group keyed `codes`, found by binary search on value
+    /// ranks through `ranks` (one rank table per key column, under which
+    /// this view's groups are in order).
+    fn position(&self, ranks: &[&[u32]], codes: &[u32]) -> Option<usize> {
+        fn rank<'a>(codes: &'a [u32], ranks: &'a [&[u32]]) -> impl Iterator<Item = u32> + 'a {
+            codes
+                .iter()
+                .zip(ranks)
+                .map(|(code, rank)| rank[*code as usize])
+        }
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match rank(self.codes_of(mid), ranks).cmp(rank(codes, ranks)) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
+            }
+        }
+        None
+    }
+
     /// The underlying relation.
     pub fn relation(&self) -> &Arc<Relation> {
         &self.relation
@@ -568,20 +703,20 @@ impl View {
         &self.codes[i * arity..(i + 1) * arity]
     }
 
+    /// The key of group `i`, decoded through the dictionaries.
+    fn key_of(&self, i: usize) -> GroupKey {
+        let tuple = self.codes_of(i).iter().zip(&self.key_cols);
+        GroupKey(
+            tuple
+                .map(|(code, col)| col.dict().value(*code).clone())
+                .collect(),
+        )
+    }
+
     /// Every group's key, decoded through the dictionaries on first use.
     fn decoded_keys(&self) -> &[GroupKey] {
-        self.keys.get_or_init(|| {
-            (0..self.len())
-                .map(|i| {
-                    let tuple = self.codes_of(i).iter().zip(&self.key_cols);
-                    GroupKey(
-                        tuple
-                            .map(|(code, col)| col.dict().value(*code).clone())
-                            .collect(),
-                    )
-                })
-                .collect()
-        })
+        self.keys
+            .get_or_init(|| (0..self.len()).map(|i| self.key_of(i)).collect())
     }
 
     /// Whether both views read their codes through the very same cached
@@ -1389,6 +1524,105 @@ mod tests {
                 "{lie:?}: {err}"
             );
         }
+    }
+
+    fn fist_views(r: &Arc<Relation>) -> Vec<View> {
+        let s = schema_of(r);
+        let [district, village, year, severity] =
+            ["district", "village", "year", "severity"].map(|n| s.attr(n).unwrap());
+        [
+            (Predicate::all(), vec![district, village, year]),
+            (Predicate::all(), vec![year]),
+            (Predicate::eq(district, Value::str("Ofla")), vec![village]),
+            (Predicate::eq(district, Value::str("Aba")), vec![year]),
+        ]
+        .into_iter()
+        .map(|(p, gb)| View::compute(r.clone(), p, gb, severity, &Exec::Serial).unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn advance_equals_compute_over_the_successor() {
+        let row = |d: &str, v: &str, y: i64, s: f64| {
+            vec![Value::str(d), Value::str(v), Value::int(y), Value::float(s)]
+        };
+        let batches = [
+            // Gains only: an existing group, and new groups whose values sort
+            // before every present one ("Aba" < "Ofla", 1980 < 1986).
+            crate::IngestBatch::new()
+                .insert(row("Ofla", "Dinka", 1986, 0.1))
+                .insert(row("Aba", "Abe", 1980, 2.3)),
+            // A lost row and a gain in one group, a lost row elsewhere.
+            crate::IngestBatch::new()
+                .delete(row("Ofla", "Adishim", 1986, 8.2))
+                .delete(row("Raya", "Zata", 1987, 4.0))
+                .insert(row("Ofla", "Adishim", 1986, 7.3)),
+            // Every row of a village goes: its groups are dropped.
+            crate::IngestBatch::new()
+                .delete(row("Ofla", "Darube", 1986, 2.0))
+                .delete(row("Ofla", "Darube", 1986, 2.4)),
+            crate::IngestBatch::new(),
+        ];
+        let mut r = fist_relation();
+        let mut views = fist_views(&r);
+        for (step, batch) in batches.iter().enumerate() {
+            let next = Arc::new(r.apply(batch).unwrap());
+            assert!(next.succeeds(&r) && !r.succeeds(&next));
+            let cold = fist_views(&next);
+            views = views
+                .iter()
+                .zip(cold)
+                .map(|(view, cold)| {
+                    let advanced = view.advance(&next).expect("the direct successor");
+                    assert_eq!(advanced, cold, "step {step}: {:?}", view.predicate());
+                    assert_eq!(advanced.keys(), cold.keys());
+                    assert_eq!(advanced.total(), cold.total());
+                    advanced
+                })
+                .collect();
+            r = next;
+        }
+        assert!(views[0]
+            .keys()
+            .iter()
+            .all(|k| k.value(1) != &Value::str("Darube")));
+    }
+
+    #[test]
+    fn advance_needs_the_direct_unmutated_successor() {
+        let r = fist_relation();
+        let view = &fist_views(&r)[0];
+        let batch = crate::IngestBatch::new().insert(["Raya", "Zata", "1988", "1.5"]);
+        let next = r.apply(&batch).unwrap();
+        // Two versions ahead, a sibling successor, and a clone: no delta
+        // reaches.
+        let after_next = Arc::new(next.apply(&batch).unwrap());
+        assert!(view.advance(&after_next).is_none());
+        let sibling = Arc::new(r.apply(&crate::IngestBatch::new()).unwrap());
+        assert!(view.advance(&sibling).is_some());
+        let other_view = &fist_views(&sibling)[0];
+        assert!(other_view
+            .advance(&Arc::new(r.apply(&batch).unwrap()))
+            .is_none());
+        assert!(view.advance(&Arc::new(next.clone())).is_none());
+        // In-place mutations change a snapshot without a version bump: the
+        // mutated successor no longer carries the recorded delta.
+        let severity = r.schema().attr("severity").unwrap();
+        let mut edited = r.apply(&batch).unwrap();
+        edited.set_value(0, severity, Value::float(1.0));
+        assert!(view.advance(&Arc::new(edited)).is_none());
+        let mut extended = r.apply(&batch).unwrap();
+        extended.extend_from(&r).unwrap();
+        assert!(view.advance(&Arc::new(extended)).is_none());
+        let mut pushed = r.apply(&batch).unwrap();
+        pushed.push_row(r.row(0)).unwrap();
+        assert!(view.advance(&Arc::new(pushed)).is_none());
+        // Nor does a predecessor mutated after the batch was applied.
+        let mut before = (*r).clone();
+        let after = before.apply(&batch).unwrap();
+        before.set_value(0, severity, Value::float(1.0));
+        let stale = &fist_views(&Arc::new(before))[0];
+        assert!(stale.advance(&Arc::new(after)).is_none());
     }
 
     #[test]

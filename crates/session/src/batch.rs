@@ -148,9 +148,10 @@ impl BatchServer {
     }
 
     /// Stream an [`IngestBatch`](reptile_relational::IngestBatch) into the
-    /// engine while the server keeps serving: the engine applies the batch
-    /// with delta maintenance, then the shared caches drop exactly the
-    /// signatures the batch made stale and record its change set, so a
+    /// engine while the server keeps serving: the engine applies the batch,
+    /// then the shared caches advance their views by it, drop the models
+    /// (and the views that cannot advance) the batch made stale, and record
+    /// its change set ([`SharedCaches::invalidate_ingest`]), so a
     /// worker that is mid-computation against a pre-ingest snapshot the
     /// batch changed cannot publish into the post-ingest cache. Requests
     /// built from old view snapshots keep working (snapshot consistency);

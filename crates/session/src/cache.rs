@@ -33,8 +33,11 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries dropped to make room.
     pub evictions: u64,
-    /// Entries dropped because an ingest made them stale.
+    /// Entries an ingest made stale (advanced or dropped).
     pub invalidations: u64,
+    /// Entries an ingest moved to its new snapshot by the batch, stale or
+    /// untouched.
+    pub advanced: u64,
 }
 
 impl CacheStats {
@@ -56,13 +59,19 @@ impl CacheStats {
             insertions: self.insertions + other.insertions,
             evictions: self.evictions + other.evictions,
             invalidations: self.invalidations + other.invalidations,
+            advanced: self.advanced + other.advanced,
         }
     }
 
     fn json_object(&self) -> String {
         format!(
-            "{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\"invalidations\":{}}}",
-            self.hits, self.misses, self.insertions, self.evictions, self.invalidations
+            "{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\"invalidations\":{},\"advanced\":{}}}",
+            self.hits,
+            self.misses,
+            self.insertions,
+            self.evictions,
+            self.invalidations,
+            self.advanced
         )
     }
 }
@@ -175,14 +184,17 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.stats.insertions += 1;
     }
 
-    /// Keep only the entries whose key satisfies `keep`, counting the
-    /// dropped ones as invalidations: after an [`IngestReport`] only the
-    /// signatures whose predicate selects a changed row are dropped and
-    /// every other entry stays warm.
-    fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
-        let before = self.map.len();
-        self.map.retain(|k, _| keep(k));
-        self.stats.invalidations += (before - self.map.len()) as u64;
+    /// Take out the entries whose key `stale` selects, counting them as
+    /// invalidations: after an [`IngestReport`] only the signatures whose
+    /// predicate selects a changed row go and every other entry stays warm.
+    fn take_stale(&mut self, stale: impl Fn(&K) -> bool) -> Vec<(K, V)> {
+        let taken: Vec<(K, V)> = self
+            .map
+            .extract_if(|k, _| stale(k))
+            .map(|(k, e)| (k, e.value))
+            .collect();
+        self.stats.invalidations += taken.len() as u64;
+        taken
     }
 }
 
@@ -325,14 +337,16 @@ impl<K: Eq + Hash + Clone, V: Clone> Claimable<K, V> {
     /// concurrent `invalidate_ingest` (which records the log before
     /// evicting: an insert that slips in before the record is screened by
     /// the eviction that follows; one that comes after sees the recorded
-    /// change set and skips itself).
-    fn fulfill(&self, key: K, value: V, still_valid: impl FnOnce() -> bool) {
+    /// change set and skips itself). Returns whether `value` was stored.
+    fn fulfill(&self, key: K, value: V, still_valid: impl FnOnce() -> bool) -> bool {
         let mut st = self.state.lock().expect("cache lock");
         st.in_flight.remove(&key);
-        if still_valid() {
+        let stored = still_valid();
+        if stored {
             st.cache.insert(key, value);
         }
         self.ready.notify_all();
+        stored
     }
 
     /// Release a claim whose computation failed; a waiter will re-claim.
@@ -342,9 +356,47 @@ impl<K: Eq + Hash + Clone, V: Clone> Claimable<K, V> {
         self.ready.notify_all();
     }
 
-    /// Drop the entries whose key fails `keep`.
-    fn invalidate(&self, keep: impl FnMut(&K) -> bool) {
-        self.state.lock().expect("cache lock").cache.retain(keep);
+    /// Drop the entries whose key `stale` selects, except those `claim`
+    /// selects: their keys are claimed in the same critical section and the
+    /// entries returned, for the caller to `fulfill` or `abort` each.
+    fn invalidate(&self, stale: impl Fn(&K) -> bool, claim: impl Fn(&V) -> bool) -> Vec<(K, V)> {
+        let mut st = self.state.lock().expect("cache lock");
+        let mut taken = st.cache.take_stale(stale);
+        taken.retain(|(_, value)| claim(value));
+        for (key, _) in &taken {
+            st.in_flight.insert(key.clone());
+        }
+        taken
+    }
+
+    /// The entries whose value `select` picks, left in place, without
+    /// touching recency or counts.
+    fn select(&self, select: impl Fn(&V) -> bool) -> Vec<(K, V)> {
+        let st = self.state.lock().expect("cache lock");
+        let entries = st.cache.map.iter();
+        entries
+            .filter(|(_, e)| select(&e.value))
+            .map(|(k, e)| (k.clone(), e.value.clone()))
+            .collect()
+    }
+
+    /// Store `value` under `key` in place of its entry if `unchanged`
+    /// accepts the entry's value, keeping its recency; returns whether it
+    /// did.
+    fn replace(&self, key: &K, value: V, unchanged: impl FnOnce(&V) -> bool) -> bool {
+        let mut st = self.state.lock().expect("cache lock");
+        match st.cache.map.get_mut(key) {
+            Some(entry) if unchanged(&entry.value) => {
+                entry.value = value;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Count `n` entries moved to a new snapshot by its batch.
+    fn count_advanced(&self, n: u64) {
+        self.state.lock().expect("cache lock").cache.stats.advanced += n;
     }
 
     fn stats(&self) -> CacheStats {
@@ -392,6 +444,13 @@ impl SharedCaches {
         }
     }
 
+    /// The cached views, in no particular order: a point-in-time copy that
+    /// counts no hit or miss.
+    pub fn cached_views(&self) -> Vec<Arc<View>> {
+        let entries = self.views.select(|_| true);
+        entries.into_iter().map(|(_, view)| view).collect()
+    }
+
     /// A per-request handle pinned to the snapshot `view` was computed over.
     /// Everything the engine derives while serving that request (drilled
     /// views, trained models) comes from the same snapshot, so if an ingest
@@ -413,24 +472,65 @@ impl SharedCaches {
         }
     }
 
-    /// Versioned invalidation after an ingest: drop exactly the views (and
-    /// the models trained over them) whose signature the report marks stale
-    /// — i.e. whose predicate selects at least one inserted or deleted row —
-    /// and record the change set, so handles pinned to snapshots this batch
-    /// made out of date (and engine requests posed over them, via
-    /// [`EngineCache::accepts_view`]) can neither read nor publish.
+    /// Versioned invalidation after an ingest: exactly the views (and the
+    /// models trained over them) whose signature the report marks stale —
+    /// i.e. whose predicate selects at least one inserted or deleted row —
+    /// go stale, and the change set is recorded, so handles pinned to
+    /// snapshots this batch made out of date (and engine requests posed over
+    /// them, via [`EngineCache::accepts_view`]) can neither read nor
+    /// publish.
+    ///
+    /// Every view over the snapshot the batch was applied to moves to the
+    /// new one by the batch ([`View::advance`]), so the cache holds no
+    /// snapshot but the latest one its entries reach:
+    /// - a stale one is stored again, not dropped: its key is taken out and
+    ///   claimed under the cache lock, the view advanced outside it and
+    ///   published through the same pinned check as any computed view, so a
+    ///   request waiting on the key gets a hit;
+    /// - an untouched one keeps serving while it advances, and is then
+    ///   replaced in place.
+    ///
+    /// Every other stale entry, and every stale model, is dropped.
     pub fn invalidate_ingest(&self, report: &IngestReport) {
         // Record first: a reader that consults the log after this point sees
         // the change set before any republished post-ingest entry can land.
         let contiguous = self.log().record(report);
-        if contiguous {
-            self.views.invalidate(|key| !report.invalidates_view(key));
-            self.models
-                .invalidate(|key| !report.invalidates_view(&key.view));
-        } else {
+        if !contiguous {
             // Missed an earlier ingest: nothing here was screened — flush.
-            self.views.invalidate(|_| false);
-            self.models.invalidate(|_| false);
+            self.views.invalidate(|_| true, |_| false);
+            self.models.invalidate(|_| true, |_| false);
+            return;
+        }
+        let next = &report.relation;
+        let advances = |view: &Arc<View>| next.succeeds(view.relation());
+        let stale = self
+            .views
+            .invalidate(|key| report.invalidates_view(key), advances);
+        self.models
+            .invalidate(|key| report.invalidates_view(&key.view), |_| false);
+        let untouched = self.views.select(advances);
+        let mut advanced = 0;
+        for (key, view) in stale {
+            match view.advance(next) {
+                Some(view) => {
+                    let still_valid = || self.log().is_current(&key, next.version());
+                    if self.views.fulfill(key.clone(), Arc::new(view), still_valid) {
+                        advanced += 1;
+                    }
+                }
+                None => self.views.abort(&key),
+            }
+        }
+        for (key, old) in untouched {
+            if let Some(view) = old.advance(next) {
+                let unchanged = |entry: &Arc<View>| Arc::ptr_eq(entry, &old);
+                if self.views.replace(&key, Arc::new(view), unchanged) {
+                    advanced += 1;
+                }
+            }
+        }
+        if advanced > 0 {
+            self.views.count_advanced(advanced);
         }
     }
 

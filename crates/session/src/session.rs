@@ -78,6 +78,12 @@ impl Session {
         self.caches.stats_snapshot()
     }
 
+    /// The views the session's cache holds (see
+    /// [`SharedCaches::cached_views`]).
+    pub fn cached_views(&self) -> Vec<Arc<View>> {
+        self.caches.cached_views()
+    }
+
     /// Recommend a drill-down for `complaint` posed against the current
     /// view, reusing cached views and trained models.
     pub fn recommend(&mut self, complaint: &Complaint) -> Result<Recommendation> {
@@ -122,11 +128,14 @@ impl Session {
     ///
     /// 1. the engine advances its relation to the next snapshot
     ///    ([`Reptile::ingest`]);
-    /// 2. exactly the cached views/models whose predicate selects a changed
-    ///    row are evicted ([`SharedCaches::invalidate_ingest`]) — warm
-    ///    entries over untouched subtrees survive;
-    /// 3. the session's root and current views are recomputed over the new
-    ///    snapshot *only if* the ingest actually changed their contents.
+    /// 2. the cache moves its views over the previous snapshot to the new
+    ///    one by the batch, and drops the other views and the models whose
+    ///    predicate selects a changed row ([`SharedCaches::invalidate_ingest`]);
+    ///    warm entries over untouched subtrees survive;
+    /// 3. the session's root and current views advance by the batch
+    ///    ([`View::advance`]); one the batch changed that cannot advance is
+    ///    recomputed ([`Reptile::refresh_view`]). At depth 0 they are one
+    ///    view, moved once and kept one `Arc`.
     ///
     /// The next [`Session::recommend`] therefore reflects the post-ingest
     /// data while reusing every model whose training view the batch did not
@@ -134,18 +143,85 @@ impl Session {
     pub fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestReport> {
         let report = self.engine.ingest(batch)?;
         self.caches.invalidate_ingest(&report);
-        if report.invalidates_view(&ViewKey::of_view(&self.root)) {
-            self.root = self.engine.refresh_view(&self.root)?;
-        }
-        if report.invalidates_view(&ViewKey::of_view(&self.current)) {
-            self.current = self.engine.refresh_view(&self.current)?;
-        }
+        let at_root = Arc::ptr_eq(&self.root, &self.current);
+        self.root = self.moved(&self.root, &report)?;
+        self.current = if at_root {
+            self.root.clone()
+        } else {
+            self.moved(&self.current, &report)?
+        };
         Ok(report)
+    }
+
+    /// `view` after the ingest `report` describes: advanced by its batch
+    /// when that reaches, recomputed when the batch changed its contents,
+    /// kept otherwise.
+    fn moved(&self, view: &Arc<View>, report: &IngestReport) -> Result<Arc<View>> {
+        if let Some(advanced) = view.advance(&report.relation) {
+            Ok(Arc::new(advanced))
+        } else if report.invalidates_view(&ViewKey::of_view(view)) {
+            self.engine.refresh_view(view)
+        } else {
+            Ok(view.clone())
+        }
     }
 }
 
 impl reptile::IngestSink for Session {
     fn apply_batch(&mut self, batch: &IngestBatch) -> Result<IngestReport> {
         self.ingest(batch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reptile_relational::{Exec, Predicate, Relation, Schema, Value};
+
+    #[test]
+    fn an_ingest_at_depth_0_keeps_root_and_current_one_view() {
+        let schema = Arc::new(
+            Schema::builder()
+                .hierarchy("geo", ["district", "village"])
+                .measure("severity")
+                .build()
+                .unwrap(),
+        );
+        let mut builder = Relation::builder(schema.clone());
+        for (d, v, s) in [
+            ("D1", "D1-a", 8.0),
+            ("D1", "D1-b", 1.5),
+            ("D2", "D2-a", 7.5),
+        ] {
+            builder = builder
+                .row([Value::str(d), Value::str(v), Value::float(s)])
+                .unwrap();
+        }
+        let relation = Arc::new(builder.build());
+        let [district, severity] = ["district", "severity"].map(|n| schema.attr(n).unwrap());
+        let view = View::compute(
+            relation.clone(),
+            Predicate::all(),
+            vec![district],
+            severity,
+            &Exec::Serial,
+        )
+        .unwrap();
+        let engine = Arc::new(Reptile::new(relation, schema));
+        let mut session = Session::new(engine.clone(), view);
+        let batch =
+            IngestBatch::new().insert([Value::str("D2"), Value::str("D2-b"), Value::float(9.0)]);
+        session.ingest(&batch).unwrap();
+        assert!(Arc::ptr_eq(&session.root, &session.current));
+        assert_eq!(session.view().relation().version(), 1);
+        let cold = View::compute(
+            engine.relation(),
+            Predicate::all(),
+            vec![district],
+            severity,
+            &Exec::Serial,
+        )
+        .unwrap();
+        assert_eq!(session.view(), &cold);
     }
 }

@@ -666,6 +666,107 @@ fn growth_batch(tag: usize) -> IngestBatch {
     batch
 }
 
+/// The `step`-th batch of a mixed feed over [`dataset`]: repairs of the
+/// complained subtree, new villages, a 1985 correction, a region and a year
+/// that sort before every present one, and a village deleted outright.
+fn mixed_batch(step: usize, rel: &Relation, schema: &Schema) -> IngestBatch {
+    let village = schema.attr("village").unwrap();
+    match step % 5 {
+        0 => repair_batch(rel, schema),
+        1 => growth_batch(step),
+        2 => correct_a_1985_row(rel, schema),
+        3 => {
+            let mut batch = IngestBatch::new();
+            for (d, severity) in [(0, 4.3), (1, 6.1)] {
+                batch.push_insert(vec![
+                    Value::str(format!("A{step:02}")),
+                    Value::str(format!("A{step:02}-D{d}")),
+                    Value::str(format!("A{step:02}-D{d}-V0")),
+                    Value::int(1984 - step as i64),
+                    Value::float(severity + 0.1 * step as f64),
+                ]);
+            }
+            batch
+        }
+        _ => {
+            let gone = Value::str(format!("R1-D{}-V{}", step % 2, step % 3));
+            let mut batch = IngestBatch::new();
+            for r in (0..rel.len()).filter(|&r| rel.value(r, village) == &gone) {
+                batch.push_delete(rel.row(r));
+            }
+            batch
+        }
+    }
+}
+
+/// After every batch of a mixed feed through a session, each cached view
+/// `==` a cold compute over the engine's snapshot, and the recommendation
+/// equals a cold engine's. The cache advances its views by each batch —
+/// the parallel (training) view, stale after every batch, as well as the
+/// drilled view the batch may leave alone — so the post-ingest recommend
+/// serves every view as a hit.
+#[test]
+fn cached_views_advance_with_every_batch() {
+    let (rel, schema) = dataset();
+    let engine = Arc::new(Reptile::new(rel.clone(), schema.clone()));
+    let mut session = Session::new(engine.clone(), region_year_view(&rel, &schema));
+    let c = complaint("R0", 1986);
+    session.recommend(&c).unwrap();
+    let geo = schema.hierarchy("geo").unwrap();
+    let mut advanced = 0;
+    for step in 0..12 {
+        let batch = mixed_batch(step, &engine.relation(), &schema);
+        assert!(!batch.is_empty(), "step {step}");
+        let before = session.stats_snapshot().views;
+        let now = session.ingest(&batch).unwrap().relation;
+        let after = session.stats_snapshot().views;
+        assert!(
+            after.advanced > before.advanced,
+            "step {step}: nothing advanced"
+        );
+        advanced += after.advanced - before.advanced;
+        assert!(Arc::ptr_eq(session.view().relation(), &now), "step {step}");
+
+        let cached = session.cached_views();
+        for view in &cached {
+            let cold = View::compute(
+                now.clone(),
+                view.predicate().clone(),
+                view.group_by().to_vec(),
+                view.measure(),
+                &reptile_relational::Exec::Serial,
+            )
+            .unwrap();
+            let what = format!(
+                "step {step}: {:?} by {:?}",
+                view.predicate(),
+                view.group_by()
+            );
+            assert!(**view == cold, "{what}");
+        }
+        let next = geo.next_level(session.view().group_by()).unwrap();
+        let parallel = ViewKey::drilled(session.view(), next);
+        assert!(
+            cached
+                .iter()
+                .any(|v| ViewKey::of_view(v) == parallel && Arc::ptr_eq(v.relation(), &now)),
+            "step {step}: the parallel view was advanced to the new snapshot"
+        );
+
+        let before = session.stats_snapshot().views;
+        let served = session.recommend(&c).unwrap();
+        let after = session.stats_snapshot().views;
+        assert!(after.hits > before.hits, "step {step}: the views hit");
+        assert_eq!(after.misses, before.misses, "step {step}: no view missed");
+        let cold = Reptile::new(now.clone(), schema.clone());
+        let expected = cold
+            .recommend(&region_year_view(&now, &schema), &c)
+            .unwrap();
+        assert_bit_identical(&served, &expected, &format!("step {step}"));
+    }
+    assert!(advanced >= 12);
+}
+
 /// The observability counters stay exact across serve/ingest rounds: the
 /// caches' invalidation counters count exactly the same evictions for
 /// identical ingests, every counter is monotone, and every round's answers
@@ -832,6 +933,7 @@ fn pinned_handle_publishes_only_when_the_ingest_missed_its_predicate() {
         insertions,
         evictions: 0,
         invalidations: 0,
+        advanced: 0,
     };
 
     // Claim, ingest, publish, while a second request waits on the claim.

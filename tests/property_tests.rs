@@ -2033,6 +2033,50 @@ fn assert_snapshot_equals_oracle(
     ranked.is_ok_and(|(_, groups)| !groups.is_empty())
 }
 
+/// The view of `definition` over `rel`, computed by a serial scan.
+fn cold_view(
+    rel: &std::sync::Arc<reptile_relational::Relation>,
+    (predicate, group_by): &(reptile_relational::Predicate, Vec<AttrId>),
+) -> reptile_relational::View {
+    use reptile_relational::{Exec, View};
+    View::compute(
+        rel.clone(),
+        predicate.clone(),
+        group_by.clone(),
+        AttrId(3),
+        &Exec::Serial,
+    )
+    .unwrap()
+}
+
+/// Advance each of `views` (over `definitions`) to `next`, the snapshot the
+/// last batch made from their relation, asserting `==` a cold scan of `next`.
+fn advance_views(
+    views: &mut [reptile_relational::View],
+    definitions: &[(reptile_relational::Predicate, Vec<AttrId>)],
+    next: &std::sync::Arc<reptile_relational::Relation>,
+    label: &str,
+) {
+    for (view, definition) in views.iter_mut().zip(definitions) {
+        let advanced = view
+            .advance(next)
+            .unwrap_or_else(|| panic!("{label}: {definition:?} did not advance"));
+        assert!(
+            advanced == cold_view(next, definition),
+            "{label}: {definition:?} advanced != computed"
+        );
+        *view = advanced;
+    }
+}
+
+/// `row` with its measure moved off the integers and halves (`m + 0.1`), so
+/// that every group's sum depends on the order of its rows.
+fn shifted(row: &[Value]) -> Vec<Value> {
+    let mut row = row.to_vec();
+    row[3] = Value::float(row[3].as_f64().unwrap() + 0.1);
+    row
+}
+
 /// Streaming ingest on codes equals a bag-semantics oracle over decoded
 /// rows, batch after batch: `base_rows` hierarchy-ordered rows whose
 /// district runs (300–900 rows) cross the 1024-row zone blocks, then
@@ -2040,8 +2084,15 @@ fn assert_snapshot_equals_oracle(
 /// out of sorted order, duplicate deletes, deletes at run and block
 /// boundaries, deleting the last rows that carry a value, empty and mixed
 /// batches, with one batch that deletes every row.
+///
+/// Views advance along the way: a full-depth group-by and a one-term
+/// predicate view over the relation, and two views over a twin lineage
+/// whose measure is shifted by 0.1 and takes the same batches, move by
+/// [`View::advance`](reptile_relational::View::advance) at every step and
+/// must `==` a scan of the new snapshot; a view refreshed only every fourth
+/// step is four snapshots behind then, so it cannot advance and is computed.
 fn ingest_sequences_equal_the_oracle(seed: u64, base_rows: usize, batches: usize) {
-    use reptile_relational::{IngestBatch, Schema};
+    use reptile_relational::{IngestBatch, Predicate, Schema};
     use std::sync::Arc;
     let mut rng = Rng(seed);
     let schema = Arc::new(
@@ -2075,6 +2126,28 @@ fn ingest_sequences_equal_the_oracle(seed: u64, base_rows: usize, batches: usize
     }
     assert!(rows.len() > 3 * 1024, "at least three zone blocks");
     let mut rel = Arc::new(relation_of(&schema, &rows));
+    let (district, year) = (AttrId(0), AttrId(2));
+    let full_depth = (Predicate::all(), vec![district, village, year]);
+    let definitions = [
+        full_depth.clone(),
+        (
+            Predicate::eq(year, Value::int(2001)),
+            vec![district, village],
+        ),
+    ];
+    let mut views: Vec<_> = definitions.iter().map(|d| cold_view(&rel, d)).collect();
+    let twin_definitions = [full_depth, (Predicate::all(), vec![district, year])];
+    let shifted_rows: Vec<Vec<Value>> = rows.iter().map(|row| shifted(row)).collect();
+    let mut twin = Arc::new(relation_of(&schema, &shifted_rows));
+    let mut twin_views: Vec<_> = twin_definitions
+        .iter()
+        .map(|d| cold_view(&twin, d))
+        .collect();
+    let lagging = (
+        Predicate::eq(district, Value::str("A-first")),
+        vec![village, year],
+    );
+    let mut lagging_view = cold_view(&rel, &lagging);
     let mut ranked = usize::from(assert_snapshot_equals_oracle(&rel, &rows, 0));
     let fresh_row = |rng: &mut Rng, step: usize, rows: &[Vec<Value>]| -> Vec<Value> {
         // Unseen values sort *before* everything present ("A…" < "D…",
@@ -2189,11 +2262,29 @@ fn ingest_sequences_equal_the_oracle(seed: u64, base_rows: usize, batches: usize
                 }
             }
         }
-        let next = rel.apply(&batch).unwrap();
+        let next = Arc::new(rel.apply(&batch).unwrap());
         assert_eq!(next.ident(), rel.ident());
         assert_eq!(next.version(), rel.version() + 1);
         oracle_apply(&mut rows, &batch);
-        rel = Arc::new(next);
+        let label = format!("step {step}");
+        advance_views(&mut views, &definitions, &next, &label);
+        let mut twin_batch = IngestBatch::new();
+        for row in batch.inserts() {
+            twin_batch.push_insert(shifted(row));
+        }
+        for row in batch.deletes() {
+            twin_batch.push_delete(shifted(row));
+        }
+        twin = Arc::new(twin.apply(&twin_batch).unwrap());
+        advance_views(&mut twin_views, &twin_definitions, &twin, &label);
+        if step % 4 == 0 {
+            assert!(
+                lagging_view.advance(&next).is_none(),
+                "{label}: lagging view"
+            );
+            lagging_view = cold_view(&next, &lagging);
+        }
+        rel = next;
         if let Some(gone) = gone_value {
             assert!(!rel.distinct(village).contains(&gone), "step {step}");
             assert!(rel.code_column(village).dict().code_of(&gone).is_some());
